@@ -33,8 +33,12 @@ def round_half_away(x):
 
 
 def to_cents(x):
-    """Quantize euros to integer cents, halves away from zero."""
-    return round_half_away(np.asarray(x, dtype=float) * 100.0)
+    """Quantize euros to int64 cents, halves away from zero; StateError if they do not fit."""
+    cents = np.asarray(x, dtype=float) * 100.0
+    bad = ~(np.abs(cents) < 2.0 ** 63)  # NaN fails the comparison too
+    if bad.any():
+        raise StateError(f"{cents[bad].flat[0] / 100.0} euros do not fit in int64 cents")
+    return round_half_away(cents)
 
 
 def cents_to_thousands(cents):

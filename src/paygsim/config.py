@@ -65,6 +65,17 @@ class RunSettings:
     probes: tuple[float, ...]
     moments_years: tuple[int, ...]
 
+    def __post_init__(self):
+        probes = list(self.probes)
+        errors = [message for bad, message in (
+            (self.n_reps < 1, f"run.n_reps: must be >= 1, got {self.n_reps}"),
+            (self.seed < 0, f"run.seed: must be >= 0, got {self.seed}"),
+            (probes != sorted(probes) or not all(0.0 <= p <= 100.0 for p in probes),
+             f"run.percentile_probes: must be increasing within [0, 100], got {probes}"),
+        ) if bad]
+        if errors:
+            raise ConfigError(errors)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -276,7 +287,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError([f"{path}: {exc}"]) from exc
     hasher.update(raw_bytes)
     try:
-        raw = yaml.safe_load(raw_bytes)
+        raw = yaml.load(raw_bytes, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError([f"{path}: not valid YAML: {exc}"]) from exc
     if not isinstance(raw, dict):

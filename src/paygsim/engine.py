@@ -22,46 +22,54 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cashflows import inflation_index
-from .cohorts import ACTIVE, RETIRED
+from .cohorts import ACTIVE, expected_mortality_grid
 from .config import ScenarioConfig
 from .entrants import DRAWS_PER_CELL, FACTOR_NAMES
 from .errors import CoverageError
 from .stochastic import ar1_path
 
 
-def price_index(cfg: ScenarioConfig, year: int) -> float:
-    """Cumulative inflation from the profile base year; flat 1 before it.
+def price_index(cfg: ScenarioConfig, years):
+    """Price index at a year or an array of years: the product of (1 + inflation)
+    since the profile base year that `inflation_index` takes, and flat 1 at or
+    before the base year, which only backcast contribution histories reach."""
+    years = np.asarray(years, dtype=int)
+    base = cfg.economics.profile_base_year
+    lo = min(int(years.min()), base + 1)
+    growth = [1.0 + cfg.economics.inflation.value(y) if y > base else 1.0
+              for y in range(lo, int(years.max()) + 1)]
+    return np.cumprod(growth)[years - lo][()]
 
-    Years before the base year only occur while backcasting contribution
-    histories, where the profiles are simply taken at base-year prices.
-    """
-    if year <= cfg.economics.profile_base_year:
-        return 1.0
-    return inflation_index(cfg.economics, year)
 
+def opening_balance(cfg: ScenarioConfig, sex_index, age, seniority) -> np.ndarray:
+    """Backcast per-capita notional balances for census cells, given as
+    equal-length sequences (a sex as an index into `cfg.sexes`).
 
-def opening_balance(cfg: ScenarioConfig, sex: str, age: int, seniority: int) -> float:
-    """Backcast per-capita notional balance for a census member.
-
-    Replays the member's assumed contribution history: entry `seniority`
+    Replays each cell's assumed contribution history: entry `seniority`
     years before the census at age - seniority, crediting each year's
     subjective contribution under the same accrual and exemption rules the
     projection uses. Without backfilling, census members start from zero and
     their eventual pensions reflect projected contributions only.
     """
-    if not cfg.backfill_notional or seniority <= 0:
-        return 0.0
-    rule = cfg.contrib_subjective
-    bal = 0.0
-    for sen in range(seniority):
-        year = cfg.first_year - seniority + sen
-        credit = 0.0
-        if sen > rule.exemption_years:
-            credit = (rule.rate.value(year)
-                      * rule.profile.value(sex, age - seniority + sen)
-                      * price_index(cfg, year))
-        bal = bal * (1.0 + cfg.accrual_rate) + credit
+    si, age, sen = (np.asarray(a, dtype=int).reshape(-1) for a in (sex_index, age, seniority))
+    bal, rule = np.zeros(len(age)), cfg.contrib_subjective
+    first_credit = cfg.first_year - sen.max(initial=0) + rule.exemption_years + 1
+    if not cfg.backfill_notional or first_credit >= cfg.first_year:
+        return bal  # no credited year, and zero balances stay zero
+    entry = age - sen
+    if np.any((sen > 0) & ((entry < cfg.min_age) | (age > cfg.max_age))):
+        raise CoverageError("a contribution history leaves the age grid")
+    hist = np.arange(first_credit, cfg.first_year)
+    rate, index = np.array([rule.rate.value(y) for y in hist]), price_index(cfg, hist)
+    profile = rule.profile.slice_for(cfg.census)
+    for k in range(rule.exemption_years + 1, sen.max()):
+        live = (sen > k).nonzero()[0]
+        ti = cfg.first_year - sen[live] + k - first_credit
+        credit = rate[ti] * profile[si[live], entry[live] + k - cfg.min_age]
+        bal[live] = bal[live] * (1.0 + cfg.accrual_rate) + credit * index[ti]
+    for i in np.isnan(bal).nonzero()[0][:1]:  # the first gap, if any
+        raise CoverageError(f"subjective profile has a gap in the history of sex "
+                            f"{cfg.sexes[si[i]]!r} age {age[i]} seniority {sen[i]}")
     return bal
 
 
@@ -118,132 +126,107 @@ class CohortSystem:
     def n_years(self) -> int:
         return self.last_year - self.first_year + 1
 
-    @property
-    def years(self) -> np.ndarray:
-        return np.arange(self.first_year, self.last_year + 1)
-
-
-def _retirement_of(cfg: ScenarioConfig, sex: str, first_year: int, first_age: int,
-                   first_seniority: int, last_on_grid: int, first_check_year: int):
-    """First census year the cohort retires, and the winning benefit type.
-
-    Eligibility uses the thresholds in force that year: age strictly above
-    the minimum, seniority at or above it. Among simultaneously satisfied
-    types the one whose requirements were exceeded by the widest margin
-    wins; ties go to the type listed first. Census cohorts are first checked
-    the year after the census (the census states who is already retired);
-    arrival cohorts are checked from their first census on.
-    """
-    rule = cfg.retirement
-    for t in range(first_check_year, last_on_grid + 1):
-        x = first_age + (t - first_year)
-        a = min(first_seniority + (t - first_year), cfg.max_seniority)
-        best, best_type = -np.inf, None
-        for b in rule.benefit_types:
-            age_min, sen_min = rule.thresholds[b][sex]
-            lead = min(x - age_min.value(t) - 1.0, a - sen_min.value(t))
-            if lead > best:
-                best, best_type = lead, b
-        if best >= 0:
-            return t, best_type
-    return None, None
-
-
-def _fill_cohort(cfg: ScenarioConfig, co: Cohort, row: int, subj, integ, disb,
-                 active_mask, retired_mask, ages):
-    """Tabulate one cohort's per-capita flows across its grid lifetime."""
-    last_on_grid = min(cfg.last_year, co.first_year + (cfg.max_age - co.first_age))
-    exemption = cfg.contrib_subjective.exemption_years
-    infl = cfg.economics.inflation
-    pension = 0.0
-    if co.initially_retired:
-        pension = cfg.pre_existing.value(co.sex, co.first_age)
-    bal = co.opening_notional
-    for t in range(co.first_year, last_on_grid + 1):
-        ti = t - cfg.first_year
-        x = co.first_age + (t - co.first_year)
-        ages[row, ti] = x
-        retired = co.initially_retired or (co.retirement_year is not None
-                                           and t >= co.retirement_year)
-        if retired:
-            if t == co.retirement_year:
-                ben = cfg.benefits[co.benefit_type]
-                if ben.kind == "notional_account":
-                    pension = bal * ben.conversion.value(co.sex, x)
-                else:
-                    pension = ben.profile.value(co.sex, x) * price_index(cfg, t)
-            elif t > co.first_year:
-                pension *= 1.0 + infl.value(t)
-            retired_mask[row, ti] = True
-            disb[row, ti] = pension
-            continue
-        active_mask[row, ti] = True
-        sen = min(co.first_seniority + (t - co.first_year), cfg.max_seniority)
-        if sen > exemption:
-            idx = price_index(cfg, t)
-            subj[row, ti] = (cfg.contrib_subjective.rate.value(t)
-                             * cfg.contrib_subjective.profile.value(co.sex, x) * idx)
-            integ[row, ti] = (cfg.contrib_integrative.rate.value(t)
-                              * cfg.contrib_integrative.profile.value(co.sex, x) * idx)
-        bal = bal * (1.0 + cfg.accrual_rate) + subj[row, ti]
-
 
 def build_system(cfg: ScenarioConfig) -> CohortSystem:
-    """Enumerate cohorts and tabulate their per-capita flow columns."""
-    years = cfg.years
-    n_years = len(years)
-    census = cfg.census
-    cohorts: list[Cohort] = []
-    for status in (ACTIVE, RETIRED):
-        for si, ai, ki in np.argwhere(census.counts[status] > 0):
-            sex = cfg.sexes[si]
-            age = cfg.min_age + int(ai)
-            sen = int(ki)
-            co = Cohort(sex=sex, sex_index=int(si), first_year=cfg.first_year,
-                        first_age=age, first_seniority=sen,
-                        initially_retired=status == RETIRED,
-                        initial_count=float(census.counts[status, si, ai, ki]))
-            if status == ACTIVE:
-                co.opening_notional = opening_balance(cfg, sex, age, sen)
-            cohorts.append(co)
-    arrival_rows = np.full((n_years, len(cfg.sexes)), -1, dtype=int)
-    for te in years[:-1]:
-        for si, sex in enumerate(cfg.sexes):
-            arrival_rows[te - cfg.first_year, si] = len(cohorts)
-            cohorts.append(Cohort(sex=sex, sex_index=si, first_year=te + 1,
-                                  first_age=cfg.entry_age, first_seniority=0,
-                                  initially_retired=False, initial_count=0.0,
-                                  arrival_year=te))
+    """Enumerate cohorts and tabulate their per-capita flow columns.
 
-    n = len(cohorts)
-    subj = np.zeros((n, n_years))
-    integ = np.zeros((n, n_years))
-    disb = np.zeros((n, n_years))
-    active_mask = np.zeros((n, n_years), dtype=bool)
-    retired_mask = np.zeros((n, n_years), dtype=bool)
-    ages = np.full((n, n_years), -1, dtype=np.int32)
-    for row, co in enumerate(cohorts):
-        last_on_grid = min(cfg.last_year, co.first_year + (cfg.max_age - co.first_age))
-        if not co.initially_retired:
-            first_check = co.first_year if co.arrival_year is not None else co.first_year + 1
-            co.retirement_year, co.benefit_type = _retirement_of(
-                cfg, co.sex, co.first_year, co.first_age, co.first_seniority,
-                last_on_grid, first_check)
-        _fill_cohort(cfg, co, row, subj, integ, disb, active_mask, retired_mask, ages)
+    Cohorts are the populated census cells, actives first, then one arrival
+    cohort per later year and sex. The rules become per-year and per-(sex,
+    age) arrays once; one pass over the years then retires and fills all
+    cohorts together. A cohort retires in the first checked year in which
+    the thresholds then in force are met: age strictly above the minimum,
+    seniority at or above it. The type exceeded by the widest margin wins,
+    ties going to the first listed. Census cohorts are checked from the year
+    after the census, which says who is retired; arrivals from their first
+    year. A table gap is a CoverageError only where some cohort visits it.
+    """
+    years, grid = cfg.years, cfg.census
+    n_years, n_sex = len(years), len(cfg.sexes)
+    cells = np.argwhere(grid.counts > 0)  # (status, sex, age, seniority), actives first
+    n_census, n_act = len(cells), int(np.sum(cells[:, 0] == ACTIVE))
+    n = n_census + (n_years - 1) * n_sex
+    sex = np.concatenate([cells[:, 1], np.tile(np.arange(n_sex), n_years - 1)])
+    age0 = np.concatenate([cfg.min_age + cells[:, 2], np.full(n - n_census, cfg.entry_age)])
+    sen0 = np.concatenate([cells[:, 3], np.zeros(n - n_census, dtype=int)])
+    fy = np.concatenate([np.full(n_census, cfg.first_year), np.repeat(years[1:], n_sex)])
+    retired = (np.arange(n) >= n_act) & (np.arange(n) < n_census)  # grows as cohorts retire
 
-    mm = cfg.mortality
-    qbar = np.empty((n_years, len(cfg.sexes), mm.max_age - mm.min_age + 1))
+    prices, infl = price_index(cfg, years), [cfg.economics.inflation.value(t) for t in years]
+    rule = cfg.retirement
+    thresholds = [[np.array([[rule.thresholds[b][s][k].value(t) for t in years] for s in cfg.sexes])
+                   for k in (0, 1)] for b in rule.benefit_types]
+    # (sex, age) tables are flattened, so one cell index per cohort reads them all
+    benefits = [cfg.benefits[b] for b in rule.benefit_types]
+    notional = np.array([ben.kind == "notional_account" for ben in benefits])
+    payout = np.concatenate([(ben.conversion if ben.kind == "notional_account"
+                              else ben.profile).slice_for(grid).ravel() for ben in benefits])
+    contribs = [([c.rate.value(t) for t in years], c.profile.slice_for(grid).ravel())
+                for c in (cfg.contrib_subjective, cfg.contrib_integrative)]
+    cell0 = sex * grid.n_ages - cfg.min_age  # plus the age gives the cell
+
+    bal = np.zeros(n)
+    bal[:n_act] = opening_balance(cfg, sex[:n_act], age0[:n_act], sen0[:n_act])
+    opening = bal.copy()
+    pension = np.where(retired, cfg.pre_existing.slice_for(grid).ravel()[cell0 + age0], 0.0)
+    ret_year, ret_type = np.zeros(n, dtype=int), np.full(n, -1)  # type -1: not retired
+    subj, integ, disb = (np.zeros((n, n_years)) for _ in range(3))
+    active_mask, retired_mask = (np.zeros((n, n_years), dtype=bool) for _ in range(2))
+    ages = np.empty((n, n_years), dtype=np.int32)
     for ti, t in enumerate(years):
-        qbar[ti] = np.minimum(1.0, (1.0 + mm.drift) ** (t - mm.base_year) * mm.q0)
+        x = age0 + (t - fy)
+        cell = cell0 + x
+        sen = np.minimum(x - (age0 - sen0), cfg.max_seniority)
+        on = (fy <= t) & (x <= cfg.max_age)
+        ages[:, ti] = np.where(on, x, -1)
+
+        check = (on & ~retired & (ti > 0)).nonzero()[0]  # none retire at the census
+        s, xc, sc = sex[check], x[check], sen[check]
+        best, kind = np.full(check.size, -np.inf), np.zeros(check.size, dtype=int)
+        for j, (age_min, sen_min) in enumerate(thresholds):
+            lead = np.minimum((xc - age_min[s, ti]) - 1.0, sc - sen_min[s, ti])
+            wins = lead > best  # strict, so ties stay with the earlier type
+            best, kind = np.where(wins, lead, best), np.where(wins, j, kind)
+        now = check[best >= 0]
+        ret_year[now], ret_type[now], retired[now] = t, kind[best >= 0], True
+
+        if ti:  # pensions in payment follow inflation; new ones are set next
+            pension *= 1.0 + infl[ti]
+        coef = payout[ret_type[now] * n_sex * grid.n_ages + cell[now]]
+        pension[now] = np.where(notional[ret_type[now]], bal[now] * coef, coef * prices[ti])
+        retired_mask[:, ti] = on & retired
+        disb[:, ti] = np.where(on & retired, pension, 0.0)
+        active_mask[:, ti] = active = on & ~retired
+        paying = (active & (sen > cfg.contrib_subjective.exemption_years)).nonzero()[0]
+        for col, (rate, profile) in zip((subj, integ), contribs):
+            col[paying, ti] = (rate[ti] * profile[cell[paying]]) * prices[ti]
+        # only actives' balances are read again, the others may drift
+        bal = bal * (1.0 + cfg.accrual_rate) + subj[:, ti]
+
+    for what, col in (("subjective profile", subj), ("integrative profile", integ),
+                      ("pension or conversion table", disb)):
+        for row, ti in np.argwhere(np.isnan(col))[:1]:  # the first gap, if any
+            raise CoverageError(f"{what} has no value for sex {cfg.sexes[sex[row]]!r} "
+                                f"age {ages[row, ti]} in {years[ti]}")
+    counts = np.concatenate([grid.counts[tuple(cells.T)], np.zeros(n - n_census)])
+    types = (None,) + rule.benefit_types  # indexed by ret_type + 1
+    cohorts = [Cohort(sex=cfg.sexes[s], sex_index=s, first_year=f, first_age=a,
+                      first_seniority=k, initially_retired=n_act <= i < n_census,
+                      initial_count=c,
+                      arrival_year=f - 1 if i >= n_census else None,
+                      retirement_year=ry if rt >= 0 else None, benefit_type=types[rt + 1],
+                      opening_notional=o)
+               for i, (s, f, a, k, c, ry, rt, o) in enumerate(zip(*(v.tolist() for v in (
+                   sex, fy, age0, sen0, counts, ret_year, ret_type, opening))))]
+    arrival_rows = np.full((n_years, n_sex), -1, dtype=int)
+    arrival_rows[:-1] = np.arange(n_census, n).reshape(n_years - 1, n_sex)
+    qbar = np.array([expected_mortality_grid(cfg.mortality, t) for t in years])
     return CohortSystem(
         first_year=cfg.first_year, last_year=cfg.last_year, sexes=cfg.sexes,
         terminal_age=cfg.max_age, cohorts=cohorts, subjective=subj,
         integrative=integ, disbursement=disb, active_mask=active_mask,
-        retired_mask=retired_mask, ages=ages,
-        sex_index=np.array([c.sex_index for c in cohorts], dtype=int),
-        initial_counts=np.array([c.initial_count for c in cohorts]),
-        arrival_rows=arrival_rows, qbar=qbar, qsigma=mm.sigma,
-        mort_min_age=mm.min_age)
+        retired_mask=retired_mask, ages=ages, sex_index=sex,
+        initial_counts=counts, arrival_rows=arrival_rows, qbar=qbar,
+        qsigma=cfg.mortality.sigma, mort_min_age=cfg.mortality.min_age)
 
 
 def simulate_flows(system: CohortSystem, ne: np.ndarray,
@@ -327,16 +310,20 @@ def entrant_moment_tables(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def entrants_matrix(cfg: ScenarioConfig, eps: np.ndarray) -> np.ndarray:
-    """Arrival headcounts from shock blocks: (n_reps, n_years, n_sex).
-
-    Each factor draw is floored at zero before the product, so a deep
-    negative shock annihilates the year's arrivals rather than producing
-    a negative count. Zero shocks give exactly the expected-value product.
-    """
+    """Arrival headcounts from shock blocks: (n_reps, n_years, n_sex)."""
     mean, sigma = entrant_moment_tables(cfg)
     if eps.shape[1:] != mean.shape:
         raise ValueError(f"entrant shocks shape {eps.shape}, expected "
                          f"(n_reps,) + {mean.shape}")
+    return entrant_product(mean, sigma, eps)
+
+
+def entrant_product(mean: np.ndarray, sigma: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Arrivals from the moment tables and shocks shaped like them, after any
+    leading axes. Each factor draw is floored at zero before the product, so a
+    deep negative shock annihilates the year's arrivals rather than producing
+    a negative count. Zero shocks give exactly the expected-value product.
+    """
     return np.prod(np.maximum(0.0, mean + sigma * eps), axis=-1)
 
 

@@ -24,6 +24,7 @@ from .config import ScenarioConfig, StochasticFlags
 from .engine import (CohortSystem, admin_path, build_system, entrants_matrix,
                      return_rates, simulate_flows)
 from .entrants import DRAWS_PER_CELL
+from .errors import ConfigError
 from .stochastic import NormalSource
 
 DEFAULT_CHUNK = 500
@@ -133,6 +134,8 @@ def run_simulation(cfg: ScenarioConfig, workers: int | None = None,
     Results are identical whatever `workers` or `chunk_size` is: each
     replication's stream depends only on (seed, replication index).
     """
+    if workers is not None and workers < 1:
+        raise ConfigError([f"workers: must be >= 1, got {workers}"])
     n = cfg.run.n_reps
     system = build_system(cfg)
     spans = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]

@@ -82,9 +82,9 @@ def _initial_totals(cfg: ScenarioConfig):
     """Per-cell notional balances and pensions in payment at the census."""
     census = cfg.census
     notional = np.zeros_like(census.counts[ACTIVE])
-    for si, ai, ki in np.argwhere(census.counts[ACTIVE] > 0):
-        notional[si, ai, ki] = census.counts[ACTIVE, si, ai, ki] * opening_balance(
-            cfg, cfg.sexes[si], cfg.min_age + int(ai), int(ki))
+    si, ai, ki = np.argwhere(census.counts[ACTIVE] > 0).T
+    notional[si, ai, ki] = census.counts[ACTIVE, si, ai, ki] * opening_balance(
+        cfg, si, cfg.min_age + ai, ki)
     pensions = np.zeros_like(census.counts[RETIRED])
     for si, ai, ki in np.argwhere(census.counts[RETIRED] > 0):
         pensions[si, ai, ki] = census.counts[RETIRED, si, ai, ki] * \

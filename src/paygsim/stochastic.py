@@ -45,11 +45,6 @@ class NormalSource:
         return f"NormalSource(seed={self.seed}, stream_id={self.stream_id})"
 
 
-def draw_standard_normal(src: NormalSource) -> float:
-    """One standard normal from the source."""
-    return float(src.standard_normal())
-
-
 @dataclass(frozen=True)
 class TruncatedAffineParams:
     """mean + sigma*eps, floored at zero. May exceed 1; ratios above 1 are legal."""

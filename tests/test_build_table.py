@@ -1,0 +1,312 @@
+"""The table-driven `build_system` against a per-cohort reference.
+
+`reference_build` below is the original implementation, kept here as the
+oracle: it walks each cohort year by year through scalar `Schedule.value`,
+`AgeProfile.value` and `inflation_index` lookups. The production build fills
+all cohorts at once from per-year and per-(sex, age) tables with the same
+float operations in the same order, so every array must agree bit for bit.
+"""
+
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import BASE_CSVS, write_scenario
+from paygsim import load_config
+from paygsim.cashflows import inflation_index
+from paygsim.cohorts import ACTIVE, RETIRED
+from paygsim.engine import Cohort, build_system, opening_balance
+from paygsim.errors import CoverageError
+
+ARRAYS = ("subjective", "integrative", "disbursement", "active_mask",
+          "retired_mask", "ages", "sex_index", "initial_counts", "arrival_rows",
+          "qbar", "qsigma")
+
+
+# ---------------------------------------------------------------------------
+# Reference: one cohort at a time, one scalar lookup at a time
+
+
+def ref_price_index(cfg, year):
+    if year <= cfg.economics.profile_base_year:
+        return 1.0
+    return inflation_index(cfg.economics, year)
+
+
+def ref_opening_balance(cfg, sex, age, seniority):
+    if not cfg.backfill_notional or seniority <= 0:
+        return 0.0
+    rule = cfg.contrib_subjective
+    bal = 0.0
+    for sen in range(seniority):
+        year = cfg.first_year - seniority + sen
+        credit = 0.0
+        if sen > rule.exemption_years:
+            credit = (rule.rate.value(year)
+                      * rule.profile.value(sex, age - seniority + sen)
+                      * ref_price_index(cfg, year))
+        bal = bal * (1.0 + cfg.accrual_rate) + credit
+    return bal
+
+
+def ref_retirement(cfg, sex, first_year, first_age, first_seniority,
+                   last_on_grid, first_check_year):
+    rule = cfg.retirement
+    for t in range(first_check_year, last_on_grid + 1):
+        x = first_age + (t - first_year)
+        a = min(first_seniority + (t - first_year), cfg.max_seniority)
+        best, best_type = -np.inf, None
+        for b in rule.benefit_types:
+            age_min, sen_min = rule.thresholds[b][sex]
+            lead = min(x - age_min.value(t) - 1.0, a - sen_min.value(t))
+            if lead > best:
+                best, best_type = lead, b
+        if best >= 0:
+            return t, best_type
+    return None, None
+
+
+def ref_fill(cfg, co, row, subj, integ, disb, active_mask, retired_mask, ages):
+    last_on_grid = min(cfg.last_year, co.first_year + (cfg.max_age - co.first_age))
+    exemption = cfg.contrib_subjective.exemption_years
+    infl = cfg.economics.inflation
+    pension = 0.0
+    if co.initially_retired:
+        pension = cfg.pre_existing.value(co.sex, co.first_age)
+    bal = co.opening_notional
+    for t in range(co.first_year, last_on_grid + 1):
+        ti = t - cfg.first_year
+        x = co.first_age + (t - co.first_year)
+        ages[row, ti] = x
+        retired = co.initially_retired or (co.retirement_year is not None
+                                           and t >= co.retirement_year)
+        if retired:
+            if t == co.retirement_year:
+                ben = cfg.benefits[co.benefit_type]
+                if ben.kind == "notional_account":
+                    pension = bal * ben.conversion.value(co.sex, x)
+                else:
+                    pension = ben.profile.value(co.sex, x) * ref_price_index(cfg, t)
+            elif t > co.first_year:
+                pension *= 1.0 + infl.value(t)
+            retired_mask[row, ti] = True
+            disb[row, ti] = pension
+            continue
+        active_mask[row, ti] = True
+        sen = min(co.first_seniority + (t - co.first_year), cfg.max_seniority)
+        if sen > exemption:
+            idx = ref_price_index(cfg, t)
+            subj[row, ti] = (cfg.contrib_subjective.rate.value(t)
+                             * cfg.contrib_subjective.profile.value(co.sex, x) * idx)
+            integ[row, ti] = (cfg.contrib_integrative.rate.value(t)
+                              * cfg.contrib_integrative.profile.value(co.sex, x) * idx)
+        bal = bal * (1.0 + cfg.accrual_rate) + subj[row, ti]
+
+
+def reference_build(cfg):
+    """Cohorts and per-capita arrays, built the per-cohort way."""
+    years = cfg.years
+    n_years = len(years)
+    census = cfg.census
+    cohorts = []
+    for status in (ACTIVE, RETIRED):
+        for si, ai, ki in np.argwhere(census.counts[status] > 0):
+            sex = cfg.sexes[si]
+            age = cfg.min_age + int(ai)
+            co = Cohort(sex=sex, sex_index=int(si), first_year=cfg.first_year,
+                        first_age=age, first_seniority=int(ki),
+                        initially_retired=status == RETIRED,
+                        initial_count=float(census.counts[status, si, ai, ki]))
+            if status == ACTIVE:
+                co.opening_notional = ref_opening_balance(cfg, sex, age, int(ki))
+            cohorts.append(co)
+    arrival_rows = np.full((n_years, len(cfg.sexes)), -1, dtype=int)
+    for te in years[:-1]:
+        for si, sex in enumerate(cfg.sexes):
+            arrival_rows[te - cfg.first_year, si] = len(cohorts)
+            cohorts.append(Cohort(sex=sex, sex_index=si, first_year=te + 1,
+                                  first_age=cfg.entry_age, first_seniority=0,
+                                  initially_retired=False, initial_count=0.0,
+                                  arrival_year=te))
+    n = len(cohorts)
+    out = {k: np.zeros((n, n_years)) for k in ("subjective", "integrative", "disbursement")}
+    out["active_mask"] = np.zeros((n, n_years), dtype=bool)
+    out["retired_mask"] = np.zeros((n, n_years), dtype=bool)
+    out["ages"] = np.full((n, n_years), -1, dtype=np.int32)
+    for row, co in enumerate(cohorts):
+        last_on_grid = min(cfg.last_year, co.first_year + (cfg.max_age - co.first_age))
+        if not co.initially_retired:
+            first_check = co.first_year if co.arrival_year is not None else co.first_year + 1
+            co.retirement_year, co.benefit_type = ref_retirement(
+                cfg, co.sex, co.first_year, co.first_age, co.first_seniority,
+                last_on_grid, first_check)
+        ref_fill(cfg, co, row, out["subjective"], out["integrative"],
+                 out["disbursement"], out["active_mask"], out["retired_mask"], out["ages"])
+    mm = cfg.mortality
+    qbar = np.empty((n_years, len(cfg.sexes), mm.max_age - mm.min_age + 1))
+    for ti, t in enumerate(years):
+        qbar[ti] = np.minimum(1.0, (1.0 + mm.drift) ** (t - mm.base_year) * mm.q0)
+    out.update(sex_index=np.array([c.sex_index for c in cohorts], dtype=int),
+               initial_counts=np.array([c.initial_count for c in cohorts]),
+               arrival_rows=arrival_rows, qbar=qbar, qsigma=mm.sigma)
+    return cohorts, out
+
+
+def assert_same_build(cfg):
+    system = build_system(cfg)
+    cohorts, arrays = reference_build(cfg)
+    for name in ARRAYS:
+        got, want = getattr(system, name), arrays[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name  # bit for bit, -0.0 included
+    assert [(c.retirement_year, c.benefit_type) for c in system.cohorts] == \
+        [(c.retirement_year, c.benefit_type) for c in cohorts]
+    assert system.cohorts == cohorts
+    return system
+
+
+# ---------------------------------------------------------------------------
+
+
+def test_bundled_scenario(cfg):
+    system = assert_same_build(cfg)
+    assert system.n_cohorts == 214
+
+
+def test_small_scenario(small_scenario):
+    assert_same_build(load_config(small_scenario))
+
+
+def test_small_scenario_without_backfill(tmp_path):
+    assert_same_build(load_config(write_scenario(
+        str(tmp_path), tweaks={"benefits": {"backfill_notional": False}})))
+
+
+def test_tied_types_go_to_the_first_listed(tmp_path):
+    same = {"min_age": 40, "min_seniority": 5}
+    cfg = load_config(write_scenario(str(tmp_path), tweaks={
+        "retirement": {"benefit_types": ["old_age", "twin"],
+                       "thresholds": {"old_age": same, "twin": same}},
+        "benefits": {"types": {"twin": {"kind": "notional_account",
+                                        "conversion_csv": "conversion.csv"}}}}))
+    system = assert_same_build(cfg)
+    chosen = {c.benefit_type for c in system.cohorts if c.retirement_year}
+    assert chosen == {"old_age"}
+
+
+def test_fixed_profile_benefit(tmp_path):
+    # the fixed type asks for less, so it has the wider lead
+    cfg = load_config(write_scenario(str(tmp_path), tweaks={
+        "retirement": {"benefit_types": ["old_age", "flat"],
+                       "thresholds": {"old_age": {"min_age": 40, "min_seniority": 8},
+                                      "flat": {"min_age": 38, "min_seniority": 3}}},
+        "benefits": {"types": {"flat": {"kind": "fixed_profile",
+                                        "profile_csv": "fixed.csv"}}}},
+        csv_overrides={"fixed.csv": FIXED_PROFILE}))
+    system = assert_same_build(cfg)
+    assert {c.benefit_type for c in system.cohorts if c.retirement_year} == {"flat"}
+    assert system.disbursement[:, 1:].any()
+
+
+class TestCoverage:
+    """A table gap raises only where some cohort actually visits it."""
+
+    def _build(self, tmp_path, name, keep):
+        header, *rows = BASE_CSVS[name]
+        kept = [r for r in rows if keep(int(r.split(",")[1]))]
+        return build_system(load_config(write_scenario(
+            str(tmp_path), csv_overrides={name: [header] + kept})))
+
+    def test_unvisited_income_ages_may_be_missing(self, tmp_path):
+        # everybody retires at 41, so no active ever reaches 45
+        self._build(tmp_path, "income.csv", lambda age: age < 45)
+
+    def test_visited_income_age_must_be_present(self, tmp_path):
+        with pytest.raises(CoverageError, match="subjective profile"):
+            self._build(tmp_path, "income.csv", lambda age: age != 35)
+
+    def test_backcast_income_age_must_be_present(self, tmp_path):
+        # the census cell aged 38 with seniority 8 entered at 30
+        with pytest.raises(CoverageError, match="history"):
+            self._build(tmp_path, "income.csv", lambda age: age != 32)
+
+    def test_backcast_may_not_leave_the_grid(self, small_scenario):
+        with pytest.raises(CoverageError, match="age grid"):
+            opening_balance(load_config(small_scenario), [0], [33], [10])
+
+    def test_unvisited_conversion_ages_may_be_missing(self, tmp_path):
+        self._build(tmp_path, "conversion.csv", lambda age: age >= 41)
+
+    def test_visited_conversion_age_must_be_present(self, tmp_path):
+        with pytest.raises(CoverageError, match="conversion"):
+            self._build(tmp_path, "conversion.csv", lambda age: age != 41)
+
+
+# ---------------------------------------------------------------------------
+# Random variants of the small scenario
+
+# the horizon plus the years the census members' backcast histories reach
+YEARS = range(1994, 2017)
+
+
+@st.composite
+def schedules(draw, lo, hi, places=3):
+    """A bare number or a {default, overrides} mapping within [lo, hi]."""
+    value = st.integers(int(lo * 10 ** places), int(hi * 10 ** places)).map(
+        lambda v: v / 10 ** places)
+    default = draw(value)
+    overrides = draw(st.dictionaries(st.sampled_from(YEARS), value, max_size=3))
+    return {"default": default, "overrides": overrides} if overrides else default
+
+
+@st.composite
+def thresholds(draw):
+    # narrow ranges, so that two benefit types often tie on their lead
+    return {"min_age": draw(schedules(36, 44, places=0)),
+            "min_seniority": draw(schedules(0, 10, places=0))}
+
+
+@st.composite
+def scenario_tweaks(draw):
+    second = draw(st.sampled_from(["notional_account", "fixed_profile"]))
+    first_th = draw(thresholds())
+    second_th = first_th if draw(st.booleans()) else draw(thresholds())
+    second_type = ({"kind": "notional_account", "conversion_csv": "conversion.csv"}
+                   if second == "notional_account"
+                   else {"kind": "fixed_profile", "profile_csv": "fixed.csv"})
+    return {
+        "retirement": {"benefit_types": ["old_age", "second"],
+                       "thresholds": {"old_age": first_th, "second": second_th}},
+        "contributions": {
+            "exemption_years": draw(st.integers(0, 5)),
+            "subjective": {"rate": draw(schedules(0.05, 0.15))},
+            "integrative": {"rate": draw(schedules(0.0, 0.05))},
+        },
+        "benefits": {
+            "backfill_notional": draw(st.booleans()),
+            "types": {"old_age": {"kind": "notional_account",
+                                  "conversion_csv": "conversion.csv"},
+                      "second": second_type},
+        },
+        "economics": {"inflation": draw(schedules(-0.01, 0.05)),
+                      "profile_base_year": draw(st.integers(1998, 2008))},
+    }
+
+
+FIXED_PROFILE = ["sex,age,amount"] + [
+    f"{s},{a},{15000 + 250 * a + (s == 'female') * 100}"
+    for s in ("male", "female") for a in range(30, 51)]
+CENSUS = BASE_CSVS["census.csv"] + ["male,44,12,active,5", "female,33,2,active,7"]
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenario_tweaks())
+def test_random_variants_build_identically(tweaks):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = load_config(write_scenario(tmp, tweaks=tweaks, csv_overrides={
+            "fixed.csv": FIXED_PROFILE, "census.csv": CENSUS}))
+    assert_same_build(cfg)

@@ -48,6 +48,17 @@ class TestRounding:
         assert to_cents(-0.005) == -1
         assert to_cents(0.0) == 0
 
+    @pytest.mark.parametrize("euros", [np.inf, -np.inf, np.nan, 1e17, -1e17])
+    def test_to_cents_rejects_what_int64_cannot_hold(self, euros):
+        with pytest.raises(StateError, match="int64"):
+            to_cents(euros)
+        with pytest.raises(StateError):
+            to_cents(np.array([1.0, euros]))
+
+    def test_to_cents_keeps_the_largest_fitting_amounts(self):
+        assert to_cents(9.2e16) == 9_200_000_000_000_000_000
+        assert to_cents(-9.2e16) == -9_200_000_000_000_000_000
+
     def test_cents_to_thousands(self):
         assert cents_to_thousands(49_999) == 0
         assert cents_to_thousands(50_000) == 1

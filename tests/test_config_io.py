@@ -1,7 +1,9 @@
 import pytest
+import yaml
 
 from conftest import write_scenario
-from paygsim import (StochasticFlags, default_config_path, load_config)
+from paygsim import (StochasticFlags, default_config_path, load_config,
+                     run_simulation)
 from paygsim.errors import ConfigError
 
 
@@ -49,6 +51,26 @@ class TestSmallScenario:
         re = cfg.with_run(seed=99, n_reps=3)
         assert (re.run.seed, re.run.n_reps) == (99, 3)
 
+    @pytest.mark.parametrize("change, field", [
+        ({"n_reps": 0}, "run.n_reps"), ({"n_reps": -3}, "run.n_reps"),
+        ({"seed": -1}, "run.seed"),
+        ({"probes": (50.0, 5.0)}, "run.percentile_probes"),
+        ({"probes": (5.0, 100.5)}, "run.percentile_probes"),
+        ({"probes": (-1.0,)}, "run.percentile_probes"),
+    ])
+    def test_with_run_validates(self, small_scenario, change, field):
+        cfg = load_config(small_scenario)
+        with pytest.raises(ConfigError, match=field):
+            cfg.with_run(**change)
+
+    def test_with_run_accepts_the_closed_probe_range(self, small_scenario):
+        cfg = load_config(small_scenario).with_run(probes=(0.0, 50.0, 100.0), seed=0)
+        assert cfg.run.probes == (0.0, 50.0, 100.0)
+
+    def test_workers_must_be_positive(self, small_scenario):
+        with pytest.raises(ConfigError, match="workers"):
+            run_simulation(load_config(small_scenario), workers=0)
+
     def test_flags_names(self):
         assert StochasticFlags(True, False, True).names() == ("entrants", "returns")
         assert StochasticFlags.none().names() == ()
@@ -65,6 +87,11 @@ class TestBrokenScenarios:
         p.write_text("horizon: [unclosed\n")
         with pytest.raises(ConfigError, match="not valid YAML"):
             load_config(str(p))
+
+    def test_negative_seed_in_file(self, tmp_path):
+        path = write_scenario(str(tmp_path), tweaks={"run": {"seed": -2}})
+        with pytest.raises(ConfigError, match="run.seed"):
+            load_config(path)
 
     def test_non_mapping_top_level(self, tmp_path):
         p = tmp_path / "list.yaml"
@@ -172,3 +199,12 @@ class TestDigestTracksEveryInput:
     def test_same_inputs_same_digest(self, tmp_path):
         path = write_scenario(str(tmp_path))
         assert load_config(path).source_digest == load_config(path).source_digest
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("which", ["bundled", "small"])
+def test_c_and_python_yaml_loaders_agree(tmp_path, which):
+    path = default_config_path() if which == "bundled" else write_scenario(str(tmp_path))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    assert yaml.load(raw, Loader=yaml.CSafeLoader) == yaml.load(raw, Loader=yaml.SafeLoader)

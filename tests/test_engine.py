@@ -37,6 +37,26 @@ class TestTwoEnginesAgree:
         for s in small_cfg.sexes:
             assert rel_close(fast.entrants[s], slow.entrants[s])
 
+    def test_bundled_deterministic_paths_match(self, cfg):
+        fast = run_deterministic_projection(cfg)
+        slow = stepwise_projection(cfg)
+        for key in FLOW_KEYS:
+            assert rel_close(getattr(fast, key), getattr(slow, key)), key
+        for name, col in fast.ledger.columns.items():
+            assert np.array_equal(col, slow.ledger.columns[name]), name
+
+    def test_bundled_stochastic_replication_matches(self, cfg):
+        blocks = draw_shock_blocks(cfg, [0])
+        ne = entrants_matrix(cfg, blocks.entrants)
+        from paygsim.engine import simulate_flows
+        flows = simulate_flows(build_system(cfg), ne, blocks.mortality)
+        path = {s: ne[0, :, si] for si, s in enumerate(cfg.sexes)}
+        slow = stepwise_projection(cfg, entrants_path=path,
+                                   eps_mort=blocks.mortality[0],
+                                   eps_ret=blocks.returns[0])
+        for key in FLOW_KEYS:
+            assert rel_close(flows[key][0], getattr(slow, key)), key
+
     def test_stochastic_replication_matches(self, small_cfg):
         # replay one replication's shocks through both engines
         blocks = draw_shock_blocks(small_cfg, [0])
@@ -59,16 +79,16 @@ class TestOpeningBalance:
     def test_backfill_replays_history(self, small_cfg):
         # entry 3 years before the census: only the post-exemption year
         # (2005, still at base prices) credits 10% of 50000
-        assert opening_balance(small_cfg, "male", 33, 3) == pytest.approx(5000.0)
+        assert opening_balance(small_cfg, [0], [33], [3])[0] == pytest.approx(5000.0)
         # one year longer: 5000 accrued once plus a fresh 5000
-        assert opening_balance(small_cfg, "male", 34, 4) == pytest.approx(
+        assert opening_balance(small_cfg, [0], [34], [4])[0] == pytest.approx(
             5000.0 * 1.03 + 5000.0)
 
     def test_zero_without_backfill_or_seniority(self, small_cfg, tmp_path):
-        assert opening_balance(small_cfg, "male", 40, 0) == 0.0
+        assert opening_balance(small_cfg, [0], [40], [0])[0] == 0.0
         nofill = load_config(write_scenario(
             str(tmp_path), tweaks={"benefits": {"backfill_notional": False}}))
-        assert opening_balance(nofill, "male", 40, 10) == 0.0
+        assert opening_balance(nofill, [0], [40], [10])[0] == 0.0
 
     def test_price_index_is_flat_before_base_year(self, small_cfg):
         assert price_index(small_cfg, 2001) == 1.0
@@ -198,7 +218,7 @@ class TestRetirementConventions:
                               csv_overrides={"census.csv": census, "mortality.csv": mort})
         cfg = load_config(path)
         res = run_deterministic_projection(cfg)
-        bal = opening_balance(cfg, "male", 40, 10)
+        bal = opening_balance(cfg, [0], [40], [10])[0]
         # 2006 contributions are credited before the 2007 retirement check
         bal = bal * 1.03 + 0.10 * 50_000 * price_index(cfg, 2006)
         assert res.disbursements[0] == 0.0
