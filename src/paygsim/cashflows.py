@@ -271,7 +271,8 @@ def ledger_columns(opening_cents: int, subj_eur, integ_eur, disb_eur,
 
     Flow arrays may be (n_years,) or (n_reps, n_years); the recursion runs
     along the last axis. Investment income is the opening value times the
-    year's return, quantized like any primitive flow.
+    year's return, quantized like any primitive flow. An amount that int64
+    cents cannot hold raises StateError instead of wrapping around.
     """
     subj = to_cents(subj_eur)
     integ = to_cents(integ_eur)
@@ -281,7 +282,8 @@ def ledger_columns(opening_cents: int, subj_eur, integ_eur, disb_eur,
     shape = np.broadcast_shapes(subj.shape, integ.shape, disb.shape, admin.shape, rates.shape)
     subj, integ, disb, admin, rates = (np.broadcast_to(a, shape).copy()
                                        for a in (subj, integ, disb, admin, rates))
-    pension = subj + integ - disb
+    gross = subj + integ
+    pension = gross - disb
     value_start = np.empty(shape, dtype=np.int64)
     invest = np.empty(shape, dtype=np.int64)
     total = np.empty(shape, dtype=np.int64)
@@ -289,10 +291,24 @@ def ledger_columns(opening_cents: int, subj_eur, integ_eur, disb_eur,
     opening = np.broadcast_to(np.int64(opening_cents), shape[:-1]).copy()
     for t in range(shape[-1]):
         value_start[..., t] = opening
-        invest[..., t] = round_half_away(opening * rates[..., t])
+        income = opening * rates[..., t]
+        if not np.all(np.abs(income) < 2.0 ** 63):  # NaN fails the comparison too
+            raise StateError(f"investment income of year {t + 1} of the horizon "
+                             "does not fit in int64 cents")
+        invest[..., t] = round_half_away(income)
         total[..., t] = pension[..., t] + invest[..., t] - admin[..., t]
         opening = opening + total[..., t]
         value_end[..., t] = opening
+    # the integer sums above wrap silently; a wrapped sum has the sign of
+    # neither term (the subtrahends are to_cents outputs, so negating is safe)
+    net = pension + invest
+    for what, a, b, got in (("contributions", subj, integ, gross),
+                            ("pension balance", gross, -disb, pension),
+                            ("total balance", pension, invest, net),
+                            ("total balance", net, -admin, total),
+                            ("closing value", value_start, total, value_end)):
+        if np.any(((a ^ got) & (b ^ got)) < 0):
+            raise StateError(f"{what} does not fit in int64 cents")
     return {
         "value_start": value_start, "contrib_subjective": subj,
         "contrib_integrative": integ, "disbursements": disb,

@@ -188,8 +188,12 @@ def load_mortality(path: str, sexes, base_year: int, hasher=None) -> MortalityMo
     for row in rows:
         if row["sex"] not in by_sex:
             raise ConfigError([f"{path}: unknown sex {row['sex']!r}"])
-        by_sex[row["sex"]][int(row["age"])] = (
-            float(row["q0"]), float(row["drift"]), float(row["sigma"]))
+        cell = float(row["q0"]), float(row["drift"]), float(row["sigma"])
+        for name, v in zip(("q0", "drift", "sigma"), cell):
+            if not math.isfinite(v):
+                raise ConfigError([f"{path}: {name} {row[name]!r} for sex {row['sex']!r} "
+                                   f"age {row['age']} is not a finite number"])
+        by_sex[row["sex"]][int(row["age"])] = cell
     ages = sorted({a for d in by_sex.values() for a in d})
     lo, hi = ages[0], ages[-1]
     n = hi - lo + 1

@@ -28,6 +28,9 @@ from .entrants import DRAWS_PER_CELL, FACTOR_NAMES
 from .errors import CoverageError
 from .stochastic import ar1_path
 
+# the flows `simulate_flows` sums, in `CohortSystem.flow_block` row order
+FLOWS = ("subjective", "integrative", "disbursements", "actives", "retirees")
+
 
 def price_index(cfg: ScenarioConfig, years):
     """Price index at a year or an array of years: the product of (1 + inflation)
@@ -98,12 +101,18 @@ class CohortSystem:
     cohort is not on the grid. `arrival_rows[t, s]` is the cohort row that
     receives the year-t arrivals of sex s (or -1). Mortality lookups carry
     the mortality table's own age axis, which may start below the grid's.
+
+    For `simulate_flows`, `flow_block[t]` holds year t's columns of the
+    three per-capita flows and the two masks as contiguous rows, in `FLOWS`
+    order; `subjective`, `integrative` and `disbursement` are views of it.
+    `survival_index[t]` points each cohort at its cell of a year-t survival
+    row: the mortality table's (sex, age) cells, then 1.0 for cohorts off
+    the grid and 0.0 for those leaving it at the terminal age.
     """
 
     first_year: int
     last_year: int
     sexes: tuple[str, ...]
-    terminal_age: int
     cohorts: list[Cohort]
     subjective: np.ndarray = field(repr=False)
     integrative: np.ndarray = field(repr=False)
@@ -116,7 +125,8 @@ class CohortSystem:
     arrival_rows: np.ndarray = field(repr=False)
     qbar: np.ndarray = field(repr=False)     # (n_years, n_sex, n_mort_ages)
     qsigma: np.ndarray = field(repr=False)   # (n_sex, n_mort_ages)
-    mort_min_age: int = 0
+    flow_block: np.ndarray = field(repr=False)      # (n_years, len(FLOWS), n_cohorts)
+    survival_index: np.ndarray = field(repr=False)  # (n_years - 1, n_cohorts)
 
     @property
     def n_cohorts(self) -> int:
@@ -169,7 +179,9 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
     opening = bal.copy()
     pension = np.where(retired, cfg.pre_existing.slice_for(grid).ravel()[cell0 + age0], 0.0)
     ret_year, ret_type = np.zeros(n, dtype=int), np.full(n, -1)  # type -1: not retired
-    subj, integ, disb = (np.zeros((n, n_years)) for _ in range(3))
+    # year-major, so that each year's columns are contiguous rows for simulate_flows
+    flow_block = np.zeros((n_years, len(FLOWS), n))
+    subj, integ, disb = (flow_block[:, k].T for k in range(3))
     active_mask, retired_mask = (np.zeros((n, n_years), dtype=bool) for _ in range(2))
     ages = np.empty((n, n_years), dtype=np.int32)
     for ti, t in enumerate(years):
@@ -220,13 +232,18 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
     arrival_rows = np.full((n_years, n_sex), -1, dtype=int)
     arrival_rows[:-1] = np.arange(n_census, n).reshape(n_years - 1, n_sex)
     qbar = np.array([expected_mortality_grid(cfg.mortality, t) for t in years])
+    n_cells = qbar[0].size
+    survival = np.where(ages >= 0, sex[:, None] * qbar.shape[2] + ages - cfg.mortality.min_age,
+                        n_cells)
+    survival[ages == cfg.max_age] = n_cells + 1
+    flow_block[:, 3], flow_block[:, 4] = active_mask.T, retired_mask.T
     return CohortSystem(
         first_year=cfg.first_year, last_year=cfg.last_year, sexes=cfg.sexes,
-        terminal_age=cfg.max_age, cohorts=cohorts, subjective=subj,
-        integrative=integ, disbursement=disb, active_mask=active_mask,
-        retired_mask=retired_mask, ages=ages, sex_index=sex,
+        cohorts=cohorts, subjective=subj, integrative=integ, disbursement=disb,
+        active_mask=active_mask, retired_mask=retired_mask, ages=ages, sex_index=sex,
         initial_counts=counts, arrival_rows=arrival_rows, qbar=qbar,
-        qsigma=cfg.mortality.sigma, mort_min_age=cfg.mortality.min_age)
+        qsigma=cfg.mortality.sigma, flow_block=flow_block,
+        survival_index=survival[:, :-1].T.copy())
 
 
 def simulate_flows(system: CohortSystem, ne: np.ndarray,
@@ -241,48 +258,44 @@ def simulate_flows(system: CohortSystem, ne: np.ndarray,
             (n_reps, n_years, n_sex, n_mort_ages), or None for the expected
             path.
     Returns:
-        Euro flow and headcount arrays, each (n_reps, n_years): subjective,
-        integrative, disbursements, actives, retirees.
+        Euro flow and headcount arrays, each (n_reps, n_years), keyed by
+        `FLOWS`: subjective, integrative, disbursements, actives, retirees.
     """
     n_reps, n_years = ne.shape[0], system.n_years
     if ne.shape != (n_reps, n_years, len(system.sexes)):
         raise ValueError(f"arrivals shape {ne.shape}, expected "
                          f"{(n_reps, n_years, len(system.sexes))}")
     counts = np.tile(system.initial_counts, (n_reps, 1))
-    out = {k: np.empty((n_reps, n_years)) for k in
-           ("subjective", "integrative", "disbursements", "actives", "retirees")}
-    act = system.active_mask.astype(float)
-    ret = system.retired_mask.astype(float)
-
-    def dot(col):
-        # not `counts @ col`: BLAS picks its reduction order from the batch
-        # shape, and replications must not feel how the batch was chunked.
-        # A last-axis sum reduces each row the same way at any batch size.
-        return (counts * col).sum(axis=1)
+    product = np.empty_like(counts)
+    out = np.empty((len(FLOWS), n_reps, n_years))
+    # one survival row per replication (one shared row without shocks): the
+    # mortality table's cells, then the off-grid 1.0 and the terminal 0.0
+    n_cells = system.qsigma.size
+    survival = np.empty((n_reps, n_cells + 2) if eps_mort is not None else n_cells + 2)
+    survival[..., n_cells:] = (1.0, 0.0)
+    cells = survival[..., :n_cells].reshape(survival.shape[:-1] + system.qsigma.shape)
 
     for ti in range(n_years):
-        out["subjective"][:, ti] = dot(system.subjective[:, ti])
-        out["integrative"][:, ti] = dot(system.integrative[:, ti])
-        out["disbursements"][:, ti] = dot(system.disbursement[:, ti])
-        out["actives"][:, ti] = dot(act[:, ti])
-        out["retirees"][:, ti] = dot(ret[:, ti])
+        for k, col in enumerate(system.flow_block[ti]):
+            # not `counts @ col`: BLAS picks its reduction order from the batch
+            # shape, and replications must not feel how the batch was chunked.
+            # A last-axis sum reduces each row the same way at any batch size.
+            np.multiply(counts, col, out=product)
+            out[k, :, ti] = product.sum(axis=1)
         if ti == n_years - 1:
             break
-        on_grid = system.ages[:, ti] >= 0
-        cols = np.flatnonzero(on_grid)
-        si = system.sex_index[cols]
-        xi = system.ages[cols, ti] - system.mort_min_age
-        q = system.qbar[ti, si, xi]
-        if eps_mort is not None:
-            q = np.clip(q + system.qsigma[si, xi] * eps_mort[:, ti, si, xi], 0.0, 1.0)
-        counts[:, cols] *= 1.0 - q
-        # survivors of the terminal age leave the grid
-        counts[:, on_grid & (system.ages[:, ti] == system.terminal_age)] = 0.0
-        for s in range(len(system.sexes)):
-            row = system.arrival_rows[ti, s]
+        if eps_mort is None:
+            np.subtract(1.0, system.qbar[ti], out=cells)
+        else:
+            np.multiply(system.qsigma, eps_mort[:, ti], out=cells)
+            cells += system.qbar[ti]
+            np.clip(cells, 0.0, 1.0, out=cells)
+            np.subtract(1.0, cells, out=cells)
+        counts *= survival[..., system.survival_index[ti]]
+        for s, row in enumerate(system.arrival_rows[ti]):
             if row >= 0:
                 counts[:, row] = ne[:, ti, s]
-    return out
+    return dict(zip(FLOWS, out))
 
 
 # ---------------------------------------------------------------------------

@@ -15,19 +15,19 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
-from .cashflows import ledger_columns, to_cents
+from .cashflows import LedgerRow, ledger_columns, to_cents
 from .config import ScenarioConfig, StochasticFlags
-from .engine import (CohortSystem, admin_path, build_system, entrants_matrix,
-                     return_rates, simulate_flows)
+from .engine import (CohortSystem, admin_path, build_system, entrant_moment_tables,
+                     entrant_product, return_rates, simulate_flows)
 from .entrants import DRAWS_PER_CELL
 from .errors import ConfigError
 from .stochastic import NormalSource
 
-DEFAULT_CHUNK = 500
+DEFAULT_CHUNK = 500  # replications per task handed to a worker
+SUB_BLOCK = 100      # replications drawn and simulated together within a chunk
 
 
 @dataclass
@@ -40,36 +40,73 @@ class ShockBlocks:
     returns: np.ndarray     # (n, n_years)
 
 
-def draw_shock_blocks(cfg: ScenarioConfig, rep_indices) -> ShockBlocks:
-    """Draw every replication's shocks in the documented order."""
+def draw_shock_blocks(cfg: ScenarioConfig, rep_indices,
+                      out: ShockBlocks | None = None) -> ShockBlocks:
+    """Draw every replication's shocks in the documented order.
+
+    With `out`, the draws fill the leading rows of its arrays, which must
+    have room for them, and the blocks returned are views of those rows.
+    """
     reps = np.asarray(list(rep_indices), dtype=int)
-    n_years = len(cfg.years)
-    n_sex = len(cfg.sexes)
-    n_mort = cfg.mortality.max_age - cfg.mortality.min_age + 1
-    ent = np.empty((len(reps), n_years, n_sex, DRAWS_PER_CELL))
-    mort = np.empty((len(reps), n_years, n_sex, n_mort))
-    ret = np.empty((len(reps), n_years))
+    if out is None:
+        n_mort = cfg.mortality.max_age - cfg.mortality.min_age + 1
+        shape = (len(reps), len(cfg.years), len(cfg.sexes))
+        out = ShockBlocks(rep_indices=reps, entrants=np.empty(shape + (DRAWS_PER_CELL,)),
+                          mortality=np.empty(shape + (n_mort,)),
+                          returns=np.empty(shape[:2]))
+    blocks = ShockBlocks(rep_indices=reps, entrants=out.entrants[:len(reps)],
+                         mortality=out.mortality[:len(reps)], returns=out.returns[:len(reps)])
     for i, rep in enumerate(reps):
         src = NormalSource(cfg.run.seed, stream_id=int(rep))
-        ent[i] = src.standard_normal((n_years, n_sex, DRAWS_PER_CELL))
-        mort[i] = src.standard_normal((n_years, n_sex, n_mort))
-        ret[i] = src.standard_normal(n_years)
-    return ShockBlocks(rep_indices=reps, entrants=ent, mortality=mort, returns=ret)
+        src.standard_normal(out=blocks.entrants[i])
+        src.standard_normal(out=blocks.mortality[i])
+        src.standard_normal(out=blocks.returns[i])
+    return blocks
 
 
 def _run_chunk(cfg: ScenarioConfig, system: CohortSystem, lo: int, hi: int) -> dict:
-    """Simulate replications [lo, hi) and return their per-year arrays."""
-    blocks = draw_shock_blocks(cfg, range(lo, hi))
-    flags = cfg.run.flags
-    eps_ent = blocks.entrants if flags.entrants else np.zeros_like(blocks.entrants)
-    ne = entrants_matrix(cfg, eps_ent)
-    flows = simulate_flows(system, ne, blocks.mortality if flags.mortality else None)
-    rates = return_rates(cfg, blocks.returns, stochastic=flags.returns)
-    cols = ledger_columns(int(to_cents(cfg.economics.initial_assets)),
-                          flows["subjective"], flows["integrative"],
-                          flows["disbursements"], admin_path(cfg), rates)
-    return {"ledger": cols, "entrants": ne,
-            "actives": flows["actives"], "retirees": flows["retirees"]}
+    """Simulate replications [lo, hi) and return their per-year arrays.
+
+    The replications are drawn and simulated SUB_BLOCK at a time into one
+    set of shock buffers, so the working set does not grow with the chunk.
+    """
+    flags, n_years = cfg.run.flags, len(cfg.years)
+    mean, sigma = entrant_moment_tables(cfg)
+    admin, opening = admin_path(cfg), int(to_cents(cfg.economics.initial_assets))
+    part = {"ledger": {k: np.empty((hi - lo, n_years), dtype=np.int64)
+                       for k in LedgerRow.COLUMNS},
+            "entrants": np.empty((hi - lo, n_years, len(cfg.sexes))),
+            "actives": np.empty((hi - lo, n_years)),
+            "retirees": np.empty((hi - lo, n_years))}
+    blocks = None
+    for a in range(lo, hi, SUB_BLOCK):
+        b = min(a + SUB_BLOCK, hi)
+        blocks = draw_shock_blocks(cfg, range(a, b), out=blocks)
+        eps_ent = blocks.entrants if flags.entrants else np.zeros_like(blocks.entrants)
+        ne = entrant_product(mean, sigma, eps_ent)
+        flows = simulate_flows(system, ne, blocks.mortality if flags.mortality else None)
+        rates = return_rates(cfg, blocks.returns, stochastic=flags.returns)
+        cols = ledger_columns(opening, flows["subjective"], flows["integrative"],
+                              flows["disbursements"], admin, rates)
+        rows = slice(a - lo, b - lo)
+        for k, col in cols.items():
+            part["ledger"][k][rows] = col
+        part["entrants"][rows] = ne
+        part["actives"][rows] = flows["actives"]
+        part["retirees"][rows] = flows["retirees"]
+    return part
+
+
+_worker_args: tuple = ()  # (cfg, system) in a pool worker, set once by its initializer
+
+
+def _init_worker(cfg: ScenarioConfig, system: CohortSystem) -> None:
+    global _worker_args
+    _worker_args = (cfg, system)
+
+
+def _run_pooled_chunk(lo: int, hi: int) -> dict:
+    return _run_chunk(*_worker_args, lo, hi)
 
 
 @dataclass
@@ -111,50 +148,50 @@ class SimulationResult:
         return out
 
 
-def simulation_series(cfg: ScenarioConfig, ledger: dict, entrants: np.ndarray,
-                      actives: np.ndarray, retirees: np.ndarray) -> dict[str, np.ndarray]:
-    """Tracked series in output units: money in euros, counts as they are."""
-    series = {
-        "fund_value": ledger["value_end"] / 100.0,
-        "total_balance": ledger["total_balance"] / 100.0,
-        "pension_balance": ledger["pension_balance"] / 100.0,
-    }
-    for si, s in enumerate(cfg.sexes):
-        series[f"entrants_{s}"] = entrants[:, :, si].copy()
-    series["entrants_total"] = entrants.sum(axis=2)
-    series["actives"] = actives
-    series["retirees"] = retirees
-    return series
-
-
 def run_simulation(cfg: ScenarioConfig, workers: int | None = None,
                    chunk_size: int = DEFAULT_CHUNK) -> SimulationResult:
     """Run the configured number of replications, optionally across processes.
 
     Results are identical whatever `workers` or `chunk_size` is: each
-    replication's stream depends only on (seed, replication index).
+    replication's stream depends only on (seed, replication index). The
+    result is allocated once and each chunk's rows are copied into place as
+    the chunk finishes, in chunk order; pool workers receive `cfg` and the
+    cohort system once, when they start.
     """
     if workers is not None and workers < 1:
         raise ConfigError([f"workers: must be >= 1, got {workers}"])
-    n = cfg.run.n_reps
+    n, n_years = cfg.run.n_reps, len(cfg.years)
     system = build_system(cfg)
     spans = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
+    ledger = {k: np.empty((n, n_years), dtype=np.int64) for k in LedgerRow.COLUMNS}
+    # money in euros, counts as they are
+    names = (("fund_value", "total_balance", "pension_balance")
+             + tuple(f"entrants_{s}" for s in cfg.sexes)
+             + ("entrants_total", "actives", "retirees"))
+    series = {k: np.empty((n, n_years)) for k in names}
+
+    def store(parts):
+        for (lo, hi), part in zip(spans, parts):
+            for k, col in part["ledger"].items():
+                ledger[k][lo:hi] = col
+            for k, col in (("fund_value", "value_end"), ("total_balance", "total_balance"),
+                           ("pension_balance", "pension_balance")):
+                np.divide(part["ledger"][col], 100.0, out=series[k][lo:hi])
+            for si, s in enumerate(cfg.sexes):
+                series[f"entrants_{s}"][lo:hi] = part["entrants"][:, :, si]
+            part["entrants"].sum(axis=2, out=series["entrants_total"][lo:hi])
+            series["actives"][lo:hi] = part["actives"]
+            series["retirees"][lo:hi] = part["retirees"]
+
     if workers is not None and workers > 1 and len(spans) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, repeat(cfg), repeat(system),
-                                  *zip(*spans)))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(cfg, system)) as pool:
+            store(pool.map(_run_pooled_chunk, *zip(*spans)))
     else:
-        parts = [_run_chunk(cfg, system, lo, hi) for lo, hi in spans]
-    ledger = {k: np.concatenate([p["ledger"][k] for p in parts])
-              for k in parts[0]["ledger"]}
-    entrants = np.concatenate([p["entrants"] for p in parts])
-    actives = np.concatenate([p["actives"] for p in parts])
-    retirees = np.concatenate([p["retirees"] for p in parts])
+        store(_run_chunk(cfg, system, lo, hi) for lo, hi in spans)
     return SimulationResult(
         first_year=cfg.first_year, years=np.array(cfg.years), n_reps=n,
-        seed=cfg.run.seed, flags=cfg.run.flags,
-        series=simulation_series(cfg, ledger, entrants, actives, retirees),
-        ledger=ledger)
+        seed=cfg.run.seed, flags=cfg.run.flags, series=series, ledger=ledger)
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,15 @@ class NormalSource:
         key = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.Philox(key))
 
-    def standard_normal(self, size=None):
-        """Draw one value (size=None) or an array of the given shape.
+    def standard_normal(self, size=None, out=None):
+        """Draw one value (size=None) or an array of the given shape, or fill
+        the float64 array `out` in place.
 
         Block draws consume the stream exactly like repeated scalar draws,
         so pre-drawing a schedule of shocks is equivalent to drawing them
         one by one in the same order.
         """
-        return self._gen.standard_normal(size)
+        return self._gen.standard_normal(size, out=out)
 
     def __repr__(self):
         return f"NormalSource(seed={self.seed}, stream_id={self.stream_id})"

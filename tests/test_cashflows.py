@@ -6,7 +6,8 @@ from paygsim import (AgeProfile, BenefitRule, CohortGrid, ContributionRule,
                      admin_expense, build_ledger, contribution_income,
                      inflation_index, pension_disbursement, sample_return,
                      step_fund_value)
-from paygsim.cashflows import cents_to_thousands, round_half_away, to_cents
+from paygsim.cashflows import (cents_to_thousands, ledger_columns, round_half_away,
+                               to_cents)
 from paygsim.errors import CoverageError, StateError
 from paygsim.stochastic import Ar1Params
 
@@ -295,3 +296,28 @@ class TestLedger:
         hi = build_ledger(2006, 1000.0, [10.0] * 5, [0.0] * 5, [0.0] * 5,
                           [0.0] * 5, [0.05] * 5)
         assert hi.row(2010).value_end > lo.row(2010).value_end
+
+    def test_closing_value_that_would_wrap_raises(self):
+        # 9e16 euros doubling in a year is 1.8e19 cents, past int64's 9.2e18
+        with pytest.raises(StateError, match="closing value"):
+            ledger_columns(int(to_cents(9e16)), [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                           [0.0, 0.0], rates=[1.0, 1.0])
+
+    @pytest.mark.parametrize("rate", [3.0, -3.0, np.nan])
+    def test_investment_income_that_int64_cannot_hold_raises(self, rate):
+        with pytest.raises(StateError, match="investment income of year 2"):
+            ledger_columns(int(to_cents(4e16)), [0.0] * 2, [0.0] * 2, [0.0] * 2,
+                           [0.0] * 2, rates=[[0.0, 0.0], [0.0, rate]])
+
+    def test_flow_sums_that_would_wrap_raise(self):
+        big = [9e16, 9e16]
+        with pytest.raises(StateError, match="contributions"):
+            ledger_columns(0, big, big, [0.0, 0.0], [0.0, 0.0], rates=[0.0, 0.0])
+        with pytest.raises(StateError, match="pension balance"):
+            ledger_columns(0, big, [0.0, 0.0], [-9e16, -9e16], [0.0, 0.0], rates=[0.0, 0.0])
+        with pytest.raises(StateError, match="total balance"):
+            ledger_columns(0, [0.0, 0.0], [0.0, 0.0], big, big, rates=[0.0, 0.0])
+
+    def test_largest_fitting_ledger_is_kept(self):
+        cols = ledger_columns(int(to_cents(4.5e16)), [0.0], [0.0], [0.0], [0.0], rates=[1.0])
+        assert int(cols["value_end"][0]) == 9_000_000_000_000_000_000

@@ -82,6 +82,25 @@ class TestValidate:
         assert len(lines) >= 2
         assert all(line.startswith("error: ") for line in lines)
 
+    @pytest.mark.parametrize("command", ["validate", "project"])
+    @pytest.mark.parametrize("column, value", [("q0", "nan"), ("drift", "nan"),
+                                               ("sigma", "inf")])
+    def test_non_finite_mortality_cell_exits_2(self, capsys, tmp_path, command,
+                                               column, value):
+        from conftest import BASE_CSVS, write_scenario
+        cell = {"q0": "0.01", "drift": "0.0", "sigma": "0.005", column: value}
+        bad = f"male,33,{cell['q0']},{cell['drift']},{cell['sigma']}"
+        table = [bad if r.startswith("male,33,") else r for r in BASE_CSVS["mortality.csv"]]
+        path = write_scenario(str(tmp_path), csv_overrides={"mortality.csv": table})
+        argv = ["--out", str(tmp_path / "out")] if command == "project" else []
+        code, out, err = run(capsys, command, "--config", path, *argv)
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "mortality.csv" in lines[0] and column in lines[0]
+        assert "'male' age 33" in lines[0]
+
 
 class TestProject:
     def test_writes_bundle(self, capsys, scenario, tmp_path):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import write_scenario
+from paygsim import montecarlo
 from paygsim import (NormalSource, StochasticFlags, load_config,
                      distribution_moments, percentile_bands,
                      run_deterministic_projection, run_simulation)
@@ -57,6 +60,57 @@ class TestReproducibility:
         c = draw_shock_blocks(small_cfg, [3])
         assert np.array_equal(a.entrants[3], c.entrants[0])
         assert np.array_equal(a.returns[3], c.returns[0])
+
+
+class TestStreamedChunks:
+    """Chunks, and the sub-blocks within them, land in one preallocated result."""
+
+    @staticmethod
+    def assert_same_run(a, b):
+        assert a.series_names == b.series_names
+        for name in a.series_names:
+            assert np.array_equal(a.series[name], b.series[name]), name
+        assert tuple(a.ledger) == tuple(b.ledger)
+        for name in a.ledger:
+            assert a.ledger[name].dtype == np.int64
+            assert np.array_equal(a.ledger[name], b.ledger[name]), name
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_uneven_chunks_and_sub_blocks_match_one_chunk(self, small_cfg, monkeypatch,
+                                                          workers):
+        cfg = small_cfg.with_run(n_reps=23)
+        monkeypatch.setattr(montecarlo, "SUB_BLOCK", 23)
+        whole = run_simulation(cfg, chunk_size=23)
+        # neither size divides 23; pool workers are forked after the patch
+        monkeypatch.setattr(montecarlo, "SUB_BLOCK", 3)
+        self.assert_same_run(whole, run_simulation(cfg, workers=workers, chunk_size=7))
+        monkeypatch.setattr(montecarlo, "SUB_BLOCK", 2)
+        self.assert_same_run(whole, run_simulation(cfg, workers=workers, chunk_size=5))
+
+    def test_shock_blocks_fill_the_leading_rows_of_out(self, small_cfg):
+        buffers = draw_shock_blocks(small_cfg, range(5))
+        fresh = draw_shock_blocks(small_cfg, range(7, 10))
+        reused = draw_shock_blocks(small_cfg, range(7, 10), out=buffers)
+        assert np.shares_memory(reused.mortality, buffers.mortality)
+        assert reused.rep_indices.tolist() == [7, 8, 9]
+        for k in ("entrants", "mortality", "returns"):
+            assert getattr(reused, k).shape == getattr(fresh, k).shape
+            assert np.array_equal(getattr(reused, k), getattr(fresh, k))
+
+    @pytest.mark.parametrize("n_reps, workers", [(2000, None), (4000, 2)])
+    def test_working_set_stays_bounded(self, cfg, n_reps, workers):
+        # beside the result, the parent holds only a per-chunk working set,
+        # which must not grow with n_reps or with the number of chunks
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = run_simulation(cfg.with_run(n_reps=n_reps), workers=workers)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for d in (result.series, result.ledger) for a in d.values())
+        assert held == n_reps * len(cfg.years) * 17 * 8
+        assert peak - held <= 16e6
 
 
 class TestFlagCollapse:
