@@ -142,6 +142,18 @@ def _read_csv(path: str, required: tuple[str, ...], hasher=None) -> list[dict]:
     return list(reader)
 
 
+def _finite(path: str, row: dict, col: str, where: str) -> float:
+    """One cell as a float; a ConfigError naming the cell if it is not a
+    finite number (including a cell missing from a short row)."""
+    try:
+        value = float(row[col])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError([f"{path}: {col} {row[col]!r} for {where} is not a finite number"])
+    return value
+
+
 def load_population_series(path: str, sexes, min_age: int, max_age: int,
                            hasher=None) -> PopulationSeries:
     """Columns: year, sex, expected, sigma."""
@@ -152,20 +164,27 @@ def load_population_series(path: str, sexes, min_age: int, max_age: int,
         if sex not in expected:
             raise ConfigError([f"{path}: unknown sex {sex!r}"])
         year = int(row["year"])
-        expected[sex][year] = float(row["expected"])
-        sigma[sex][year] = float(row["sigma"])
+        where = f"sex {sex!r} year {year}"
+        expected[sex][year] = _finite(path, row, "expected", where)
+        sigma[sex][year] = _finite(path, row, "sigma", where)
     return PopulationSeries(expected=expected, sigma=sigma,
                             min_age=min_age, max_age=max_age)
 
 
 def load_age_table(path: str, sexes, value_col: str, hasher=None) -> AgeProfile:
-    """Columns: age, <value_col>, optionally sex (absent rows apply to all sexes)."""
+    """Columns: age, <value_col>, optionally sex (absent rows apply to all sexes).
+
+    Ages a sex has no row for are NaN in the assembled table, so a cell must
+    be finite when it is read.
+    """
     rows = _read_csv(path, ("age", value_col), hasher)
     by_sex = {s: {} for s in sexes}
     for row in rows:
         age = int(row["age"])
-        val = float(row[value_col])
-        targets = [row["sex"]] if row.get("sex") not in (None, "") else list(sexes)
+        sexed = row.get("sex") not in (None, "")
+        val = _finite(path, row, value_col,
+                      f"sex {row['sex']!r} age {age}" if sexed else f"every sex age {age}")
+        targets = [row["sex"]] if sexed else list(sexes)
         for s in targets:
             if s not in by_sex:
                 raise ConfigError([f"{path}: unknown sex {row['sex']!r}"])
@@ -188,11 +207,8 @@ def load_mortality(path: str, sexes, base_year: int, hasher=None) -> MortalityMo
     for row in rows:
         if row["sex"] not in by_sex:
             raise ConfigError([f"{path}: unknown sex {row['sex']!r}"])
-        cell = float(row["q0"]), float(row["drift"]), float(row["sigma"])
-        for name, v in zip(("q0", "drift", "sigma"), cell):
-            if not math.isfinite(v):
-                raise ConfigError([f"{path}: {name} {row[name]!r} for sex {row['sex']!r} "
-                                   f"age {row['age']} is not a finite number"])
+        where = f"sex {row['sex']!r} age {row['age']}"
+        cell = tuple(_finite(path, row, name, where) for name in ("q0", "drift", "sigma"))
         by_sex[row["sex"]][int(row["age"])] = cell
     ages = sorted({a for d in by_sex.values() for a in d})
     lo, hi = ages[0], ages[-1]
@@ -215,8 +231,10 @@ def load_census(path: str, year, sexes, min_age, max_age, max_seniority,
     """Columns: sex, age, seniority, status, count."""
     records = []
     for row in _read_csv(path, ("sex", "age", "seniority", "status", "count"), hasher):
-        records.append((row["sex"], int(row["age"]), int(row["seniority"]),
-                        row["status"], float(row["count"])))
+        age, seniority = int(row["age"]), int(row["seniority"])
+        count = _finite(path, row, "count",
+                        f"sex {row['sex']!r} age {age} seniority {seniority}")
+        records.append((row["sex"], age, seniority, row["status"], count))
     try:
         return CohortGrid.from_records(records, year, sexes, min_age, max_age, max_seniority)
     except ValueError as exc:
@@ -456,6 +474,7 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
             continue
         kind = sub.get("kind", "notional_account")
         conversion = profile = None
+        n_errors = len(ctx.errors)
         if kind == "notional_account":
             conversion = ctx.take(f"benefits.types.{b}.conversion_csv", lambda sub=sub, b=b:
                                   load_age_table(_resolve(base_dir, _need(
@@ -466,6 +485,8 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
                                load_age_table(_resolve(base_dir, _need(
                                    sub, "profile_csv", f"benefits.types.{b}", ctx)),
                                    sexes, "amount", hasher))
+        if len(ctx.errors) > n_errors:
+            continue  # the table's own error says what is wrong
         benefits[b] = ctx.take(f"benefits.types.{b}", lambda k=kind, c=conversion, p=profile:
                                BenefitRule(kind=k, conversion=c, profile=p))
 

@@ -13,7 +13,7 @@ draws of another.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,12 +109,21 @@ def _run_pooled_chunk(lo: int, hi: int) -> dict:
     return _run_chunk(*_worker_args, lo, hi)
 
 
+# money series in euros, read from the ledger column of the same amount in cents
+LEDGER_SERIES = {"fund_value": "value_end", "total_balance": "total_balance",
+                 "pension_balance": "pension_balance"}
+
+
 @dataclass
 class SimulationResult:
     """All replications of one run, as (n_reps, n_years) arrays.
 
-    `series` holds the tracked output series in euros or headcounts;
-    `ledger` the nine statement columns in integer cents.
+    The result holds each number once: `ledger` the nine statement columns
+    in integer cents, `entrants` the arrivals per sex (in sex order), and
+    `actives` and `retirees` the headcounts, all read-only. `series` maps
+    the tracked output series to their arrays; the money series and
+    `entrants_total` are computed from the held arrays each time they are
+    read.
     """
 
     first_year: int
@@ -122,16 +131,51 @@ class SimulationResult:
     n_reps: int
     seed: int
     flags: StochasticFlags
-    series: dict[str, np.ndarray] = field(repr=False)
     ledger: dict[str, np.ndarray] = field(repr=False)
+    entrants: dict[str, np.ndarray] = field(repr=False)
+    actives: np.ndarray = field(repr=False)
+    retirees: np.ndarray = field(repr=False)
 
     @property
     def series_names(self) -> tuple[str, ...]:
-        return tuple(self.series)
+        return (tuple(LEDGER_SERIES) + tuple(f"entrants_{s}" for s in self.entrants)
+                + ("entrants_total", "actives", "retirees"))
+
+    @property
+    def series(self) -> "SeriesView":
+        return SeriesView(self)
+
+    def columns(self, name: str, idx=slice(None)) -> np.ndarray:
+        """One series at the year indices `idx` (anything that indexes the
+        year axis), computing only those columns of a derived series.
+
+        A held series comes back as a view of its read-only array (a copy
+        for a list of indices), a derived one as a new array.
+        """
+        if name in LEDGER_SERIES:
+            return np.divide(self.ledger[LEDGER_SERIES[name]][:, idx], 100.0)
+        if name == "entrants_total":
+            first, *rest = (path[:, idx] for path in self.entrants.values())
+            # keep the layout the indexing gave: it fixes the order in which
+            # the moments sum over replications
+            total = first.copy(order="K")
+            for path in rest:  # added in sex order
+                total += path
+            return total
+        if name in ("actives", "retirees"):
+            return getattr(self, name)[:, idx]
+        sex = name.removeprefix("entrants_")
+        if sex != name and sex in self.entrants:
+            return self.entrants[sex][:, idx]
+        raise KeyError(name)
 
     def fan_chart(self, name: str, probes) -> dict:
         """Percentile bands of one series across replications, per year."""
-        values = percentile_bands(self.series[name], probes, axis=0)
+        derived = name in LEDGER_SERIES or name == "entrants_total"
+        # a derived series is computed for this call alone, so it may be
+        # partially sorted in place instead of copied
+        values = percentile_bands(self.columns(name), probes, axis=0,
+                                  overwrite_input=derived)
         return {"series": name, "probes": tuple(float(p) for p in probes),
                 "years": self.years.copy(), "values": values}
 
@@ -142,10 +186,31 @@ class SimulationResult:
         for y, t in zip(years, idx):
             if not 0 <= t < len(self.years):
                 raise ValueError(f"year {y} outside the simulated horizon")
-        out = distribution_moments(self.series[name][:, idx], axis=0)
+        out = distribution_moments(self.columns(name, idx), axis=0)
         out["series"] = name
         out["years"] = np.asarray(years)
         return out
+
+
+class SeriesView(Mapping):
+    """Read-only mapping from series name to its (n_reps, n_years) array,
+    in `series_names` order. Derived series are computed on every read and
+    not kept."""
+
+    def __init__(self, result: SimulationResult):
+        self._result = result
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._result.columns(name)
+
+    def __contains__(self, name) -> bool:
+        return name in self._result.series_names
+
+    def __iter__(self):
+        return iter(self._result.series_names)
+
+    def __len__(self) -> int:
+        return len(self._result.series_names)
 
 
 def run_simulation(cfg: ScenarioConfig, workers: int | None = None,
@@ -164,45 +229,46 @@ def run_simulation(cfg: ScenarioConfig, workers: int | None = None,
     system = build_system(cfg)
     spans = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
     ledger = {k: np.empty((n, n_years), dtype=np.int64) for k in LedgerRow.COLUMNS}
-    # money in euros, counts as they are
-    names = (("fund_value", "total_balance", "pension_balance")
-             + tuple(f"entrants_{s}" for s in cfg.sexes)
-             + ("entrants_total", "actives", "retirees"))
-    series = {k: np.empty((n, n_years)) for k in names}
+    entrants = {s: np.empty((n, n_years)) for s in cfg.sexes}
+    actives, retirees = np.empty((n, n_years)), np.empty((n, n_years))
 
     def store(parts):
         for (lo, hi), part in zip(spans, parts):
             for k, col in part["ledger"].items():
                 ledger[k][lo:hi] = col
-            for k, col in (("fund_value", "value_end"), ("total_balance", "total_balance"),
-                           ("pension_balance", "pension_balance")):
-                np.divide(part["ledger"][col], 100.0, out=series[k][lo:hi])
-            for si, s in enumerate(cfg.sexes):
-                series[f"entrants_{s}"][lo:hi] = part["entrants"][:, :, si]
-            part["entrants"].sum(axis=2, out=series["entrants_total"][lo:hi])
-            series["actives"][lo:hi] = part["actives"]
-            series["retirees"][lo:hi] = part["retirees"]
+            for si, path in enumerate(entrants.values()):
+                path[lo:hi] = part["entrants"][:, :, si]
+            actives[lo:hi] = part["actives"]
+            retirees[lo:hi] = part["retirees"]
 
     if workers is not None and workers > 1 and len(spans) > 1:
+        # imported here, so that serial runs never load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(cfg, system)) as pool:
             store(pool.map(_run_pooled_chunk, *zip(*spans)))
     else:
         store(_run_chunk(cfg, system, lo, hi) for lo, hi in spans)
+    for a in (*ledger.values(), *entrants.values(), actives, retirees):
+        a.flags.writeable = False
     return SimulationResult(
         first_year=cfg.first_year, years=np.array(cfg.years), n_reps=n,
-        seed=cfg.run.seed, flags=cfg.run.flags, series=series, ledger=ledger)
+        seed=cfg.run.seed, flags=cfg.run.flags, ledger=ledger, entrants=entrants,
+        actives=actives, retirees=retirees)
 
 
 # ---------------------------------------------------------------------------
 # Distribution summaries
 
 
-def percentile_bands(sample: np.ndarray, probes, axis: int = 0) -> np.ndarray:
+def percentile_bands(sample: np.ndarray, probes, axis: int = 0,
+                     overwrite_input: bool = False) -> np.ndarray:
     """Percentiles with linear interpolation between order statistics.
 
     Probes are percents in [0, 100] (0 is the minimum, 100 the maximum) and
-    must be given in increasing order, so band rows come out nested.
+    must be given in increasing order, so band rows come out nested. With
+    `overwrite_input` the sample is partially sorted in place rather than
+    copied; the bands are the same.
     """
     probes = [float(p) for p in probes]
     if not probes:
@@ -215,7 +281,8 @@ def percentile_bands(sample: np.ndarray, probes, axis: int = 0) -> np.ndarray:
     sample = np.asarray(sample)
     if sample.shape[axis] == 0:
         raise ValueError("cannot take percentiles of an empty sample")
-    return np.percentile(sample, probes, axis=axis, method="linear")
+    return np.percentile(sample, probes, axis=axis, method="linear",
+                         overwrite_input=overwrite_input)
 
 
 def distribution_moments(sample: np.ndarray, axis: int = 0) -> dict:

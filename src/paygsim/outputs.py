@@ -229,14 +229,15 @@ def projection_summary(cfg: ScenarioConfig, result) -> dict:
 def simulation_summary(cfg: ScenarioConfig, result) -> dict:
     final = {}
     for name in result.series_names:
-        x = result.series[name][:, -1]
+        x = result.columns(name, -1)
         final[name] = {
             "mean": float(x.mean()),
             "std": float(x.std(ddof=1)) if result.n_reps > 1 else None,
             "min": float(x.min()),
             "max": float(x.max()),
         }
-    fund = result.series["fund_value"]
+    # the fund value is value_end / 100.0, whose sign is that of the cents
+    fund_cents = result.ledger["value_end"]
     return {
         "schema": "paygsim.summary/1",
         "mode": "simulate",
@@ -246,7 +247,7 @@ def simulation_summary(cfg: ScenarioConfig, result) -> dict:
         "stochastic": list(result.flags.names()),
         "final_year": int(result.years[-1]),
         "final_year_series": final,
-        "prob_fund_value_nonnegative": float(np.mean(fund.min(axis=1) >= 0.0)),
+        "prob_fund_value_nonnegative": float(np.mean(fund_cents.min(axis=1) >= 0)),
     }
 
 

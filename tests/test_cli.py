@@ -27,7 +27,11 @@ def run(capsys, *argv):
 
 def read_bytes_by_name(outdir):
     names = sorted(os.listdir(outdir))
-    return {n: open(os.path.join(outdir, n), "rb").read() for n in names}
+    out = {}
+    for n in names:
+        with open(os.path.join(outdir, n), "rb") as fh:
+            out[n] = fh.read()
+    return out
 
 
 class TestParser:
@@ -100,6 +104,52 @@ class TestValidate:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "mortality.csv" in lines[0] and column in lines[0]
         assert "'male' age 33" in lines[0]
+
+    @pytest.mark.parametrize("command", ["validate", "project", "entrants"])
+    @pytest.mark.parametrize("table, row, bad, column, value, where", [
+        ("income.csv", "male,40,50000", "male,40,inf", "amount", "inf", "'male' age 40"),
+        ("income.csv", "male,40,50000", "male,40,nan", "amount", "nan", "'male' age 40"),
+        ("income.csv", "male,40,50000", "male,40,abc", "amount", "abc", "'male' age 40"),
+        ("income.csv", "male,40,50000", "male,40", "amount", None, "'male' age 40"),
+        ("turnover.csv", "female,33,80000", "female,33,-inf", "amount", "-inf",
+         "'female' age 33"),
+        ("pensions.csv", "male,45,20000", "male,45,nan", "amount", "nan", "'male' age 45"),
+        ("conversion.csv", "female,50,0.06", "female,50,inf", "coefficient", "inf",
+         "'female' age 50"),
+        ("population.csv", "2000,male,1000,100", "2000,male,nan,100", "expected", "nan",
+         "'male' year 2000"),
+        ("population.csv", "2010,female,1000,100", "2010,female,1000,inf", "sigma", "inf",
+         "'female' year 2010"),
+        ("census.csv", "male,35,5,active,30", "male,35,5,active,nan", "count", "nan",
+         "'male' age 35 seniority 5"),
+    ])
+    def test_non_finite_table_cell_exits_2(self, capsys, tmp_path, command, table, row,
+                                           bad, column, value, where):
+        from conftest import BASE_CSVS, write_scenario
+        assert row in BASE_CSVS[table]
+        lines = [bad if r == row else r for r in BASE_CSVS[table]]
+        path = write_scenario(str(tmp_path), csv_overrides={table: lines})
+        argv = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, command, "--config", path, *argv)
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert table in lines[0] and f"{column} {value!r}" in lines[0]
+        assert where in lines[0] and "not a finite number" in lines[0]
+
+    @pytest.mark.parametrize("command", ["validate", "project", "entrants"])
+    def test_csv_path_that_is_a_directory_exits_2(self, capsys, tmp_path, command):
+        from conftest import write_scenario
+        path = write_scenario(str(tmp_path), {"mortality": {"table_csv": "tables"}})
+        (tmp_path / "tables").mkdir()
+        argv = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, command, "--config", path, *argv)
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: mortality.table_csv: ")
+        assert "tables" in lines[0]
 
 
 class TestProject:

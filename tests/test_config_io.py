@@ -173,6 +173,21 @@ class TestBrokenScenarios:
         with pytest.raises(ConfigError, match="dog"):
             load_config(path)
 
+    def test_non_finite_cell_of_a_table_for_every_sex(self, tmp_path):
+        # a row without a sex applies to all sexes, and the error says so
+        rows = ["age,amount"] + [f"{a},50000" for a in range(30, 40)] + ["40,inf"]
+        path = write_scenario(str(tmp_path), csv_overrides={"income.csv": rows})
+        with pytest.raises(ConfigError, match="amount 'inf' for every sex age 40") as exc:
+            load_config(path)
+        assert len(exc.value.messages) == 1
+
+    def test_broken_conversion_table_is_reported_once(self, tmp_path):
+        path = write_scenario(str(tmp_path), tweaks={"benefits": {"types": {"old_age": {
+            "kind": "notional_account", "conversion_csv": "absent.csv"}}}})
+        with pytest.raises(ConfigError, match="absent.csv") as exc:
+            load_config(path)
+        assert len(exc.value.messages) == 1
+
     def test_retirement_thresholds_required(self, tmp_path):
         path = write_scenario(str(tmp_path), tweaks={
             "retirement": {"benefit_types": ["old_age", "early"],

@@ -9,6 +9,7 @@ from paygsim import (NormalSource, StochasticFlags, load_config,
                      distribution_moments, percentile_bands,
                      run_deterministic_projection, run_simulation)
 from paygsim.montecarlo import draw_shock_blocks
+from paygsim.outputs import emit_simulation_outputs, simulation_summary
 
 
 @pytest.fixture(scope="module")
@@ -99,18 +100,113 @@ class TestStreamedChunks:
 
     @pytest.mark.parametrize("n_reps, workers", [(2000, None), (4000, 2)])
     def test_working_set_stays_bounded(self, cfg, n_reps, workers):
-        # beside the result, the parent holds only a per-chunk working set,
-        # which must not grow with n_reps or with the number of chunks
+        # the result holds the nine ledger columns, the entrants of each sex,
+        # actives and retirees, and nothing else of size; beside it, the
+        # parent holds only a per-chunk working set, which must not grow with
+        # n_reps or with the number of chunks
+        run_simulation(cfg.with_run(n_reps=2), workers=workers, chunk_size=1)  # imports
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             result = run_simulation(cfg.with_run(n_reps=n_reps), workers=workers)
-            peak = tracemalloc.get_traced_memory()[1] - before
+            held, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        held = sum(a.nbytes for d in (result.series, result.ledger) for a in d.values())
-        assert held == n_reps * len(cfg.years) * 17 * 8
+        arrays = n_reps * len(cfg.years) * (9 + len(cfg.sexes) + 2) * 8
+        assert arrays <= held <= arrays + 64e3
+        assert result.n_reps == n_reps
         assert peak - held <= 16e6
+
+    def test_emission_holds_one_series_at_a_time(self, cfg, tmp_path):
+        # fan charts, moments and the summary compute a derived series (or
+        # copy a held one) one at a time, and never keep it
+        n_reps = 4000
+        big = cfg.with_run(n_reps=n_reps)
+        result = run_simulation(big, workers=2)
+        tracemalloc.start()
+        try:
+            emit_simulation_outputs(str(tmp_path), big, result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n_reps * len(big.years) * 8 + 2e6
+
+
+class TestLeanResult:
+    """The result keeps each number once and derives the other series."""
+
+    @pytest.fixture(scope="class", params=[None, 2], ids=["serial", "workers2"])
+    def result(self, request, small_cfg):
+        return run_simulation(small_cfg, workers=request.param, chunk_size=3)
+
+    @staticmethod
+    def same_bits(a, b) -> bool:
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_derived_series_equal_their_formulas(self, result, small_cfg):
+        for name, col in (("fund_value", "value_end"), ("total_balance", "total_balance"),
+                          ("pension_balance", "pension_balance")):
+            assert self.same_bits(result.series[name], result.ledger[col] / 100.0), name
+        per_sex = np.stack([result.series[f"entrants_{s}"] for s in small_cfg.sexes], axis=2)
+        assert self.same_bits(result.series["entrants_total"], per_sex.sum(axis=2))
+
+    def test_held_series_are_the_result_arrays(self, result, small_cfg):
+        for s in small_cfg.sexes:
+            assert np.shares_memory(result.series[f"entrants_{s}"], result.entrants[s])
+        assert np.shares_memory(result.series["actives"], result.actives)
+        assert np.shares_memory(result.series["retirees"], result.retirees)
+
+    def test_derived_series_are_computed_on_every_read(self, result):
+        for name in ("fund_value", "entrants_total"):
+            first, second = result.series[name], result.series[name]
+            assert first is not second and not np.shares_memory(first, second)
+
+    def test_selected_columns_equal_the_whole_series(self, result, small_cfg):
+        picks = (-1, [0, 4, 2], slice(1, 6))
+        for name in result.series_names:
+            whole = result.series[name]
+            for idx in picks:
+                assert self.same_bits(result.columns(name, idx), whole[:, idx]), (name, idx)
+
+    def test_series_names_and_order(self, result):
+        names = ("fund_value", "total_balance", "pension_balance", "entrants_male",
+                 "entrants_female", "entrants_total", "actives", "retirees")
+        assert result.series_names == names
+        assert tuple(result.series) == names and len(result.series) == len(names)
+        assert "actives" in result.series and "entrants_other" not in result.series
+        with pytest.raises(KeyError):
+            result.series["entrants_other"]
+
+    def test_series_and_held_arrays_are_read_only(self, result):
+        with pytest.raises(TypeError):
+            result.series["fund_value"] = np.zeros((result.n_reps, len(result.years)))
+        with pytest.raises(TypeError):
+            del result.series["actives"]
+        for held in (result.ledger["value_end"], result.entrants["male"], result.actives,
+                     result.series["retirees"]):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0] = 1
+
+    def test_fan_chart_and_moments_match_materialised_series(self, result, small_cfg):
+        probes, years = (5.0, 50.0, 95.0), [2008, 2012, 2016]
+        idx = [y - small_cfg.first_year for y in years]
+        for name in result.series_names:
+            whole = np.array(result.series[name])
+            fan = result.fan_chart(name, probes)["values"]
+            assert self.same_bits(fan, np.percentile(whole, probes, axis=0)), name
+            mom = result.moments(name, years)
+            ref = distribution_moments(whole[:, idx], axis=0)
+            for stat in ("mean", "std", "skewness", "excess_kurtosis"):
+                assert self.same_bits(mom[stat], ref[stat]), (name, stat)
+
+    def test_summary_sign_test_reads_the_cents(self, result, small_cfg):
+        fund = result.series["fund_value"]
+        summary = simulation_summary(small_cfg, result)
+        assert summary["prob_fund_value_nonnegative"] == float(
+            np.mean(fund.min(axis=1) >= 0.0))
+        for name in result.series_names:
+            assert summary["final_year_series"][name]["mean"] == float(
+                result.series[name][:, -1].mean())
 
 
 class TestFlagCollapse:
