@@ -21,12 +21,10 @@ from . import outputs
 from ._version import __version__
 from .config import (ScenarioConfig, StochasticFlags, default_config_path,
                      load_config)
-from .engine import entrant_moment_tables, entrant_product
 from .entrants import expected_entrants_path
 from .errors import ConfigError, PaygsimError
-from .montecarlo import run_simulation
+from .montecarlo import entrant_paths, run_simulation
 from .projection import run_deterministic_projection
-from .stochastic import NormalSource
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,12 +149,7 @@ def _cmd_entrants(args) -> int:
     sampled = None
     if args.reps > 0:
         cfg = cfg.with_run(n_reps=args.reps)
-        mu, sigma = entrant_moment_tables(cfg)
-        paths = {s: np.empty((args.reps, len(cfg.years))) for s in cfg.sexes}
-        for rep in range(args.reps):  # each stream opens with the scalar sampler's block
-            eps = NormalSource(cfg.run.seed, stream_id=rep).standard_normal(mu.shape)
-            for si, s in enumerate(cfg.sexes):
-                paths[s][rep] = entrant_product(mu[:, si], sigma[:, si], eps[:, si])
+        paths = entrant_paths(cfg)
         mean = {s: paths[s].mean(axis=0) for s in cfg.sexes}
         std = {s: paths[s].std(axis=0, ddof=1) if args.reps > 1
                else np.zeros(len(cfg.years)) for s in cfg.sexes}

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -25,8 +24,7 @@ import yaml
 
 from .cashflows import AgeProfile, BenefitRule, ContributionRule, EconomicAssumptions
 from .cohorts import CohortGrid, MortalityModel, RetirementRule
-from .entrants import (FACTOR_NAMES, EducationHistory, EntrantsModelParams,
-                       FactorMoments, PopulationSeries)
+from .entrants import FACTOR_NAMES, EntrantsModelParams, FactorMoments, PopulationSeries
 from .errors import ConfigError
 from .schedules import Schedule
 from .stochastic import Ar1Params
@@ -123,8 +121,9 @@ def default_config_path() -> str:
 # CSV loaders
 
 
-def _read_csv(path: str, required: tuple[str, ...], hasher=None) -> list[dict]:
-    """Rows of a CSV file, skipping leading '#' comment lines."""
+def _read_csv(path: str, required: tuple[str, ...], hasher=None) -> list[tuple[int, dict]]:
+    """Rows of a CSV file, each with the number of the file line it ends on,
+    skipping '#' comment lines."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -133,13 +132,30 @@ def _read_csv(path: str, required: tuple[str, ...], hasher=None) -> list[dict]:
     if hasher is not None:
         hasher.update(raw)
     text = raw.decode("utf-8")
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    reader = csv.DictReader(io.StringIO("\n".join(lines)))
+    numbered = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if not ln.startswith("#")]
+    reader = csv.DictReader(ln + "\n" for _, ln in numbered)
     got = tuple(reader.fieldnames or ())
     missing = [c for c in required if c not in got]
     if missing:
         raise ConfigError([f"{path}: missing columns {missing}, found {list(got)}"])
-    return list(reader)
+    return [(numbered[reader.line_num - 1][0], row) for row in reader]
+
+
+def _key(path: str, line: int, row: dict, col: str) -> str:
+    """One cell of a key column; a ConfigError naming the file, line and
+    column if the row is too short to have it."""
+    cell = row[col]
+    if cell is None:
+        raise ConfigError([f"{path}: line {line}: no {col} cell"])
+    return cell
+
+
+def _int_key(path: str, line: int, row: dict, col: str) -> int:
+    cell = _key(path, line, row, col)
+    try:
+        return int(cell)
+    except ValueError:
+        raise ConfigError([f"{path}: line {line}: {col} {cell!r} is not an integer"]) from None
 
 
 def _finite(path: str, row: dict, col: str, where: str) -> float:
@@ -159,11 +175,11 @@ def load_population_series(path: str, sexes, min_age: int, max_age: int,
     """Columns: year, sex, expected, sigma."""
     expected = {s: {} for s in sexes}
     sigma = {s: {} for s in sexes}
-    for row in _read_csv(path, ("year", "sex", "expected", "sigma"), hasher):
-        sex = row["sex"]
+    for line, row in _read_csv(path, ("year", "sex", "expected", "sigma"), hasher):
+        sex = _key(path, line, row, "sex")
         if sex not in expected:
             raise ConfigError([f"{path}: unknown sex {sex!r}"])
-        year = int(row["year"])
+        year = _int_key(path, line, row, "year")
         where = f"sex {sex!r} year {year}"
         expected[sex][year] = _finite(path, row, "expected", where)
         sigma[sex][year] = _finite(path, row, "sigma", where)
@@ -179,15 +195,15 @@ def load_age_table(path: str, sexes, value_col: str, hasher=None) -> AgeProfile:
     """
     rows = _read_csv(path, ("age", value_col), hasher)
     by_sex = {s: {} for s in sexes}
-    for row in rows:
-        age = int(row["age"])
-        sexed = row.get("sex") not in (None, "")
+    for line, row in rows:
+        age = _int_key(path, line, row, "age")
+        # a table without a sex column, or an empty sex cell, is for every sex
+        sex = _key(path, line, row, "sex") if "sex" in row else ""
         val = _finite(path, row, value_col,
-                      f"sex {row['sex']!r} age {age}" if sexed else f"every sex age {age}")
-        targets = [row["sex"]] if sexed else list(sexes)
-        for s in targets:
+                      f"sex {sex!r} age {age}" if sex else f"every sex age {age}")
+        for s in [sex] if sex else sexes:
             if s not in by_sex:
-                raise ConfigError([f"{path}: unknown sex {row['sex']!r}"])
+                raise ConfigError([f"{path}: unknown sex {sex!r}"])
             by_sex[s][age] = val
     ages = sorted({a for d in by_sex.values() for a in d})
     if not ages:
@@ -204,12 +220,14 @@ def load_mortality(path: str, sexes, base_year: int, hasher=None) -> MortalityMo
     """Columns: sex, age, q0, drift, sigma."""
     rows = _read_csv(path, ("sex", "age", "q0", "drift", "sigma"), hasher)
     by_sex = {s: {} for s in sexes}
-    for row in rows:
-        if row["sex"] not in by_sex:
-            raise ConfigError([f"{path}: unknown sex {row['sex']!r}"])
-        where = f"sex {row['sex']!r} age {row['age']}"
-        cell = tuple(_finite(path, row, name, where) for name in ("q0", "drift", "sigma"))
-        by_sex[row["sex"]][int(row["age"])] = cell
+    for line, row in rows:
+        sex = _key(path, line, row, "sex")
+        if sex not in by_sex:
+            raise ConfigError([f"{path}: unknown sex {sex!r}"])
+        age = _int_key(path, line, row, "age")
+        where = f"sex {sex!r} age {age}"
+        by_sex[sex][age] = tuple(_finite(path, row, name, where)
+                                 for name in ("q0", "drift", "sigma"))
     ages = sorted({a for d in by_sex.values() for a in d})
     lo, hi = ages[0], ages[-1]
     n = hi - lo + 1
@@ -230,29 +248,15 @@ def load_census(path: str, year, sexes, min_age, max_age, max_seniority,
                 hasher=None) -> CohortGrid:
     """Columns: sex, age, seniority, status, count."""
     records = []
-    for row in _read_csv(path, ("sex", "age", "seniority", "status", "count"), hasher):
-        age, seniority = int(row["age"]), int(row["seniority"])
-        count = _finite(path, row, "count",
-                        f"sex {row['sex']!r} age {age} seniority {seniority}")
-        records.append((row["sex"], age, seniority, row["status"], count))
+    for line, row in _read_csv(path, ("sex", "age", "seniority", "status", "count"), hasher):
+        sex = _key(path, line, row, "sex")
+        age, seniority = (_int_key(path, line, row, col) for col in ("age", "seniority"))
+        count = _finite(path, row, "count", f"sex {sex!r} age {age} seniority {seniority}")
+        records.append((sex, age, seniority, row["status"], count))
     try:
         return CohortGrid.from_records(records, year, sexes, min_age, max_age, max_seniority)
     except ValueError as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
-
-
-def load_education_history(path: str, sexes=None) -> dict[str, EducationHistory]:
-    """Columns: year, sex, population, enrolments, graduations,
-    new_professionals, new_fund_members, cancellations. One history per sex."""
-    per_sex: dict[str, dict[int, dict[str, float]]] = {}
-    for row in _read_csv(path, ("year", "sex") + EducationHistory.FIELDS):
-        rec = {f: float(row[f]) for f in EducationHistory.FIELDS}
-        per_sex.setdefault(row["sex"], {})[int(row["year"])] = rec
-    if sexes is not None:
-        missing = set(sexes) - set(per_sex)
-        if missing:
-            raise ConfigError([f"{path}: no rows for sexes {sorted(missing)}"])
-    return {s: EducationHistory(records=d) for s, d in per_sex.items()}
 
 
 # ---------------------------------------------------------------------------

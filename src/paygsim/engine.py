@@ -337,7 +337,9 @@ def entrant_product(mean: np.ndarray, sigma: np.ndarray, eps: np.ndarray) -> np.
     deep negative shock annihilates the year's arrivals rather than producing
     a negative count. Zero shocks give exactly the expected-value product.
     """
-    return np.prod(np.maximum(0.0, mean + sigma * eps), axis=-1)
+    factors = sigma * eps  # one working array, the size of eps
+    factors += mean
+    return np.prod(np.maximum(0.0, factors, out=factors), axis=-1)
 
 
 def return_rates(cfg: ScenarioConfig, eps: np.ndarray, stochastic: bool) -> np.ndarray:

@@ -24,7 +24,7 @@ from .engine import (CohortSystem, admin_path, build_system, entrant_moment_tabl
                      entrant_product, return_rates, simulate_flows)
 from .entrants import DRAWS_PER_CELL
 from .errors import ConfigError
-from .stochastic import NormalSource
+from .stochastic import open_streams
 
 DEFAULT_CHUNK = 500  # replications per task handed to a worker
 SUB_BLOCK = 100      # replications drawn and simulated together within a chunk
@@ -56,12 +56,33 @@ def draw_shock_blocks(cfg: ScenarioConfig, rep_indices,
                           returns=np.empty(shape[:2]))
     blocks = ShockBlocks(rep_indices=reps, entrants=out.entrants[:len(reps)],
                          mortality=out.mortality[:len(reps)], returns=out.returns[:len(reps)])
-    for i, rep in enumerate(reps):
-        src = NormalSource(cfg.run.seed, stream_id=int(rep))
-        src.standard_normal(out=blocks.entrants[i])
-        src.standard_normal(out=blocks.mortality[i])
-        src.standard_normal(out=blocks.returns[i])
+    for i, gen in enumerate(open_streams(cfg.run.seed, reps)):
+        gen.standard_normal(out=blocks.entrants[i])
+        gen.standard_normal(out=blocks.mortality[i])
+        gen.standard_normal(out=blocks.returns[i])
     return blocks
+
+
+def entrant_paths(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
+    """Arrivals per sex, (n_reps, n_years), of replications 0..n_reps-1.
+
+    Each replication's stream opens with its entrant block, so these are the
+    arrivals `run_simulation` draws for the same replications when entrant
+    shocks are on. The blocks are drawn SUB_BLOCK replications at a time
+    into one reused buffer.
+    """
+    n = cfg.run.n_reps
+    mean, sigma = entrant_moment_tables(cfg)
+    paths = {s: np.empty((n, len(cfg.years))) for s in cfg.sexes}
+    eps = np.empty((min(n, SUB_BLOCK),) + mean.shape)
+    for lo in range(0, n, SUB_BLOCK):
+        block = eps[:min(SUB_BLOCK, n - lo)]
+        for row, gen in zip(block, open_streams(cfg.run.seed, range(lo, lo + len(block)))):
+            gen.standard_normal(out=row)
+        ne = entrant_product(mean, sigma, block)
+        for si, path in enumerate(paths.values()):
+            path[lo:lo + len(block)] = ne[:, :, si]
+    return paths
 
 
 def _run_chunk(cfg: ScenarioConfig, system: CohortSystem, lo: int, hi: int) -> dict:
@@ -145,20 +166,20 @@ class SimulationResult:
     def series(self) -> "SeriesView":
         return SeriesView(self)
 
-    def columns(self, name: str, idx=slice(None)) -> np.ndarray:
+    def columns(self, name: str, idx=slice(None), order: str = "K") -> np.ndarray:
         """One series at the year indices `idx` (anything that indexes the
         year axis), computing only those columns of a derived series.
 
         A held series comes back as a view of its read-only array (a copy
-        for a list of indices), a derived one as a new array.
+        for a list of indices), a derived one as a new array in the memory
+        `order` asked for; the default keeps the layout the indexing gave,
+        which fixes the order in which the moments sum over replications.
         """
         if name in LEDGER_SERIES:
-            return np.divide(self.ledger[LEDGER_SERIES[name]][:, idx], 100.0)
+            return np.divide(self.ledger[LEDGER_SERIES[name]][:, idx], 100.0, order=order)
         if name == "entrants_total":
             first, *rest = (path[:, idx] for path in self.entrants.values())
-            # keep the layout the indexing gave: it fixes the order in which
-            # the moments sum over replications
-            total = first.copy(order="K")
+            total = first.copy(order=order)
             for path in rest:  # added in sex order
                 total += path
             return total
@@ -172,9 +193,9 @@ class SimulationResult:
     def fan_chart(self, name: str, probes) -> dict:
         """Percentile bands of one series across replications, per year."""
         derived = name in LEDGER_SERIES or name == "entrants_total"
-        # a derived series is computed for this call alone, so it may be
-        # partially sorted in place instead of copied
-        values = percentile_bands(self.columns(name), probes, axis=0,
+        # a derived series is computed for this call alone, year by year
+        # contiguous, so it may be sorted in place instead of copied
+        values = percentile_bands(self.columns(name, order="F"), probes, axis=0,
                                   overwrite_input=derived)
         return {"series": name, "probes": tuple(float(p) for p in probes),
                 "years": self.years.copy(), "values": values}
@@ -267,8 +288,9 @@ def percentile_bands(sample: np.ndarray, probes, axis: int = 0,
 
     Probes are percents in [0, 100] (0 is the minimum, 100 the maximum) and
     must be given in increasing order, so band rows come out nested. With
-    `overwrite_input` the sample is partially sorted in place rather than
-    copied; the bands are the same.
+    `overwrite_input` the sample is sorted in place rather than copied; the
+    bands are the same. They are `np.percentile`'s bit for bit, except that
+    a sample holding both 0.0 and -0.0 may give a zero band either sign.
     """
     probes = [float(p) for p in probes]
     if not probes:
@@ -281,8 +303,14 @@ def percentile_bands(sample: np.ndarray, probes, axis: int = 0,
     sample = np.asarray(sample)
     if sample.shape[axis] == 0:
         raise ValueError("cannot take percentiles of an empty sample")
-    return np.percentile(sample, probes, axis=axis, method="linear",
-                         overwrite_input=overwrite_input)
+    # a band depends only on the values along `axis`, so they are sorted
+    # first, each run contiguous in the copy, and np.percentile's selection
+    # then finds every order statistic in place
+    work = np.moveaxis(sample, axis, -1)
+    if not overwrite_input:
+        work = work.copy(order="C")
+    work.sort(axis=-1)
+    return np.percentile(work, probes, axis=-1, method="linear", overwrite_input=True)
 
 
 def distribution_moments(sample: np.ndarray, axis: int = 0) -> dict:

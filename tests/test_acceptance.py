@@ -26,7 +26,7 @@ from paygsim.entrants import DRAWS_PER_CELL, expected_entrants_path, variance_ne
 from paygsim.outputs import emit_simulation_outputs
 from paygsim.schedules import Schedule
 from paygsim.stochastic import (Ar1Params, ClippedAffineParams, NormalSource,
-                                ar1_path, sample_clipped_affine)
+                                ar1_path, open_streams, sample_clipped_affine)
 
 # Published yearly statement rows (thousands of euros). A is the opening
 # fund value, B/C the two contribution streams, D pension disbursement,
@@ -108,9 +108,8 @@ def _arrival_draws(cfg, n_reps, year, batch=10_000):
     eps = np.empty((min(batch, n_reps), n_years, n_sex, DRAWS_PER_CELL))
     for lo in range(0, n_reps, batch):
         hi = min(lo + batch, n_reps)
-        for i in range(hi - lo):
-            src = NormalSource(cfg.run.seed, stream_id=lo + i)
-            eps[i] = src.standard_normal((n_years, n_sex, DRAWS_PER_CELL))
+        for row, gen in zip(eps, open_streams(cfg.run.seed, range(lo, hi))):
+            gen.standard_normal(out=row)
         out[lo:hi] = entrants_matrix(cfg, eps[:hi - lo])[:, t, :]
     return out
 

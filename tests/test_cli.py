@@ -8,8 +8,10 @@ from paygsim import __version__, load_config
 from paygsim.cli import main
 from paygsim.config import default_config_path
 from paygsim.entrants import expected_entrants_path, simulate_entrants_path
-from paygsim.outputs import (read_entrants_csv, read_entrants_mc_csv,
-                             read_fan_chart_csv, read_json)
+from paygsim.engine import entrants_matrix
+from paygsim.montecarlo import draw_shock_blocks
+from paygsim.outputs import (emit_entrants_outputs, read_entrants_csv,
+                             read_entrants_mc_csv, read_fan_chart_csv, read_json)
 from paygsim.stochastic import NormalSource
 
 
@@ -137,6 +139,25 @@ class TestValidate:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert table in lines[0] and f"{column} {value!r}" in lines[0]
         assert where in lines[0] and "not a finite number" in lines[0]
+
+    @pytest.mark.parametrize("command", ["validate", "project", "entrants"])
+    @pytest.mark.parametrize("table, row, column", [
+        ("census.csv", "male", "age"), ("census.csv", "female,38", "seniority"),
+        ("population.csv", "2000", "sex"), ("mortality.csv", "male", "age"),
+        ("turnover.csv", "female", "age"),
+    ])
+    def test_row_short_of_a_key_column_exits_2(self, capsys, tmp_path, command, table,
+                                               row, column):
+        from conftest import BASE_CSVS, write_scenario
+        lines = BASE_CSVS[table] + [row]
+        path = write_scenario(str(tmp_path), csv_overrides={table: lines})
+        argv = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, command, "--config", path, *argv)
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert f"{table}: line {len(BASE_CSVS[table]) + 1}: no {column} cell" in lines[0]
 
     @pytest.mark.parametrize("command", ["validate", "project", "entrants"])
     def test_csv_path_that_is_a_directory_exits_2(self, capsys, tmp_path, command):
@@ -322,6 +343,27 @@ class TestEntrants:
                 assert mean == pytest.approx(draws[s][:, t].mean(), rel=1e-12)
                 assert std == pytest.approx(draws[s][:, t].std(ddof=1),
                                             rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    @pytest.mark.parametrize("reps", [1, 99, 100, 101, 250])
+    def test_sampled_spread_equals_the_shock_block_recompute(self, capsys, scenario,
+                                                             tmp_path, reps, seed):
+        # batches of replications draw what one shock block per replication draws
+        code, _, _ = run(capsys, "entrants", "--config", scenario, "--reps", str(reps),
+                         "--seed", str(seed), "--out", str(tmp_path / "cli"))
+        assert code == 0
+        cfg = load_config(scenario).with_run(n_reps=reps, seed=seed)
+        blocks = draw_shock_blocks(cfg, range(reps))
+        ne = entrants_matrix(cfg, blocks.entrants)
+        paths = {s: ne[:, :, si] for si, s in enumerate(cfg.sexes)}
+        mean = {s: p.mean(axis=0) for s, p in paths.items()}
+        std = {s: p.std(axis=0, ddof=1) if reps > 1 else np.zeros(len(cfg.years))
+               for s, p in paths.items()}
+        expected = expected_entrants_path(cfg.entrants_params, cfg.population,
+                                          cfg.sexes, cfg.years)
+        emit_entrants_outputs(str(tmp_path / "recompute"), cfg, expected, (mean, std))
+        assert (read_bytes_by_name(tmp_path / "cli")
+                == read_bytes_by_name(tmp_path / "recompute"))
 
     def test_single_sample_has_zero_spread(self, capsys, scenario, tmp_path):
         outdir = tmp_path / "run"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 import yaml
 
@@ -172,6 +173,43 @@ class TestBrokenScenarios:
         path = write_scenario(str(tmp_path), csv_overrides={"population.csv": rows})
         with pytest.raises(ConfigError, match="dog"):
             load_config(path)
+
+    # a row short of a key column, or with a key that is not an integer,
+    # for each loader; the comment line counts, so the bad row is on line 5
+    @pytest.mark.parametrize("table, header, row, column", [
+        ("census.csv", "sex,age,seniority,status,count", "male", "age"),
+        ("census.csv", "sex,age,seniority,status,count", "male,35", "seniority"),
+        ("census.csv", "age,seniority,sex,status,count", "35,5", "sex"),
+        ("census.csv", "sex,age,seniority,status,count", "male,3x,5,active,1", "age"),
+        ("population.csv", "year,sex,expected,sigma", "1995", "sex"),
+        ("population.csv", "sex,year,expected,sigma", "male", "year"),
+        ("population.csv", "year,sex,expected,sigma", "19.5,male,1,0", "year"),
+        ("mortality.csv", "sex,age,q0,drift,sigma", "male", "age"),
+        ("mortality.csv", "age,sex,q0,drift,sigma", "30", "sex"),
+        ("income.csv", "sex,age,amount", "male", "age"),
+        ("income.csv", "age,amount,sex", "30,50000", "sex"),
+        ("pensions.csv", "age,sex,amount", "", "age"),
+    ])
+    def test_row_short_of_a_key_column_names_file_line_and_column(
+            self, tmp_path, table, header, row, column):
+        from conftest import BASE_CSVS
+        cells = [dict(zip(BASE_CSVS[table][0].split(","), r.split(",")))
+                 for r in BASE_CSVS[table][1:3]]
+        good = [",".join(c[k] for k in header.split(",")) for c in cells]
+        rows = ["# a comment line", header, *good, row or ","]
+        path = write_scenario(str(tmp_path), csv_overrides={table: rows})
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert len(exc.value.messages) == 1
+        message = exc.value.messages[0]
+        assert table in message and "line 5:" in message and column in message
+        assert "NoneType" not in message
+
+    def test_empty_sex_cell_is_for_every_sex(self, tmp_path):
+        # an empty cell, unlike a missing one, is a row for every sex
+        rows = ["age,amount,sex"] + [f"{a},50000," for a in range(30, 51)]
+        cfg = load_config(write_scenario(str(tmp_path), csv_overrides={"income.csv": rows}))
+        assert np.all(cfg.contrib_subjective.profile.values == 50000.0)
 
     def test_non_finite_cell_of_a_table_for_every_sex(self, tmp_path):
         # a row without a sex applies to all sexes, and the error says so

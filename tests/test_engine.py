@@ -5,8 +5,8 @@ from conftest import write_scenario
 from paygsim import (NormalSource, load_config, run_deterministic_projection,
                      stepwise_projection)
 from paygsim.cashflows import round_half_away
-from paygsim.engine import (build_system, entrants_matrix, opening_balance,
-                            price_index, return_rates)
+from paygsim.engine import (build_system, entrant_moment_tables, entrant_product,
+                            entrants_matrix, opening_balance, price_index, return_rates)
 from paygsim.entrants import DRAWS_PER_CELL
 from paygsim.montecarlo import draw_shock_blocks
 
@@ -177,6 +177,18 @@ class TestEntrantsMatrix:
         assert ne[0, 3, 0] == 0.0
         assert ne[0, 3, 1] == pytest.approx(5.0)
         assert ne[0, 2, 0] == pytest.approx(5.0)
+
+    def test_batched_product_is_each_replications_product(self, small_cfg):
+        # the same bits whether a replication's shocks come alone or in a
+        # batch, and the same as the floored product written out
+        mean, sigma = entrant_moment_tables(small_cfg)
+        eps = np.random.default_rng(5).standard_normal((7,) + mean.shape) * 30.0
+        batch = entrant_product(mean, sigma, eps)
+        assert batch.tobytes() == np.prod(np.maximum(0.0, mean + sigma * eps),
+                                          axis=-1).tobytes()
+        for i in range(len(eps)):
+            assert entrant_product(mean, sigma, eps[i]).tobytes() == batch[i].tobytes()
+        assert np.any(batch == 0.0)  # some factor was floored
 
     def test_shape_checked(self, small_cfg):
         with pytest.raises(ValueError, match="shocks"):

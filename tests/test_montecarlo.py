@@ -265,6 +265,34 @@ class TestFanChart:
         bands = percentile_bands(np.array([[7.0]]), (0.0, 50.0, 100.0))
         assert np.all(bands == 7.0)
 
+    @pytest.mark.parametrize("overwrite", [False, True])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_bands_equal_numpy_percentile_bit_for_bit(self, axis, overwrite):
+        # ties and a constant run included; `+ 0.0` turns each -0.0 into 0.0
+        rng = np.random.default_rng(3)
+        x = np.round(rng.standard_normal((301, 7, 5)), 1) + 0.0
+        x[:, 0] = 2.5
+        probes = (0.0, 0.1, 1.0, 5.0, 25.0, 50.0, 75.0, 95.0, 99.0, 99.9, 100.0)
+        want = np.percentile(x, probes, axis=axis, method="linear")
+        sample = x.copy()
+        got = percentile_bands(sample, probes, axis=axis, overwrite_input=overwrite)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.array_equal(sample, x) != overwrite  # only an overwrite touches it
+
+    def test_signed_zeros_give_equal_bands(self):
+        # 0.0 and -0.0 compare equal, so which one a band picks is not fixed
+        x = np.array([[0.0], [-0.0], [1.0], [-0.0], [0.0], [-1.0]])
+        probes = (25.0, 50.0, 75.0)
+        assert np.array_equal(percentile_bands(x, probes),
+                              np.percentile(x, probes, axis=0, method="linear"))
+
+    def test_fan_chart_of_every_series_equals_numpy_percentile(self, small_cfg):
+        result = run_simulation(small_cfg.with_run(n_reps=40))
+        probes = (1.0, 25.0, 50.0, 99.0)
+        for name, series in result.series.items():
+            want = np.percentile(series, probes, axis=0, method="linear")
+            assert result.fan_chart(name, probes)["values"].tobytes() == want.tobytes(), name
+
     def test_probe_validation(self):
         x = np.zeros((4, 2))
         with pytest.raises(ValueError, match="increasing"):
@@ -327,3 +355,36 @@ class TestMoments:
         wide = run_simulation(small_cfg.with_run(n_reps=400))
         std = wide.moments("fund_value")["std"]
         assert std[-1] > 3 * std[0]
+
+
+class TestStreamOpening:
+    """Streams are opened from one key table per batch, not one SeedSequence
+    per replication; counting constructions guards that without timing."""
+
+    @pytest.fixture()
+    def seed_sequences(self, monkeypatch):
+        made = []
+        original = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        return made
+
+    def test_run_simulation_opens_streams_in_bulk(self, small_cfg, seed_sequences):
+        result = run_simulation(small_cfg.with_run(n_reps=2000))
+        assert result.n_reps == 2000
+        assert len(seed_sequences) <= 1
+
+    def test_entrants_command_opens_streams_in_bulk(self, seed_sequences, tmp_path):
+        from paygsim.cli import main
+        scenario = write_scenario(str(tmp_path))
+        assert main(["entrants", "--config", scenario, "--reps", "200",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert len(seed_sequences) <= 1
+
+    def test_the_counter_sees_constructions(self, seed_sequences):
+        np.random.SeedSequence(1, spawn_key=(0,))
+        assert len(seed_sequences) == 1

@@ -6,6 +6,75 @@ from hypothesis import strategies as st
 from paygsim import (Ar1Params, ClippedAffineParams, NormalSource,
                      TruncatedAffineParams, ar1_path, ar1_stationary_std,
                      ar1_step, sample_clipped_affine, sample_truncated_affine)
+from paygsim.stochastic import open_streams, stream_keys
+
+
+def numpy_key(seed: int, stream_id: int) -> np.ndarray:
+    return np.random.SeedSequence(seed, spawn_key=(stream_id,)).generate_state(2, np.uint64)
+
+
+def numpy_stream(seed: int, stream_id: int) -> np.random.Generator:
+    key = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+    return np.random.Generator(np.random.Philox(key))
+
+
+class TestStreamKeys:
+    """The key table is numpy's SeedSequence derivation, computed in bulk."""
+
+    IDS = (0, 1, 2, 12345, 2**31 - 1, 2**31, 2**32 - 2, 2**32 - 1)
+
+    # seeds of one to seven 32-bit words, each word count's edges included
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31, 2**32 - 1, 2**32, 2**63 + 11,
+                                      2**64, 2**96 - 1, 2**127 + 5, 2**128, 2**160 + 2**33,
+                                      2**200, 2**224 - 1])
+    def test_equals_numpy_seed_sequence(self, seed):
+        got = stream_keys(seed, self.IDS)
+        assert got.dtype == np.uint64 and got.shape == (len(self.IDS), 2)
+        want = np.array([numpy_key(seed, i) for i in self.IDS])
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**224 - 1),
+           ids=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+    def test_equals_numpy_on_random_keys(self, seed, ids):
+        want = np.array([numpy_key(seed, i) for i in ids])
+        assert np.array_equal(stream_keys(seed, ids), want)
+
+    def test_accepts_any_sequence_of_ids(self):
+        assert np.array_equal(stream_keys(3, range(4)), stream_keys(3, np.arange(4)))
+        assert stream_keys(3, []).shape == (0, 2)
+
+    @pytest.mark.parametrize("seed, ids", [(0, [2**32]), (5, [0, 2**40]), (-1, [0]),
+                                           (0, [3, -1])])
+    def test_out_of_range_keys_raise(self, seed, ids):
+        with pytest.raises(ValueError):
+            stream_keys(seed, ids)
+
+
+class TestOpenStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 3])
+    def test_each_stream_draws_what_its_normal_source_draws(self, seed):
+        ids = [0, 1, 7, 2**31, 2**32 - 1]
+        for i, gen in zip(ids, open_streams(seed, ids)):
+            # a partly used stream, then the next: every reset starts afresh
+            got = gen.standard_normal((3, 7))
+            assert np.array_equal(got, NormalSource(seed, stream_id=i).standard_normal((3, 7)))
+
+    def test_streams_are_numpy_philox_streams(self):
+        for i, gen in enumerate(open_streams(9, range(3))):
+            assert np.array_equal(gen.standard_normal(1001),
+                                  numpy_stream(9, i).standard_normal(1001))
+        assert np.array_equal(NormalSource(9, stream_id=2).standard_normal(1001),
+                              numpy_stream(9, 2).standard_normal(1001))
+
+    def test_reset_clears_buffered_output(self):
+        # integer and uniform draws leave words buffered in the bit generator
+        streams = open_streams(4, [0, 1])
+        gen = next(streams)
+        gen.integers(0, 7, size=3, dtype=np.uint32)
+        gen.random()
+        gen = next(streams)
+        assert np.array_equal(gen.standard_normal(50), numpy_stream(4, 1).standard_normal(50))
 
 
 class TestNormalSource:
