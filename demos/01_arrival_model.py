@@ -11,9 +11,10 @@ the admission and membership rates of year t itself.
 
 import numpy as np
 
-from paygsim import (NormalSource, default_config_path, expected_new_entrants,
-                     load_config, sample_new_entrants, simulate_entrants_path,
-                     variance_new_entrants)
+from paygsim import default_config_path, load_config, variance_new_entrants
+from paygsim.engine import entrants_matrix
+from paygsim.entrants import DRAWS_PER_CELL
+from paygsim.montecarlo import entrant_paths
 
 cfg = load_config(default_config_path())
 params, series = cfg.entrants_params, cfg.population
@@ -26,28 +27,27 @@ print(f"  population of {params.population_year(year)}")
 for factor, t in lagged.items():
     print(f"  {factor:<11} rate of {t}")
 
-# expected arrivals, men and women, a few years along the horizon
+# expected arrivals, men and women, a few years along the horizon: the
+# arrival product with every shock at zero
+expected = entrants_matrix(cfg, np.zeros((1, len(cfg.years), len(cfg.sexes), DRAWS_PER_CELL)))[0]
 print("\nexpected arrivals")
 print("year    male  female")
 for y in (2006, 2010, 2020, 2030, 2040):
-    row = [expected_new_entrants(params, series, s, y) for s in cfg.sexes]
+    row = expected[y - cfg.first_year]
     print(f"{y}  {row[0]:6.0f}  {row[1]:6.0f}")
 
 # closed-form variance against a plain Monte Carlo check. The closed form
 # multiplies second raw moments across the five independent factors and
 # ignores the floor at zero, so the sample comes out a touch below it.
-rng_check = 20_000
-src = NormalSource(seed=7, stream_id=0)
-draws = np.array([sample_new_entrants(params, series, "male", 2020, src)
-                  for _ in range(rng_check)])
-closed = variance_new_entrants(params, series, "male", 2020)
-print(f"\nNE(2020), male: mean {draws.mean():.1f}, "
+# Each replication draws its arrival shocks from its own stream (seed, rep).
+paths = entrant_paths(cfg.with_run(n_reps=20_000, seed=7))
+draws = paths["male"][:, year - cfg.first_year]
+closed = variance_new_entrants(params, series, "male", year)
+print(f"\nNE({year}), male: mean {draws.mean():.1f}, "
       f"sample var {draws.var(ddof=1):,.0f}, closed form {closed:,.0f}")
 
 # one stochastic path of the whole horizon, reproducible from its stream key
-path = simulate_entrants_path(params, series, cfg.sexes, cfg.years,
-                              NormalSource(seed=7, stream_id=1))
-total = path["male"] + path["female"]
-print("\none sampled path, total arrivals:")
+total = paths["male"][1] + paths["female"][1]
+print("\none sampled path (seed 7, replication 1), total arrivals:")
 print("  " + "  ".join(f"{y}:{n:,.0f}" for y, n in
                        zip(cfg.years[::8], total[::8])))

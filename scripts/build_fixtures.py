@@ -367,16 +367,21 @@ economics:
 def check():
     """Load the freshly written scenario and spot-check the calibration."""
     sys.path.insert(0, os.path.join(HERE, "..", "src"))
-    from paygsim import expected_new_entrants, load_config
-    from paygsim.cashflows import contribution_income, inflation_index, pension_disbursement
+    import numpy as np
+
+    from paygsim import load_config
+    from paygsim.cashflows import contribution_income, pension_disbursement
+    from paygsim.engine import entrants_matrix, price_index
+    from paygsim.entrants import DRAWS_PER_CELL
     from paygsim.projection import _initial_totals
 
     cfg = load_config(os.path.join(DATA, "default_scenario.yaml"))
-    for sex, want in zip(SEXES, ARRIVAL_TARGETS[2020]):
-        got = expected_new_entrants(cfg.entrants_params, cfg.population, sex, 2020)
+    zeros = np.zeros((1, len(cfg.years), len(cfg.sexes), DRAWS_PER_CELL))
+    expected = entrants_matrix(cfg, zeros)[0, 2020 - cfg.first_year]
+    for sex, got, want in zip(SEXES, expected, ARRIVAL_TARGETS[2020]):
         assert abs(got - want) < 1e-6, (sex, got, want)
 
-    index = inflation_index(cfg.economics, 2006)
+    index = price_index(cfg, 2006)
     subj = contribution_income(cfg.census, cfg.contrib_subjective, 2006, index)
     integ = contribution_income(cfg.census, cfg.contrib_integrative, 2006, index)
     disb = pension_disbursement(cfg.census, _initial_totals(cfg)[1])

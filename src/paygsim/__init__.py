@@ -1,62 +1,35 @@
 """Stochastic projection of a pay-as-you-go pension fund with restricted
 entrance.
 
-The package splits into a small set of layers: `stochastic` holds the shock
-samplers, `entrants` the education-to-membership arrival chain, `cohorts`
-the member grid and its year step, `cashflows` the money side, `engine` and
-`projection` two independent projection drivers, `montecarlo` the
+The package splits into a small set of layers: `stochastic` holds the random
+streams, `entrants` the education-to-membership arrival model, `cohorts` the
+member grid and its step primitives, `cashflows` the money side and the
+ledger, `engine` the cohort engine every run uses, `projection` the
+deterministic run and the stepwise grid oracle, `montecarlo` the
 replication machinery, and `config`/`outputs`/`cli` the scenario and file
-plumbing.
+plumbing. The names below are the Python API the README documents.
 """
 
 from ._version import __version__
-from .cashflows import (AgeProfile, BenefitRule, ContributionRule,
-                        EconomicAssumptions, FundLedger, LedgerRow,
-                        NotionalAccounts, admin_expense, build_ledger,
-                        contribution_income, inflation_index,
-                        pension_disbursement, sample_return, step_fund_value)
-from .cohorts import (ACTIVE, RETIRED, CohortGrid, MortalityModel,
-                      RetirementRule, age_and_kill, evolve_year,
-                      expected_mortality, inject_new_entrants,
-                      retire_eligible)
+from .cashflows import FundLedger, LedgerRow, build_ledger
 from .config import (RunSettings, ScenarioConfig, StochasticFlags,
                      default_config_path, load_config)
-from .entrants import (EducationHistory, EntrantsModelParams, FactorMoments,
-                       PopulationSeries, estimate_transition_moments,
-                       expected_entrants_path, expected_new_entrants,
-                       sample_new_entrants, sample_population,
-                       simulate_entrants_path, variance_new_entrants)
-from .errors import (ConfigError, CoverageError, EstimationError,
-                     PaygsimError, StateError)
+from .entrants import variance_new_entrants
+from .errors import ConfigError, CoverageError, PaygsimError, StateError
 from .montecarlo import (SimulationResult, distribution_moments,
                          percentile_bands, run_simulation)
 from .projection import (ProjectionResult, run_deterministic_projection,
                          stepwise_projection)
 from .schedules import Schedule
-from .stochastic import (Ar1Params, ClippedAffineParams, NormalSource,
-                         TruncatedAffineParams, ar1_path, ar1_stationary_std,
-                         ar1_step, sample_clipped_affine,
-                         sample_truncated_affine)
+from .stochastic import ar1_stationary_std
 
 __all__ = [
     "__version__",
-    "ACTIVE", "RETIRED",
-    "AgeProfile", "Ar1Params", "BenefitRule", "ClippedAffineParams",
-    "CohortGrid", "ConfigError", "ContributionRule", "CoverageError",
-    "EconomicAssumptions", "EducationHistory", "EntrantsModelParams",
-    "EstimationError", "FactorMoments", "FundLedger", "LedgerRow",
-    "MortalityModel", "NormalSource", "NotionalAccounts", "PaygsimError",
-    "PopulationSeries", "ProjectionResult", "RetirementRule", "RunSettings",
-    "ScenarioConfig", "Schedule", "SimulationResult", "StateError",
-    "StochasticFlags", "TruncatedAffineParams",
-    "admin_expense", "age_and_kill", "ar1_path", "ar1_stationary_std",
-    "ar1_step", "build_ledger", "contribution_income",
-    "default_config_path", "distribution_moments", "estimate_transition_moments",
-    "evolve_year", "expected_entrants_path", "expected_mortality",
-    "expected_new_entrants", "inflation_index", "inject_new_entrants",
-    "load_config", "pension_disbursement", "percentile_bands",
-    "retire_eligible", "run_deterministic_projection", "run_simulation",
-    "sample_clipped_affine", "sample_new_entrants", "sample_population",
-    "sample_return", "sample_truncated_affine", "simulate_entrants_path",
-    "step_fund_value", "stepwise_projection", "variance_new_entrants",
+    "ConfigError", "CoverageError", "FundLedger", "LedgerRow", "PaygsimError",
+    "ProjectionResult", "RunSettings", "ScenarioConfig", "Schedule",
+    "SimulationResult", "StateError", "StochasticFlags",
+    "ar1_stationary_std", "build_ledger", "default_config_path",
+    "distribution_moments", "load_config", "percentile_bands",
+    "run_deterministic_projection", "run_simulation", "stepwise_projection",
+    "variance_new_entrants",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import CoverageError, StateError
 from .schedules import Schedule
-from .stochastic import Ar1Params, ar1_step
+from .stochastic import Ar1Params
 from .cohorts import ACTIVE, RETIRED, CohortGrid
 
 
@@ -101,32 +101,6 @@ class EconomicAssumptions:
     expected_return: Schedule
     deviations: Ar1Params          # AR(1) around the expected return
     profile_base_year: int         # prices at which the age profiles are stated
-
-
-def admin_expense(ec: EconomicAssumptions, year: int) -> float:
-    """Administration costs grow geometrically from the base year."""
-    return ec.admin_base * (1.0 + ec.admin_growth) ** (year - ec.admin_base_year)
-
-
-def inflation_index(ec: EconomicAssumptions, year: int) -> float:
-    """Cumulative price factor from the profile base year to `year`."""
-    if year < ec.profile_base_year:
-        raise CoverageError(f"year {year} precedes profile base year {ec.profile_base_year}")
-    out = 1.0
-    for y in range(ec.profile_base_year + 1, year + 1):
-        out *= 1.0 + ec.inflation.value(y)
-    return out
-
-
-def sample_return(ec: EconomicAssumptions, x_prev: float, year: int, eps,
-                  stochastic: bool) -> tuple[float, float]:
-    """Yearly return: expected base rate plus the AR(1) deviation.
-
-    With the flag off the deviation is pinned at 0 and eps is ignored, so a
-    deterministic run never develops return memory.
-    """
-    x_new = float(ar1_step(ec.deviations, x_prev, eps)) if stochastic else 0.0
-    return ec.expected_return.value(year) + x_new, x_new
 
 
 @dataclass(frozen=True)
@@ -343,15 +317,6 @@ class FundLedger:
 
     def identities_hold(self) -> bool:
         return all(r.identities_hold() for r in self.rows())
-
-
-def step_fund_value(year: int, value_start_cents: int, subj_eur: float,
-                    integ_eur: float, disb_eur: float, admin_eur: float,
-                    rate: float) -> LedgerRow:
-    """One ledger row from that year's flows and return."""
-    cols = ledger_columns(value_start_cents, [subj_eur], [integ_eur],
-                          [disb_eur], [admin_eur], [rate])
-    return LedgerRow(year=year, **{c: int(cols[c][0]) for c in LedgerRow.COLUMNS})
 
 
 def build_ledger(first_year: int, opening_eur: float, subj_eur, integ_eur,

@@ -21,7 +21,8 @@ from . import outputs
 from ._version import __version__
 from .config import (ScenarioConfig, StochasticFlags, default_config_path,
                      load_config)
-from .entrants import expected_entrants_path
+from .engine import entrants_matrix
+from .entrants import DRAWS_PER_CELL
 from .errors import ConfigError, PaygsimError
 from .montecarlo import entrant_paths, run_simulation
 from .projection import run_deterministic_projection
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stochastic", metavar="LIST", default=None,
                    help="comma list from entrants,mortality,returns; 'none' switches all off")
     p.add_argument("--percentiles", metavar="LIST", default=None,
-                   help="comma list of percentile probes in (0, 100)")
+                   help="comma list of increasing percentile probes in (0, 100)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes (default: serial)")
 
@@ -81,16 +82,11 @@ def _parse_stochastic(text: str) -> StochasticFlags:
 
 
 def _parse_probes(text: str) -> tuple[float, ...]:
+    """The probes as floats; `RunSettings` checks their values."""
     try:
-        probes = tuple(float(p) for p in text.split(","))
+        return tuple(float(p) for p in text.split(","))
     except ValueError as exc:
         raise ConfigError([f"--percentiles: {exc}"]) from exc
-    for p in probes:
-        if not 0.0 < p < 100.0:
-            raise ConfigError([f"--percentiles: probes must lie in (0, 100), got {p}"])
-    if not probes:
-        raise ConfigError(["--percentiles: empty list"])
-    return tuple(sorted(probes))
 
 
 def _load(args) -> tuple[str, ScenarioConfig]:
@@ -144,8 +140,8 @@ def _cmd_entrants(args) -> int:
         cfg = cfg.with_run(seed=args.seed)
     if args.reps < 0:
         raise ConfigError(["--reps: must be >= 0"])
-    expected = expected_entrants_path(cfg.entrants_params, cfg.population,
-                                      cfg.sexes, cfg.years)
+    ne = entrants_matrix(cfg, np.zeros((1, len(cfg.years), len(cfg.sexes), DRAWS_PER_CELL)))[0]
+    expected = {s: ne[:, si] for si, s in enumerate(cfg.sexes)}
     sampled = None
     if args.reps > 0:
         cfg = cfg.with_run(n_reps=args.reps)

@@ -6,6 +6,7 @@ applies, in order, mortality with ageing, injection of new entrants at the
 entry age, and retirement of cells that satisfy the age and seniority
 thresholds. Retired cells keep their seniority frozen; cells that reach the
 terminal age are removed after their last mortality step.
+`projection.stepwise_projection` composes the primitives below into that year.
 """
 
 from __future__ import annotations
@@ -124,18 +125,6 @@ class MortalityModel:
             raise ValueError("sigma must be >= 0")
 
 
-def expected_mortality(mm: MortalityModel, sex: str, age: int, year: int) -> float:
-    """Drifted base probability, capped at 1."""
-    if year < mm.base_year:
-        raise CoverageError(f"year {year} precedes mortality base year {mm.base_year}")
-    if sex not in mm.sexes:
-        raise CoverageError(f"mortality model has no sex {sex!r}")
-    if not mm.min_age <= age <= mm.max_age:
-        raise CoverageError(f"age {age} outside mortality table [{mm.min_age}, {mm.max_age}]")
-    s, a = mm.sexes.index(sex), age - mm.min_age
-    return min(1.0, (1.0 + mm.drift[s, a]) ** (year - mm.base_year) * mm.q0[s, a])
-
-
 def expected_mortality_grid(mm: MortalityModel, year: int) -> np.ndarray:
     """Expected probabilities for every (sex, age) cell at once."""
     if year < mm.base_year:
@@ -152,13 +141,6 @@ def death_probability_grid(mm: MortalityModel, year: int, eps=None) -> np.ndarra
     if eps.shape != qbar.shape:
         raise ValueError(f"eps shape {eps.shape}, expected {qbar.shape}")
     return np.clip(qbar + mm.sigma * eps, 0.0, 1.0)
-
-
-def _align_mortality(grid: CohortGrid, mm: MortalityModel):
-    if mm.sexes != grid.sexes or mm.min_age > grid.min_age or mm.max_age < grid.max_age:
-        raise CoverageError("mortality table does not cover the cohort grid")
-    lo = grid.min_age - mm.min_age
-    return lo, lo + grid.n_ages
 
 
 def shift_active(values: np.ndarray) -> np.ndarray:
@@ -178,26 +160,6 @@ def shift_retired(values: np.ndarray) -> np.ndarray:
     out = np.zeros_like(values)
     out[:, 1:, :] = values[:, :-1, :]
     return out
-
-
-def age_and_kill(grid: CohortGrid, mm: MortalityModel, eps=None) -> CohortGrid:
-    """Apply one year of mortality and advance every cohort's age.
-
-    Args:
-        grid: cohorts at the start of year t.
-        mm: mortality model; eps, if given, is a (n_sex, n_age) shock array
-            aligned with the mortality table.
-    Returns:
-        The surviving cohorts, labeled year t+1. Survivors of the terminal
-        age are removed.
-    """
-    lo, hi = _align_mortality(grid, mm)
-    q = death_probability_grid(mm, grid.year, eps)[:, lo:hi]
-    surv = (1.0 - q)[:, :, None]
-    counts = np.empty_like(grid.counts)
-    counts[ACTIVE] = shift_active(grid.counts[ACTIVE] * surv)
-    counts[RETIRED] = shift_retired(grid.counts[RETIRED] * surv)
-    return replace(grid, year=grid.year + 1, counts=counts)
 
 
 def inject_new_entrants(grid: CohortGrid, entrants_by_sex: dict[str, float],
@@ -257,29 +219,3 @@ def retirement_assignment(grid: CohortGrid, rule: RetirementRule,
     for bi in reversed(range(len(rule.benefit_types))):
         winner[(leads[bi] >= 0) & (leads[bi] == best)] = bi
     return {b: winner == bi for bi, b in enumerate(rule.benefit_types)}
-
-
-def retire_eligible(grid: CohortGrid, rule: RetirementRule) -> CohortGrid:
-    """Move every eligible active cell to retired status (seniority kept)."""
-    masks = retirement_assignment(grid, rule, grid.year)
-    counts = grid.counts.copy()
-    for mask in masks.values():
-        moved = np.where(mask, counts[ACTIVE], 0.0)
-        counts[RETIRED] += moved
-        counts[ACTIVE] -= moved
-    return replace(grid, counts=counts)
-
-
-def evolve_year(grid: CohortGrid, mm: MortalityModel, rule: RetirementRule,
-                entrants_by_sex: dict[str, float], entry_age: int,
-                eps=None) -> CohortGrid:
-    """One full projection year: mortality and ageing, entry, then retirement.
-
-    entrants_by_sex is the entrant path value at the grid's current year;
-    arrivals appear in the returned year t+1 census. Retirement is checked
-    after ageing, so a member crossing a threshold retires before receiving
-    any further year's contributions.
-    """
-    aged = age_and_kill(grid, mm, eps)
-    joined = inject_new_entrants(aged, entrants_by_sex, entry_age)
-    return retire_eligible(joined, rule)

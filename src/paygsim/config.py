@@ -57,6 +57,9 @@ class StochasticFlags:
 
 @dataclass(frozen=True)
 class RunSettings:
+    """How a run samples and reports. Every way of setting the probes, from a
+    scenario file, `--percentiles` or `with_run`, goes through this check."""
+
     seed: int
     n_reps: int
     flags: StochasticFlags
@@ -68,11 +71,21 @@ class RunSettings:
         errors = [message for bad, message in (
             (self.n_reps < 1, f"run.n_reps: must be >= 1, got {self.n_reps}"),
             (self.seed < 0, f"run.seed: must be >= 0, got {self.seed}"),
-            (probes != sorted(probes) or not all(0.0 <= p <= 100.0 for p in probes),
-             f"run.percentile_probes: must be increasing within [0, 100], got {probes}"),
+            (not probes or probes != sorted(set(probes))
+             or not all(0.0 < p < 100.0 for p in probes),
+             f"run.percentile_probes: must be one or more increasing probes within (0, 100), "
+             f"got {probes}"),
         ) if bad]
         if errors:
             raise ConfigError(errors)
+
+
+def _check_moments_years(years, first_year: int, last_year: int) -> None:
+    """ConfigError unless every moments year lies in [first_year, last_year]."""
+    errors = [f"run.moments_years: year {y} outside horizon [{first_year}, {last_year}]"
+              for y in years if not first_year <= y <= last_year]
+    if errors:
+        raise ConfigError(errors)
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,9 @@ class ScenarioConfig:
         return replace(self, run=replace(self.run, flags=flags))
 
     def with_run(self, **kw) -> "ScenarioConfig":
-        return replace(self, run=replace(self.run, **kw))
+        run = replace(self.run, **kw)
+        _check_moments_years(run.moments_years, self.first_year, self.last_year)
+        return replace(self, run=run)
 
 
 def default_config_path() -> str:
@@ -272,12 +287,13 @@ class _Ctx:
     def fail(self, path: str, message: str):
         self.errors.append(f"{path}: {message}")
 
-    def take(self, path: str, fn, fallback=None):
-        """Run fn, recording any ValueError/ConfigError under the field path."""
+    def take(self, path: str | None, fn, fallback=None):
+        """Run fn, recording any ValueError/ConfigError under the field path
+        (None for a ConfigError whose messages name their fields)."""
         try:
             return fn()
         except ConfigError as exc:
-            self.errors.extend(f"{path}: {m}" for m in exc.messages)
+            self.errors.extend(m if path is None else f"{path}: {m}" for m in exc.messages)
         except (ValueError, TypeError, KeyError) as exc:
             self.fail(path, str(exc) or type(exc).__name__)
         return fallback
@@ -340,24 +356,21 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
     run_raw = raw.get("run", {})
     seed = ctx.take("run.seed", lambda: int(run_raw.get("seed", 0)))
     n_reps = ctx.take("run.n_reps", lambda: int(run_raw.get("n_reps", 1000)))
-    if n_reps is not None and n_reps < 1:
-        ctx.fail("run.n_reps", f"must be >= 1, got {n_reps}")
     flags_raw = run_raw.get("stochastic", {})
     flags = StochasticFlags(
         entrants=bool(flags_raw.get("entrants", True)),
         mortality=bool(flags_raw.get("mortality", True)),
         returns=bool(flags_raw.get("returns", True)),
     )
-    probes = tuple(float(p) for p in run_raw.get("percentile_probes", DEFAULT_PROBES))
-    for p in probes:
-        if not 0.0 < p < 100.0:
-            ctx.fail("run.percentile_probes", f"probes must lie in (0, 100), got {p}")
-    if list(probes) != sorted(probes):
-        probes = tuple(sorted(probes))
-    moments_years = tuple(int(y) for y in run_raw.get("moments_years", years))
-    for y in moments_years:
-        if not first <= y <= last:
-            ctx.fail("run.moments_years", f"year {y} outside horizon [{first}, {last}]")
+    probes = ctx.take("run.percentile_probes", lambda: tuple(
+        float(p) for p in run_raw.get("percentile_probes", DEFAULT_PROBES)))
+    moments_years = ctx.take("run.moments_years", lambda: tuple(
+        int(y) for y in run_raw.get("moments_years", years)))
+    run = None
+    if None not in (seed, n_reps, probes, moments_years):
+        run = ctx.take(None, lambda: RunSettings(seed=seed, n_reps=n_reps, flags=flags,
+                                                 probes=probes, moments_years=moments_years))
+        ctx.take(None, lambda: _check_moments_years(moments_years, first, last))
 
     pop_raw = raw.get("population", {})
     sexes = tuple(pop_raw.get("sexes", ("male", "female")))
@@ -512,8 +525,7 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
 
     cfg = ScenarioConfig(
         first_year=first, last_year=last,
-        run=RunSettings(seed=seed, n_reps=n_reps, flags=flags, probes=probes,
-                        moments_years=moments_years),
+        run=run,
         sexes=sexes, min_age=min_age, max_age=max_age, max_seniority=max_sen,
         entry_age=entry_age, census=census, entrants_params=entrants_params,
         population=population, mortality=mortality, retirement=retirement,

@@ -34,8 +34,8 @@ FLOWS = ("subjective", "integrative", "disbursements", "actives", "retirees")
 
 def price_index(cfg: ScenarioConfig, years):
     """Price index at a year or an array of years: the product of (1 + inflation)
-    since the profile base year that `inflation_index` takes, and flat 1 at or
-    before the base year, which only backcast contribution histories reach."""
+    over the years after the profile base year, taken left to right, and flat 1
+    at or before the base year, which only backcast contribution histories reach."""
     years = np.asarray(years, dtype=int)
     base = cfg.economics.profile_base_year
     lo = min(int(years.min()), base + 1)
@@ -346,7 +346,7 @@ def return_rates(cfg: ScenarioConfig, eps: np.ndarray, stochastic: bool) -> np.n
     """Yearly fund returns per replication: expected rate plus AR(1) deviation.
 
     With `stochastic` False the deviation is pinned at zero and eps is
-    ignored, matching the single-year sampler's deterministic mode.
+    ignored, so a deterministic run never develops return memory.
     """
     base = np.array([cfg.economics.expected_return.value(t) for t in cfg.years])
     if not stochastic:

@@ -12,19 +12,18 @@ where h is the nominal study duration and k the professional training lag.
 Each factor is a zero-floored affine normal (rates above 1 are legal, e.g.
 after an education reform); shocks are independent across factors, sexes and
 years. One shock per factor per (sex, year), in a fixed order, so paths are
-reproducible from the seed alone.
+reproducible from the seed alone. This module holds the model's inputs and
+the closed-form variance; `engine.entrants_matrix` evaluates the product for
+whole arrays of shocks.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import CoverageError, EstimationError
+from .errors import CoverageError
 from .schedules import Schedule
-from .stochastic import NormalSource, TruncatedAffineParams, sample_truncated_affine
+from .stochastic import TruncatedAffineParams
 
 # Draw order inside one (sex, year) cell. Fixed so that pre-drawn shock blocks
 # line up with sequential draws.
@@ -110,12 +109,6 @@ class EntrantsModelParams:
         return year - self.study_years - self.training_years
 
 
-def sample_population(series: PopulationSeries, sex: str, year: int, eps) -> float:
-    """Zero-floored draw of the reference population at (sex, year)."""
-    mean, sigma = series.at(sex, year)
-    return sample_truncated_affine(TruncatedAffineParams(mean, sigma), eps)
-
-
 def _factor_params(params: EntrantsModelParams, sex: str, year: int):
     """TruncatedAffineParams for each factor of NE(year), in draw order."""
     try:
@@ -124,16 +117,6 @@ def _factor_params(params: EntrantsModelParams, sex: str, year: int):
         raise CoverageError(f"entrants model has no sex {sex!r}") from None
     lagged = params.factor_years(year)
     return [fs[name].at(lagged[name]) for name in FACTOR_NAMES]
-
-
-def expected_new_entrants(params: EntrantsModelParams, series: PopulationSeries,
-                          sex: str, year: int) -> float:
-    """Product of the expected population and the four expected rates."""
-    pop_mean, _ = series.at(sex, params.population_year(year))
-    out = pop_mean
-    for p in _factor_params(params, sex, year):
-        out *= p.mean
-    return out
 
 
 def variance_new_entrants(params: EntrantsModelParams, series: PopulationSeries,
@@ -152,108 +135,3 @@ def variance_new_entrants(params: EntrantsModelParams, series: PopulationSeries,
         mean2 *= p.mean * p.mean
     # same association order on both products, so all-zero sigmas give exactly 0
     return raw2 - mean2
-
-
-def new_entrants_given_eps(params: EntrantsModelParams, series: PopulationSeries,
-                           sex: str, year: int, eps) -> float:
-    """NE(year) from an explicit shock vector (population shock first)."""
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (DRAWS_PER_CELL,):
-        raise ValueError(f"expected {DRAWS_PER_CELL} shocks, got shape {eps.shape}")
-    out = sample_population(series, sex, year=params.population_year(year), eps=eps[0])
-    for i, p in enumerate(_factor_params(params, sex, year)):
-        out *= sample_truncated_affine(p, eps[1 + i])
-    return float(out)
-
-
-def sample_new_entrants(params: EntrantsModelParams, series: PopulationSeries,
-                        sex: str, year: int, src: NormalSource) -> float:
-    """NE(year) drawing the five shocks from the source in the documented order."""
-    return new_entrants_given_eps(params, series, sex, year, src.standard_normal(DRAWS_PER_CELL))
-
-
-def expected_entrants_path(params: EntrantsModelParams, series: PopulationSeries,
-                           sexes, years) -> dict[str, np.ndarray]:
-    """Deterministic path: expected NE per sex over the given years."""
-    return {
-        s: np.array([expected_new_entrants(params, series, s, t) for t in years])
-        for s in sexes
-    }
-
-
-def simulate_entrants_path(params: EntrantsModelParams, series: PopulationSeries,
-                           sexes, years, src: NormalSource) -> dict[str, np.ndarray]:
-    """One stochastic path: years outer loop, sexes inner, five draws per cell."""
-    out = {s: np.empty(len(years)) for s in sexes}
-    for j, t in enumerate(years):
-        for s in sexes:
-            out[s][j] = sample_new_entrants(params, series, s, t, src)
-    return out
-
-
-@dataclass(frozen=True)
-class EducationHistory:
-    """Observed yearly pipeline counts for one sex.
-
-    records maps year -> dict with keys population, enrolments, graduations,
-    new_professionals, new_fund_members, cancellations. All counts >= 0.
-    """
-
-    records: dict[int, dict[str, float]]
-
-    FIELDS = ("population", "enrolments", "graduations",
-              "new_professionals", "new_fund_members", "cancellations")
-
-    def __post_init__(self):
-        for year, rec in self.records.items():
-            for f in self.FIELDS:
-                if f not in rec:
-                    raise ValueError(f"year {year}: missing field {f!r}")
-                if rec[f] < 0:
-                    raise ValueError(f"year {year}: {f} must be >= 0, got {rec[f]}")
-
-
-def _ratio_series(hist: EducationHistory, name: str, numerator,
-                  den_field: str, den_lag: int) -> list[float]:
-    """numerator(y) / den(y - lag) over all years where both sides exist."""
-    out = []
-    for y in sorted(hist.records):
-        if (y - den_lag) not in hist.records:
-            continue
-        den = hist.records[y - den_lag][den_field]
-        if den == 0:
-            raise EstimationError(f"{name} ratio undefined at year {y}: zero {den_field}")
-        out.append(numerator(hist.records[y]) / den)
-    return out
-
-
-def estimate_transition_moments(hist: EducationHistory, study_years: int,
-                                training_years: int) -> dict[str, FactorMoments]:
-    """Sample mean and sample std (ddof=1) of each observed transition ratio.
-
-    Returns {factor name -> FactorMoments} for the single sex the history
-    describes. Ratios above 1 are kept as observed. With fewer than two
-    usable observations for a factor the dispersion is reported as 0.
-    """
-    # Fund inscriptions are counted net of cancellations, floored at zero.
-    specs = {
-        "enrolment": (lambda r: r["enrolments"], "population", 0),
-        "graduation": (lambda r: r["graduations"], "enrolments", study_years),
-        "admission": (lambda r: r["new_professionals"], "graduations", training_years),
-        "membership": (lambda r: max(0.0, r["new_fund_members"] - r["cancellations"]),
-                       "new_professionals", 0),
-    }
-    out = {}
-    for name, (num, den, lag) in specs.items():
-        ratios = _ratio_series(hist, name, num, den, lag)
-        if not ratios:
-            raise EstimationError(f"no usable observations for the {name} ratio")
-        mean = float(np.mean(ratios))
-        # a constant series is dispersion-free by definition; np.std would
-        # leak last-ulp noise from the mean
-        if len(ratios) > 1 and any(r != ratios[0] for r in ratios):
-            sigma = float(np.std(ratios, ddof=1))
-        else:
-            sigma = 0.0
-        out[name] = FactorMoments(mean=Schedule(default=mean), sigma=Schedule(default=sigma))
-    return out

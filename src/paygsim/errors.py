@@ -23,9 +23,5 @@ class CoverageError(PaygsimError):
     """A series or table does not cover a year, age, or cell it was asked for."""
 
 
-class EstimationError(PaygsimError):
-    """Historical ratio estimation hit an undefined ratio (zero denominator)."""
-
-
 class StateError(PaygsimError):
     """Projection state is inconsistent (e.g. a retiree cohort with no benefit)."""

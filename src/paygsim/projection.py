@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cashflows import (FundLedger, NotionalAccounts, build_ledger,
-                        contribution_income, inflation_index,
-                        pension_disbursement)
+                        contribution_income, pension_disbursement)
 from .cohorts import (ACTIVE, RETIRED, death_probability_grid,
                       inject_new_entrants, retirement_assignment, shift_active,
                       shift_retired)
@@ -133,12 +132,13 @@ def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
         ne = entrants_matrix(cfg, np.zeros((1, n_years, len(cfg.sexes), DRAWS_PER_CELL)))[0]
         entrants_path = {s: ne[:, si] for si, s in enumerate(cfg.sexes)}
 
+    prices = price_index(cfg, years)
     out = {k: np.empty(n_years) for k in
            ("subjective", "integrative", "disbursements", "rates",
             "actives", "retirees")}
     x_dev = ec.deviations.x0
     for ti, t in enumerate(years):
-        index_t = inflation_index(ec, t)
+        index_t = prices[ti]
         out["subjective"][ti] = contribution_income(grid, cfg.contrib_subjective, t, index_t)
         out["integrative"][ti] = contribution_income(grid, cfg.contrib_integrative, t, index_t)
         out["disbursements"][ti] = pension_disbursement(grid, pensions)

@@ -1,18 +1,18 @@
-"""Seedable normal draws and the small family of samplers built on them.
+"""Seedable normal streams and the parameters of the shock processes.
 
 Every stochastic quantity in the model is an affine transform of a standard
 normal shock: demographic factors are floored at zero, mortality rates are
 clipped to [0, 1], and investment returns follow a stationary AR(1) around a
-deterministic base rate. Samplers are pure functions of an explicitly passed
-shock; only the streams opened by `open_streams` (NormalSource among them)
-touch the underlying generator, so any computation can be replayed
-bit-exactly by replaying the shocks.
+deterministic base rate. The engine applies these transforms to whole arrays
+of explicitly passed shocks; only the streams opened by `open_streams` touch
+the underlying generator, so any computation can be replayed bit-exactly by
+replaying the shocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import pairwise
 
@@ -126,36 +126,6 @@ def open_streams(seed: int, ids):
         yield gen
 
 
-class NormalSource:
-    """Stream of standard normal draws, keyed by (seed, stream_id).
-
-    Built on the counter-based Philox generator, opened by `open_streams`
-    like every stream of the package. Two sources with the same key yield
-    identical sequences; distinct stream ids give statistically independent
-    streams, which is how replications are decoupled.
-    """
-
-    def __init__(self, seed: int, stream_id: int = 0):
-        if seed < 0 or stream_id < 0:
-            raise ValueError("seed and stream_id must be non-negative")
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        self._gen = next(open_streams(self.seed, [self.stream_id]))
-
-    def standard_normal(self, size=None, out=None):
-        """Draw one value (size=None) or an array of the given shape, or fill
-        the float64 array `out` in place.
-
-        Block draws consume the stream exactly like repeated scalar draws,
-        so pre-drawing a schedule of shocks is equivalent to drawing them
-        one by one in the same order.
-        """
-        return self._gen.standard_normal(size, out=out)
-
-    def __repr__(self):
-        return f"NormalSource(seed={self.seed}, stream_id={self.stream_id})"
-
-
 @dataclass(frozen=True)
 class TruncatedAffineParams:
     """mean + sigma*eps, floored at zero. May exceed 1; ratios above 1 are legal."""
@@ -171,34 +141,6 @@ class TruncatedAffineParams:
 
 
 @dataclass(frozen=True)
-class ClippedAffineParams:
-    """mean + sigma*eps, clipped into [0, 1]. Used for death probabilities."""
-
-    mean: float
-    sigma: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.mean <= 1.0:
-            raise ValueError(f"mean must be in [0, 1], got {self.mean}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-
-def sample_truncated_affine(params: TruncatedAffineParams, eps):
-    """Zero-floored affine normal: max(0, mean + sigma*eps).
-
-    With sigma = 0 the draw collapses to the mean regardless of eps.
-    Accepts scalar or array eps.
-    """
-    return np.maximum(0.0, params.mean + params.sigma * np.asarray(eps, dtype=float))[()]
-
-
-def sample_clipped_affine(params: ClippedAffineParams, eps):
-    """Interval-clipped affine normal: min(1, max(0, mean + sigma*eps))."""
-    return np.clip(params.mean + params.sigma * np.asarray(eps, dtype=float), 0.0, 1.0)[()]
-
-
-@dataclass(frozen=True)
 class Ar1Params:
     """Stationary AR(1) deviation process: x_t = phi*x_{t-1} + sigma*eps_t."""
 
@@ -211,11 +153,6 @@ class Ar1Params:
             raise ValueError(f"|phi| must be < 1 for stationarity, got {self.phi}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-
-def ar1_step(params: Ar1Params, x_prev: float, eps):
-    """One transition of the deviation process."""
-    return params.phi * x_prev + params.sigma * np.asarray(eps, dtype=float)[()]
 
 
 def ar1_path(params: Ar1Params, eps) -> np.ndarray:

@@ -13,20 +13,19 @@ import time
 import numpy as np
 import pytest
 
+from conftest import age_one_year, retire
 from paygsim import (load_config, run_deterministic_projection,
                      run_simulation)
-from paygsim.cashflows import (LedgerRow, admin_expense, build_ledger,
-                               cents_to_thousands, to_cents)
+from paygsim.cashflows import (LedgerRow, build_ledger, cents_to_thousands,
+                               to_cents)
 from paygsim.cohorts import (CohortGrid, MortalityModel, RetirementRule,
-                             age_and_kill, death_probability_grid,
-                             expected_mortality, retire_eligible)
+                             death_probability_grid, expected_mortality_grid)
 from paygsim.config import StochasticFlags
-from paygsim.engine import entrants_matrix
-from paygsim.entrants import DRAWS_PER_CELL, expected_entrants_path, variance_new_entrants
+from paygsim.engine import admin_path, entrants_matrix
+from paygsim.entrants import DRAWS_PER_CELL, variance_new_entrants
 from paygsim.outputs import emit_simulation_outputs
 from paygsim.schedules import Schedule
-from paygsim.stochastic import (Ar1Params, ClippedAffineParams, NormalSource,
-                                ar1_path, open_streams, sample_clipped_affine)
+from paygsim.stochastic import Ar1Params, ar1_path, open_streams
 
 # Published yearly statement rows (thousands of euros). A is the opening
 # fund value, B/C the two contribution streams, D pension disbursement,
@@ -80,8 +79,9 @@ def test_criterion_1_yearly_statement_identities(cfg):
            for letter, name in LedgerRow.LETTERS.items()}
     for letter in ("E", "F", "H", "I"):
         assert abs(got[letter] - ROW_2006[letter]) <= 1, (letter, got[letter])
+    admin = admin_path(cfg)
     for year, published in ADMIN_PUBLISHED.items():
-        computed = int(cents_to_thousands(to_cents(admin_expense(cfg.economics, year))))
+        computed = int(cents_to_thousands(to_cents(admin[year - cfg.first_year])))
         assert abs(computed - published) <= 1, (year, computed)
     assert time.perf_counter() - t0 < 1.0
 
@@ -116,11 +116,11 @@ def _arrival_draws(cfg, n_reps, year, batch=10_000):
 
 def test_criterion_3_expected_arrivals(cfg):
     t0 = time.perf_counter()
-    expected = expected_entrants_path(cfg.entrants_params, cfg.population,
-                                      cfg.sexes, cfg.years)
+    n_years, n_sex = len(cfg.years), len(cfg.sexes)
+    expected = entrants_matrix(cfg, np.zeros((1, n_years, n_sex, DRAWS_PER_CELL)))[0]
     t2020 = 2020 - cfg.first_year
-    for sex, target in ARRIVAL_2020.items():
-        assert abs(expected[sex][t2020] - target) <= 1.0, sex
+    for si, sex in enumerate(cfg.sexes):
+        assert abs(expected[t2020, si] - ARRIVAL_2020[sex]) <= 1.0, sex
 
     draws = _arrival_draws(cfg, 10_000, 2020)
     for si, sex in enumerate(cfg.sexes):
@@ -146,7 +146,7 @@ def test_criterion_4_arrival_variance_oracles(cfg):
 def test_criterion_5_return_process_properties():
     t0 = time.perf_counter()
     params = Ar1Params(phi=-0.612, sigma=0.03667)
-    eps = NormalSource(1, stream_id=0).standard_normal(1_000_000)
+    eps = next(open_streams(1, [0])).standard_normal(1_000_000)
     path = ar1_path(params, eps)
     std = path.std()
     assert abs(std - 0.046366) / 0.046366 <= 0.05, std
@@ -156,20 +156,25 @@ def test_criterion_5_return_process_properties():
 
 
 def test_criterion_6_mortality_sampler_properties():
-    # clipped sampler never leaves [0, 1], however extreme the shock
-    for p in (0.0, 0.004, 0.01, 0.5, 0.9, 1.0):
-        for sigma in (0.0, 0.001, 0.05, 0.3):
-            for eps in (-1e9, -3.0, -1.0, 0.0, 1.0, 3.0, 1e9):
-                q = sample_clipped_affine(ClippedAffineParams(p, sigma), eps)
-                assert 0.0 <= q <= 1.0, (p, sigma, eps, q)
+    # sampled probabilities never leave [0, 1], however extreme the shock:
+    # one age per (base rate, dispersion) pair, every age shocked alike
+    pairs = [(p, sigma) for p in (0.0, 0.004, 0.01, 0.5, 0.9, 1.0)
+             for sigma in (0.0, 0.001, 0.05, 0.3)]
+    q0, sigma = (np.array([list(col)]) for col in zip(*pairs))
+    mm = MortalityModel(base_year=2006, sexes=("x",), min_age=20, max_age=20 + len(pairs) - 1,
+                        q0=q0, drift=np.zeros_like(q0), sigma=sigma)
+    for eps in (-1e9, -3.0, -1.0, 0.0, 1.0, 3.0, 1e9):
+        q = death_probability_grid(mm, 2006, np.full(q0.shape, eps))
+        assert np.all((0.0 <= q) & (q <= 1.0)), (eps, q)
 
     # hand value: q0=0.01 drifting at 1% for three years
     mm = MortalityModel(base_year=2000, sexes=("male",), min_age=40, max_age=40,
                         q0=np.array([[0.01]]), drift=np.array([[0.01]]),
                         sigma=np.array([[0.0]]))
-    assert expected_mortality(mm, "male", 40, 2003) == pytest.approx(0.0103030, abs=5e-8)
+    assert expected_mortality_grid(mm, 2003)[0, 0] == pytest.approx(0.0103030, abs=5e-8)
 
-    # cohort conservation over an exhaustive scan of small grid shapes
+    # cohort conservation over an exhaustive scan of small grid shapes, one
+    # year stepped with the primitives as `stepwise_projection` composes them
     rng = np.random.default_rng(20060101)
     rule = RetirementRule(
         benefit_types=("old_age",),
@@ -189,7 +194,7 @@ def test_criterion_6_mortality_sampler_properties():
 
                 q = death_probability_grid(mm, 2006, eps)
                 assert np.all((0.0 <= q) & (q <= 1.0))
-                aged = age_and_kill(grid, mm, eps)
+                aged = age_one_year(grid, mm, eps)
                 deaths = float((counts * q[None, :, :, None]).sum())
                 top_survivors = float(
                     (counts[:, :, -1, :] * (1.0 - q)[None, :, -1, None]).sum())
@@ -197,7 +202,7 @@ def test_criterion_6_mortality_sampler_properties():
                     grid.total() - deaths - top_survivors, rel=1e-12, abs=1e-9)
                 assert np.all(aged.counts >= 0.0)
 
-                retired = retire_eligible(aged, rule)
+                retired = retire(aged, rule)
                 assert retired.total() == pytest.approx(aged.total(), rel=1e-12)
                 assert np.all(retired.counts >= 0.0)
 

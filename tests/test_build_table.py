@@ -1,8 +1,9 @@
 """The table-driven `build_system` against a per-cohort reference.
 
 `reference_build` below is the original implementation, kept here as the
-oracle: it walks each cohort year by year through scalar `Schedule.value`,
-`AgeProfile.value` and `inflation_index` lookups. The production build fills
+oracle: it walks each cohort year by year through scalar `Schedule.value`
+and `AgeProfile.value` lookups, and compounds its own price index one year
+at a time. The production build fills
 all cohorts at once from per-year and per-(sex, age) tables with the same
 float operations in the same order, so every array must agree bit for bit.
 """
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from conftest import BASE_CSVS, write_scenario
 from paygsim import load_config
-from paygsim.cashflows import inflation_index
 from paygsim.cohorts import ACTIVE, RETIRED
 from paygsim.engine import Cohort, build_system, opening_balance
 from paygsim.errors import CoverageError
@@ -31,9 +31,11 @@ ARRAYS = ("subjective", "integrative", "disbursement", "active_mask",
 
 
 def ref_price_index(cfg, year):
-    if year <= cfg.economics.profile_base_year:
-        return 1.0
-    return inflation_index(cfg.economics, year)
+    """Product of (1 + inflation) over the years after the profile base year."""
+    out = 1.0
+    for y in range(cfg.economics.profile_base_year + 1, year + 1):
+        out *= 1.0 + cfg.economics.inflation.value(y)
+    return out
 
 
 def ref_opening_balance(cfg, sex, age, seniority):

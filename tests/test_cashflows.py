@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from paygsim import (AgeProfile, BenefitRule, CohortGrid, ContributionRule,
-                     EconomicAssumptions, NotionalAccounts, Schedule,
-                     admin_expense, build_ledger, contribution_income,
-                     inflation_index, pension_disbursement, sample_return,
-                     step_fund_value)
-from paygsim.cashflows import (cents_to_thousands, ledger_columns, round_half_away,
-                               to_cents)
+from types import SimpleNamespace
+
+from paygsim import Schedule, build_ledger
+from paygsim.cashflows import (AgeProfile, BenefitRule, ContributionRule,
+                               EconomicAssumptions, FundLedger, NotionalAccounts,
+                               cents_to_thousands, contribution_income, ledger_columns,
+                               pension_disbursement, round_half_away, to_cents)
+from paygsim.cohorts import CohortGrid
+from paygsim.engine import admin_path, price_index, return_rates
 from paygsim.errors import CoverageError, StateError
 from paygsim.stochastic import Ar1Params
 
@@ -30,6 +32,18 @@ def econ(**kw):
                 profile_base_year=2005)
     base.update(kw)
     return EconomicAssumptions(**base)
+
+
+def horizon(ec, first_year=2006, last_year=2040):
+    """What the engine's money rules read of a scenario: its economics and years."""
+    return SimpleNamespace(economics=ec, years=list(range(first_year, last_year + 1)))
+
+
+def one_row(year, value_start_cents, subj_eur, integ_eur, disb_eur, admin_eur, rate):
+    """The ledger row of a one-year horizon opening at value_start_cents."""
+    cols = ledger_columns(value_start_cents, [subj_eur], [integ_eur], [disb_eur],
+                          [admin_eur], [rate])
+    return FundLedger(year, cols).row(year)
 
 
 class TestRounding:
@@ -205,40 +219,46 @@ class TestBenefits:
 class TestEconomics:
     def test_admin_expense_growth(self):
         ec = econ(admin_base=28_447_830.0, admin_growth=0.05, admin_base_year=2006)
-        assert admin_expense(ec, 2006) == pytest.approx(28_447_830.0)
-        assert admin_expense(ec, 2007) == pytest.approx(29_870_221.5)
+        admin = admin_path(horizon(ec, 2006, 2007))
+        assert admin[0] == pytest.approx(28_447_830.0)
+        assert admin[1] == pytest.approx(29_870_221.5)
         flat = econ(admin_base=500.0, admin_growth=0.0)
-        assert admin_expense(flat, 2040) == 500.0
+        assert admin_path(horizon(flat))[-1] == 500.0
 
-    def test_inflation_index(self):
+    def test_price_index(self):
         ec = econ(inflation=Schedule(default=0.016, overrides={2006: 0.02, 2007: 0.017}))
-        assert inflation_index(ec, 2005) == 1.0
-        assert inflation_index(ec, 2006) == pytest.approx(1.02)
-        assert inflation_index(ec, 2007) == pytest.approx(1.02 * 1.017)
-        assert inflation_index(ec, 2008) == pytest.approx(1.02 * 1.017 * 1.016)
-        with pytest.raises(CoverageError, match="2004"):
-            inflation_index(ec, 2004)
+        cfg = horizon(ec)
+        assert price_index(cfg, 2005) == 1.0
+        assert price_index(cfg, 2006) == pytest.approx(1.02)
+        assert price_index(cfg, 2007) == pytest.approx(1.02 * 1.017)
+        assert price_index(cfg, 2008) == pytest.approx(1.02 * 1.017 * 1.016)
+        # flat before the profile base year, which only backcasts reach
+        assert price_index(cfg, 2004) == 1.0
 
-    def test_sample_return_flag_off(self):
-        ec = econ()
-        r, x = sample_return(ec, x_prev=0.5, year=2006, eps=2.0, stochastic=False)
-        assert r == 0.034 and x == 0.0
+    def test_return_flag_off(self):
+        rates = return_rates(horizon(econ(), 2006, 2006), np.array([[2.0]]), stochastic=False)
+        assert rates[0, 0] == 0.034
 
-    def test_sample_return_flag_on(self):
-        ec = econ()
-        r, x = sample_return(ec, x_prev=0.0, year=2006, eps=1.0, stochastic=True)
-        assert r == pytest.approx(0.034 + 0.03667)
-        assert x == pytest.approx(0.03667)
+    def test_return_flag_on(self):
+        rates = return_rates(horizon(econ(), 2006, 2006), np.array([[1.0]]), stochastic=True)
+        assert rates[0, 0] == pytest.approx(0.034 + 0.03667)
+
+    def test_return_deviation_carries_over(self):
+        # x0 = 0.5 feeds the first year's deviation with the flag on only
+        ec = econ(deviations=Ar1Params(phi=-0.612, sigma=0.03667, x0=0.5))
+        cfg = horizon(ec, 2006, 2006)
+        live = return_rates(cfg, np.array([[0.0]]), stochastic=True)
+        assert live[0, 0] == pytest.approx(0.034 - 0.306)
+        assert return_rates(cfg, np.array([[0.0]]), stochastic=False)[0, 0] == 0.034
 
     def test_returns_can_go_negative(self):
-        ec = econ()
-        r, _ = sample_return(ec, x_prev=0.0, year=2006, eps=-3.0, stochastic=True)
-        assert r < 0.0
+        rates = return_rates(horizon(econ(), 2006, 2006), np.array([[-3.0]]), stochastic=True)
+        assert rates[0, 0] < 0.0
 
 
 class TestLedger:
     def test_single_row_hand_values(self):
-        row = step_fund_value(2006, int(to_cents(100.0)), subj_eur=10.0,
+        row = one_row(2006, int(to_cents(100.0)), subj_eur=10.0,
                               integ_eur=0.0, disb_eur=5.0, admin_eur=1.0, rate=0.05)
         assert row.investment_income == 500        # 5.00
         assert row.pension_balance == 500
@@ -247,13 +267,13 @@ class TestLedger:
         assert row.identities_hold()
 
     def test_zero_flows_zero_rate_is_identity(self):
-        row = step_fund_value(2006, 12_345, 0.0, 0.0, 0.0, 0.0, 0.0)
+        row = one_row(2006, 12_345, 0.0, 0.0, 0.0, 0.0, 0.0)
         assert row.value_end == row.value_start == 12_345
         assert row.total_balance == 0
 
     def test_investment_income_is_rounded_product(self):
         # 333.33 euros at 3.4%: 1133.3322 cents, half away from zero
-        row = step_fund_value(2006, 33_333, 0.0, 0.0, 0.0, 0.0, 0.034)
+        row = one_row(2006, 33_333, 0.0, 0.0, 0.0, 0.0, 0.034)
         assert row.investment_income == 1133
 
     def test_chained_rows(self):
@@ -271,7 +291,7 @@ class TestLedger:
             ledger.row(2007)
 
     def test_negative_flows_round_away_from_zero(self):
-        row = step_fund_value(2006, 0, 0.0, 0.0, 0.005, 0.0, 0.0)
+        row = one_row(2006, 0, 0.0, 0.0, 0.005, 0.0, 0.0)
         assert row.disbursements == 1
         assert row.pension_balance == -1
         assert row.identities_hold()

@@ -7,12 +7,11 @@ import pytest
 from paygsim import __version__, load_config
 from paygsim.cli import main
 from paygsim.config import default_config_path
-from paygsim.entrants import expected_entrants_path, simulate_entrants_path
 from paygsim.engine import entrants_matrix
+from paygsim.entrants import DRAWS_PER_CELL
 from paygsim.montecarlo import draw_shock_blocks
 from paygsim.outputs import (emit_entrants_outputs, read_entrants_csv,
                              read_entrants_mc_csv, read_fan_chart_csv, read_json)
-from paygsim.stochastic import NormalSource
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +24,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def expected_arrivals(cfg) -> dict:
+    """Arrivals per sex at zero shocks: the expected path."""
+    zeros = np.zeros((1, len(cfg.years), len(cfg.sexes), DRAWS_PER_CELL))
+    ne = entrants_matrix(cfg, zeros)[0]
+    return {s: ne[:, si] for si, s in enumerate(cfg.sexes)}
 
 
 def read_bytes_by_name(outdir):
@@ -220,12 +226,11 @@ class TestSimulate:
         outdir = tmp_path / "run"
         code, _, _ = run(capsys, "simulate", "--config", scenario,
                          "--out", str(outdir), "--seed", "99", "--reps", "3",
-                         "--percentiles", "95,5,50", "--stochastic", "returns")
+                         "--percentiles", "5,50,95", "--stochastic", "returns")
         assert code == 0
         manifest = read_json(outdir / "manifest.json")
         assert manifest["seed"] == 99
         assert manifest["n_reps"] == 3
-        # probes are sorted on the way in
         assert manifest["percentile_probes"] == [5.0, 50.0, 95.0]
         assert manifest["stochastic"] == ["returns"]
         fan = read_fan_chart_csv(outdir / "fanchart.csv")
@@ -273,12 +278,16 @@ class TestSimulate:
         assert "--reps" in err
 
     def test_bad_percentiles_exit_2(self, capsys, scenario, tmp_path):
-        for probes in ("150", "0", "100", "abc"):
+        # values are checked by the run settings, like a scenario's probes
+        for probes, field in (("150", "run.percentile_probes"), ("0", "run.percentile_probes"),
+                              ("100", "run.percentile_probes"),
+                              ("95,5,50", "run.percentile_probes"),
+                              ("5,5", "run.percentile_probes"), ("abc", "--percentiles")):
             code, _, err = run(capsys, "simulate", "--config", scenario,
                                "--percentiles", probes,
                                "--out", str(tmp_path / "r"))
             assert code == 2, probes
-            assert err.startswith("error: --percentiles")
+            assert err.startswith(f"error: {field}"), (probes, err)
 
     def test_seed_changes_results_rerun_does_not(self, capsys, scenario,
                                                  tmp_path):
@@ -313,8 +322,7 @@ class TestEntrants:
         assert sorted(os.listdir(outdir)) == ["entrants.csv", "manifest.json"]
         cfg = load_config(scenario)
         years, by_sex = read_entrants_csv(outdir / "entrants.csv")
-        expected = expected_entrants_path(cfg.entrants_params, cfg.population,
-                                          cfg.sexes, cfg.years)
+        expected = expected_arrivals(cfg)
         assert years == list(cfg.years)
         for sex in cfg.sexes:
             np.testing.assert_allclose(by_sex[sex], expected[sex], rtol=1e-12)
@@ -329,13 +337,16 @@ class TestEntrants:
         assert code == 0
         assert (outdir / "entrants_mc.csv").exists()
         cfg = load_config(scenario)
-        draws = {s: np.empty((reps, len(cfg.years))) for s in cfg.sexes}
+        # replication rep's stream, opened with numpy's own key derivation;
+        # five shocks per (year, sex) cell, years outer, sexes inner
+        eps = np.empty((reps, len(cfg.years), len(cfg.sexes), DRAWS_PER_CELL))
         for rep in range(reps):
-            one = simulate_entrants_path(
-                cfg.entrants_params, cfg.population, cfg.sexes, cfg.years,
-                NormalSource(seed, stream_id=rep))
-            for s in cfg.sexes:
-                draws[s][rep] = one[s]
+            gen = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=(rep,))))
+            for cell in eps[rep].reshape(-1, DRAWS_PER_CELL):
+                cell[:] = gen.standard_normal(DRAWS_PER_CELL)
+        ne = entrants_matrix(cfg, eps)
+        draws = {s: ne[:, :, si] for si, s in enumerate(cfg.sexes)}
         table = read_entrants_mc_csv(outdir / "entrants_mc.csv")
         for s in cfg.sexes:
             for t, year in enumerate(cfg.years):
@@ -359,8 +370,7 @@ class TestEntrants:
         mean = {s: p.mean(axis=0) for s, p in paths.items()}
         std = {s: p.std(axis=0, ddof=1) if reps > 1 else np.zeros(len(cfg.years))
                for s, p in paths.items()}
-        expected = expected_entrants_path(cfg.entrants_params, cfg.population,
-                                          cfg.sexes, cfg.years)
+        expected = expected_arrivals(cfg)
         emit_entrants_outputs(str(tmp_path / "recompute"), cfg, expected, (mean, std))
         assert (read_bytes_by_name(tmp_path / "cli")
                 == read_bytes_by_name(tmp_path / "recompute"))

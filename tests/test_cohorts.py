@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paygsim import (ACTIVE, RETIRED, CohortGrid, MortalityModel,
-                     RetirementRule, Schedule, age_and_kill, evolve_year,
-                     expected_mortality, inject_new_entrants, retire_eligible)
-from paygsim.cohorts import (death_probability_grid, retirement_assignment,
-                             shift_active, shift_retired)
+from conftest import age_one_year, retire
+from paygsim import Schedule
+from paygsim.cohorts import (ACTIVE, RETIRED, CohortGrid, MortalityModel,
+                             RetirementRule, death_probability_grid,
+                             expected_mortality_grid, inject_new_entrants,
+                             retirement_assignment, shift_active, shift_retired)
 from paygsim.errors import CoverageError
 
 
@@ -63,29 +64,28 @@ class TestGrid:
 
 
 class TestMortality:
+    # the cell of a 40-year-old man on make_mm's (sex, age) axes
+    MALE_40 = (0, 20)
+
     def test_no_drift_is_flat(self):
         mm = make_mm(q0=0.01)
-        assert expected_mortality(mm, "male", 40, 2007) == 0.01
+        assert expected_mortality_grid(mm, 2007)[self.MALE_40] == 0.01
 
     def test_drift_compounds(self):
         mm = make_mm(q0=0.01, drift=0.01)
-        assert expected_mortality(mm, "male", 40, 2003) == pytest.approx(0.0103030, abs=5e-8)
+        assert expected_mortality_grid(mm, 2003)[self.MALE_40] == pytest.approx(
+            0.0103030, abs=5e-8)
 
     def test_capped_at_one(self):
         mm = make_mm(q0=0.9, drift=0.2)
-        assert expected_mortality(mm, "male", 40, 2005) == 1.0
+        assert expected_mortality_grid(mm, 2005)[self.MALE_40] == 1.0
 
     def test_before_base_year_rejected(self):
         mm = make_mm(q0=0.01)
         with pytest.raises(CoverageError, match="1999"):
-            expected_mortality(mm, "male", 40, 1999)
-
-    def test_unknown_sex_and_age(self):
-        mm = make_mm(q0=0.01)
-        with pytest.raises(CoverageError, match="sex"):
-            expected_mortality(mm, "other", 40, 2005)
-        with pytest.raises(CoverageError, match="age"):
-            expected_mortality(mm, "male", 19, 2005)
+            expected_mortality_grid(mm, 1999)
+        with pytest.raises(CoverageError, match="1999"):
+            death_probability_grid(mm, 1999)
 
     def test_sampled_probabilities_clipped(self):
         mm = make_mm(q0=0.01, sigma=0.05)
@@ -106,10 +106,37 @@ class TestMortality:
             make_mm(q0=0.5, sigma=-0.1)
 
 
-class TestAgeAndKill:
+class TestClippedMortality:
+    """Sampled probabilities: the drifted rate plus sigma times the shock,
+    clipped into [0, 1]."""
+
+    @staticmethod
+    def sampled(q0, sigma, eps):
+        mm = make_mm(q0=q0, sigma=sigma, sexes=("male",), min_age=40, max_age=40)
+        return death_probability_grid(mm, 2000, np.array([[eps]]))[0, 0]
+
+    def test_clip_below(self):
+        assert self.sampled(0.004, 0.001, -5.0) == 0.0
+
+    def test_clip_above(self):
+        assert self.sampled(0.9, 0.2, 1.0) == 1.0
+
+    def test_hand_value(self):
+        assert self.sampled(0.01, 0.002, 1.0) == pytest.approx(0.012)
+
+    def test_shock_shape_checked(self):
+        with pytest.raises(ValueError, match="eps shape"):
+            death_probability_grid(make_mm(q0=0.01), 2000, np.zeros((2, 3)))
+
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 2.0), st.floats(-100.0, 100.0))
+    def test_always_a_probability(self, q0, sigma, eps):
+        assert 0.0 <= self.sampled(q0, sigma, eps) <= 1.0
+
+
+class TestAgeOneYear:
     def test_zero_mortality_just_ages(self):
         g = make_grid([("male", 30, 2, "active", 10), ("female", 50, 20, "retired", 4)])
-        out = age_and_kill(g, make_mm(q0=0.0))
+        out = age_one_year(g, make_mm(q0=0.0))
         assert out.year == 2001
         assert out.counts[ACTIVE, 0, 11, 3] == 10      # age 31, seniority 3
         assert out.counts[RETIRED, 1, 31, 20] == 4     # age 51, seniority frozen
@@ -117,36 +144,31 @@ class TestAgeAndKill:
 
     def test_certain_death_empties_grid(self):
         g = make_grid([("male", 30, 2, "active", 10), ("male", 60, 30, "retired", 7)])
-        out = age_and_kill(g, make_mm(q0=1.0))
+        out = age_one_year(g, make_mm(q0=1.0))
         assert out.total() == 0.0
 
     def test_expected_survivors(self):
         g = make_grid([("male", 30, 2, "active", 100)])
-        out = age_and_kill(g, make_mm(q0=0.1))
+        out = age_one_year(g, make_mm(q0=0.1))
         assert out.counts[ACTIVE, 0, 11, 3] == pytest.approx(90.0)
 
     def test_terminal_age_removed_after_last_year(self):
         g = make_grid([("male", 80, 40, "retired", 5)], max_age=80)
-        out = age_and_kill(g, make_mm(q0=0.0))
+        out = age_one_year(g, make_mm(q0=0.0))
         assert out.total() == 0.0
 
     def test_seniority_cap_accumulates(self):
         # the top seniority bucket is a storage cap, not a cliff
         g = make_grid([("male", 50, 40, "active", 3)], max_seniority=40)
-        out = age_and_kill(g, make_mm(q0=0.0))
+        out = age_one_year(g, make_mm(q0=0.0))
         assert out.counts[ACTIVE, 0, 31, 40] == 3
 
     def test_monotone_in_mortality(self):
         g = make_grid([("male", a, 5, "active", 10) for a in range(30, 60)])
-        soft = age_and_kill(g, make_mm(q0=0.05))
-        hard = age_and_kill(g, make_mm(q0=0.20))
+        soft = age_one_year(g, make_mm(q0=0.05))
+        hard = age_one_year(g, make_mm(q0=0.20))
         assert np.all(hard.counts <= soft.counts)
         assert hard.total() < soft.total()
-
-    def test_table_must_cover_grid(self):
-        g = make_grid([("male", 30, 2, "active", 1)])
-        with pytest.raises(CoverageError, match="cover"):
-            age_and_kill(g, make_mm(q0=0.0, min_age=25, max_age=60))
 
 
 class TestShifts:
@@ -201,7 +223,7 @@ class TestRetirement:
             ("male", 65, 40, "active", 5),    # age only equal: stays
             ("male", 66, 5, "active", 7),     # seniority short: stays
         ])
-        out = retire_eligible(g, r)
+        out = retire(g, r)
         assert out.counts[RETIRED, 0, 46, 31] == 10
         assert out.counts[RETIRED, 0, 46, 30] == 20
         assert out.counts[ACTIVE, 0, 45, 40] == 5
@@ -211,21 +233,21 @@ class TestRetirement:
     def test_retired_never_revert(self):
         r = rule(65, 30)
         g = make_grid([("male", 50, 10, "retired", 8)])
-        out = retire_eligible(g, r)
+        out = retire(g, r)
         assert out.counts[RETIRED, 0, 30, 10] == 8
         assert out.total_active() == 0.0
 
     def test_seniority_kept_on_retirement(self):
-        out = retire_eligible(make_grid([("male", 70, 33, "active", 2)]), rule(65, 30))
+        out = retire(make_grid([("male", 70, 33, "active", 2)]), rule(65, 30))
         assert out.counts[RETIRED, 0, 50, 33] == 2
 
     def test_thresholds_can_vary_by_year(self):
         th = {"male": (Schedule(default=65, overrides={2000: 60}), Schedule(default=0))}
         r = RetirementRule(("old_age",), {"old_age": th})
         g = make_grid([("male", 62, 10, "active", 1)], sexes=("male",))
-        assert retire_eligible(g, r).total_retired() == 1.0
+        assert retire(g, r).total_retired() == 1.0
         later = CohortGrid(2001, g.sexes, g.min_age, g.max_age, g.max_seniority, g.counts)
-        assert retire_eligible(later, r).total_retired() == 0.0
+        assert retire(later, r).total_retired() == 0.0
 
     def test_tie_goes_to_first_listed_type(self):
         th = {"male": (Schedule(default=60), Schedule(default=5))}
@@ -252,20 +274,25 @@ class TestRetirement:
             RetirementRule(("a", "b"), {"a": {}})
 
 
+def one_year(grid, mm, r, entrants_by_sex, entry_age):
+    """Mortality and ageing, entry, then retirement, as the oracle steps."""
+    return retire(inject_new_entrants(age_one_year(grid, mm), entrants_by_sex, entry_age), r)
+
+
 class TestEvolveYear:
     def test_pipeline_order(self):
         # a 64-year-old crosses the age bar during the year and retires at 65+1;
         # arrivals enter after mortality so they are untouched by it
         g = make_grid([("male", 65, 35, "active", 10)])
         mm = make_mm(q0=0.1)
-        out = evolve_year(g, mm, rule(65, 30), {"male": 4.0}, entry_age=29)
+        out = one_year(g, mm, rule(65, 30), {"male": 4.0}, entry_age=29)
         assert out.year == 2001
         assert out.counts[RETIRED, 0, 46, 36] == pytest.approx(9.0)
         assert out.counts[ACTIVE, 0, 9, 0] == 4.0
 
     def test_conservation_with_zero_mortality(self):
         g = make_grid([("male", a, 5, "active", 3) for a in range(30, 50)])
-        out = evolve_year(g, make_mm(q0=0.0), rule(65, 30), {"male": 2.0, "female": 1.5}, 29)
+        out = one_year(g, make_mm(q0=0.0), rule(65, 30), {"male": 2.0, "female": 1.5}, 29)
         assert out.total() == pytest.approx(g.total() + 3.5)
 
 
@@ -290,7 +317,7 @@ class TestConservationProperties:
     def test_mortality_accounts_for_every_member(self, grid_q):
         grid, q = grid_q
         mm = make_mm(q0=q, min_age=grid.min_age, max_age=grid.max_age)
-        out = age_and_kill(grid, mm)
+        out = age_one_year(grid, mm)
         deaths = grid.total() * q
         terminal_survivors = grid.counts[:, :, -1, :].sum() * (1.0 - q)
         assert out.total() == pytest.approx(grid.total() - deaths - terminal_survivors,
@@ -301,7 +328,7 @@ class TestConservationProperties:
     def test_retirement_moves_mass_without_losing_any(self, grid_q, age_bar, sen_bar):
         grid, _ = grid_q
         r = rule(grid.min_age + age_bar, sen_bar)
-        out = retire_eligible(grid, r)
+        out = retire(grid, r)
         assert out.total() == pytest.approx(grid.total())
         assert np.all(out.counts >= 0)
         # retired stock only grows

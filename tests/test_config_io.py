@@ -58,15 +58,23 @@ class TestSmallScenario:
         ({"probes": (50.0, 5.0)}, "run.percentile_probes"),
         ({"probes": (5.0, 100.5)}, "run.percentile_probes"),
         ({"probes": (-1.0,)}, "run.percentile_probes"),
+        # the ends of the range are not probes
+        ({"probes": (0.0, 50.0, 100.0)}, "run.percentile_probes"),
+        ({"probes": (0.0,)}, "run.percentile_probes"),
+        ({"probes": (100.0,)}, "run.percentile_probes"),
+        ({"probes": ()}, "run.percentile_probes"),
+        ({"probes": (5.0, 5.0, 50.0)}, "run.percentile_probes"),
+        ({"moments_years": (1900,)}, "run.moments_years"),
+        ({"moments_years": (2010, 2017)}, "run.moments_years"),
     ])
     def test_with_run_validates(self, small_scenario, change, field):
         cfg = load_config(small_scenario)
         with pytest.raises(ConfigError, match=field):
             cfg.with_run(**change)
 
-    def test_with_run_accepts_the_closed_probe_range(self, small_scenario):
-        cfg = load_config(small_scenario).with_run(probes=(0.0, 50.0, 100.0), seed=0)
-        assert cfg.run.probes == (0.0, 50.0, 100.0)
+    def test_with_run_keeps_the_horizon_ends(self, small_scenario):
+        cfg = load_config(small_scenario).with_run(moments_years=(2006, 2016))
+        assert cfg.run.moments_years == (2006, 2016)
 
     def test_workers_must_be_positive(self, small_scenario):
         with pytest.raises(ConfigError, match="workers"):
@@ -123,19 +131,20 @@ class TestBrokenScenarios:
 
     def test_several_problems_collected_at_once(self, tmp_path):
         path = write_scenario(str(tmp_path), tweaks={
-            "run": {"n_reps": 0},
+            "run": {"n_reps": 0, "percentile_probes": [50.0, 5.0], "moments_years": [2005]},
             "contributions": {"subjective": {"rate": 1.5, "profile_csv": "income.csv"}},
         })
         with pytest.raises(ConfigError) as exc:
             load_config(path)
         text = "\n".join(exc.value.messages)
-        assert "run.n_reps" in text
-        assert "contributions.subjective.rate" in text
+        for field in ("run.n_reps", "run.percentile_probes", "run.moments_years",
+                      "contributions.subjective.rate"):
+            assert text.count(field) == 1, field
 
-    def test_probes_must_be_interior(self, tmp_path):
-        path = write_scenario(str(tmp_path), tweaks={
-            "run": {"percentile_probes": [0.0, 50.0]}})
-        with pytest.raises(ConfigError, match="percentile_probes"):
+    @pytest.mark.parametrize("probes", [[0.0, 50.0], [50.0, 100.0], [50.0, 5.0], ["x"], []])
+    def test_probes_must_be_increasing_and_interior(self, tmp_path, probes):
+        path = write_scenario(str(tmp_path), tweaks={"run": {"percentile_probes": probes}})
+        with pytest.raises(ConfigError, match="run.percentile_probes"):
             load_config(path)
 
     def test_moments_years_must_be_inside_horizon(self, tmp_path):
@@ -155,11 +164,17 @@ class TestBrokenScenarios:
         with pytest.raises(ConfigError, match="seniority"):
             load_config(path)
 
-    def test_mortality_not_covering_grid(self, tmp_path):
+    # the grid holds both sexes at ages 30 to 50
+    @pytest.mark.parametrize("sexes, ages, error", [
+        (("male", "female"), range(30, 45), "does not cover the cohort grid"),
+        (("male", "female"), range(31, 51), "does not cover the cohort grid"),
+        (("male",), range(30, 51), "no row for sex 'female'"),
+    ])
+    def test_mortality_not_covering_grid(self, tmp_path, sexes, ages, error):
         rows = ["sex,age,q0,drift,sigma"] + [
-            f"{s},{a},0.01,0.0,0.005" for s in ("male", "female") for a in range(30, 45)]
+            f"{s},{a},0.01,0.0,0.005" for s in sexes for a in ages]
         path = write_scenario(str(tmp_path), csv_overrides={"mortality.csv": rows})
-        with pytest.raises(ConfigError, match="cover"):
+        with pytest.raises(ConfigError, match=error):
             load_config(path)
 
     def test_missing_csv_column(self, tmp_path):

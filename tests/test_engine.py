@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import write_scenario
-from paygsim import (NormalSource, load_config, run_deterministic_projection,
-                     stepwise_projection)
+from paygsim import load_config, run_deterministic_projection, stepwise_projection
 from paygsim.cashflows import round_half_away
 from paygsim.engine import (build_system, entrant_moment_tables, entrant_product,
                             entrants_matrix, opening_balance, price_index, return_rates)
 from paygsim.entrants import DRAWS_PER_CELL
 from paygsim.montecarlo import draw_shock_blocks
+from paygsim.stochastic import open_streams
 
 
 def rel_close(a, b, tol=1e-9):
@@ -155,7 +155,7 @@ class TestDeterministicLedger:
         assert res.actives[-1] == 0.0
 
     def test_rates_flag_off_equals_schedule(self, small_cfg):
-        eps = NormalSource(3).standard_normal((4, len(small_cfg.years)))
+        eps = next(open_streams(3, [0])).standard_normal((4, len(small_cfg.years)))
         rates = return_rates(small_cfg, eps, stochastic=False)
         assert np.all(rates == 0.03)
         live = return_rates(small_cfg, eps, stochastic=True)

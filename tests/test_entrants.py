@@ -1,14 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from paygsim import (EducationHistory, EntrantsModelParams, FactorMoments,
-                     NormalSource, PopulationSeries, Schedule,
-                     estimate_transition_moments, expected_entrants_path,
-                     expected_new_entrants, sample_new_entrants,
-                     sample_population, simulate_entrants_path,
-                     variance_new_entrants)
-from paygsim.entrants import DRAWS_PER_CELL, new_entrants_given_eps
-from paygsim.errors import CoverageError, EstimationError
+from paygsim import Schedule, variance_new_entrants
+from paygsim.engine import entrants_matrix
+from paygsim.entrants import (DRAWS_PER_CELL, EntrantsModelParams, FactorMoments,
+                              PopulationSeries)
+from paygsim.errors import CoverageError
+from paygsim.montecarlo import entrant_paths
+from paygsim.stochastic import open_streams
 
 
 def moments(mean, sigma):
@@ -38,18 +39,40 @@ def make_series(mean=1000.0, sigma=100.0, years=range(1990, 2031),
     )
 
 
+def arrival_cfg(params, series, years, sexes=("male", "female"), seed=0, n_reps=1):
+    """What the arrival rules read of a scenario."""
+    return SimpleNamespace(entrants_params=params, population=series, years=list(years),
+                           sexes=tuple(sexes), run=SimpleNamespace(seed=seed, n_reps=n_reps))
+
+
+def new_entrants(params, series, sex, year, eps=None):
+    """NE(year) of one sex from its five shocks (population first), through
+    `entrants_matrix`; the expected value when eps is None."""
+    eps = np.zeros(DRAWS_PER_CELL) if eps is None else np.asarray(eps, dtype=float)
+    cfg = arrival_cfg(params, series, [year], sexes=(sex,))
+    return entrants_matrix(cfg, eps.reshape(1, 1, 1, -1))[0, 0, 0]
+
+
 class TestSamplePopulation:
+    """The population factor on its own: every rate pinned at 1."""
+
+    @staticmethod
+    def population(series, year, eps):
+        ones = make_params(means=(1.0,) * 4, sigmas=(0.0,) * 4)
+        # NE(year + h + k) reads the population of `year`
+        return new_entrants(ones, series, "male", year + 9, [eps, 0.0, 0.0, 0.0, 0.0])
+
     def test_zero_sigma_returns_mean(self):
         series = make_series(mean=2_266_000.0, sigma=0.0)
-        assert sample_population(series, "male", 2000, eps=2.5) == 2_266_000.0
+        assert self.population(series, 2000, eps=2.5) == 2_266_000.0
 
     def test_floor(self):
         series = make_series(mean=1000.0, sigma=500.0)
-        assert sample_population(series, "male", 2000, eps=-3.0) == 0.0
+        assert self.population(series, 2000, eps=-3.0) == 0.0
 
     def test_shift(self):
         series = make_series(mean=1000.0, sigma=500.0)
-        assert sample_population(series, "male", 2000, eps=1.0) == 1500.0
+        assert self.population(series, 2000, eps=1.0) == 1500.0
 
     def test_unknown_sex_or_year(self):
         series = make_series()
@@ -64,7 +87,7 @@ class TestExpectationAndVariance:
         params = make_params()
         series = make_series()
         # 1000 * 0.1 * 0.5 * 0.2 * 0.5
-        assert expected_new_entrants(params, series, "male", 2020) == pytest.approx(5.0)
+        assert new_entrants(params, series, "male", 2020) == pytest.approx(5.0)
 
     def test_lags_pick_the_right_calendar_years(self):
         # enrolment moves with t-h-k, graduation with t-k, the last two with t
@@ -85,9 +108,9 @@ class TestExpectationAndVariance:
         p2 = EntrantsModelParams(factors=bumped, study_years=5, training_years=4)
         series = make_series(sigma=0.0, sexes=("male",))
         # every override lands on the factor years of NE(2020): 16x the base
-        assert expected_new_entrants(p2, series, "male", 2020) == pytest.approx(80.0)
+        assert new_entrants(p2, series, "male", 2020) == pytest.approx(80.0)
         # one year later none of the overrides apply
-        assert expected_new_entrants(p2, series, "male", 2021) == pytest.approx(5.0)
+        assert new_entrants(p2, series, "male", 2021) == pytest.approx(5.0)
 
     def test_variance_zero_when_all_sigmas_zero(self):
         params = make_params(sigmas=(0.0, 0.0, 0.0, 0.0))
@@ -111,8 +134,8 @@ class TestExpectationAndVariance:
         params = make_params()
         small = make_series(mean=1000.0, sigma=0.0)
         big = make_series(mean=3000.0, sigma=0.0)
-        m1 = expected_new_entrants(params, series=small, sex="male", year=2020)
-        m3 = expected_new_entrants(params, series=big, sex="male", year=2020)
+        m1 = new_entrants(params, small, "male", 2020)
+        m3 = new_entrants(params, big, "male", 2020)
         assert m3 == pytest.approx(3 * m1)
         v1 = variance_new_entrants(params, small, "male", 2020)
         v3 = variance_new_entrants(params, big, "male", 2020)
@@ -122,151 +145,70 @@ class TestExpectationAndVariance:
         params = make_params(sexes=("male",))
         series = make_series()
         with pytest.raises(CoverageError, match="sex"):
-            expected_new_entrants(params, series, "female", 2020)
+            variance_new_entrants(params, series, "female", 2020)
 
 
 class TestSampling:
     def test_given_eps_zero_equals_expectation(self):
         params = make_params()
         series = make_series()
-        got = new_entrants_given_eps(params, series, "male", 2020, np.zeros(5))
-        assert got == pytest.approx(expected_new_entrants(params, series, "male", 2020))
+        got = new_entrants(params, series, "male", 2020, np.zeros(5))
+        assert got == pytest.approx(1000.0 * 0.1 * 0.5 * 0.2 * 0.5)
 
     def test_given_eps_hand_value(self):
         params = make_params()
         series = make_series()
         # push population by +1 sigma, leave the rates at their means
-        got = new_entrants_given_eps(params, series, "male", 2020,
-                                     np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
+        got = new_entrants(params, series, "male", 2020, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
         assert got == pytest.approx(1100.0 * 0.1 * 0.5 * 0.2 * 0.5)
 
     def test_given_eps_shape_checked(self):
         params = make_params()
         series = make_series()
         with pytest.raises(ValueError, match="shocks"):
-            new_entrants_given_eps(params, series, "male", 2020, np.zeros(4))
+            new_entrants(params, series, "male", 2020, np.zeros(4))
 
     def test_draw_order_is_population_then_factors(self):
         params = make_params()
         series = make_series()
-        block = NormalSource(77).standard_normal(DRAWS_PER_CELL)
-        by_src = sample_new_entrants(params, series, "male", 2020, NormalSource(77))
-        by_eps = new_entrants_given_eps(params, series, "male", 2020, block)
-        assert by_src == by_eps
+        block = next(open_streams(77, [0])).standard_normal(DRAWS_PER_CELL)
+        cfg = arrival_cfg(params, series, [2020], sexes=("male",), seed=77)
+        by_stream = entrant_paths(cfg)["male"][0, 0]
+        by_eps = new_entrants(params, series, "male", 2020, block)
+        assert by_stream == by_eps
 
     def test_path_consumes_years_outer_sexes_inner(self):
         params = make_params()
         series = make_series()
         years = [2019, 2020, 2021]
         sexes = ["male", "female"]
-        path = simulate_entrants_path(params, series, sexes, years, NormalSource(5))
-        block = NormalSource(5).standard_normal((len(years), len(sexes), DRAWS_PER_CELL))
+        path = entrant_paths(arrival_cfg(params, series, years, sexes, seed=5))
+        block = next(open_streams(5, [0])).standard_normal(
+            (len(years), len(sexes), DRAWS_PER_CELL))
         for j, t in enumerate(years):
             for i, s in enumerate(sexes):
-                want = new_entrants_given_eps(params, series, s, t, block[j, i])
-                assert path[s][j] == want
+                want = new_entrants(params, series, s, t, block[j, i])
+                assert path[s][0, j] == want
 
     def test_expected_path_matches_pointwise(self):
         params = make_params()
         series = make_series()
         years = list(range(2015, 2025))
-        path = expected_entrants_path(params, series, ("male", "female"), years)
-        for s in ("male", "female"):
-            want = [expected_new_entrants(params, series, s, t) for t in years]
-            assert np.allclose(path[s], want)
+        cfg = arrival_cfg(params, series, years)
+        path = entrants_matrix(cfg, np.zeros((1, len(years), 2, DRAWS_PER_CELL)))[0]
+        for si, s in enumerate(("male", "female")):
+            want = [new_entrants(params, series, s, t) for t in years]
+            assert np.allclose(path[:, si], want)
 
     def test_monte_carlo_mean_matches_expectation(self):
         params = make_params()
         series = make_series()
         years = [2018, 2022]
         n = 10_000
-        draws = {s: {t: np.empty(n) for t in years} for s in ("male", "female")}
-        for rep in range(n):
-            path = simulate_entrants_path(params, series, ("male", "female"), years,
-                                          NormalSource(2024, stream_id=rep))
-            for s in ("male", "female"):
-                for j, t in enumerate(years):
-                    draws[s][t][rep] = path[s][j]
+        draws = entrant_paths(arrival_cfg(params, series, years, seed=2024, n_reps=n))
         for s in ("male", "female"):
-            for t in years:
-                x = draws[s][t]
-                want = expected_new_entrants(params, series, s, t)
+            for j, t in enumerate(years):
+                x = draws[s][:, j]
+                want = new_entrants(params, series, s, t)
                 # truncation bias is tiny at these moments; 3 standard errors
                 assert abs(x.mean() - want) <= 3 * x.std(ddof=1) / np.sqrt(n)
-
-
-class TestEstimation:
-    @staticmethod
-    def history(rows):
-        """rows: {year: (pop, enr, grad, prof, memb, canc)}"""
-        fields = EducationHistory.FIELDS
-        return EducationHistory(
-            records={y: dict(zip(fields, vals)) for y, vals in rows.items()})
-
-    def test_mean_and_sample_std(self):
-        # enrolment ratios 0.4 and 0.6 -> mean 0.5, std (ddof=1) ~0.1414
-        hist = self.history({
-            2000: (1000, 400, 100, 50, 30, 0),
-            2001: (1000, 600, 100, 50, 30, 0),
-        })
-        got = estimate_transition_moments(hist, study_years=0, training_years=0)
-        assert got["enrolment"].mean.value(2050) == pytest.approx(0.5)
-        assert got["enrolment"].sigma.value(2050) == pytest.approx(0.1414, abs=1e-4)
-
-    def test_constant_history_gives_zero_sigma(self):
-        hist = self.history({y: (1000, 500, 200, 100, 80, 0) for y in range(2000, 2006)})
-        got = estimate_transition_moments(hist, study_years=0, training_years=0)
-        for fm in got.values():
-            assert fm.sigma.value(2000) == 0.0
-
-    def test_ratios_above_one_are_kept(self):
-        # more graduations than lagged enrolments, e.g. after a reform
-        hist = self.history({
-            2000: (1000, 100, 100, 50, 30, 0),
-            2003: (1000, 100, 130, 50, 30, 0),
-        })
-        got = estimate_transition_moments(hist, study_years=3, training_years=0)
-        assert got["graduation"].mean.value(2010) == pytest.approx(1.3)
-
-    def test_lags_align_numerator_and_denominator(self):
-        hist = self.history({
-            2000: (1000, 200, 100, 50, 30, 0),
-            2005: (1000, 300, 100, 40, 20, 0),     # grad(2005)/enr(2000) = 0.5
-            2009: (1000, 250, 120, 60, 30, 10),    # adm(2009)/grad(2005) = 0.6
-        })
-        got = estimate_transition_moments(hist, study_years=5, training_years=4)
-        assert got["graduation"].mean.value(2050) == pytest.approx(0.5)
-        assert got["admission"].mean.value(2050) == pytest.approx(0.6)
-
-    def test_membership_nets_out_cancellations(self):
-        # (80 inscriptions - 30 cancellations) / 100 new professionals
-        hist = self.history({2000: (1000, 500, 200, 100, 80, 30)})
-        got = estimate_transition_moments(hist, study_years=0, training_years=0)
-        assert got["membership"].mean.value(2000) == pytest.approx(0.5)
-
-    def test_zero_denominator_names_year_and_ratio(self):
-        hist = self.history({
-            2000: (0, 400, 100, 50, 30, 0),
-            2001: (1000, 600, 100, 50, 30, 0),
-        })
-        with pytest.raises(EstimationError, match="enrolment.*2000"):
-            estimate_transition_moments(hist, study_years=0, training_years=0)
-
-    def test_no_observations(self):
-        # graduation needs enr(y - h); with h=5 no pair of years lines up
-        hist = self.history({
-            2000: (1000, 400, 100, 50, 30, 0),
-            2001: (1000, 600, 100, 50, 30, 0),
-        })
-        with pytest.raises(EstimationError, match="graduation"):
-            estimate_transition_moments(hist, study_years=5, training_years=0)
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError, match="-5"):
-            self.history({2000: (1000, -5, 100, 50, 30, 0)})
-
-    def test_missing_field_rejected(self):
-        with pytest.raises(ValueError, match="cancellations"):
-            EducationHistory(records={2000: {
-                "population": 1, "enrolments": 1, "graduations": 1,
-                "new_professionals": 1, "new_fund_members": 1}})

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import write_scenario
 from paygsim import montecarlo
-from paygsim import (NormalSource, StochasticFlags, load_config,
-                     distribution_moments, percentile_bands,
-                     run_deterministic_projection, run_simulation)
+from paygsim import (StochasticFlags, load_config, distribution_moments,
+                     percentile_bands, run_deterministic_projection, run_simulation)
 from paygsim.montecarlo import draw_shock_blocks
+from paygsim.stochastic import open_streams
 from paygsim.outputs import emit_simulation_outputs, simulation_summary
 
 
@@ -321,7 +321,7 @@ class TestMoments:
         assert out["std"] == 0.0
 
     def test_normal_sample_moments(self):
-        draws = NormalSource(99).standard_normal(1_000_000)
+        draws = next(open_streams(99, [0])).standard_normal(1_000_000)
         out = distribution_moments(draws)
         assert abs(out["mean"]) < 0.004
         assert abs(out["std"] - 1.0) < 0.003

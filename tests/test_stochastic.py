@@ -3,10 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paygsim import (Ar1Params, ClippedAffineParams, NormalSource,
-                     TruncatedAffineParams, ar1_path, ar1_stationary_std,
-                     ar1_step, sample_clipped_affine, sample_truncated_affine)
-from paygsim.stochastic import open_streams, stream_keys
+from paygsim.engine import entrant_product
+from paygsim.stochastic import (Ar1Params, TruncatedAffineParams, ar1_path,
+                                ar1_stationary_std, open_streams, stream_keys)
 
 
 def numpy_key(seed: int, stream_id: int) -> np.ndarray:
@@ -53,18 +52,19 @@ class TestStreamKeys:
 
 class TestOpenStreams:
     @pytest.mark.parametrize("seed", [0, 1, 2**32 + 3])
-    def test_each_stream_draws_what_its_normal_source_draws(self, seed):
+    def test_each_stream_draws_what_a_stream_opened_alone_draws(self, seed):
         ids = [0, 1, 7, 2**31, 2**32 - 1]
         for i, gen in zip(ids, open_streams(seed, ids)):
             # a partly used stream, then the next: every reset starts afresh
             got = gen.standard_normal((3, 7))
-            assert np.array_equal(got, NormalSource(seed, stream_id=i).standard_normal((3, 7)))
+            assert np.array_equal(got, next(open_streams(seed, [i])).standard_normal((3, 7)))
+            assert np.array_equal(got, numpy_stream(seed, i).standard_normal((3, 7)))
 
     def test_streams_are_numpy_philox_streams(self):
         for i, gen in enumerate(open_streams(9, range(3))):
             assert np.array_equal(gen.standard_normal(1001),
                                   numpy_stream(9, i).standard_normal(1001))
-        assert np.array_equal(NormalSource(9, stream_id=2).standard_normal(1001),
+        assert np.array_equal(next(open_streams(9, [2])).standard_normal(1001),
                               numpy_stream(9, 2).standard_normal(1001))
 
     def test_reset_clears_buffered_output(self):
@@ -77,58 +77,63 @@ class TestOpenStreams:
         assert np.array_equal(gen.standard_normal(50), numpy_stream(4, 1).standard_normal(50))
 
 
-class TestNormalSource:
+class TestOneStream:
+    @staticmethod
+    def draw(seed, stream_id, size=None):
+        return next(open_streams(seed, [stream_id])).standard_normal(size)
+
     def test_same_key_same_stream(self):
-        a = NormalSource(42, stream_id=3).standard_normal(100)
-        b = NormalSource(42, stream_id=3).standard_normal(100)
-        assert np.array_equal(a, b)
+        assert np.array_equal(self.draw(42, 3, 100), self.draw(42, 3, 100))
 
     def test_distinct_streams_differ(self):
-        a = NormalSource(42, stream_id=0).standard_normal(100)
-        b = NormalSource(42, stream_id=1).standard_normal(100)
-        assert not np.array_equal(a, b)
+        assert not np.array_equal(self.draw(42, 0, 100), self.draw(42, 1, 100))
 
     def test_block_draw_equals_scalar_draws(self):
         # pre-drawing a schedule must consume the stream identically
-        block = NormalSource(7, 5).standard_normal((4, 3))
-        src = NormalSource(7, 5)
-        singles = np.array([[src.standard_normal() for _ in range(3)] for _ in range(4)])
+        block = self.draw(7, 5, (4, 3))
+        gen = next(open_streams(7, [5]))
+        singles = np.array([[gen.standard_normal() for _ in range(3)] for _ in range(4)])
         assert np.array_equal(block, singles)
 
     def test_negative_key_rejected(self):
         with pytest.raises(ValueError):
-            NormalSource(-1)
+            self.draw(-1, 0)
         with pytest.raises(ValueError):
-            NormalSource(0, stream_id=-2)
+            self.draw(0, -2)
 
     def test_large_sample_moments(self):
-        draws = NormalSource(123).standard_normal(1_000_000)
+        draws = self.draw(123, 0, 1_000_000)
         assert abs(draws.mean()) < 0.004
         assert abs(draws.var() - 1.0) < 0.006
+
+
+def floored(p: TruncatedAffineParams, eps):
+    """One factor draw as the entrant product takes it: max(0, mean + sigma*eps)."""
+    return entrant_product(np.array([p.mean]), np.array([p.sigma]), np.array([float(eps)]))
 
 
 class TestTruncatedAffine:
     def test_zero_eps_returns_mean(self):
         p = TruncatedAffineParams(mean=0.5110, sigma=0.1996)
-        assert sample_truncated_affine(p, 0.0) == 0.5110
+        assert floored(p, 0.0) == 0.5110
 
     def test_floor_at_zero(self):
         p = TruncatedAffineParams(mean=0.5, sigma=0.2)
-        assert sample_truncated_affine(p, -3.0) == 0.0
+        assert floored(p, -3.0) == 0.0
 
     def test_hand_value(self):
         p = TruncatedAffineParams(mean=0.0085, sigma=0.0007)
-        assert sample_truncated_affine(p, 2.0) == pytest.approx(0.0099)
+        assert floored(p, 2.0) == pytest.approx(0.0099)
 
     def test_may_exceed_one(self):
         # ratios above 1 are legal and must not be clamped
         p = TruncatedAffineParams(mean=0.9, sigma=0.2)
-        assert sample_truncated_affine(p, 1.0) == pytest.approx(1.1)
+        assert floored(p, 1.0) == pytest.approx(1.1)
 
     def test_sigma_zero_collapses(self):
         p = TruncatedAffineParams(mean=0.3, sigma=0.0)
         for eps in (-10.0, 0.0, 10.0):
-            assert sample_truncated_affine(p, eps) == 0.3
+            assert floored(p, eps) == 0.3
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -141,49 +146,23 @@ class TestTruncatedAffine:
     def test_nonnegative_and_monotone_in_eps(self, mean, sigma, e1, e2):
         p = TruncatedAffineParams(mean=mean, sigma=sigma)
         lo, hi = sorted((e1, e2))
-        a, b = sample_truncated_affine(p, lo), sample_truncated_affine(p, hi)
+        a, b = floored(p, lo), floored(p, hi)
         assert a >= 0.0 and b >= 0.0
         assert a <= b
-
-
-class TestClippedAffine:
-    def test_clip_below(self):
-        p = ClippedAffineParams(mean=0.004, sigma=0.001)
-        assert sample_clipped_affine(p, -5.0) == 0.0
-
-    def test_clip_above(self):
-        p = ClippedAffineParams(mean=0.9, sigma=0.2)
-        assert sample_clipped_affine(p, 1.0) == 1.0
-
-    def test_hand_value(self):
-        p = ClippedAffineParams(mean=0.01, sigma=0.002)
-        assert sample_clipped_affine(p, 1.0) == pytest.approx(0.012)
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            ClippedAffineParams(mean=1.2, sigma=0.1)
-        with pytest.raises(ValueError):
-            ClippedAffineParams(mean=0.5, sigma=-1.0)
-
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 2.0), st.floats(-100.0, 100.0))
-    def test_always_a_probability(self, mean, sigma, eps):
-        p = ClippedAffineParams(mean=mean, sigma=sigma)
-        q = sample_clipped_affine(p, eps)
-        assert 0.0 <= q <= 1.0
 
 
 class TestAr1:
     def test_step_from_zero(self):
         p = Ar1Params(phi=-0.612, sigma=0.03667)
-        assert ar1_step(p, 0.0, 1.0) == pytest.approx(0.03667)
+        assert ar1_path(p, [1.0])[0] == pytest.approx(0.03667)
 
     def test_step_pure_reversion(self):
-        p = Ar1Params(phi=-0.612, sigma=0.03667)
-        assert ar1_step(p, 0.1, 0.0) == pytest.approx(-0.0612)
+        p = Ar1Params(phi=-0.612, sigma=0.03667, x0=0.1)
+        assert ar1_path(p, [0.0])[0] == pytest.approx(-0.0612)
 
     def test_step_degenerate(self):
-        p = Ar1Params(phi=0.0, sigma=0.0)
-        assert ar1_step(p, 5.0, 3.0) == 0.0
+        p = Ar1Params(phi=0.0, sigma=0.0, x0=5.0)
+        assert ar1_path(p, [3.0])[0] == 0.0
 
     def test_stationary_std(self):
         assert ar1_stationary_std(Ar1Params(phi=0.0, sigma=1.0)) == pytest.approx(1.0)
@@ -199,16 +178,16 @@ class TestAr1:
 
     def test_path_matches_stepwise(self):
         p = Ar1Params(phi=-0.5, sigma=0.3, x0=0.2)
-        eps = NormalSource(9).standard_normal(40)
+        eps = next(open_streams(9, [0])).standard_normal(40)
         path = ar1_path(p, eps)
         x = p.x0
         for t in range(40):
-            x = ar1_step(p, x, eps[t])
+            x = p.phi * x + p.sigma * eps[t]
             assert path[t] == x
 
     def test_path_batch_shape(self):
         p = Ar1Params(phi=0.3, sigma=1.0)
-        eps = NormalSource(4).standard_normal((5, 20))
+        eps = next(open_streams(4, [0])).standard_normal((5, 20))
         paths = ar1_path(p, eps)
         assert paths.shape == (5, 20)
         # each row is the path of its own shock row
@@ -223,5 +202,5 @@ class TestAr1:
     @settings(deadline=None)
     @given(st.floats(-0.95, 0.95), st.floats(0.0, 1.0))
     def test_step_linear_in_eps(self, phi, sigma):
-        p = Ar1Params(phi=phi, sigma=sigma)
-        assert ar1_step(p, 1.0, 2.0) == pytest.approx(phi + 2 * sigma)
+        p = Ar1Params(phi=phi, sigma=sigma, x0=1.0)
+        assert ar1_path(p, [2.0])[0] == pytest.approx(phi + 2 * sigma)
