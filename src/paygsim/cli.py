@@ -21,8 +21,7 @@ from . import outputs
 from ._version import __version__
 from .config import (ScenarioConfig, StochasticFlags, default_config_path,
                      load_config)
-from .engine import entrants_matrix
-from .entrants import DRAWS_PER_CELL
+from .engine import expected_entrants
 from .errors import ConfigError, PaygsimError
 from .montecarlo import entrant_paths, run_simulation
 from .projection import run_deterministic_projection
@@ -117,8 +116,6 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         override["seed"] = args.seed
     if args.reps is not None:
-        if args.reps < 1:
-            raise ConfigError(["--reps: must be >= 1"])
         override["n_reps"] = args.reps
     if args.stochastic is not None:
         override["flags"] = _parse_stochastic(args.stochastic)
@@ -140,7 +137,7 @@ def _cmd_entrants(args) -> int:
         cfg = cfg.with_run(seed=args.seed)
     if args.reps < 0:
         raise ConfigError(["--reps: must be >= 0"])
-    ne = entrants_matrix(cfg, np.zeros((1, len(cfg.years), len(cfg.sexes), DRAWS_PER_CELL)))[0]
+    ne = expected_entrants(cfg)
     expected = {s: ne[:, si] for si, s in enumerate(cfg.sexes)}
     sampled = None
     if args.reps > 0:

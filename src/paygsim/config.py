@@ -2,10 +2,11 @@
 
 A scenario is one YAML file plus the CSV tables it references by relative
 path (census, mortality, reference population, age profiles, conversion
-coefficients). `load_config` parses everything into typed objects and then
-validates the assembled scenario as a whole; every problem is reported with
-the path of the offending field, and all problems are collected before
-raising so a broken file can be fixed in one pass.
+coefficients). `load_config` parses everything into typed objects and
+checks each field where it is parsed, over every year the model reads it;
+every problem is reported with the path of the offending field, and all
+problems are collected before raising so a broken file can be fixed in one
+pass.
 
 CSV files may contain leading comment lines starting with '#'. Expected
 headers are documented next to each loader.
@@ -17,13 +18,13 @@ import csv
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
 
 from .cashflows import AgeProfile, BenefitRule, ContributionRule, EconomicAssumptions
-from .cohorts import CohortGrid, MortalityModel, RetirementRule
+from .cohorts import ACTIVE, CohortGrid, MortalityModel, RetirementRule
 from .entrants import FACTOR_NAMES, EntrantsModelParams, FactorMoments, PopulationSeries
 from .errors import ConfigError
 from .schedules import Schedule
@@ -47,9 +48,6 @@ class StochasticFlags:
     @classmethod
     def only(cls, *names) -> "StochasticFlags":
         return cls(**{n: (n in names) for n in ("entrants", "mortality", "returns")})
-
-    def any(self) -> bool:
-        return self.entrants or self.mortality or self.returns
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n in ("entrants", "mortality", "returns") if getattr(self, n))
@@ -118,9 +116,6 @@ class ScenarioConfig:
     def years(self) -> list[int]:
         return list(range(self.first_year, self.last_year + 1))
 
-    def with_flags(self, flags: StochasticFlags) -> "ScenarioConfig":
-        return replace(self, run=replace(self.run, flags=flags))
-
     def with_run(self, **kw) -> "ScenarioConfig":
         run = replace(self.run, **kw)
         _check_moments_years(run.moments_years, self.first_year, self.last_year)
@@ -136,7 +131,7 @@ def default_config_path() -> str:
 # CSV loaders
 
 
-def _read_csv(path: str, required: tuple[str, ...], hasher=None) -> list[tuple[int, dict]]:
+def _read_csv(path: str, required: tuple[str, ...], hasher) -> list[tuple[int, dict]]:
     """Rows of a CSV file, each with the number of the file line it ends on,
     skipping '#' comment lines."""
     try:
@@ -144,8 +139,7 @@ def _read_csv(path: str, required: tuple[str, ...], hasher=None) -> list[tuple[i
             raw = fh.read()
     except OSError as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
-    if hasher is not None:
-        hasher.update(raw)
+    hasher.update(raw)
     text = raw.decode("utf-8")
     numbered = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if not ln.startswith("#")]
     reader = csv.DictReader(ln + "\n" for _, ln in numbered)
@@ -186,7 +180,7 @@ def _finite(path: str, row: dict, col: str, where: str) -> float:
 
 
 def load_population_series(path: str, sexes, min_age: int, max_age: int,
-                           hasher=None) -> PopulationSeries:
+                           hasher) -> PopulationSeries:
     """Columns: year, sex, expected, sigma."""
     expected = {s: {} for s in sexes}
     sigma = {s: {} for s in sexes}
@@ -202,7 +196,7 @@ def load_population_series(path: str, sexes, min_age: int, max_age: int,
                             min_age=min_age, max_age=max_age)
 
 
-def load_age_table(path: str, sexes, value_col: str, hasher=None) -> AgeProfile:
+def load_age_table(path: str, sexes, value_col: str, hasher) -> AgeProfile:
     """Columns: age, <value_col>, optionally sex (absent rows apply to all sexes).
 
     Ages a sex has no row for are NaN in the assembled table, so a cell must
@@ -231,7 +225,7 @@ def load_age_table(path: str, sexes, value_col: str, hasher=None) -> AgeProfile:
     return AgeProfile(sexes=tuple(sexes), min_age=lo, max_age=hi, values=values)
 
 
-def load_mortality(path: str, sexes, base_year: int, hasher=None) -> MortalityModel:
+def load_mortality(path: str, sexes, base_year: int, hasher) -> MortalityModel:
     """Columns: sex, age, q0, drift, sigma."""
     rows = _read_csv(path, ("sex", "age", "q0", "drift", "sigma"), hasher)
     by_sex = {s: {} for s in sexes}
@@ -260,7 +254,7 @@ def load_mortality(path: str, sexes, base_year: int, hasher=None) -> MortalityMo
 
 
 def load_census(path: str, year, sexes, min_age, max_age, max_seniority,
-                hasher=None) -> CohortGrid:
+                hasher) -> CohortGrid:
     """Columns: sex, age, seniority, status, count."""
     records = []
     for line, row in _read_csv(path, ("sex", "age", "seniority", "status", "count"), hasher):
@@ -287,7 +281,7 @@ class _Ctx:
     def fail(self, path: str, message: str):
         self.errors.append(f"{path}: {message}")
 
-    def take(self, path: str | None, fn, fallback=None):
+    def take(self, path: str | None, fn):
         """Run fn, recording any ValueError/ConfigError under the field path
         (None for a ConfigError whose messages name their fields)."""
         try:
@@ -296,27 +290,45 @@ class _Ctx:
             self.errors.extend(m if path is None else f"{path}: {m}" for m in exc.messages)
         except (ValueError, TypeError, KeyError) as exc:
             self.fail(path, str(exc) or type(exc).__name__)
-        return fallback
+        return None
 
     def raise_if_failed(self):
         if self.errors:
-            raise ConfigError(self.errors)
+            # a field shared by every sex is checked once per sex
+            raise ConfigError(list(dict.fromkeys(self.errors)))
 
 
-def _need(raw: dict, key: str, path: str, ctx: _Ctx, default=None):
+def _need(raw: dict, key: str):
+    """raw[key], or a ValueError that `_Ctx.take` records under the field."""
     # an explicit YAML null reads the same as an absent key
     value = raw.get(key)
     if value is None:
-        if default is not None:
-            return default
-        ctx.fail(f"{path}.{key}" if path else key, "missing required field")
-        return None
+        raise ValueError("missing required field")
     return value
 
 
-def _schedule(raw, path: str, ctx: _Ctx) -> Schedule:
-    return ctx.take(path, lambda: Schedule.from_config(raw, path),
-                    fallback=Schedule(default=0.0))
+def _schedule(raw, path: str, ctx: _Ctx, years: range,
+              lo: float = -math.inf, hi: float = math.inf) -> Schedule | None:
+    """Parse a schedule and check it over the years the model reads it at:
+    a value at every year of `years`, each within [lo, hi]. Only the
+    overrides are visited, and the default where it is read."""
+    if raw is None:
+        ctx.fail(path, "missing required field")
+        return None
+    sched = ctx.take(path, lambda: Schedule.from_config(raw, path))
+    if sched is None:
+        return None
+    if not sched.covers(years):
+        gap = next(y for y in years if y not in sched.overrides)
+        ctx.fail(path, f"no value for year {gap} (values are read for {years[0]}-{years[-1]})")
+        return sched
+    read = {y: v for y, v in sched.overrides.items() if y in years}
+    if len(read) < len(years):  # the default is read at the years without an override
+        read[next(y for y in years if y not in read)] = sched.default
+    bad = min((y for y, v in read.items() if not lo <= v <= hi), default=None)
+    if bad is not None:
+        ctx.fail(path, f"{path.rsplit('.', 1)[-1]} at {bad} outside [{lo:g}, {hi:g}]: {read[bad]}")
+    return sched
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -343,15 +355,16 @@ def _resolve(base_dir: str, rel: str) -> str:
 
 
 def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
+    # a check whose inputs failed to parse is skipped: one mistake, one message
     ctx = _Ctx()
 
     horizon = raw.get("horizon", {})
-    first = ctx.take("horizon.first_year", lambda: int(_need(horizon, "first_year", "horizon", ctx)))
-    last = ctx.take("horizon.last_year", lambda: int(_need(horizon, "last_year", "horizon", ctx)))
+    first = ctx.take("horizon.first_year", lambda: int(_need(horizon, "first_year")))
+    last = ctx.take("horizon.last_year", lambda: int(_need(horizon, "last_year")))
     if first is not None and last is not None and last < first:
         ctx.fail("horizon.last_year", f"must be >= first_year ({first}), got {last}")
     ctx.raise_if_failed()
-    years = list(range(first, last + 1))
+    years = range(first, last + 1)
 
     run_raw = raw.get("run", {})
     seed = ctx.take("run.seed", lambda: int(run_raw.get("seed", 0)))
@@ -374,12 +387,10 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
 
     pop_raw = raw.get("population", {})
     sexes = tuple(pop_raw.get("sexes", ("male", "female")))
-    min_age = ctx.take("population.min_age", lambda: int(_need(pop_raw, "min_age", "population", ctx)))
-    max_age = ctx.take("population.max_age", lambda: int(_need(pop_raw, "max_age", "population", ctx)))
-    max_sen = ctx.take("population.max_seniority",
-                       lambda: int(_need(pop_raw, "max_seniority", "population", ctx)))
-    entry_age = ctx.take("population.entry_age",
-                         lambda: int(_need(pop_raw, "entry_age", "population", ctx)))
+    min_age = ctx.take("population.min_age", lambda: int(_need(pop_raw, "min_age")))
+    max_age = ctx.take("population.max_age", lambda: int(_need(pop_raw, "max_age")))
+    max_sen = ctx.take("population.max_seniority", lambda: int(_need(pop_raw, "max_seniority")))
+    entry_age = ctx.take("population.entry_age", lambda: int(_need(pop_raw, "entry_age")))
     # keep collecting problems in other sections even when the grid geometry
     # is unusable; only the census load depends on it
     geometry_ok = None not in (min_age, max_age, max_sen, entry_age)
@@ -393,7 +404,7 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
     census = None
     if geometry_ok:
         census = ctx.take("population.census_csv", lambda: load_census(
-            _resolve(base_dir, _need(pop_raw, "census_csv", "population", ctx)),
+            _resolve(base_dir, _need(pop_raw, "census_csv")),
             first, sexes, min_age, max_age, max_sen, hasher))
         if census is not None:
             ctx.take("population.census_csv", lambda: census.check_seniority_bound(entry_age))
@@ -401,34 +412,45 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
     ent_raw = raw.get("entrants", {})
     study = ctx.take("entrants.study_years", lambda: int(ent_raw.get("study_years", 5)))
     training = ctx.take("entrants.training_years", lambda: int(ent_raw.get("training_years", 4)))
+    # arrivals at t read the population and enrolment of t - study - training
+    lagged = range(0) if None in (study, training) else range(first - study - training, last + 1)
     factors = {}
     for s in sexes:
-        fs = {}
         sex_raw = ent_raw.get("factors", {}).get(s)
         if sex_raw is None:
             ctx.fail(f"entrants.factors.{s}", "missing required field")
             continue
-        for name in FACTOR_NAMES:
+        fs = factors[s] = {}
+        for name in FACTOR_NAMES:  # EntrantsModelParams names a factor missing here
             fr = sex_raw.get(name)
-            if fr is None:
-                ctx.fail(f"entrants.factors.{s}.{name}", "missing required field")
-                continue
-            mean = _schedule(fr.get("mean", 0.0), f"entrants.factors.{s}.{name}.mean", ctx)
-            sig = _schedule(fr.get("sigma", 0.0), f"entrants.factors.{s}.{name}.sigma", ctx)
-            fs[name] = FactorMoments(mean=mean, sigma=sig)
-        factors[s] = fs
-    entrants_params = ctx.take("entrants", lambda: EntrantsModelParams(
-        factors=factors, study_years=study, training_years=training))
+            if fr is not None:
+                fs[name] = FactorMoments(*(
+                    _schedule(fr.get(k, 0.0), f"entrants.factors.{s}.{name}.{k}", ctx, lagged, 0.0)
+                    for k in ("mean", "sigma")))
+    entrants_params = None if None in (study, training) else ctx.take(
+        "entrants", lambda: EntrantsModelParams(
+            factors=factors, study_years=study, training_years=training))
 
     population = ctx.take("entrants.population_csv", lambda: load_population_series(
-        _resolve(base_dir, _need(ent_raw, "population_csv", "entrants", ctx)),
+        _resolve(base_dir, _need(ent_raw, "population_csv")),
         sexes, int(ent_raw.get("pool_min_age", 18)), int(ent_raw.get("pool_max_age", 25)),
         hasher))
+    for s in sexes if population is not None else ():
+        missing = [y for y in lagged[:len(years)] if y not in population.expected[s]]
+        if missing:
+            ctx.fail("entrants.population_csv",
+                     f"sex {s!r}: population series missing years "
+                     f"{missing[0]}..{missing[-1]} needed for the horizon")
 
     mort_raw = raw.get("mortality", {})
+    mort_base = ctx.take("mortality.base_year", lambda: int(mort_raw.get("base_year", first)))
+    if mort_base is not None and mort_base > first:
+        ctx.fail("mortality.base_year", f"{mort_base} is after the first projection year")
     mortality = ctx.take("mortality.table_csv", lambda: load_mortality(
-        _resolve(base_dir, _need(mort_raw, "table_csv", "mortality", ctx)),
-        sexes, int(mort_raw.get("base_year", first)), hasher))
+        _resolve(base_dir, _need(mort_raw, "table_csv")), sexes, mort_base, hasher))
+    if (mortality is not None and None not in (min_age, max_age)
+            and (mortality.min_age > min_age or mortality.max_age < max_age)):
+        ctx.fail("mortality.table_csv", "table does not cover the cohort grid")
 
     ret_raw = raw.get("retirement", {})
     types = tuple(ret_raw.get("benefit_types", ()))
@@ -440,49 +462,40 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
         if th is None:
             ctx.fail(f"retirement.thresholds.{b}", "missing required field")
             continue
-        per_sex = {}
-        for s in sexes:
-            sub = th.get(s, th)
-            per_sex[s] = (
-                _schedule(sub.get("min_age"), f"retirement.thresholds.{b}.min_age", ctx)
-                if sub.get("min_age") is not None else ctx.fail(
-                    f"retirement.thresholds.{b}.min_age", "missing required field"),
-                _schedule(sub.get("min_seniority"), f"retirement.thresholds.{b}.min_seniority", ctx)
-                if sub.get("min_seniority") is not None else ctx.fail(
-                    f"retirement.thresholds.{b}.min_seniority", "missing required field"),
-            )
-        thresholds[b] = per_sex
+        thresholds[b] = {s: tuple(
+            _schedule(th.get(s, th).get(k), f"retirement.thresholds.{b}.{k}", ctx, years)
+            for k in ("min_age", "min_seniority")) for s in sexes}
     retirement = ctx.take("retirement", lambda: RetirementRule(
         benefit_types=types, thresholds=thresholds))
 
-    con_raw = raw.get("contributions", {})
+    con_raw, ben_raw = raw.get("contributions", {}), raw.get("benefits", {})
     exemption = ctx.take("contributions.exemption_years",
                          lambda: int(con_raw.get("exemption_years", 0)))
+    backfill = bool(ben_raw.get("backfill_notional", False))
+    # a backfilled history credits the subjective rate from the year the most
+    # senior census active left the exemption, as `engine.opening_balance` does
+    credited = years
+    if backfill and census is not None and exemption is not None:
+        senior = census.counts[ACTIVE].nonzero()[2].max(initial=0)  # counts are >= 0
+        credited = range(min(first, first - senior + exemption + 1), last + 1)
     contribs = {}
-    for name in ("subjective", "integrative"):
+    for name, span in (("subjective", credited), ("integrative", years)):
         sub = con_raw.get(name)
         if sub is None:
             ctx.fail(f"contributions.{name}", "missing required field")
             continue
-        rate = _schedule(sub.get("rate", 0.0), f"contributions.{name}.rate", ctx)
-        for y in years:
-            r = rate.value(y) if rate.covers([y]) else None
-            if r is not None and not 0.0 <= r <= 1.0:
-                ctx.fail(f"contributions.{name}.rate", f"rate at {y} outside [0, 1]: {r}")
-                break
+        rate = _schedule(sub.get("rate", 0.0), f"contributions.{name}.rate", ctx, span, 0.0, 1.0)
         profile = ctx.take(f"contributions.{name}.profile_csv", lambda sub=sub: load_age_table(
-            _resolve(base_dir, _need(sub, "profile_csv", f"contributions.{name}", ctx)),
-            sexes, "amount", hasher))
-        contribs[name] = ctx.take(f"contributions.{name}", lambda n=name, r=rate, p=profile:
-                                  ContributionRule(name=n, rate=r, profile=p,
-                                                   exemption_years=exemption))
+            _resolve(base_dir, _need(sub, "profile_csv")), sexes, "amount", hasher))
+        contribs[name] = None if exemption is None else ctx.take(
+            f"contributions.{name}", lambda n=name, r=rate, p=profile: ContributionRule(
+                name=n, rate=r, profile=p, exemption_years=exemption))
 
-    ben_raw = raw.get("benefits", {})
     accrual = ctx.take("benefits.accrual_rate", lambda: float(ben_raw.get("accrual_rate", 0.0)))
-    backfill = bool(ben_raw.get("backfill_notional", False))
+    if accrual is not None and accrual < 0:
+        ctx.fail("benefits.accrual_rate", f"must be >= 0, got {accrual}")
     pre_existing = ctx.take("benefits.pre_existing_profile_csv", lambda: load_age_table(
-        _resolve(base_dir, _need(ben_raw, "pre_existing_profile_csv", "benefits", ctx)),
-        sexes, "amount", hasher))
+        _resolve(base_dir, _need(ben_raw, "pre_existing_profile_csv")), sexes, "amount", hasher))
     benefits = {}
     for b in types:
         sub = ben_raw.get("types", {}).get(b)
@@ -493,37 +506,45 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
         conversion = profile = None
         n_errors = len(ctx.errors)
         if kind == "notional_account":
-            conversion = ctx.take(f"benefits.types.{b}.conversion_csv", lambda sub=sub, b=b:
-                                  load_age_table(_resolve(base_dir, _need(
-                                      sub, "conversion_csv", f"benefits.types.{b}", ctx)),
-                                      sexes, "coefficient", hasher))
+            conversion = ctx.take(f"benefits.types.{b}.conversion_csv", lambda sub=sub:
+                                  load_age_table(_resolve(base_dir, _need(sub, "conversion_csv")),
+                                                 sexes, "coefficient", hasher))
         elif kind == "fixed_profile":
-            profile = ctx.take(f"benefits.types.{b}.profile_csv", lambda sub=sub, b=b:
-                               load_age_table(_resolve(base_dir, _need(
-                                   sub, "profile_csv", f"benefits.types.{b}", ctx)),
-                                   sexes, "amount", hasher))
+            profile = ctx.take(f"benefits.types.{b}.profile_csv", lambda sub=sub:
+                               load_age_table(_resolve(base_dir, _need(sub, "profile_csv")),
+                                              sexes, "amount", hasher))
         if len(ctx.errors) > n_errors:
             continue  # the table's own error says what is wrong
         benefits[b] = ctx.take(f"benefits.types.{b}", lambda k=kind, c=conversion, p=profile:
                                BenefitRule(kind=k, conversion=c, profile=p))
 
     eco_raw = raw.get("economics", {})
-    inflation = _schedule(eco_raw.get("inflation", 0.0), "economics.inflation", ctx)
-    exp_ret = _schedule(eco_raw.get("expected_return", 0.0), "economics.expected_return", ctx)
+    price_base = ctx.take("economics.profile_base_year",
+                          lambda: int(eco_raw.get("profile_base_year", first)))
+    # `engine.price_index` compounds inflation from the year after the base year
+    inflation = _schedule(eco_raw.get("inflation", 0.0), "economics.inflation", ctx,
+                          range(0) if price_base is None
+                          else range(min(price_base + 1, first), last + 1))
+    exp_ret = _schedule(eco_raw.get("expected_return", 0.0), "economics.expected_return",
+                        ctx, years)
     dev_raw = eco_raw.get("return_deviations", {})
     deviations = ctx.take("economics.return_deviations", lambda: Ar1Params(
         phi=float(dev_raw.get("phi", 0.0)), sigma=float(dev_raw.get("sigma", 0.0)),
         x0=float(dev_raw.get("x0", 0.0))))
+    assets = ctx.take("economics.initial_assets",
+                      lambda: float(_need(eco_raw, "initial_assets")))
+    if assets is not None and not math.isfinite(assets):
+        ctx.fail("economics.initial_assets", "must be finite")
     economics = ctx.take("economics", lambda: EconomicAssumptions(
-        initial_assets=float(_need(eco_raw, "initial_assets", "economics", ctx)),
+        initial_assets=assets,
         admin_base=float(eco_raw.get("admin_base", 0.0)),
         admin_growth=float(eco_raw.get("admin_growth", 0.0)),
         admin_base_year=int(eco_raw.get("admin_base_year", first)),
         inflation=inflation, expected_return=exp_ret, deviations=deviations,
-        profile_base_year=int(eco_raw.get("profile_base_year", first))))
+        profile_base_year=price_base))
     ctx.raise_if_failed()
 
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         first_year=first, last_year=last,
         run=run,
         sexes=sexes, min_age=min_age, max_age=max_age, max_seniority=max_sen,
@@ -534,48 +555,3 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
         benefits=benefits, pre_existing=pre_existing, accrual_rate=accrual,
         backfill_notional=backfill, economics=economics,
         source_digest=hasher.hexdigest())
-    _cross_validate(cfg, ctx)
-    ctx.raise_if_failed()
-    return cfg
-
-
-def _cross_validate(cfg: ScenarioConfig, ctx: _Ctx):
-    """Coverage checks that need the whole scenario assembled."""
-    years = cfg.years
-    lag = cfg.entrants_params.study_years + cfg.entrants_params.training_years
-    for s in cfg.sexes:
-        have = set(cfg.population.expected.get(s, {}))
-        need = set(range(cfg.first_year - lag, cfg.last_year - lag + 1))
-        missing = sorted(need - have)
-        if missing:
-            ctx.fail("entrants.population_csv",
-                     f"sex {s!r}: population series missing years "
-                     f"{missing[0]}..{missing[-1]} needed for the horizon")
-        for name in FACTOR_NAMES:
-            fm = cfg.entrants_params.factors[s][name]
-            for sched, what in ((fm.mean, "mean"), (fm.sigma, "sigma")):
-                span = range(cfg.first_year - lag, cfg.last_year + 1)
-                if not sched.covers(span):
-                    ctx.fail(f"entrants.factors.{s}.{name}.{what}",
-                             "schedule does not cover the lagged horizon")
-    if cfg.mortality.base_year > cfg.first_year:
-        ctx.fail("mortality.base_year",
-                 f"{cfg.mortality.base_year} is after the first projection year")
-    if (cfg.mortality.min_age > cfg.min_age or cfg.mortality.max_age < cfg.max_age
-            or cfg.mortality.sexes != cfg.sexes):
-        ctx.fail("mortality.table_csv", "table does not cover the cohort grid")
-    if not math.isfinite(cfg.economics.initial_assets):
-        ctx.fail("economics.initial_assets", "must be finite")
-    for sched, path in ((cfg.economics.inflation, "economics.inflation"),
-                        (cfg.economics.expected_return, "economics.expected_return")):
-        if not sched.covers(years):
-            ctx.fail(path, "schedule does not cover the horizon")
-    if cfg.accrual_rate < 0:
-        ctx.fail("benefits.accrual_rate", f"must be >= 0, got {cfg.accrual_rate}")
-    for b in cfg.retirement.benefit_types:
-        for s in cfg.sexes:
-            for sched, what in zip(cfg.retirement.thresholds[b][s],
-                                   ("min_age", "min_seniority")):
-                if sched is None or not sched.covers(years):
-                    ctx.fail(f"retirement.thresholds.{b}.{what}",
-                             "schedule does not cover the horizon")

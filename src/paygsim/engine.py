@@ -322,6 +322,12 @@ def entrant_moment_tables(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return mean, sigma
 
 
+def expected_entrants(cfg: ScenarioConfig) -> np.ndarray:
+    """Arrival headcounts with every shock at zero: (n_years, n_sex)."""
+    mean, sigma = entrant_moment_tables(cfg)
+    return entrant_product(mean, sigma, np.zeros_like(mean))
+
+
 def entrants_matrix(cfg: ScenarioConfig, eps: np.ndarray) -> np.ndarray:
     """Arrival headcounts from shock blocks: (n_reps, n_years, n_sex)."""
     mean, sigma = entrant_moment_tables(cfg)

@@ -59,9 +59,6 @@ class PopulationSeries:
             raise CoverageError(f"population series does not cover year {year} for sex {sex!r}")
         return by_year[year], self.sigma[sex].get(year, 0.0)
 
-    def years(self, sex: str):
-        return sorted(self.expected[sex])
-
 
 @dataclass(frozen=True)
 class FactorMoments:

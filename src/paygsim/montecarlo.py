@@ -234,11 +234,10 @@ class SeriesView(Mapping):
         return len(self._result.series_names)
 
 
-def run_simulation(cfg: ScenarioConfig, workers: int | None = None,
-                   chunk_size: int = DEFAULT_CHUNK) -> SimulationResult:
+def run_simulation(cfg: ScenarioConfig, workers: int | None = None) -> SimulationResult:
     """Run the configured number of replications, optionally across processes.
 
-    Results are identical whatever `workers` or `chunk_size` is: each
+    Results are identical whatever `workers` or `DEFAULT_CHUNK` is: each
     replication's stream depends only on (seed, replication index). The
     result is allocated once and each chunk's rows are copied into place as
     the chunk finishes, in chunk order; pool workers receive `cfg` and the
@@ -248,7 +247,7 @@ def run_simulation(cfg: ScenarioConfig, workers: int | None = None,
         raise ConfigError([f"workers: must be >= 1, got {workers}"])
     n, n_years = cfg.run.n_reps, len(cfg.years)
     system = build_system(cfg)
-    spans = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
+    spans = [(lo, min(lo + DEFAULT_CHUNK, n)) for lo in range(0, n, DEFAULT_CHUNK)]
     ledger = {k: np.empty((n, n_years), dtype=np.int64) for k in LedgerRow.COLUMNS}
     entrants = {s: np.empty((n, n_years)) for s in cfg.sexes}
     actives, retirees = np.empty((n, n_years)), np.empty((n, n_years))

@@ -25,9 +25,8 @@ from .cohorts import (ACTIVE, RETIRED, death_probability_grid,
                       inject_new_entrants, retirement_assignment, shift_active,
                       shift_retired)
 from .config import ScenarioConfig
-from .engine import (admin_path, build_system, entrants_matrix, opening_balance,
+from .engine import (admin_path, build_system, expected_entrants, opening_balance,
                      price_index, return_rates, simulate_flows)
-from .entrants import DRAWS_PER_CELL
 from .errors import CoverageError
 
 
@@ -63,14 +62,13 @@ def _assemble_result(cfg: ScenarioConfig, flows: dict, rates: np.ndarray,
 
 def run_deterministic_projection(cfg: ScenarioConfig) -> ProjectionResult:
     """Expected-value path: every shock at zero, cohort engine throughout."""
-    n_years, n_sex = len(cfg.years), len(cfg.sexes)
     system = build_system(cfg)
-    ne = entrants_matrix(cfg, np.zeros((1, n_years, n_sex, DRAWS_PER_CELL)))
-    flows = simulate_flows(system, ne)
-    rates = return_rates(cfg, np.zeros((1, n_years)), stochastic=False)
+    ne = expected_entrants(cfg)
+    flows = simulate_flows(system, ne[None])
+    rates = return_rates(cfg, np.zeros((1, len(cfg.years))), stochastic=False)
     admin = admin_path(cfg)
     flows = {k: v[0] for k, v in flows.items()}
-    return _assemble_result(cfg, flows, rates[0], admin, ne[0])
+    return _assemble_result(cfg, flows, rates[0], admin, ne)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +127,7 @@ def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
     notional, pensions = _initial_totals(cfg)
     account = NotionalAccounts(accrual_rate=cfg.accrual_rate, totals=notional)
     if entrants_path is None:
-        ne = entrants_matrix(cfg, np.zeros((1, n_years, len(cfg.sexes), DRAWS_PER_CELL)))[0]
+        ne = expected_entrants(cfg)
         entrants_path = {s: ne[:, si] for si, s in enumerate(cfg.sexes)}
 
     prices = price_index(cfg, years)

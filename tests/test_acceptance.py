@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import age_one_year, retire
-from paygsim import (load_config, run_deterministic_projection,
+from paygsim import (load_config, montecarlo, run_deterministic_projection,
                      run_simulation)
 from paygsim.cashflows import (LedgerRow, build_ledger, cents_to_thousands,
                                to_cents)
@@ -231,10 +231,11 @@ def test_criterion_7_risk_decomposition(cfg, sensitivity):
     assert elapsed < 120.0, elapsed
 
 
-def test_criterion_8_reproducibility(cfg, tmp_path):
+def test_criterion_8_reproducibility(cfg, tmp_path, monkeypatch):
     run_cfg = cfg.with_run(n_reps=400)
     serial = run_simulation(run_cfg)
-    parallel = run_simulation(run_cfg, workers=2, chunk_size=100)
+    monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 100)
+    parallel = run_simulation(run_cfg, workers=2)
     paths = {}
     for label, result in (("serial", serial), ("parallel", parallel)):
         outdir = tmp_path / label

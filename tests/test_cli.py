@@ -94,6 +94,29 @@ class TestValidate:
         assert len(lines) >= 2
         assert all(line.startswith("error: ") for line in lines)
 
+    # each schedule is checked at every year the model reads, so validate
+    # rejects what project would fail on, with one line per problem
+    @pytest.mark.parametrize("tweaks, fields", [
+        ({"contributions": {"subjective": {"rate": {"overrides": {2006: 0.1}}}}},
+         ["contributions.subjective.rate"]),
+        ({"economics": {"profile_base_year": 2000,
+                        "inflation": {"overrides": {y: 0.02 for y in range(2006, 2017)}}}},
+         ["economics.inflation"]),
+        ({"entrants": {"factors": {"male": {"enrolment": {"mean": -0.1, "sigma": 0.02}}}}},
+         ["entrants.factors.male.enrolment.mean"]),
+        ({"contributions": {"subjective": {"rate": {"default": 0.1, "overrides": {2010: 1.5}}}},
+          "economics": {"inflation": {"overrides": {2006: 0.02}}}},
+         ["contributions.subjective.rate", "economics.inflation"]),
+    ])
+    def test_schedule_problems_exit_2_one_line_each(self, capsys, tmp_path, tweaks, fields):
+        from conftest import write_scenario
+        path = write_scenario(str(tmp_path), tweaks=tweaks)
+        code, out, err = run(capsys, "validate", "--config", path)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert all(line.startswith("error: ") for line in lines)
+        assert [line.split(": ")[1] for line in lines] == fields
+
     @pytest.mark.parametrize("command", ["validate", "project"])
     @pytest.mark.parametrize("column, value", [("q0", "nan"), ("drift", "nan"),
                                                ("sigma", "inf")])
@@ -275,7 +298,7 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", scenario,
                            "--reps", "0", "--out", str(tmp_path / "r"))
         assert code == 2
-        assert "--reps" in err
+        assert "run.n_reps" in err
 
     def test_bad_percentiles_exit_2(self, capsys, scenario, tmp_path):
         # values are checked by the run settings, like a scenario's probes

@@ -4,7 +4,7 @@ import yaml
 
 from conftest import write_scenario
 from paygsim import (StochasticFlags, default_config_path, load_config,
-                     run_simulation)
+                     run_deterministic_projection, run_simulation, stepwise_projection)
 from paygsim.errors import ConfigError
 
 
@@ -46,8 +46,8 @@ class TestSmallScenario:
 
     def test_with_run_and_with_flags(self, small_scenario):
         cfg = load_config(small_scenario)
-        off = cfg.with_flags(StochasticFlags.none())
-        assert not off.run.flags.any()
+        off = cfg.with_run(flags=StochasticFlags.none())
+        assert off.run.flags.names() == ()
         assert off.run.seed == cfg.run.seed
         re = cfg.with_run(seed=99, n_reps=3)
         assert (re.run.seed, re.run.n_reps) == (99, 3)
@@ -247,6 +247,97 @@ class TestBrokenScenarios:
                            "thresholds": {"old_age": {"min_age": 40, "min_seniority": 5}}}})
         with pytest.raises(ConfigError, match="retirement.thresholds.early"):
             load_config(path)
+
+
+# The small scenario projects 2006-2016, with arrivals lagged 5 + 4 years and
+# prices stated at 2005. Its notional accounts are backfilled: the most
+# senior census active (seniority 8) left the one-year exemption in 2000, so
+# the subjective rate is read from 2000.
+HORIZON = {y: 0.1 for y in range(2006, 2017)}
+
+
+class TestEachScheduleIsCheckedWhereTheModelReadsIt:
+    @pytest.mark.parametrize("tweaks, field, detail", [
+        # a history year without a subjective rate
+        ({"contributions": {"subjective": {"rate": {"overrides": {2006: 0.1}}}}},
+         "contributions.subjective.rate", "no value for year 2000"),
+        ({"contributions": {"subjective": {"rate": {"overrides": HORIZON}}}},
+         "contributions.subjective.rate", "no value for year 2000"),
+        # an out-of-range rate credited before the census
+        ({"contributions": {"subjective": {"rate": {"default": 0.1, "overrides": {2003: 1.5}}}}},
+         "contributions.subjective.rate", "rate at 2003 outside [0, 1]: 1.5"),
+        # the price index compounds inflation from the year after the base year
+        ({"economics": {"profile_base_year": 2000, "inflation": {"overrides": HORIZON}}},
+         "economics.inflation", "no value for year 2001"),
+        ({"economics": {"expected_return": {"overrides": {2006: 0.03}}}},
+         "economics.expected_return", "no value for year 2007"),
+        ({"economics": {"expected_return": float("nan")}},
+         "economics.expected_return", "expected_return at 2006 outside [-inf, inf]: nan"),
+        ({"retirement": {"thresholds": {"old_age": {
+            "min_age": {"overrides": {y: 40 for y in range(2006, 2016)}},
+            "min_seniority": 5}}}},
+         "retirement.thresholds.old_age.min_age", "no value for year 2016"),
+        # factor moments are read from the enrolment year of the first arrivals
+        ({"entrants": {"factors": {"male": {"enrolment": {"mean": -0.1, "sigma": 0.02}}}}},
+         "entrants.factors.male.enrolment.mean", "mean at 1997 outside [0, inf]: -0.1"),
+        ({"entrants": {"factors": {"female": {"graduation": {"mean": 0.5, "sigma": -0.02}}}}},
+         "entrants.factors.female.graduation.sigma", "sigma at 1997 outside [0, inf]: -0.02"),
+        ({"entrants": {"factors": {"male": {"admission": {
+            "mean": {"overrides": {y: 0.2 for y in range(1998, 2017)}}, "sigma": 0.02}}}}},
+         "entrants.factors.male.admission.mean", "no value for year 1997"),
+        # the whole-scenario checks, now made where their field is parsed
+        ({"mortality": {"base_year": 2007}}, "mortality.base_year", "after the first"),
+        ({"benefits": {"accrual_rate": -0.01}}, "benefits.accrual_rate", "must be >= 0"),
+        ({"economics": {"initial_assets": float("inf")}},
+         "economics.initial_assets", "must be finite"),
+    ])
+    def test_one_message_naming_the_field(self, tmp_path, tweaks, field, detail):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_scenario(str(tmp_path), tweaks=tweaks))
+        [message] = exc.value.messages
+        assert message.startswith(f"{field}: ") and detail in message
+
+    def test_a_gap_is_reported_with_an_earlier_problem(self, tmp_path):
+        path = write_scenario(str(tmp_path), tweaks={
+            "contributions": {"subjective": {"rate": {"default": 0.1, "overrides": {2010: 1.5}}}},
+            "economics": {"inflation": {"overrides": {2006: 0.02}}}})
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.messages == [
+            "contributions.subjective.rate: rate at 2010 outside [0, 1]: 1.5",
+            "economics.inflation: no value for year 2007 (values are read for 2006-2016)"]
+
+    # values at exactly the years checked are enough for both projections
+    @pytest.mark.parametrize("tweaks", [
+        {"contributions": {"subjective": {"rate": {
+            "overrides": {y: 0.1 for y in range(2000, 2017)}}}}},
+        {"benefits": {"backfill_notional": False},
+         "contributions": {"subjective": {"rate": {"overrides": HORIZON}}}},
+        {"economics": {"profile_base_year": 2000,
+                       "inflation": {"overrides": {y: 0.02 for y in range(2001, 2017)}}}},
+        {"entrants": {"factors": {"male": {"enrolment": {
+            "mean": {"overrides": {y: 0.1 for y in range(1997, 2017)}}, "sigma": 0.02}}}}},
+    ])
+    def test_the_checked_years_are_the_years_read(self, tmp_path, tweaks):
+        cfg = load_config(write_scenario(str(tmp_path), tweaks=tweaks))
+        det, grid = run_deterministic_projection(cfg), stepwise_projection(cfg)
+        assert np.array_equal(det.ledger.columns["value_end"], grid.ledger.columns["value_end"])
+
+    @pytest.mark.parametrize("tweaks, field", [
+        ({"horizon": {"first_year": None}}, "horizon.first_year"),
+        ({"population": {"census_csv": None}}, "population.census_csv"),
+        ({"entrants": {"study_years": "x"}}, "entrants.study_years"),
+        ({"entrants": {"factors": {"male": {"membership": None}}}}, "entrants"),
+        ({"retirement": {"thresholds": {"old_age": {"min_age": None, "min_seniority": 5}}}},
+         "retirement.thresholds.old_age.min_age"),
+        ({"contributions": {"exemption_years": "x"}}, "contributions.exemption_years"),
+        ({"economics": {"initial_assets": None}}, "economics.initial_assets"),
+    ])
+    def test_one_mistake_gives_one_message(self, tmp_path, tweaks, field):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_scenario(str(tmp_path), tweaks=tweaks))
+        assert len(exc.value.messages) == 1, exc.value.messages
+        assert exc.value.messages[0].startswith(f"{field}: ")
 
 
 class TestDigestTracksEveryInput:

@@ -39,13 +39,15 @@ class TestReproducibility:
         for name in base_run.series_names:
             assert np.array_equal(base_run.series[name][:3], fewer.series[name])
 
-    def test_chunking_does_not_change_results(self, small_cfg, base_run):
-        rechunked = run_simulation(small_cfg, chunk_size=3)
+    def test_chunking_does_not_change_results(self, small_cfg, base_run, monkeypatch):
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)
+        rechunked = run_simulation(small_cfg)
         for name in base_run.series_names:
             assert np.array_equal(base_run.series[name], rechunked.series[name])
 
-    def test_parallel_equals_serial(self, small_cfg, base_run):
-        parallel = run_simulation(small_cfg, workers=2, chunk_size=2)
+    def test_parallel_equals_serial(self, small_cfg, base_run, monkeypatch):
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 2)
+        parallel = run_simulation(small_cfg, workers=2)
         for name in base_run.series_names:
             assert np.array_equal(base_run.series[name], parallel.series[name])
         for name, col in base_run.ledger.items():
@@ -80,13 +82,14 @@ class TestStreamedChunks:
     def test_uneven_chunks_and_sub_blocks_match_one_chunk(self, small_cfg, monkeypatch,
                                                           workers):
         cfg = small_cfg.with_run(n_reps=23)
-        monkeypatch.setattr(montecarlo, "SUB_BLOCK", 23)
-        whole = run_simulation(cfg, chunk_size=23)
+        for name, value in (("SUB_BLOCK", 23), ("DEFAULT_CHUNK", 23)):
+            monkeypatch.setattr(montecarlo, name, value)
+        whole = run_simulation(cfg)
         # neither size divides 23; pool workers are forked after the patch
-        monkeypatch.setattr(montecarlo, "SUB_BLOCK", 3)
-        self.assert_same_run(whole, run_simulation(cfg, workers=workers, chunk_size=7))
-        monkeypatch.setattr(montecarlo, "SUB_BLOCK", 2)
-        self.assert_same_run(whole, run_simulation(cfg, workers=workers, chunk_size=5))
+        for sub_block, chunk in ((3, 7), (2, 5)):
+            monkeypatch.setattr(montecarlo, "SUB_BLOCK", sub_block)
+            monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", chunk)
+            self.assert_same_run(whole, run_simulation(cfg, workers=workers))
 
     def test_shock_blocks_fill_the_leading_rows_of_out(self, small_cfg):
         buffers = draw_shock_blocks(small_cfg, range(5))
@@ -99,12 +102,14 @@ class TestStreamedChunks:
             assert np.array_equal(getattr(reused, k), getattr(fresh, k))
 
     @pytest.mark.parametrize("n_reps, workers", [(2000, None), (4000, 2)])
-    def test_working_set_stays_bounded(self, cfg, n_reps, workers):
+    def test_working_set_stays_bounded(self, cfg, monkeypatch, n_reps, workers):
         # the result holds the nine ledger columns, the entrants of each sex,
         # actives and retirees, and nothing else of size; beside it, the
         # parent holds only a per-chunk working set, which must not grow with
         # n_reps or with the number of chunks
-        run_simulation(cfg.with_run(n_reps=2), workers=workers, chunk_size=1)  # imports
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo, "DEFAULT_CHUNK", 1)
+            run_simulation(cfg.with_run(n_reps=2), workers=workers)  # imports
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -137,7 +142,9 @@ class TestLeanResult:
 
     @pytest.fixture(scope="class", params=[None, 2], ids=["serial", "workers2"])
     def result(self, request, small_cfg):
-        return run_simulation(small_cfg, workers=request.param, chunk_size=3)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(montecarlo, "DEFAULT_CHUNK", 3)
+            return run_simulation(small_cfg, workers=request.param)
 
     @staticmethod
     def same_bits(a, b) -> bool:
@@ -212,7 +219,7 @@ class TestLeanResult:
 class TestFlagCollapse:
     def test_all_flags_off_reproduces_the_deterministic_path(self, small_cfg):
         det = run_deterministic_projection(small_cfg)
-        frozen = run_simulation(small_cfg.with_flags(StochasticFlags.none()))
+        frozen = run_simulation(small_cfg.with_run(flags=StochasticFlags.none()))
         for rep in range(frozen.n_reps):
             assert np.array_equal(frozen.ledger["value_end"][rep],
                                   det.ledger.columns["value_end"])
@@ -223,7 +230,7 @@ class TestFlagCollapse:
 
     def test_returns_only_leaves_entrants_at_expectations(self, small_cfg):
         det = run_deterministic_projection(small_cfg)
-        run = run_simulation(small_cfg.with_flags(StochasticFlags.only("returns")))
+        run = run_simulation(small_cfg.with_run(flags=StochasticFlags.only("returns")))
         for si, s in enumerate(small_cfg.sexes):
             for rep in range(run.n_reps):
                 assert np.array_equal(run.series[f"entrants_{s}"][rep], det.entrants[s])
@@ -231,7 +238,7 @@ class TestFlagCollapse:
         assert np.std(run.series["fund_value"][:, -1]) > 0.0
 
     def test_entrants_only_varies_entrants(self, small_cfg):
-        run = run_simulation(small_cfg.with_flags(StochasticFlags.only("entrants")))
+        run = run_simulation(small_cfg.with_run(flags=StochasticFlags.only("entrants")))
         spread = np.std(run.series["entrants_total"][:, -1])
         assert spread > 0.0
 
