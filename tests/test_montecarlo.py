@@ -82,8 +82,8 @@ class TestStreamedChunks:
     def test_uneven_chunks_and_sub_blocks_match_one_chunk(self, small_cfg, monkeypatch,
                                                           workers):
         cfg = small_cfg.with_run(n_reps=23)
-        for name, value in (("SUB_BLOCK", 23), ("DEFAULT_CHUNK", 23)):
-            monkeypatch.setattr(montecarlo, name, value)
+        monkeypatch.setattr(montecarlo, "SUB_BLOCK", 23)
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 23)
         whole = run_simulation(cfg)
         # neither size divides 23; pool workers are forked after the patch
         for sub_block, chunk in ((3, 7), (2, 5)):
