@@ -12,7 +12,7 @@ the admission and membership rates of year t itself.
 import numpy as np
 
 from paygsim import default_config_path, load_config, variance_new_entrants
-from paygsim.engine import entrants_matrix
+from paygsim.engine import entrant_moment_tables, entrants_matrix
 from paygsim.entrants import DRAWS_PER_CELL
 from paygsim.montecarlo import entrant_paths
 
@@ -40,7 +40,7 @@ for y in (2006, 2010, 2020, 2030, 2040):
 # multiplies second raw moments across the five independent factors and
 # ignores the floor at zero, so the sample comes out a touch below it.
 # Each replication draws its arrival shocks from its own stream (seed, rep).
-paths = entrant_paths(cfg.with_run(n_reps=20_000, seed=7))
+paths = entrant_paths(cfg.with_run(n_reps=20_000, seed=7), entrant_moment_tables(cfg))
 draws = paths["male"][:, year - cfg.first_year]
 closed = variance_new_entrants(params, series, "male", year)
 print(f"\nNE({year}), male: mean {draws.mean():.1f}, "

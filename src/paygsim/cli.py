@@ -21,7 +21,7 @@ from . import outputs
 from ._version import __version__
 from .config import (ScenarioConfig, StochasticFlags, default_config_path,
                      load_config)
-from .engine import expected_entrants
+from .engine import entrant_moment_tables, entrant_product
 from .errors import ConfigError, PaygsimError
 from .montecarlo import entrant_paths, run_simulation
 from .projection import run_deterministic_projection
@@ -137,12 +137,13 @@ def _cmd_entrants(args) -> int:
         cfg = cfg.with_run(seed=args.seed)
     if args.reps < 0:
         raise ConfigError(["--reps: must be >= 0"])
-    ne = expected_entrants(cfg)
+    moments = entrant_moment_tables(cfg)  # built once, for both paths
+    ne = entrant_product(*moments, 0.0)  # the expected path
     expected = {s: ne[:, si] for si, s in enumerate(cfg.sexes)}
     sampled = None
     if args.reps > 0:
         cfg = cfg.with_run(n_reps=args.reps)
-        paths = entrant_paths(cfg)
+        paths = entrant_paths(cfg, moments)
         mean = {s: paths[s].mean(axis=0) for s in cfg.sexes}
         std = {s: paths[s].std(axis=0, ddof=1) if args.reps > 1
                else np.zeros(len(cfg.years)) for s in cfg.sexes}

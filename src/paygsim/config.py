@@ -307,6 +307,28 @@ def _need(raw: dict, key: str):
     return value
 
 
+def _mapping(raw: dict, key, path: str, ctx: _Ctx, required: bool = False) -> dict | None:
+    """raw[key] if it is a mapping; {} if absent or null and not `required`;
+    otherwise None, with the problem recorded under the field."""
+    value = raw.get(key)
+    if value is None and not required:
+        return {}
+    if not isinstance(value, dict):
+        ctx.fail(path, "missing required field" if value is None
+                 else f"expected a mapping, got {type(value).__name__}")
+        return None
+    return value
+
+
+def _names(raw: dict, key: str, path: str, ctx: _Ctx, default=None) -> tuple[str, ...] | None:
+    """raw[key] as a tuple of one or more names, or None with the problem recorded."""
+    value = raw.get(key, default)
+    if not (isinstance(value, list) and value and all(isinstance(v, str) for v in value)):
+        ctx.fail(path, f"expected a non-empty list of names, got {value!r}")
+        return None
+    return tuple(value)
+
+
 def _schedule(raw, path: str, ctx: _Ctx, years: range,
               lo: float = -math.inf, hi: float = math.inf) -> Schedule | None:
     """Parse a schedule and check it over the years the model reads it at:
@@ -315,7 +337,7 @@ def _schedule(raw, path: str, ctx: _Ctx, years: range,
     if raw is None:
         ctx.fail(path, "missing required field")
         return None
-    sched = ctx.take(path, lambda: Schedule.from_config(raw, path))
+    sched = ctx.take(path, lambda: Schedule.from_config(raw))
     if sched is None:
         return None
     if not sched.covers(years):
@@ -357,8 +379,12 @@ def _resolve(base_dir: str, rel: str) -> str:
 def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
     # a check whose inputs failed to parse is skipped: one mistake, one message
     ctx = _Ctx()
+    horizon, run_raw, pop_raw, ent_raw, mort_raw, ret_raw, con_raw, ben_raw, eco_raw = (
+        _mapping(raw, name, name, ctx) for name in ("horizon", "run", "population", "entrants",
+                                                     "mortality", "retirement", "contributions",
+                                                     "benefits", "economics"))
+    ctx.raise_if_failed()  # every field is read from its section
 
-    horizon = raw.get("horizon", {})
     first = ctx.take("horizon.first_year", lambda: int(_need(horizon, "first_year")))
     last = ctx.take("horizon.last_year", lambda: int(_need(horizon, "last_year")))
     if first is not None and last is not None and last < first:
@@ -366,11 +392,10 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
     ctx.raise_if_failed()
     years = range(first, last + 1)
 
-    run_raw = raw.get("run", {})
     seed = ctx.take("run.seed", lambda: int(run_raw.get("seed", 0)))
     n_reps = ctx.take("run.n_reps", lambda: int(run_raw.get("n_reps", 1000)))
-    flags_raw = run_raw.get("stochastic", {})
-    flags = StochasticFlags(
+    flags_raw = _mapping(run_raw, "stochastic", "run.stochastic", ctx)
+    flags = None if flags_raw is None else StochasticFlags(
         entrants=bool(flags_raw.get("entrants", True)),
         mortality=bool(flags_raw.get("mortality", True)),
         returns=bool(flags_raw.get("returns", True)),
@@ -380,13 +405,14 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
     moments_years = ctx.take("run.moments_years", lambda: tuple(
         int(y) for y in run_raw.get("moments_years", years)))
     run = None
-    if None not in (seed, n_reps, probes, moments_years):
+    if None not in (seed, n_reps, flags, probes, moments_years):
         run = ctx.take(None, lambda: RunSettings(seed=seed, n_reps=n_reps, flags=flags,
                                                  probes=probes, moments_years=moments_years))
         ctx.take(None, lambda: _check_moments_years(moments_years, first, last))
 
-    pop_raw = raw.get("population", {})
-    sexes = tuple(pop_raw.get("sexes", ("male", "female")))
+    sexes = _names(pop_raw, "sexes", "population.sexes", ctx, default=["male", "female"])
+    if sexes is None:
+        ctx.raise_if_failed()  # every table and factor is read per sex
     min_age = ctx.take("population.min_age", lambda: int(_need(pop_raw, "min_age")))
     max_age = ctx.take("population.max_age", lambda: int(_need(pop_raw, "max_age")))
     max_sen = ctx.take("population.max_seniority", lambda: int(_need(pop_raw, "max_seniority")))
@@ -409,25 +435,27 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
         if census is not None:
             ctx.take("population.census_csv", lambda: census.check_seniority_bound(entry_age))
 
-    ent_raw = raw.get("entrants", {})
+    n_errors = len(ctx.errors)  # a factor reported below is not reported missing again
     study = ctx.take("entrants.study_years", lambda: int(ent_raw.get("study_years", 5)))
     training = ctx.take("entrants.training_years", lambda: int(ent_raw.get("training_years", 4)))
     # arrivals at t read the population and enrolment of t - study - training
     lagged = range(0) if None in (study, training) else range(first - study - training, last + 1)
+    factors_raw = _mapping(ent_raw, "factors", "entrants.factors", ctx)
     factors = {}
-    for s in sexes:
-        sex_raw = ent_raw.get("factors", {}).get(s)
+    for s in sexes if factors_raw is not None else ():
+        sex_raw = _mapping(factors_raw, s, f"entrants.factors.{s}", ctx, required=True)
         if sex_raw is None:
-            ctx.fail(f"entrants.factors.{s}", "missing required field")
             continue
         fs = factors[s] = {}
-        for name in FACTOR_NAMES:  # EntrantsModelParams names a factor missing here
-            fr = sex_raw.get(name)
+        for name in FACTOR_NAMES:
+            if sex_raw.get(name) is None:
+                continue  # EntrantsModelParams names the missing factor
+            fr = _mapping(sex_raw, name, f"entrants.factors.{s}.{name}", ctx)
             if fr is not None:
                 fs[name] = FactorMoments(*(
                     _schedule(fr.get(k, 0.0), f"entrants.factors.{s}.{name}.{k}", ctx, lagged, 0.0)
                     for k in ("mean", "sigma")))
-    entrants_params = None if None in (study, training) else ctx.take(
+    entrants_params = None if len(ctx.errors) > n_errors else ctx.take(
         "entrants", lambda: EntrantsModelParams(
             factors=factors, study_years=study, training_years=training))
 
@@ -442,7 +470,6 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
                      f"sex {s!r}: population series missing years "
                      f"{missing[0]}..{missing[-1]} needed for the horizon")
 
-    mort_raw = raw.get("mortality", {})
     mort_base = ctx.take("mortality.base_year", lambda: int(mort_raw.get("base_year", first)))
     if mort_base is not None and mort_base > first:
         ctx.fail("mortality.base_year", f"{mort_base} is after the first projection year")
@@ -452,23 +479,22 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
             and (mortality.min_age > min_age or mortality.max_age < max_age)):
         ctx.fail("mortality.table_csv", "table does not cover the cohort grid")
 
-    ret_raw = raw.get("retirement", {})
-    types = tuple(ret_raw.get("benefit_types", ()))
-    if not types:
-        ctx.fail("retirement.benefit_types", "at least one benefit type is required")
+    types = _names(ret_raw, "benefit_types", "retirement.benefit_types", ctx) or ()
+    n_errors = len(ctx.errors)  # nor a benefit type reported below as lacking thresholds
+    thresholds_raw = _mapping(ret_raw, "thresholds", "retirement.thresholds", ctx)
     thresholds = {}
-    for b in types:
-        th = ret_raw.get("thresholds", {}).get(b)
+    for b in types if thresholds_raw is not None else ():
+        th = _mapping(thresholds_raw, b, f"retirement.thresholds.{b}", ctx, required=True)
         if th is None:
-            ctx.fail(f"retirement.thresholds.{b}", "missing required field")
             continue
+        # a mapping per sex, or one for every sex
+        by_sex = {s: _mapping(th, s, f"retirement.thresholds.{b}.{s}", ctx) or th for s in sexes}
         thresholds[b] = {s: tuple(
-            _schedule(th.get(s, th).get(k), f"retirement.thresholds.{b}.{k}", ctx, years)
+            _schedule(by_sex[s].get(k), f"retirement.thresholds.{b}.{k}", ctx, years)
             for k in ("min_age", "min_seniority")) for s in sexes}
-    retirement = ctx.take("retirement", lambda: RetirementRule(
-        benefit_types=types, thresholds=thresholds))
+    retirement = None if len(ctx.errors) > n_errors else ctx.take(
+        "retirement", lambda: RetirementRule(benefit_types=types, thresholds=thresholds))
 
-    con_raw, ben_raw = raw.get("contributions", {}), raw.get("benefits", {})
     exemption = ctx.take("contributions.exemption_years",
                          lambda: int(con_raw.get("exemption_years", 0)))
     backfill = bool(ben_raw.get("backfill_notional", False))
@@ -480,9 +506,8 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
         credited = range(min(first, first - senior + exemption + 1), last + 1)
     contribs = {}
     for name, span in (("subjective", credited), ("integrative", years)):
-        sub = con_raw.get(name)
+        sub = _mapping(con_raw, name, f"contributions.{name}", ctx, required=True)
         if sub is None:
-            ctx.fail(f"contributions.{name}", "missing required field")
             continue
         rate = _schedule(sub.get("rate", 0.0), f"contributions.{name}.rate", ctx, span, 0.0, 1.0)
         profile = ctx.take(f"contributions.{name}.profile_csv", lambda sub=sub: load_age_table(
@@ -496,11 +521,11 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
         ctx.fail("benefits.accrual_rate", f"must be >= 0, got {accrual}")
     pre_existing = ctx.take("benefits.pre_existing_profile_csv", lambda: load_age_table(
         _resolve(base_dir, _need(ben_raw, "pre_existing_profile_csv")), sexes, "amount", hasher))
+    types_raw = _mapping(ben_raw, "types", "benefits.types", ctx)
     benefits = {}
-    for b in types:
-        sub = ben_raw.get("types", {}).get(b)
+    for b in types if types_raw is not None else ():
+        sub = _mapping(types_raw, b, f"benefits.types.{b}", ctx, required=True)
         if sub is None:
-            ctx.fail(f"benefits.types.{b}", "missing required field")
             continue
         kind = sub.get("kind", "notional_account")
         conversion = profile = None
@@ -518,7 +543,6 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
         benefits[b] = ctx.take(f"benefits.types.{b}", lambda k=kind, c=conversion, p=profile:
                                BenefitRule(kind=k, conversion=c, profile=p))
 
-    eco_raw = raw.get("economics", {})
     price_base = ctx.take("economics.profile_base_year",
                           lambda: int(eco_raw.get("profile_base_year", first)))
     # `engine.price_index` compounds inflation from the year after the base year
@@ -527,10 +551,11 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
                           else range(min(price_base + 1, first), last + 1))
     exp_ret = _schedule(eco_raw.get("expected_return", 0.0), "economics.expected_return",
                         ctx, years)
-    dev_raw = eco_raw.get("return_deviations", {})
-    deviations = ctx.take("economics.return_deviations", lambda: Ar1Params(
-        phi=float(dev_raw.get("phi", 0.0)), sigma=float(dev_raw.get("sigma", 0.0)),
-        x0=float(dev_raw.get("x0", 0.0))))
+    dev_raw = _mapping(eco_raw, "return_deviations", "economics.return_deviations", ctx)
+    deviations = None if dev_raw is None else ctx.take(
+        "economics.return_deviations", lambda: Ar1Params(
+            phi=float(dev_raw.get("phi", 0.0)), sigma=float(dev_raw.get("sigma", 0.0)),
+            x0=float(dev_raw.get("x0", 0.0))))
     assets = ctx.take("economics.initial_assets",
                       lambda: float(_need(eco_raw, "initial_assets")))
     if assets is not None and not math.isfinite(assets):

@@ -322,12 +322,6 @@ def entrant_moment_tables(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return mean, sigma
 
 
-def expected_entrants(cfg: ScenarioConfig) -> np.ndarray:
-    """Arrival headcounts with every shock at zero: (n_years, n_sex)."""
-    mean, sigma = entrant_moment_tables(cfg)
-    return entrant_product(mean, sigma, np.zeros_like(mean))
-
-
 def entrants_matrix(cfg: ScenarioConfig, eps: np.ndarray) -> np.ndarray:
     """Arrival headcounts from shock blocks: (n_reps, n_years, n_sex)."""
     mean, sigma = entrant_moment_tables(cfg)
@@ -341,8 +335,8 @@ def entrant_product(mean: np.ndarray, sigma: np.ndarray, eps: np.ndarray) -> np.
     """Arrivals from the moment tables and shocks shaped like them, after any
     leading axes. Each factor draw is floored at zero before the product, so a
     deep negative shock annihilates the year's arrivals rather than producing
-    a negative count. Zero shocks give exactly the expected-value product.
-    """
+    a negative count. Zero shocks, or a scalar 0.0, give exactly the
+    expected-value product: the expected arrivals."""
     factors = sigma * eps  # one working array, the size of eps
     factors += mean
     return np.prod(np.maximum(0.0, factors, out=factors), axis=-1)

@@ -26,36 +26,25 @@ from .entrants import DRAWS_PER_CELL
 from .errors import ConfigError
 from .stochastic import open_streams
 
-DEFAULT_CHUNK = 500  # replications per task handed to a worker
-SUB_BLOCK = 100      # replications drawn and simulated together within a chunk
+DEFAULT_CHUNK = 100  # replications drawn, simulated and handed to a worker together
 
 
 @dataclass
 class ShockBlocks:
     """Raw standard-normal draws for a batch of replications."""
 
-    rep_indices: np.ndarray
     entrants: np.ndarray    # (n, n_years, n_sex, DRAWS_PER_CELL)
     mortality: np.ndarray   # (n, n_years, n_sex, n_mort_ages)
     returns: np.ndarray     # (n, n_years)
 
 
-def draw_shock_blocks(cfg: ScenarioConfig, rep_indices,
-                      out: ShockBlocks | None = None) -> ShockBlocks:
-    """Draw every replication's shocks in the documented order.
-
-    With `out`, the draws fill the leading rows of its arrays, which must
-    have room for them, and the blocks returned are views of those rows.
-    """
+def draw_shock_blocks(cfg: ScenarioConfig, rep_indices) -> ShockBlocks:
+    """Draw every replication's shocks in the documented order."""
     reps = np.asarray(list(rep_indices), dtype=int)
-    if out is None:
-        n_mort = cfg.mortality.max_age - cfg.mortality.min_age + 1
-        shape = (len(reps), len(cfg.years), len(cfg.sexes))
-        out = ShockBlocks(rep_indices=reps, entrants=np.empty(shape + (DRAWS_PER_CELL,)),
-                          mortality=np.empty(shape + (n_mort,)),
-                          returns=np.empty(shape[:2]))
-    blocks = ShockBlocks(rep_indices=reps, entrants=out.entrants[:len(reps)],
-                         mortality=out.mortality[:len(reps)], returns=out.returns[:len(reps)])
+    n_mort = cfg.mortality.max_age - cfg.mortality.min_age + 1
+    shape = (len(reps), len(cfg.years), len(cfg.sexes))
+    blocks = ShockBlocks(entrants=np.empty(shape + (DRAWS_PER_CELL,)),
+                         mortality=np.empty(shape + (n_mort,)), returns=np.empty(shape[:2]))
     for i, gen in enumerate(open_streams(cfg.run.seed, reps)):
         gen.standard_normal(out=blocks.entrants[i])
         gen.standard_normal(out=blocks.mortality[i])
@@ -63,20 +52,20 @@ def draw_shock_blocks(cfg: ScenarioConfig, rep_indices,
     return blocks
 
 
-def entrant_paths(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
+def entrant_paths(cfg: ScenarioConfig,
+                  moments: tuple[np.ndarray, np.ndarray]) -> dict[str, np.ndarray]:
     """Arrivals per sex, (n_reps, n_years), of replications 0..n_reps-1.
 
     Each replication's stream opens with its entrant block, so these are the
     arrivals `run_simulation` draws for the same replications when entrant
-    shocks are on. The blocks are drawn SUB_BLOCK replications at a time
-    into one reused buffer.
+    shocks are on. `moments` is the `entrant_moment_tables(cfg)` pair. The
+    blocks are drawn DEFAULT_CHUNK replications at a time.
     """
     n = cfg.run.n_reps
-    mean, sigma = entrant_moment_tables(cfg)
+    mean, sigma = moments
     paths = {s: np.empty((n, len(cfg.years))) for s in cfg.sexes}
-    eps = np.empty((min(n, SUB_BLOCK),) + mean.shape)
-    for lo in range(0, n, SUB_BLOCK):
-        block = eps[:min(SUB_BLOCK, n - lo)]
+    for lo in range(0, n, DEFAULT_CHUNK):
+        block = np.empty((min(DEFAULT_CHUNK, n - lo),) + mean.shape)
         for row, gen in zip(block, open_streams(cfg.run.seed, range(lo, lo + len(block)))):
             gen.standard_normal(out=row)
         ne = entrant_product(mean, sigma, block)
@@ -85,45 +74,30 @@ def entrant_paths(cfg: ScenarioConfig) -> dict[str, np.ndarray]:
     return paths
 
 
-def _run_chunk(cfg: ScenarioConfig, system: CohortSystem, lo: int, hi: int) -> dict:
-    """Simulate replications [lo, hi) and return their per-year arrays.
-
-    The replications are drawn and simulated SUB_BLOCK at a time into one
-    set of shock buffers, so the working set does not grow with the chunk.
-    """
-    flags, n_years = cfg.run.flags, len(cfg.years)
-    mean, sigma = entrant_moment_tables(cfg)
-    admin, opening = admin_path(cfg), int(to_cents(cfg.economics.initial_assets))
-    part = {"ledger": {k: np.empty((hi - lo, n_years), dtype=np.int64)
-                       for k in LedgerRow.COLUMNS},
-            "entrants": np.empty((hi - lo, n_years, len(cfg.sexes))),
-            "actives": np.empty((hi - lo, n_years)),
-            "retirees": np.empty((hi - lo, n_years))}
-    blocks = None
-    for a in range(lo, hi, SUB_BLOCK):
-        b = min(a + SUB_BLOCK, hi)
-        blocks = draw_shock_blocks(cfg, range(a, b), out=blocks)
-        eps_ent = blocks.entrants if flags.entrants else np.zeros_like(blocks.entrants)
-        ne = entrant_product(mean, sigma, eps_ent)
-        flows = simulate_flows(system, ne, blocks.mortality if flags.mortality else None)
-        rates = return_rates(cfg, blocks.returns, stochastic=flags.returns)
-        cols = ledger_columns(opening, flows["subjective"], flows["integrative"],
-                              flows["disbursements"], admin, rates)
-        rows = slice(a - lo, b - lo)
-        for k, col in cols.items():
-            part["ledger"][k][rows] = col
-        part["entrants"][rows] = ne
-        part["actives"][rows] = flows["actives"]
-        part["retirees"][rows] = flows["retirees"]
-    return part
+def _run_chunk(cfg: ScenarioConfig, system: CohortSystem,
+               moments: tuple[np.ndarray, np.ndarray], admin: np.ndarray, opening: int,
+               lo: int, hi: int) -> dict:
+    """Draw and simulate replications [lo, hi) together and return their
+    per-year arrays, from the run-wide inputs `run_simulation` builds once:
+    entrant moment tables, administration costs and opening value in cents."""
+    flags = cfg.run.flags
+    blocks = draw_shock_blocks(cfg, range(lo, hi))
+    ne = entrant_product(*moments, blocks.entrants if flags.entrants
+                         else np.zeros_like(blocks.entrants))
+    flows = simulate_flows(system, ne, blocks.mortality if flags.mortality else None)
+    rates = return_rates(cfg, blocks.returns, stochastic=flags.returns)
+    ledger = ledger_columns(opening, flows["subjective"], flows["integrative"],
+                            flows["disbursements"], admin, rates)
+    return {"ledger": ledger, "entrants": ne, "actives": flows["actives"],
+            "retirees": flows["retirees"]}
 
 
-_worker_args: tuple = ()  # (cfg, system) in a pool worker, set once by its initializer
+_worker_args: tuple = ()  # `_run_chunk`'s run-wide arguments in a pool worker, set once
 
 
-def _init_worker(cfg: ScenarioConfig, system: CohortSystem) -> None:
+def _init_worker(*args) -> None:
     global _worker_args
-    _worker_args = (cfg, system)
+    _worker_args = args
 
 
 def _run_pooled_chunk(lo: int, hi: int) -> dict:
@@ -239,14 +213,17 @@ def run_simulation(cfg: ScenarioConfig, workers: int | None = None) -> Simulatio
 
     Results are identical whatever `workers` or `DEFAULT_CHUNK` is: each
     replication's stream depends only on (seed, replication index). The
-    result is allocated once and each chunk's rows are copied into place as
-    the chunk finishes, in chunk order; pool workers receive `cfg` and the
-    cohort system once, when they start.
+    replications run DEFAULT_CHUNK at a time, one pool task each; the result
+    is allocated once and each chunk's rows are copied into place as the
+    chunk finishes, in chunk order. `cfg`, the cohort system and the other
+    run-wide inputs are built once, and pool workers receive them once, when
+    they start.
     """
     if workers is not None and workers < 1:
         raise ConfigError([f"workers: must be >= 1, got {workers}"])
     n, n_years = cfg.run.n_reps, len(cfg.years)
-    system = build_system(cfg)
+    shared = (cfg, build_system(cfg), entrant_moment_tables(cfg), admin_path(cfg),
+              int(to_cents(cfg.economics.initial_assets)))
     spans = [(lo, min(lo + DEFAULT_CHUNK, n)) for lo in range(0, n, DEFAULT_CHUNK)]
     ledger = {k: np.empty((n, n_years), dtype=np.int64) for k in LedgerRow.COLUMNS}
     entrants = {s: np.empty((n, n_years)) for s in cfg.sexes}
@@ -265,10 +242,10 @@ def run_simulation(cfg: ScenarioConfig, workers: int | None = None) -> Simulatio
         # imported here, so that serial runs never load the pool machinery
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(cfg, system)) as pool:
+                                 initargs=shared) as pool:
             store(pool.map(_run_pooled_chunk, *zip(*spans)))
     else:
-        store(_run_chunk(cfg, system, lo, hi) for lo, hi in spans)
+        store(_run_chunk(*shared, lo, hi) for lo, hi in spans)
     for a in (*ledger.values(), *entrants.values(), actives, retirees):
         a.flags.writeable = False
     return SimulationResult(

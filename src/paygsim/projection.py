@@ -25,8 +25,8 @@ from .cohorts import (ACTIVE, RETIRED, death_probability_grid,
                       inject_new_entrants, retirement_assignment, shift_active,
                       shift_retired)
 from .config import ScenarioConfig
-from .engine import (admin_path, build_system, expected_entrants, opening_balance,
-                     price_index, return_rates, simulate_flows)
+from .engine import (admin_path, build_system, entrant_moment_tables, entrant_product,
+                     opening_balance, price_index, return_rates, simulate_flows)
 from .errors import CoverageError
 
 
@@ -63,7 +63,7 @@ def _assemble_result(cfg: ScenarioConfig, flows: dict, rates: np.ndarray,
 def run_deterministic_projection(cfg: ScenarioConfig) -> ProjectionResult:
     """Expected-value path: every shock at zero, cohort engine throughout."""
     system = build_system(cfg)
-    ne = expected_entrants(cfg)
+    ne = entrant_product(*entrant_moment_tables(cfg), 0.0)
     flows = simulate_flows(system, ne[None])
     rates = return_rates(cfg, np.zeros((1, len(cfg.years))), stochastic=False)
     admin = admin_path(cfg)
@@ -127,7 +127,7 @@ def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
     notional, pensions = _initial_totals(cfg)
     account = NotionalAccounts(accrual_rate=cfg.accrual_rate, totals=notional)
     if entrants_path is None:
-        ne = expected_entrants(cfg)
+        ne = entrant_product(*entrant_moment_tables(cfg), 0.0)
         entrants_path = {s: ne[:, si] for si, s in enumerate(cfg.sexes)}
 
     prices = price_index(cfg, years)

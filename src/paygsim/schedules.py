@@ -42,7 +42,7 @@ class Schedule:
         return all(y in self.overrides for y in years)
 
     @classmethod
-    def from_config(cls, raw, where: str = "schedule") -> "Schedule":
+    def from_config(cls, raw) -> "Schedule":
         """Build from a bare number or a {default:, overrides: {year: v}} mapping."""
         if isinstance(raw, (int, float)) and not isinstance(raw, bool):
             return cls(default=float(raw))
@@ -51,11 +51,11 @@ class Schedule:
             overrides = raw.get("overrides", {})
             bad = set(raw) - {"default", "overrides"}
             if bad:
-                raise ValueError(f"{where}: unknown keys {sorted(bad)}")
+                raise ValueError(f"unknown keys {sorted(bad)}")
             if not isinstance(overrides, dict):
-                raise ValueError(f"{where}.overrides: expected a year->value mapping")
+                raise ValueError("expected the overrides to be a year->value mapping")
             return cls(
                 default=None if default is None else float(default),
                 overrides={int(y): float(v) for y, v in overrides.items()},
             )
-        raise ValueError(f"{where}: expected a number or a mapping, got {type(raw).__name__}")
+        raise ValueError(f"expected a number or a mapping, got {type(raw).__name__}")

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import paygsim
+from paygsim import montecarlo
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,3 +24,8 @@ def test_every_export_resolves():
 def test_readme_lists_exactly_the_exports():
     assert len(paygsim.__all__) == len(set(paygsim.__all__))
     assert readme_api_names() == set(paygsim.__all__)
+
+
+def test_readme_states_the_chunk_size():
+    text = README.read_text(encoding="utf-8")
+    assert re.findall(r"`DEFAULT_CHUNK` \((\d+)\)", text) == [str(montecarlo.DEFAULT_CHUNK)]

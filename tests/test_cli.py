@@ -117,6 +117,17 @@ class TestValidate:
         assert all(line.startswith("error: ") for line in lines)
         assert [line.split(": ")[1] for line in lines] == fields
 
+    @pytest.mark.parametrize("value, message", [
+        ("high", "economics.expected_return: expected a number or a mapping, got str"),
+        ({"default": 0.03, "step": 1}, "economics.expected_return: unknown keys ['step']"),
+        ({"overrides": [2006]},
+         "economics.expected_return: expected the overrides to be a year->value mapping"),
+    ])
+    def test_malformed_schedule_names_its_field_once(self, capsys, tmp_path, value, message):
+        from conftest import write_scenario
+        path = write_scenario(str(tmp_path), tweaks={"economics": {"expected_return": value}})
+        assert run(capsys, "validate", "--config", path) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("command", ["validate", "project"])
     @pytest.mark.parametrize("column, value", [("q0", "nan"), ("drift", "nan"),
                                                ("sigma", "inf")])
@@ -223,13 +234,19 @@ class TestProject:
                        "--out", str(outdir))[0] == 0
         assert read_bytes_by_name(first) == read_bytes_by_name(second)
 
-    def test_out_colliding_with_file_exits_3(self, capsys, scenario, tmp_path):
+    # --out is the file itself, or a directory that would have to be made
+    # below it
+    @pytest.mark.parametrize("command", ["project", "simulate"])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_colliding_with_file_exits_3(self, capsys, scenario, tmp_path, command,
+                                             below):
         target = tmp_path / "occupied"
         target.write_text("already here")
-        code, _, err = run(capsys, "project", "--config", scenario,
-                           "--out", str(target))
+        extra = ["--reps", "2"] if command == "simulate" else []
+        code, _, err = run(capsys, command, "--config", scenario, *extra,
+                           "--out", str(target / below))
         assert code == 3
-        assert err.startswith("error: ")
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert target.read_text() == "already here"
 
 

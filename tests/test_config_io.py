@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import write_scenario
+from conftest import BASE_SCENARIO, write_scenario
 from paygsim import (StochasticFlags, default_config_path, load_config,
                      run_deterministic_projection, run_simulation, stepwise_projection)
+from paygsim.cli import main
 from paygsim.errors import ConfigError
 
 
@@ -338,6 +339,51 @@ class TestEachScheduleIsCheckedWhereTheModelReadsIt:
             load_config(write_scenario(str(tmp_path), tweaks=tweaks))
         assert len(exc.value.messages) == 1, exc.value.messages
         assert exc.value.messages[0].startswith(f"{field}: ")
+
+
+def _nested_fields(raw: dict, prefix=()):
+    """The path of every section, mapping and list in a scenario."""
+    for key, value in raw.items():
+        if isinstance(value, (dict, list)):
+            yield prefix + (key,)
+            if isinstance(value, dict):
+                yield from _nested_fields(value, prefix + (key,))
+
+
+@pytest.mark.parametrize("value", [None, 3, "x"])
+@pytest.mark.parametrize("field", [".".join(p) for p in _nested_fields(BASE_SCENARIO)])
+def test_a_malformed_shape_is_reported_not_raised(tmp_path, capsys, field, value):
+    tweaks = value
+    for key in reversed(field.split(".")):
+        tweaks = {key: tweaks}
+    code = main(["validate", "--config", write_scenario(str(tmp_path), tweaks=tweaks)])
+    err = capsys.readouterr().err
+    assert code in (0, 2)
+    assert all(line.startswith("error: ") for line in err.splitlines())
+    if value is not None:  # null reads as absent where a field has a default
+        assert code == 2
+
+
+@pytest.mark.parametrize("tweaks, message", [
+    ({"population": {"sexes": None}},
+     "population.sexes: expected a non-empty list of names, got None"),
+    ({"population": {"sexes": []}}, "population.sexes: expected a non-empty list of names, got []"),
+    ({"retirement": {"benefit_types": 3}},
+     "retirement.benefit_types: expected a non-empty list of names, got 3"),
+    ({"entrants": {"factors": 3}}, "entrants.factors: expected a mapping, got int"),
+    ({"economics": {"return_deviations": 3}},
+     "economics.return_deviations: expected a mapping, got int"),
+    ({"run": {"stochastic": 3}}, "run.stochastic: expected a mapping, got int"),
+    ({"horizon": "x"}, "horizon: expected a mapping, got str"),
+    ({"retirement": {"thresholds": {"old_age": {"male": 3}}}},
+     "retirement.thresholds.old_age.male: expected a mapping, got int"),
+    ({"entrants": {"factors": {"male": {"enrolment": [0.1]}}}},
+     "entrants.factors.male.enrolment: expected a mapping, got list"),
+])
+def test_a_malformed_shape_names_its_field(tmp_path, tweaks, message):
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_scenario(str(tmp_path), tweaks=tweaks))
+    assert exc.value.messages == [message]
 
 
 class TestDigestTracksEveryInput:

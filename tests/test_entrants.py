@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from paygsim import Schedule, variance_new_entrants
-from paygsim.engine import entrants_matrix
+from paygsim.engine import entrant_moment_tables, entrants_matrix
 from paygsim.entrants import (DRAWS_PER_CELL, EntrantsModelParams, FactorMoments,
                               PopulationSeries)
 from paygsim.errors import CoverageError
@@ -173,7 +173,7 @@ class TestSampling:
         series = make_series()
         block = next(open_streams(77, [0])).standard_normal(DRAWS_PER_CELL)
         cfg = arrival_cfg(params, series, [2020], sexes=("male",), seed=77)
-        by_stream = entrant_paths(cfg)["male"][0, 0]
+        by_stream = entrant_paths(cfg, entrant_moment_tables(cfg))["male"][0, 0]
         by_eps = new_entrants(params, series, "male", 2020, block)
         assert by_stream == by_eps
 
@@ -182,7 +182,8 @@ class TestSampling:
         series = make_series()
         years = [2019, 2020, 2021]
         sexes = ["male", "female"]
-        path = entrant_paths(arrival_cfg(params, series, years, sexes, seed=5))
+        cfg = arrival_cfg(params, series, years, sexes, seed=5)
+        path = entrant_paths(cfg, entrant_moment_tables(cfg))
         block = next(open_streams(5, [0])).standard_normal(
             (len(years), len(sexes), DRAWS_PER_CELL))
         for j, t in enumerate(years):
@@ -205,7 +206,8 @@ class TestSampling:
         series = make_series()
         years = [2018, 2022]
         n = 10_000
-        draws = entrant_paths(arrival_cfg(params, series, years, seed=2024, n_reps=n))
+        cfg = arrival_cfg(params, series, years, seed=2024, n_reps=n)
+        draws = entrant_paths(cfg, entrant_moment_tables(cfg))
         for s in ("male", "female"):
             for j, t in enumerate(years):
                 x = draws[s][:, j]

@@ -1,10 +1,11 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import write_scenario
-from paygsim import montecarlo
+from paygsim import cli, engine, montecarlo
 from paygsim import (StochasticFlags, load_config, distribution_moments,
                      percentile_bands, run_deterministic_projection, run_simulation)
 from paygsim.montecarlo import draw_shock_blocks
@@ -66,7 +67,7 @@ class TestReproducibility:
 
 
 class TestStreamedChunks:
-    """Chunks, and the sub-blocks within them, land in one preallocated result."""
+    """Chunks, each drawn and simulated together, land in one preallocated result."""
 
     @staticmethod
     def assert_same_run(a, b):
@@ -79,27 +80,20 @@ class TestStreamedChunks:
             assert np.array_equal(a.ledger[name], b.ledger[name]), name
 
     @pytest.mark.parametrize("workers", [None, 2])
-    def test_uneven_chunks_and_sub_blocks_match_one_chunk(self, small_cfg, monkeypatch,
-                                                          workers):
+    def test_uneven_chunks_match_one_chunk(self, small_cfg, monkeypatch, workers):
         cfg = small_cfg.with_run(n_reps=23)
-        monkeypatch.setattr(montecarlo, "SUB_BLOCK", 23)
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 23)
         whole = run_simulation(cfg)
-        # neither size divides 23; pool workers are forked after the patch
-        for sub_block, chunk in ((3, 7), (2, 5)):
-            monkeypatch.setattr(montecarlo, "SUB_BLOCK", sub_block)
+        # no size divides 23; pool workers are forked after the patch
+        for chunk in (7, 5, 3):
             monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", chunk)
             self.assert_same_run(whole, run_simulation(cfg, workers=workers))
 
-    def test_shock_blocks_fill_the_leading_rows_of_out(self, small_cfg):
-        buffers = draw_shock_blocks(small_cfg, range(5))
-        fresh = draw_shock_blocks(small_cfg, range(7, 10))
-        reused = draw_shock_blocks(small_cfg, range(7, 10), out=buffers)
-        assert np.shares_memory(reused.mortality, buffers.mortality)
-        assert reused.rep_indices.tolist() == [7, 8, 9]
+    def test_shock_blocks_of_a_later_range_are_the_rows_of_a_longer_one(self, small_cfg):
+        whole = draw_shock_blocks(small_cfg, range(10))
+        tail = draw_shock_blocks(small_cfg, range(7, 10))
         for k in ("entrants", "mortality", "returns"):
-            assert getattr(reused, k).shape == getattr(fresh, k).shape
-            assert np.array_equal(getattr(reused, k), getattr(fresh, k))
+            assert np.array_equal(getattr(tail, k), getattr(whole, k)[7:10]), k
 
     @pytest.mark.parametrize("n_reps, workers", [(2000, None), (4000, 2)])
     def test_working_set_stays_bounded(self, cfg, monkeypatch, n_reps, workers):
@@ -135,6 +129,38 @@ class TestStreamedChunks:
         finally:
             tracemalloc.stop()
         assert peak <= n_reps * len(big.years) * 8 + 2e6
+
+
+class TestRunWideInputsBuiltOnce:
+    """The entrant moment tables are built once per run, not once per chunk."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch, tmp_path):
+        # every module that holds the name gets the counting copy; a call in a
+        # forked pool worker appends to the same file
+        log = tmp_path / "calls"
+        real = engine.entrant_moment_tables
+
+        def counted(cfg):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real(cfg)
+
+        for module in (engine, montecarlo, cli):
+            monkeypatch.setattr(module, "entrant_moment_tables", counted)
+        return lambda: len(log.read_text().splitlines()) if log.exists() else 0
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_once_per_run_simulation(self, small_cfg, monkeypatch, calls, workers):
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)  # three chunks of 8 reps
+        run_simulation(small_cfg, workers=workers)
+        assert calls() == 1
+
+    def test_once_per_sampled_entrants_command(self, calls, tmp_path):
+        scenario = write_scenario(str(tmp_path))
+        assert cli.main(["entrants", "--config", scenario, "--reps", "3",
+                         "--out", str(tmp_path / "out")]) == 0
+        assert calls() == 1
 
 
 class TestLeanResult:

@@ -45,10 +45,10 @@ def test_from_config_mapping():
 
 def test_from_config_rejects_junk():
     with pytest.raises(ValueError, match="unknown keys"):
-        Schedule.from_config({"default": 1, "extra": 2}, where="x")
+        Schedule.from_config({"default": 1, "extra": 2})
     with pytest.raises(ValueError, match="expected"):
-        Schedule.from_config("fast", where="x")
+        Schedule.from_config("fast")
     with pytest.raises(ValueError):
-        Schedule.from_config({"default": 1, "overrides": [1, 2]}, where="x")
+        Schedule.from_config({"default": 1, "overrides": [1, 2]})
     with pytest.raises(ValueError):
-        Schedule.from_config(True, where="x")
+        Schedule.from_config(True)
