@@ -307,6 +307,33 @@ def _need(raw: dict, key: str):
     return value
 
 
+def _int(value) -> int:
+    """An integer field's value; a boolean or a non-integral number is a
+    ValueError, not truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(raw: dict, key: str, default: bool) -> bool:
+    """raw[key] if it is a YAML boolean, `default` if absent; otherwise a
+    ValueError, so that a quoted "false" is not read as true."""
+    value = raw.get(key, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _table_sexes(path: str) -> list[str]:
+    """The sexes a table has rows for, in order of appearance; none if it
+    cannot be read, which its own load reports."""
+    try:
+        rows = _read_csv(path, ("sex",), hashlib.sha256())
+    except (ConfigError, ValueError):
+        return []
+    return list(dict.fromkeys(row["sex"] for _, row in rows if row["sex"]))
+
+
 def _mapping(raw: dict, key, path: str, ctx: _Ctx, required: bool = False) -> dict | None:
     """raw[key] if it is a mapping; {} if absent or null and not `required`;
     otherwise None, with the problem recorded under the field."""
@@ -385,25 +412,24 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
                                                      "benefits", "economics"))
     ctx.raise_if_failed()  # every field is read from its section
 
-    first = ctx.take("horizon.first_year", lambda: int(_need(horizon, "first_year")))
-    last = ctx.take("horizon.last_year", lambda: int(_need(horizon, "last_year")))
+    first = ctx.take("horizon.first_year", lambda: _int(_need(horizon, "first_year")))
+    last = ctx.take("horizon.last_year", lambda: _int(_need(horizon, "last_year")))
     if first is not None and last is not None and last < first:
         ctx.fail("horizon.last_year", f"must be >= first_year ({first}), got {last}")
     ctx.raise_if_failed()
     years = range(first, last + 1)
 
-    seed = ctx.take("run.seed", lambda: int(run_raw.get("seed", 0)))
-    n_reps = ctx.take("run.n_reps", lambda: int(run_raw.get("n_reps", 1000)))
+    seed = ctx.take("run.seed", lambda: _int(run_raw.get("seed", 0)))
+    n_reps = ctx.take("run.n_reps", lambda: _int(run_raw.get("n_reps", 1000)))
     flags_raw = _mapping(run_raw, "stochastic", "run.stochastic", ctx)
-    flags = None if flags_raw is None else StochasticFlags(
-        entrants=bool(flags_raw.get("entrants", True)),
-        mortality=bool(flags_raw.get("mortality", True)),
-        returns=bool(flags_raw.get("returns", True)),
-    )
+    switches = {} if flags_raw is None else {
+        n: ctx.take(f"run.stochastic.{n}", lambda n=n: _flag(flags_raw, n, True))
+        for n in ("entrants", "mortality", "returns")}
+    flags = StochasticFlags(**switches) if switches and None not in switches.values() else None
     probes = ctx.take("run.percentile_probes", lambda: tuple(
         float(p) for p in run_raw.get("percentile_probes", DEFAULT_PROBES)))
     moments_years = ctx.take("run.moments_years", lambda: tuple(
-        int(y) for y in run_raw.get("moments_years", years)))
+        _int(y) for y in run_raw.get("moments_years", years)))
     run = None
     if None not in (seed, n_reps, flags, probes, moments_years):
         run = ctx.take(None, lambda: RunSettings(seed=seed, n_reps=n_reps, flags=flags,
@@ -413,10 +439,11 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
     sexes = _names(pop_raw, "sexes", "population.sexes", ctx, default=["male", "female"])
     if sexes is None:
         ctx.raise_if_failed()  # every table and factor is read per sex
-    min_age = ctx.take("population.min_age", lambda: int(_need(pop_raw, "min_age")))
-    max_age = ctx.take("population.max_age", lambda: int(_need(pop_raw, "max_age")))
-    max_sen = ctx.take("population.max_seniority", lambda: int(_need(pop_raw, "max_seniority")))
-    entry_age = ctx.take("population.entry_age", lambda: int(_need(pop_raw, "entry_age")))
+    first_per_sex = len(ctx.errors)  # what follows is read per sex; see the end
+    min_age = ctx.take("population.min_age", lambda: _int(_need(pop_raw, "min_age")))
+    max_age = ctx.take("population.max_age", lambda: _int(_need(pop_raw, "max_age")))
+    max_sen = ctx.take("population.max_seniority", lambda: _int(_need(pop_raw, "max_seniority")))
+    entry_age = ctx.take("population.entry_age", lambda: _int(_need(pop_raw, "entry_age")))
     # keep collecting problems in other sections even when the grid geometry
     # is unusable; only the census load depends on it
     geometry_ok = None not in (min_age, max_age, max_sen, entry_age)
@@ -436,8 +463,8 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
             ctx.take("population.census_csv", lambda: census.check_seniority_bound(entry_age))
 
     n_errors = len(ctx.errors)  # a factor reported below is not reported missing again
-    study = ctx.take("entrants.study_years", lambda: int(ent_raw.get("study_years", 5)))
-    training = ctx.take("entrants.training_years", lambda: int(ent_raw.get("training_years", 4)))
+    study = ctx.take("entrants.study_years", lambda: _int(ent_raw.get("study_years", 5)))
+    training = ctx.take("entrants.training_years", lambda: _int(ent_raw.get("training_years", 4)))
     # arrivals at t read the population and enrolment of t - study - training
     lagged = range(0) if None in (study, training) else range(first - study - training, last + 1)
     factors_raw = _mapping(ent_raw, "factors", "entrants.factors", ctx)
@@ -459,10 +486,11 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
         "entrants", lambda: EntrantsModelParams(
             factors=factors, study_years=study, training_years=training))
 
-    population = ctx.take("entrants.population_csv", lambda: load_population_series(
-        _resolve(base_dir, _need(ent_raw, "population_csv")),
-        sexes, int(ent_raw.get("pool_min_age", 18)), int(ent_raw.get("pool_max_age", 25)),
-        hasher))
+    pool_ages = [ctx.take(f"entrants.{k}", lambda k=k, d=d: _int(ent_raw.get(k, d)))
+                 for k, d in (("pool_min_age", 18), ("pool_max_age", 25))]
+    population = None if None in pool_ages else ctx.take(
+        "entrants.population_csv", lambda: load_population_series(
+            _resolve(base_dir, _need(ent_raw, "population_csv")), sexes, *pool_ages, hasher))
     for s in sexes if population is not None else ():
         missing = [y for y in lagged[:len(years)] if y not in population.expected[s]]
         if missing:
@@ -470,7 +498,7 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
                      f"sex {s!r}: population series missing years "
                      f"{missing[0]}..{missing[-1]} needed for the horizon")
 
-    mort_base = ctx.take("mortality.base_year", lambda: int(mort_raw.get("base_year", first)))
+    mort_base = ctx.take("mortality.base_year", lambda: _int(mort_raw.get("base_year", first)))
     if mort_base is not None and mort_base > first:
         ctx.fail("mortality.base_year", f"{mort_base} is after the first projection year")
     mortality = ctx.take("mortality.table_csv", lambda: load_mortality(
@@ -496,8 +524,9 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
         "retirement", lambda: RetirementRule(benefit_types=types, thresholds=thresholds))
 
     exemption = ctx.take("contributions.exemption_years",
-                         lambda: int(con_raw.get("exemption_years", 0)))
-    backfill = bool(ben_raw.get("backfill_notional", False))
+                         lambda: _int(con_raw.get("exemption_years", 0)))
+    backfill = ctx.take("benefits.backfill_notional",
+                        lambda: _flag(ben_raw, "backfill_notional", False))
     # a backfilled history credits the subjective rate from the year the most
     # senior census active left the exemption, as `engine.opening_balance` does
     credited = years
@@ -544,7 +573,7 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
                                BenefitRule(kind=k, conversion=c, profile=p))
 
     price_base = ctx.take("economics.profile_base_year",
-                          lambda: int(eco_raw.get("profile_base_year", first)))
+                          lambda: _int(eco_raw.get("profile_base_year", first)))
     # `engine.price_index` compounds inflation from the year after the base year
     inflation = _schedule(eco_raw.get("inflation", 0.0), "economics.inflation", ctx,
                           range(0) if price_base is None
@@ -556,6 +585,8 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
         "economics.return_deviations", lambda: Ar1Params(
             phi=float(dev_raw.get("phi", 0.0)), sigma=float(dev_raw.get("sigma", 0.0)),
             x0=float(dev_raw.get("x0", 0.0))))
+    admin_year = ctx.take("economics.admin_base_year",
+                          lambda: _int(eco_raw.get("admin_base_year", first)))
     assets = ctx.take("economics.initial_assets",
                       lambda: float(_need(eco_raw, "initial_assets")))
     if assets is not None and not math.isfinite(assets):
@@ -564,9 +595,19 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
         initial_assets=assets,
         admin_base=float(eco_raw.get("admin_base", 0.0)),
         admin_growth=float(eco_raw.get("admin_growth", 0.0)),
-        admin_base_year=int(eco_raw.get("admin_base_year", first)),
+        admin_base_year=admin_year,
         inflation=inflation, expected_return=exp_ret, deviations=deviations,
         profile_base_year=price_base))
+    if ctx.errors:
+        # the mortality table has rows for every sex; a sex list it
+        # contradicts fails every table and factor read per sex, and is
+        # reported once instead
+        mort_csv = mort_raw.get("table_csv")
+        found = _table_sexes(_resolve(base_dir, mort_csv)) if isinstance(mort_csv, str) else []
+        if any(s not in sexes for s in found):
+            del ctx.errors[first_per_sex:]
+            ctx.fail("population.sexes", f"got {list(sexes)}, but mortality.table_csv has "
+                     f"rows for {', '.join(map(repr, found))}")
     ctx.raise_if_failed()
 
     return ScenarioConfig(

@@ -79,7 +79,8 @@ def _run_chunk(cfg: ScenarioConfig, system: CohortSystem,
                lo: int, hi: int) -> dict:
     """Draw and simulate replications [lo, hi) together and return their
     per-year arrays, from the run-wide inputs `run_simulation` builds once:
-    entrant moment tables, administration costs and opening value in cents."""
+    entrant moment tables, administration costs and opening value in cents.
+    Of the ledger, only the columns a `SimulationResult` holds come back."""
     flags = cfg.run.flags
     blocks = draw_shock_blocks(cfg, range(lo, hi))
     ne = entrant_product(*moments, blocks.entrants if flags.entrants
@@ -88,8 +89,8 @@ def _run_chunk(cfg: ScenarioConfig, system: CohortSystem,
     rates = return_rates(cfg, blocks.returns, stochastic=flags.returns)
     ledger = ledger_columns(opening, flows["subjective"], flows["integrative"],
                             flows["disbursements"], admin, rates)
-    return {"ledger": ledger, "entrants": ne, "actives": flows["actives"],
-            "retirees": flows["retirees"]}
+    return {"ledger": {k: ledger[k] for k in _HELD_COLUMNS}, "entrants": ne,
+            "actives": flows["actives"], "retirees": flows["retirees"]}
 
 
 _worker_args: tuple = ()  # `_run_chunk`'s run-wide arguments in a pool worker, set once
@@ -104,6 +105,11 @@ def _run_pooled_chunk(lo: int, hi: int) -> dict:
     return _run_chunk(*_worker_args, lo, hi)
 
 
+# the ledger columns a result holds (B, C, E, H and I); the statement's
+# identities give the other four from these, the opening value and the admin costs
+_HELD_COLUMNS = ("contrib_subjective", "contrib_integrative", "pension_balance",
+                 "total_balance", "value_end")
+
 # money series in euros, read from the ledger column of the same amount in cents
 LEDGER_SERIES = {"fund_value": "value_end", "total_balance": "total_balance",
                  "pension_balance": "pension_balance"}
@@ -113,12 +119,16 @@ LEDGER_SERIES = {"fund_value": "value_end", "total_balance": "total_balance",
 class SimulationResult:
     """All replications of one run, as (n_reps, n_years) arrays.
 
-    The result holds each number once: `ledger` the nine statement columns
-    in integer cents, `entrants` the arrivals per sex (in sex order), and
-    `actives` and `retirees` the headcounts, all read-only. `series` maps
-    the tracked output series to their arrays; the money series and
-    `entrants_total` are computed from the held arrays each time they are
-    read.
+    The result holds each number once, all read-only: `held_ledger` five of
+    the nine statement columns in integer cents (B, C, E, H and I), with the
+    run's `opening_cents` and per-year `admin_cents`; `entrants` the
+    arrivals per sex (in sex order); and `actives` and `retirees` the
+    headcounts. `ledger` maps all nine columns, in `LedgerRow.COLUMNS`
+    order, and derives the other four exactly in int64 each time they are
+    read: A is I a year earlier (the opening value in the first year),
+    D = (B + C) - E, F = (H + G) - E and G the admin costs of every
+    replication. `series` maps the tracked output series to their arrays;
+    the money series and `entrants_total` are likewise computed when read.
     """
 
     first_year: int
@@ -126,7 +136,9 @@ class SimulationResult:
     n_reps: int
     seed: int
     flags: StochasticFlags
-    ledger: dict[str, np.ndarray] = field(repr=False)
+    held_ledger: dict[str, np.ndarray] = field(repr=False)
+    opening_cents: int
+    admin_cents: np.ndarray = field(repr=False)
     entrants: dict[str, np.ndarray] = field(repr=False)
     actives: np.ndarray = field(repr=False)
     retirees: np.ndarray = field(repr=False)
@@ -138,7 +150,34 @@ class SimulationResult:
 
     @property
     def series(self) -> "SeriesView":
-        return SeriesView(self)
+        return SeriesView(self.series_names, self.columns)
+
+    @property
+    def ledger(self) -> "SeriesView":
+        return SeriesView(LedgerRow.COLUMNS, self._ledger_column)
+
+    def _ledger_column(self, name: str) -> np.ndarray:
+        # each sum starts from an amount `ledger_columns` checked for int64
+        # overflow: B + C is the gross contributions, H + G is E + F
+        held = self.held_ledger
+        if name in held:
+            return held[name]
+        if name == "admin_costs":
+            return np.broadcast_to(self.admin_cents, held["value_end"].shape)
+        if name == "value_start":
+            col = np.empty_like(held["value_end"])
+            col[:, 0] = self.opening_cents
+            col[:, 1:] = held["value_end"][:, :-1]
+        elif name == "disbursements":
+            col = held["contrib_subjective"] + held["contrib_integrative"]
+            col -= held["pension_balance"]
+        elif name == "investment_income":
+            col = held["total_balance"] + self.admin_cents
+            col -= held["pension_balance"]
+        else:
+            raise KeyError(name)
+        col.flags.writeable = False
+        return col
 
     def columns(self, name: str, idx=slice(None), order: str = "K") -> np.ndarray:
         """One series at the year indices `idx` (anything that indexes the
@@ -150,7 +189,7 @@ class SimulationResult:
         which fixes the order in which the moments sum over replications.
         """
         if name in LEDGER_SERIES:
-            return np.divide(self.ledger[LEDGER_SERIES[name]][:, idx], 100.0, order=order)
+            return np.divide(self.held_ledger[LEDGER_SERIES[name]][:, idx], 100.0, order=order)
         if name == "entrants_total":
             first, *rest = (path[:, idx] for path in self.entrants.values())
             total = first.copy(order=order)
@@ -188,24 +227,24 @@ class SimulationResult:
 
 
 class SeriesView(Mapping):
-    """Read-only mapping from series name to its (n_reps, n_years) array,
-    in `series_names` order. Derived series are computed on every read and
-    not kept."""
+    """Read-only mapping from name to its (n_reps, n_years) array, in the
+    order of `names`. `read(name)` gives each array; a derived one is
+    computed on every read and not kept."""
 
-    def __init__(self, result: SimulationResult):
-        self._result = result
+    def __init__(self, names: tuple[str, ...], read):
+        self._names, self._read = names, read
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._result.columns(name)
+        return self._read(name)
 
     def __contains__(self, name) -> bool:
-        return name in self._result.series_names
+        return name in self._names
 
     def __iter__(self):
-        return iter(self._result.series_names)
+        return iter(self._names)
 
     def __len__(self) -> int:
-        return len(self._result.series_names)
+        return len(self._names)
 
 
 def run_simulation(cfg: ScenarioConfig, workers: int | None = None) -> SimulationResult:
@@ -222,10 +261,10 @@ def run_simulation(cfg: ScenarioConfig, workers: int | None = None) -> Simulatio
     if workers is not None and workers < 1:
         raise ConfigError([f"workers: must be >= 1, got {workers}"])
     n, n_years = cfg.run.n_reps, len(cfg.years)
-    shared = (cfg, build_system(cfg), entrant_moment_tables(cfg), admin_path(cfg),
-              int(to_cents(cfg.economics.initial_assets)))
+    admin, opening = admin_path(cfg), int(to_cents(cfg.economics.initial_assets))
+    shared = (cfg, build_system(cfg), entrant_moment_tables(cfg), admin, opening)
     spans = [(lo, min(lo + DEFAULT_CHUNK, n)) for lo in range(0, n, DEFAULT_CHUNK)]
-    ledger = {k: np.empty((n, n_years), dtype=np.int64) for k in LedgerRow.COLUMNS}
+    ledger = {k: np.empty((n, n_years), dtype=np.int64) for k in _HELD_COLUMNS}
     entrants = {s: np.empty((n, n_years)) for s in cfg.sexes}
     actives, retirees = np.empty((n, n_years)), np.empty((n, n_years))
 
@@ -246,11 +285,13 @@ def run_simulation(cfg: ScenarioConfig, workers: int | None = None) -> Simulatio
             store(pool.map(_run_pooled_chunk, *zip(*spans)))
     else:
         store(_run_chunk(*shared, lo, hi) for lo, hi in spans)
-    for a in (*ledger.values(), *entrants.values(), actives, retirees):
+    admin_cents = to_cents(admin)  # the quantization `ledger_columns` applies
+    for a in (*ledger.values(), admin_cents, *entrants.values(), actives, retirees):
         a.flags.writeable = False
     return SimulationResult(
         first_year=cfg.first_year, years=np.array(cfg.years), n_reps=n,
-        seed=cfg.run.seed, flags=cfg.run.flags, ledger=ledger, entrants=entrants,
+        seed=cfg.run.seed, flags=cfg.run.flags, held_ledger=ledger,
+        opening_cents=opening, admin_cents=admin_cents, entrants=entrants,
         actives=actives, retirees=retirees)
 
 

@@ -29,3 +29,12 @@ def test_readme_lists_exactly_the_exports():
 def test_readme_states_the_chunk_size():
     text = README.read_text(encoding="utf-8")
     assert re.findall(r"`DEFAULT_CHUNK` \((\d+)\)", text) == [str(montecarlo.DEFAULT_CHUNK)]
+
+
+def test_readme_states_the_held_array_count():
+    # the result holds the held ledger columns, the entrants of each of the
+    # bundled scenario's two sexes, actives and retirees
+    text = README.read_text(encoding="utf-8")
+    held = len(montecarlo._HELD_COLUMNS) + 2 + 2
+    assert re.findall(r"the result is (\d+) arrays", text) == [str(held)]
+    assert re.findall(r"`n_reps × n_years × (\d+) × 8` bytes", text) == [str(held)]

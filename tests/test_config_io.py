@@ -341,6 +341,66 @@ class TestEachScheduleIsCheckedWhereTheModelReadsIt:
         assert exc.value.messages[0].startswith(f"{field}: ")
 
 
+class TestFieldKinds:
+    """Flag fields take only YAML booleans, and integer fields only integers;
+    anything else is an error naming the field, not a silent conversion."""
+
+    @pytest.mark.parametrize("tweaks, message", [
+        # a flag: a quoted boolean would read as true
+        ({"run": {"stochastic": {"entrants": "false"}}},
+         "run.stochastic.entrants: expected true or false, got 'false'"),
+        ({"benefits": {"backfill_notional": "no"}},
+         "benefits.backfill_notional: expected true or false, got 'no'"),
+        # an integer given a boolean, which would read as 1
+        ({"run": {"seed": True}}, "run.seed: expected an integer, got True"),
+        # an integer given a non-integral number, which would be truncated
+        ({"run": {"n_reps": 1000.7}}, "run.n_reps: expected an integer, got 1000.7"),
+        ({"run": {"seed": float("inf")}}, "run.seed: expected an integer, got inf"),
+    ])
+    def test_a_wrong_kind_is_one_message_naming_the_field(self, tmp_path, tweaks, message):
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_scenario(str(tmp_path), tweaks=tweaks))
+        assert exc.value.messages == [message]
+
+    def test_wrong_kinds_are_collected_with_the_other_errors(self, tmp_path, capsys):
+        path = write_scenario(str(tmp_path), tweaks={
+            "run": {"stochastic": {"mortality": 1}},
+            "benefits": {"backfill_notional": "yes", "accrual_rate": -0.01},
+            "economics": {"admin_base_year": 2006.5}})
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: run.stochastic.mortality: expected true or false, got 1",
+            "error: benefits.backfill_notional: expected true or false, got 'yes'",
+            "error: benefits.accrual_rate: must be >= 0, got -0.01",
+            "error: economics.admin_base_year: expected an integer, got 2006.5"]
+
+    def test_integral_floats_and_yaml_booleans_still_load(self, tmp_path):
+        cfg = load_config(write_scenario(str(tmp_path), tweaks={
+            "run": {"n_reps": 12.0, "stochastic": {"returns": False}},
+            "benefits": {"backfill_notional": False}}))
+        assert cfg.run.n_reps == 12 and type(cfg.run.n_reps) is int
+        assert cfg.run.flags == StochasticFlags(entrants=True, mortality=True, returns=False)
+        assert cfg.backfill_notional is False
+
+
+def test_a_sex_the_tables_do_not_have_is_one_message(tmp_path, capsys):
+    path = write_scenario(str(tmp_path), tweaks={"population": {"sexes": ["x"]}})
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: population.sexes: got ['x'], but mortality.table_csv has rows "
+        "for 'male', 'female'\n")
+
+
+@pytest.mark.parametrize("field, value, detail", [
+    ("pool_min_age", "x", "invalid literal for int() with base 10: 'x'"),
+    ("pool_max_age", 25.5, "expected an integer, got 25.5"),
+])
+def test_a_bad_pool_age_is_reported_under_its_own_field(tmp_path, field, value, detail):
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_scenario(str(tmp_path), tweaks={"entrants": {field: value}}))
+    assert exc.value.messages == [f"entrants.{field}: {detail}"]
+
+
 def _nested_fields(raw: dict, prefix=()):
     """The path of every section, mapping and list in a scenario."""
     for key, value in raw.items():

@@ -1,4 +1,5 @@
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from conftest import write_scenario
 from paygsim import cli, engine, montecarlo
-from paygsim import (StochasticFlags, load_config, distribution_moments,
+from paygsim import (LedgerRow, StochasticFlags, load_config, distribution_moments,
                      percentile_bands, run_deterministic_projection, run_simulation)
+from paygsim.cashflows import ledger_columns, to_cents
 from paygsim.montecarlo import draw_shock_blocks
 from paygsim.stochastic import open_streams
 from paygsim.outputs import emit_simulation_outputs, simulation_summary
@@ -97,10 +99,10 @@ class TestStreamedChunks:
 
     @pytest.mark.parametrize("n_reps, workers", [(2000, None), (4000, 2)])
     def test_working_set_stays_bounded(self, cfg, monkeypatch, n_reps, workers):
-        # the result holds the nine ledger columns, the entrants of each sex,
-        # actives and retirees, and nothing else of size; beside it, the
-        # parent holds only a per-chunk working set, which must not grow with
-        # n_reps or with the number of chunks
+        # the result holds five of the nine ledger columns, the entrants of
+        # each sex, actives and retirees, and nothing else of size; beside
+        # it, the parent holds only a per-chunk working set, which must not
+        # grow with n_reps or with the number of chunks
         with monkeypatch.context() as patch:
             patch.setattr(montecarlo, "DEFAULT_CHUNK", 1)
             run_simulation(cfg.with_run(n_reps=2), workers=workers)  # imports
@@ -111,7 +113,7 @@ class TestStreamedChunks:
             held, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        arrays = n_reps * len(cfg.years) * (9 + len(cfg.sexes) + 2) * 8
+        arrays = n_reps * len(cfg.years) * (5 + len(cfg.sexes) + 2) * 8
         assert arrays <= held <= arrays + 64e3
         assert result.n_reps == n_reps
         assert peak - held <= 16e6
@@ -240,6 +242,65 @@ class TestLeanResult:
         for name in result.series_names:
             assert summary["final_year_series"][name]["mean"] == float(
                 result.series[name][:, -1].mean())
+
+
+class TestDerivedLedger:
+    """The result holds five ledger columns and derives the other four, bit
+    for bit what `ledger_columns` gives for the same replications."""
+
+    @staticmethod
+    def recompute(cfg):
+        flags = cfg.run.flags
+        blocks = draw_shock_blocks(cfg, range(cfg.run.n_reps))
+        ne = engine.entrant_product(*engine.entrant_moment_tables(cfg), blocks.entrants
+                                    if flags.entrants else np.zeros_like(blocks.entrants))
+        flows = engine.simulate_flows(engine.build_system(cfg), ne,
+                                      blocks.mortality if flags.mortality else None)
+        rates = engine.return_rates(cfg, blocks.returns, stochastic=flags.returns)
+        return ledger_columns(int(to_cents(cfg.economics.initial_assets)), flows["subjective"],
+                              flows["integrative"], flows["disbursements"],
+                              engine.admin_path(cfg), rates)
+
+    @pytest.mark.parametrize("workers, chunk, n_reps, flags", [
+        (None, 100, 24, StochasticFlags()),
+        (2, 5, 24, StochasticFlags()),
+        (None, 7, 23, StochasticFlags()),
+        (2, 3, 23, StochasticFlags()),
+        (None, 100, 6, StochasticFlags.none()),
+    ], ids=["serial", "workers2", "uneven", "uneven-workers2", "no-shocks"])
+    def test_every_column_equals_ledger_columns(self, small_cfg, monkeypatch,
+                                                workers, chunk, n_reps, flags):
+        cfg = small_cfg.with_run(n_reps=n_reps, flags=flags)
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", chunk)  # before workers fork
+        result = run_simulation(cfg, workers=workers)
+        want = self.recompute(cfg)
+        assert tuple(result.ledger) == LedgerRow.COLUMNS and len(result.ledger) == 9
+        for name in LedgerRow.COLUMNS:
+            col = result.ledger[name]
+            assert col.dtype == np.int64 and not col.flags.writeable, name
+            assert col.shape == want[name].shape and col.tobytes() == want[name].tobytes(), name
+        assert "value_start" in result.ledger and "fund_value" not in result.ledger
+        with pytest.raises(KeyError):
+            result.ledger["fund_value"]
+
+    def test_derived_columns_are_computed_on_every_read(self, base_run):
+        for name in ("value_start", "disbursements", "investment_income"):
+            first, second = base_run.ledger[name], base_run.ledger[name]
+            assert first is not second and not np.shares_memory(first, second), name
+            with pytest.raises(ValueError, match="read-only"):
+                first[0, 0] = 1
+        assert np.shares_memory(base_run.ledger["value_end"], base_run.held_ledger["value_end"])
+
+    def test_a_pool_task_returns_only_the_held_columns(self, small_cfg):
+        cfg = small_cfg.with_run(n_reps=5)
+        shared = (cfg, engine.build_system(cfg), engine.entrant_moment_tables(cfg),
+                  engine.admin_path(cfg), int(to_cents(cfg.economics.initial_assets)))
+        part = pickle.loads(pickle.dumps(montecarlo._run_chunk(*shared, 0, 5)))
+        want = self.recompute(cfg)
+        assert tuple(part["ledger"]) == ("contrib_subjective", "contrib_integrative",
+                                         "pension_balance", "total_balance", "value_end")
+        for name, col in part["ledger"].items():
+            assert np.array_equal(col, want[name]), name
 
 
 class TestFlagCollapse:
