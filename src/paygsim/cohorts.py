@@ -24,7 +24,7 @@ STATUS_NAMES = ("active", "retired")
 
 @dataclass(frozen=True)
 class CohortGrid:
-    """Cohort counts at the start of a calendar year.
+    """Member counts by cell at the start of a calendar year.
 
     counts has shape (2, n_sex, n_age, n_seniority); axis 0 is ACTIVE/RETIRED,
     ages run min_age..max_age inclusive, seniorities 0..max_seniority.

@@ -27,7 +27,7 @@ from .cashflows import AgeProfile, BenefitRule, ContributionRule, EconomicAssump
 from .cohorts import ACTIVE, CohortGrid, MortalityModel, RetirementRule
 from .entrants import FACTOR_NAMES, EntrantsModelParams, FactorMoments, PopulationSeries
 from .errors import ConfigError
-from .schedules import Schedule
+from .schedules import Schedule, _float
 from .stochastic import Ar1Params
 
 DEFAULT_PROBES = (0.1, 1.0, 5.0, 25.0, 50.0, 75.0, 95.0, 99.0, 99.9)
@@ -427,7 +427,7 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
         for n in ("entrants", "mortality", "returns")}
     flags = StochasticFlags(**switches) if switches and None not in switches.values() else None
     probes = ctx.take("run.percentile_probes", lambda: tuple(
-        float(p) for p in run_raw.get("percentile_probes", DEFAULT_PROBES)))
+        _float(p) for p in run_raw.get("percentile_probes", DEFAULT_PROBES)))
     moments_years = ctx.take("run.moments_years", lambda: tuple(
         _int(y) for y in run_raw.get("moments_years", years)))
     run = None
@@ -545,7 +545,7 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
             f"contributions.{name}", lambda n=name, r=rate, p=profile: ContributionRule(
                 name=n, rate=r, profile=p, exemption_years=exemption))
 
-    accrual = ctx.take("benefits.accrual_rate", lambda: float(ben_raw.get("accrual_rate", 0.0)))
+    accrual = ctx.take("benefits.accrual_rate", lambda: _float(ben_raw.get("accrual_rate", 0.0)))
     if accrual is not None and accrual < 0:
         ctx.fail("benefits.accrual_rate", f"must be >= 0, got {accrual}")
     pre_existing = ctx.take("benefits.pre_existing_profile_csv", lambda: load_age_table(
@@ -581,20 +581,22 @@ def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
     exp_ret = _schedule(eco_raw.get("expected_return", 0.0), "economics.expected_return",
                         ctx, years)
     dev_raw = _mapping(eco_raw, "return_deviations", "economics.return_deviations", ctx)
-    deviations = None if dev_raw is None else ctx.take(
-        "economics.return_deviations", lambda: Ar1Params(
-            phi=float(dev_raw.get("phi", 0.0)), sigma=float(dev_raw.get("sigma", 0.0)),
-            x0=float(dev_raw.get("x0", 0.0))))
+    dev = None if dev_raw is None else {
+        k: ctx.take(f"economics.return_deviations.{k}", lambda k=k: _float(dev_raw.get(k, 0.0)))
+        for k in ("phi", "sigma", "x0")}
+    deviations = None if dev is None or None in dev.values() else ctx.take(
+        "economics.return_deviations", lambda: Ar1Params(**dev))
     admin_year = ctx.take("economics.admin_base_year",
                           lambda: _int(eco_raw.get("admin_base_year", first)))
     assets = ctx.take("economics.initial_assets",
-                      lambda: float(_need(eco_raw, "initial_assets")))
+                      lambda: _float(_need(eco_raw, "initial_assets")))
     if assets is not None and not math.isfinite(assets):
         ctx.fail("economics.initial_assets", "must be finite")
+    admin_base, admin_growth = (
+        ctx.take(f"economics.{k}", lambda k=k: _float(eco_raw.get(k, 0.0)))
+        for k in ("admin_base", "admin_growth"))
     economics = ctx.take("economics", lambda: EconomicAssumptions(
-        initial_assets=assets,
-        admin_base=float(eco_raw.get("admin_base", 0.0)),
-        admin_growth=float(eco_raw.get("admin_growth", 0.0)),
+        initial_assets=assets, admin_base=admin_base, admin_growth=admin_growth,
         admin_base_year=admin_year,
         inflation=inflation, expected_return=exp_ret, deviations=deviations,
         profile_base_year=price_base))

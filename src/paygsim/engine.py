@@ -1,4 +1,4 @@
-"""Cohort-level projection engine.
+"""Projection engine over member cohorts.
 
 The projection has a convenient linear structure. Every per-capita amount
 (contribution, notional balance, pension) is a deterministic function of a
@@ -10,10 +10,12 @@ per-capita column, and a whole Monte Carlo batch reduces to small
 (replication, cohort) matrix updates.
 
 `build_system` enumerates the cohorts (one per populated census cell, one
-per future arrival year and sex) and tabulates their per-capita flows;
-`simulate_flows` evolves the counts of many replications at once. Shocks
-enter as plain arrays so the deterministic path is the same code with the
-shocks at zero.
+per future arrival year and sex) and tabulates what `simulate_flows` reads
+into a `CohortSystem`: the census headcounts, the cohorts the arrivals
+enter, the per-capita flows and status masks per year, the survival cell
+of each cohort per year and the mortality moments. `simulate_flows` evolves
+the counts of many replications at once. Shocks enter as plain arrays so
+the deterministic path is the same code with the shocks at zero.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .cohorts import ACTIVE, expected_mortality_grid
 from .config import ScenarioConfig
-from .entrants import DRAWS_PER_CELL, FACTOR_NAMES
+from .entrants import DRAWS_PER_CELL, factor_moments
 from .errors import CoverageError
 from .stochastic import ar1_path
 
@@ -77,52 +79,27 @@ def opening_balance(cfg: ScenarioConfig, sex_index, age, seniority) -> np.ndarra
 
 
 @dataclass
-class Cohort:
-    """One group of members with a common deterministic path."""
-
-    sex: str
-    sex_index: int
-    first_year: int                 # first census year with the cohort on the grid
-    first_age: int
-    first_seniority: int
-    initially_retired: bool
-    initial_count: float            # census headcount; 0 for arrival cohorts
-    arrival_year: int | None = None  # entrants: the year whose arrivals feed the cohort
-    retirement_year: int | None = None
-    benefit_type: str | None = None
-    opening_notional: float = 0.0   # per-capita balance the year before first_year
-
-
-@dataclass
 class CohortSystem:
-    """Cohort tables for one scenario, ready for batched count simulation.
+    """Per-cohort tables for one scenario, ready for batched count simulation.
 
-    Per-capita arrays have shape (n_cohorts, n_years); `ages` is -1 where a
-    cohort is not on the grid. `arrival_rows[t, s]` is the cohort row that
-    receives the year-t arrivals of sex s (or -1). Mortality lookups carry
-    the mortality table's own age axis, which may start below the grid's.
-
-    For `simulate_flows`, `flow_block[t]` holds year t's columns of the
-    three per-capita flows and the two masks as contiguous rows, in `FLOWS`
-    order; `subjective`, `integrative` and `disbursement` are views of it.
+    Cohorts are rows: the populated census cells (actives, then retirees),
+    then one arrival cohort per later year and sex. `initial_counts` holds
+    the census headcounts (0 for arrival cohorts), and `arrival_rows[t, s]`
+    is the row that receives the year-t arrivals of sex s (or -1).
+    `flow_block[t]` holds year t's columns of the three per-capita flows
+    and the active and retired masks as contiguous rows, in `FLOWS` order.
     `survival_index[t]` points each cohort at its cell of a year-t survival
     row: the mortality table's (sex, age) cells, then 1.0 for cohorts off
-    the grid and 0.0 for those leaving it at the terminal age.
+    the grid and 0.0 for those leaving it at the terminal age. `qbar` and
+    `qsigma` are the mortality model on the table's own age axis, which may
+    start below the grid's.
     """
 
     first_year: int
     last_year: int
     sexes: tuple[str, ...]
-    cohorts: list[Cohort]
-    subjective: np.ndarray = field(repr=False)
-    integrative: np.ndarray = field(repr=False)
-    disbursement: np.ndarray = field(repr=False)
-    active_mask: np.ndarray = field(repr=False)
-    retired_mask: np.ndarray = field(repr=False)
-    ages: np.ndarray = field(repr=False)
-    sex_index: np.ndarray = field(repr=False)
-    initial_counts: np.ndarray = field(repr=False)
-    arrival_rows: np.ndarray = field(repr=False)
+    initial_counts: np.ndarray = field(repr=False)  # (n_cohorts,)
+    arrival_rows: np.ndarray = field(repr=False)    # (n_years, n_sex)
     qbar: np.ndarray = field(repr=False)     # (n_years, n_sex, n_mort_ages)
     qsigma: np.ndarray = field(repr=False)   # (n_sex, n_mort_ages)
     flow_block: np.ndarray = field(repr=False)      # (n_years, len(FLOWS), n_cohorts)
@@ -130,7 +107,7 @@ class CohortSystem:
 
     @property
     def n_cohorts(self) -> int:
-        return len(self.cohorts)
+        return len(self.initial_counts)
 
     @property
     def n_years(self) -> int:
@@ -176,13 +153,11 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
 
     bal = np.zeros(n)
     bal[:n_act] = opening_balance(cfg, sex[:n_act], age0[:n_act], sen0[:n_act])
-    opening = bal.copy()
     pension = np.where(retired, cfg.pre_existing.slice_for(grid).ravel()[cell0 + age0], 0.0)
-    ret_year, ret_type = np.zeros(n, dtype=int), np.full(n, -1)  # type -1: not retired
+    ret_type = np.full(n, -1)  # -1: not retired
     # year-major, so that each year's columns are contiguous rows for simulate_flows
     flow_block = np.zeros((n_years, len(FLOWS), n))
     subj, integ, disb = (flow_block[:, k].T for k in range(3))
-    active_mask, retired_mask = (np.zeros((n, n_years), dtype=bool) for _ in range(2))
     ages = np.empty((n, n_years), dtype=np.int32)
     for ti, t in enumerate(years):
         x = age0 + (t - fy)
@@ -199,15 +174,15 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
             wins = lead > best  # strict, so ties stay with the earlier type
             best, kind = np.where(wins, lead, best), np.where(wins, j, kind)
         now = check[best >= 0]
-        ret_year[now], ret_type[now], retired[now] = t, kind[best >= 0], True
+        ret_type[now], retired[now] = kind[best >= 0], True
 
         if ti:  # pensions in payment follow inflation; new ones are set next
             pension *= 1.0 + infl[ti]
         coef = payout[ret_type[now] * n_sex * grid.n_ages + cell[now]]
         pension[now] = np.where(notional[ret_type[now]], bal[now] * coef, coef * prices[ti])
-        retired_mask[:, ti] = on & retired
-        disb[:, ti] = np.where(on & retired, pension, 0.0)
-        active_mask[:, ti] = active = on & ~retired
+        flow_block[ti, 4] = paid = on & retired
+        disb[:, ti] = np.where(paid, pension, 0.0)
+        flow_block[ti, 3] = active = on & ~retired
         paying = (active & (sen > cfg.contrib_subjective.exemption_years)).nonzero()[0]
         for col, (rate, profile) in zip((subj, integ), contribs):
             col[paying, ti] = (rate[ti] * profile[cell[paying]]) * prices[ti]
@@ -220,15 +195,6 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
             raise CoverageError(f"{what} has no value for sex {cfg.sexes[sex[row]]!r} "
                                 f"age {ages[row, ti]} in {years[ti]}")
     counts = np.concatenate([grid.counts[tuple(cells.T)], np.zeros(n - n_census)])
-    types = (None,) + rule.benefit_types  # indexed by ret_type + 1
-    cohorts = [Cohort(sex=cfg.sexes[s], sex_index=s, first_year=f, first_age=a,
-                      first_seniority=k, initially_retired=n_act <= i < n_census,
-                      initial_count=c,
-                      arrival_year=f - 1 if i >= n_census else None,
-                      retirement_year=ry if rt >= 0 else None, benefit_type=types[rt + 1],
-                      opening_notional=o)
-               for i, (s, f, a, k, c, ry, rt, o) in enumerate(zip(*(v.tolist() for v in (
-                   sex, fy, age0, sen0, counts, ret_year, ret_type, opening))))]
     arrival_rows = np.full((n_years, n_sex), -1, dtype=int)
     arrival_rows[:-1] = np.arange(n_census, n).reshape(n_years - 1, n_sex)
     qbar = np.array([expected_mortality_grid(cfg.mortality, t) for t in years])
@@ -236,11 +202,8 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
     survival = np.where(ages >= 0, sex[:, None] * qbar.shape[2] + ages - cfg.mortality.min_age,
                         n_cells)
     survival[ages == cfg.max_age] = n_cells + 1
-    flow_block[:, 3], flow_block[:, 4] = active_mask.T, retired_mask.T
     return CohortSystem(
         first_year=cfg.first_year, last_year=cfg.last_year, sexes=cfg.sexes,
-        cohorts=cohorts, subjective=subj, integrative=integ, disbursement=disb,
-        active_mask=active_mask, retired_mask=retired_mask, ages=ages, sex_index=sex,
         initial_counts=counts, arrival_rows=arrival_rows, qbar=qbar,
         qsigma=cfg.mortality.sigma, flow_block=flow_block,
         survival_index=survival[:, :-1].T.copy())
@@ -303,22 +266,13 @@ def simulate_flows(system: CohortSystem, ne: np.ndarray,
 
 
 def entrant_moment_tables(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and sigma of the five arrival factors per (year, sex).
-
-    Slot 0 is the reference population at its lag; slots 1..4 the transition
-    rates, each evaluated at the calendar year its schedule prescribes.
-    """
-    params = cfg.entrants_params
+    """Mean and sigma of the five arrival factors per (year, sex), in the
+    draw order of `entrants.factor_moments`."""
     shape = (len(cfg.years), len(cfg.sexes), DRAWS_PER_CELL)
     mean, sigma = np.empty(shape), np.empty(shape)
     for ti, t in enumerate(cfg.years):
-        lagged = params.factor_years(t)
         for si, s in enumerate(cfg.sexes):
-            mean[ti, si, 0], sigma[ti, si, 0] = cfg.population.at(
-                s, params.population_year(t))
-            for k, name in enumerate(FACTOR_NAMES):
-                p = params.factors[s][name].at(lagged[name])
-                mean[ti, si, 1 + k], sigma[ti, si, 1 + k] = p.mean, p.sigma
+            mean[ti, si], sigma[ti, si] = factor_moments(cfg.entrants_params, cfg.population, s, t)
     return mean, sigma
 
 

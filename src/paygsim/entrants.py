@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from .errors import CoverageError
 from .schedules import Schedule
-from .stochastic import TruncatedAffineParams
 
 # Draw order inside one (sex, year) cell. Fixed so that pre-drawn shock blocks
 # line up with sequential draws.
@@ -67,9 +66,6 @@ class FactorMoments:
     mean: Schedule
     sigma: Schedule
 
-    def at(self, year: int) -> TruncatedAffineParams:
-        return TruncatedAffineParams(self.mean.value(year), self.sigma.value(year))
-
 
 @dataclass(frozen=True)
 class EntrantsModelParams:
@@ -106,14 +102,21 @@ class EntrantsModelParams:
         return year - self.study_years - self.training_years
 
 
-def _factor_params(params: EntrantsModelParams, sex: str, year: int):
-    """TruncatedAffineParams for each factor of NE(year), in draw order."""
+def factor_moments(params: EntrantsModelParams, series: PopulationSeries,
+                   sex: str, year: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Means and sigmas of the five factors of NE(year), in draw order: the
+    reference population at its lag, then each transition rate at the
+    calendar year `factor_years` gives it."""
+    pop = series.at(sex, params.population_year(year))
     try:
         fs = params.factors[sex]
     except KeyError:
         raise CoverageError(f"entrants model has no sex {sex!r}") from None
     lagged = params.factor_years(year)
-    return [fs[name].at(lagged[name]) for name in FACTOR_NAMES]
+    rates = [(fs[name].mean.value(lagged[name]), fs[name].sigma.value(lagged[name]))
+             for name in FACTOR_NAMES]
+    means, sigmas = zip(pop, *rates)
+    return means, sigmas
 
 
 def variance_new_entrants(params: EntrantsModelParams, series: PopulationSeries,
@@ -124,11 +127,9 @@ def variance_new_entrants(params: EntrantsModelParams, series: PopulationSeries,
     is subtracted to get a true variance. Truncation at zero is ignored, which
     is immaterial while every mean sits several sigmas above zero.
     """
-    pop_mean, pop_sigma = series.at(sex, params.population_year(year))
-    raw2 = pop_mean * pop_mean + pop_sigma * pop_sigma
-    mean2 = pop_mean * pop_mean
-    for p in _factor_params(params, sex, year):
-        raw2 *= p.mean * p.mean + p.sigma * p.sigma
-        mean2 *= p.mean * p.mean
+    raw2 = mean2 = 1.0
+    for mean, sigma in zip(*factor_moments(params, series, sex, year)):
+        raw2 *= mean * mean + sigma * sigma
+        mean2 *= mean * mean
     # same association order on both products, so all-zero sigmas give exactly 0
     return raw2 - mean2

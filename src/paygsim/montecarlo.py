@@ -23,7 +23,7 @@ from .config import ScenarioConfig, StochasticFlags
 from .engine import (CohortSystem, admin_path, build_system, entrant_moment_tables,
                      entrant_product, return_rates, simulate_flows)
 from .entrants import DRAWS_PER_CELL
-from .errors import ConfigError
+from .errors import ConfigError, CoverageError
 from .stochastic import open_streams
 
 DEFAULT_CHUNK = 100  # replications drawn, simulated and handed to a worker together
@@ -219,7 +219,7 @@ class SimulationResult:
         idx = [int(y) - self.first_year for y in years]
         for y, t in zip(years, idx):
             if not 0 <= t < len(self.years):
-                raise ValueError(f"year {y} outside the simulated horizon")
+                raise CoverageError(f"year {y} outside the simulated horizon")
         out = distribution_moments(self.columns(name, idx), axis=0)
         out["series"] = name
         out["years"] = np.asarray(years)

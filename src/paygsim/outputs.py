@@ -254,25 +254,26 @@ def simulation_summary(cfg: ScenarioConfig, result) -> dict:
 # ---------------------------------------------------------------------------
 # per-command bundles
 
-def _prepare(outdir) -> None:
+def _write_bundle(outdir, files) -> list[str]:
+    """Create `outdir` and call each (name, write) pair's `write(path)` with
+    the file's path there, in order; return the paths written."""
     os.makedirs(outdir, exist_ok=True)
+    written = []
+    for name, write in files:
+        written.append(os.path.join(outdir, name))
+        write(written[-1])
+    return written
 
 
 def emit_projection_outputs(outdir, cfg: ScenarioConfig, result) -> list[str]:
     """ledger.csv, ledger_raw.csv, entrants.csv, summary.json, manifest.json."""
-    _prepare(outdir)
-    written = []
-
-    def out(name):
-        written.append(os.path.join(outdir, name))
-        return written[-1]
-
-    write_ledger_csv(out("ledger.csv"), result.ledger)
-    write_ledger_raw_csv(out("ledger_raw.csv"), result.ledger)
-    write_entrants_csv(out("entrants.csv"), result.years, result.entrants)
-    write_json(out("summary.json"), projection_summary(cfg, result))
-    write_json(out("manifest.json"), run_manifest(cfg, "project"))
-    return written
+    return _write_bundle(outdir, [
+        ("ledger.csv", lambda path: write_ledger_csv(path, result.ledger)),
+        ("ledger_raw.csv", lambda path: write_ledger_raw_csv(path, result.ledger)),
+        ("entrants.csv", lambda path: write_entrants_csv(path, result.years, result.entrants)),
+        ("summary.json", lambda path: write_json(path, projection_summary(cfg, result))),
+        ("manifest.json", lambda path: write_json(path, run_manifest(cfg, "project"))),
+    ])
 
 
 def emit_simulation_outputs(outdir, cfg: ScenarioConfig, result) -> list[str]:
@@ -280,34 +281,23 @@ def emit_simulation_outputs(outdir, cfg: ScenarioConfig, result) -> list[str]:
 
     Moments need at least two replications; with one the file is skipped.
     """
-    _prepare(outdir)
-    written = []
-
-    def out(name):
-        written.append(os.path.join(outdir, name))
-        return written[-1]
-
-    write_fan_chart_csv(out("fanchart.csv"), result, cfg.run.probes)
-    if result.n_reps >= 2:
-        write_moments_csv(out("moments.csv"), result, cfg.run.moments_years)
-    write_json(out("summary.json"), simulation_summary(cfg, result))
-    write_json(out("manifest.json"), run_manifest(cfg, "simulate"))
-    return written
+    moments = [("moments.csv", lambda path: write_moments_csv(
+        path, result, cfg.run.moments_years))] if result.n_reps >= 2 else []
+    return _write_bundle(outdir, [
+        ("fanchart.csv", lambda path: write_fan_chart_csv(path, result, cfg.run.probes)),
+        *moments,
+        ("summary.json", lambda path: write_json(path, simulation_summary(cfg, result))),
+        ("manifest.json", lambda path: write_json(path, run_manifest(cfg, "simulate"))),
+    ])
 
 
 def emit_entrants_outputs(outdir, cfg: ScenarioConfig, expected: dict,
                           sampled: tuple | None = None) -> list[str]:
     """entrants.csv, optional entrants_mc.csv, manifest.json."""
-    _prepare(outdir)
-    written = []
-
-    def out(name):
-        written.append(os.path.join(outdir, name))
-        return written[-1]
-
-    write_entrants_csv(out("entrants.csv"), cfg.years, expected)
-    if sampled is not None:
-        mean_by_sex, std_by_sex = sampled
-        write_entrants_mc_csv(out("entrants_mc.csv"), cfg.years, mean_by_sex, std_by_sex)
-    write_json(out("manifest.json"), run_manifest(cfg, "entrants"))
-    return written
+    mc = [] if sampled is None else [("entrants_mc.csv", lambda path: write_entrants_mc_csv(
+        path, cfg.years, *sampled))]
+    return _write_bundle(outdir, [
+        ("entrants.csv", lambda path: write_entrants_csv(path, cfg.years, expected)),
+        *mc,
+        ("manifest.json", lambda path: write_json(path, run_manifest(cfg, "entrants"))),
+    ])

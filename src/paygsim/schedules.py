@@ -15,6 +15,14 @@ from .errors import CoverageError
 _MISSING = object()
 
 
+def _float(value) -> float:
+    """A number field's value as a float; a boolean or a quoted number is a
+    ValueError, not read as 1.0 or parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Year-indexed piecewise-constant value.
@@ -55,7 +63,7 @@ class Schedule:
             if not isinstance(overrides, dict):
                 raise ValueError("expected the overrides to be a year->value mapping")
             return cls(
-                default=None if default is None else float(default),
-                overrides={int(y): float(v) for y, v in overrides.items()},
+                default=None if default is None else _float(default),
+                overrides={int(y): _float(v) for y, v in overrides.items()},
             )
         raise ValueError(f"expected a number or a mapping, got {type(raw).__name__}")

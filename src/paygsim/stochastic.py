@@ -127,20 +127,6 @@ def open_streams(seed: int, ids):
 
 
 @dataclass(frozen=True)
-class TruncatedAffineParams:
-    """mean + sigma*eps, floored at zero. May exceed 1; ratios above 1 are legal."""
-
-    mean: float
-    sigma: float
-
-    def __post_init__(self):
-        if self.mean < 0:
-            raise ValueError(f"mean must be >= 0, got {self.mean}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
-
-@dataclass(frozen=True)
 class Ar1Params:
     """Stationary AR(1) deviation process: x_t = phi*x_{t-1} + sigma*eps_t."""
 

@@ -1,14 +1,17 @@
 """The table-driven `build_system` against a per-cohort reference.
 
 `reference_build` below is the original implementation, kept here as the
-oracle: it walks each cohort year by year through scalar `Schedule.value`
-and `AgeProfile.value` lookups, and compounds its own price index one year
-at a time. The production build fills
-all cohorts at once from per-year and per-(sex, age) tables with the same
-float operations in the same order, so every array must agree bit for bit.
+oracle: it walks each cohort record year by year through scalar
+`Schedule.value` and `AgeProfile.value` lookups, and compounds its own price
+index one year at a time. The production build fills all cohorts at once
+from per-year and per-(sex, age) tables with the same float operations in
+the same order, so every table of the `CohortSystem` must agree bit for bit.
+A cohort's retirement year shows in its rows of the retired mask, and its
+benefit type in its disbursements wherever the types' tables differ.
 """
 
 import tempfile
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -18,16 +21,32 @@ from hypothesis import strategies as st
 from conftest import BASE_CSVS, write_scenario
 from paygsim import load_config
 from paygsim.cohorts import ACTIVE, RETIRED
-from paygsim.engine import Cohort, build_system, opening_balance
+from paygsim.engine import CohortSystem, build_system, opening_balance
 from paygsim.errors import CoverageError
 
-ARRAYS = ("subjective", "integrative", "disbursement", "active_mask",
-          "retired_mask", "ages", "sex_index", "initial_counts", "arrival_rows",
-          "qbar", "qsigma")
+ARRAYS = ("initial_counts", "arrival_rows", "qbar", "qsigma", "flow_block",
+          "survival_index")
 
 
 # ---------------------------------------------------------------------------
 # Reference: one cohort at a time, one scalar lookup at a time
+
+
+@dataclass
+class RefCohort:
+    """One group of members with a common deterministic path."""
+
+    sex: str
+    sex_index: int
+    first_year: int                 # first census year with the cohort on the grid
+    first_age: int
+    first_seniority: int
+    initially_retired: bool
+    initial_count: float            # census headcount; 0 for arrival cohorts
+    arrival_year: int | None = None  # entrants: the year whose arrivals feed the cohort
+    retirement_year: int | None = None
+    benefit_type: str | None = None
+    opening_notional: float = 0.0   # per-capita balance the year before first_year
 
 
 def ref_price_index(cfg, year):
@@ -108,8 +127,28 @@ def ref_fill(cfg, co, row, subj, integ, disb, active_mask, retired_mask, ages):
         bal = bal * (1.0 + cfg.accrual_rate) + subj[row, ti]
 
 
+def ref_survival_index(cfg, cohorts, ages):
+    """Each cohort's cell of the year's survival row, for every year but the
+    last: its (sex, age) cell of the mortality table, or the 1.0 cell off the
+    grid, or the 0.0 cell at the terminal age."""
+    mm = cfg.mortality
+    n_mort_ages = mm.max_age - mm.min_age + 1
+    n_cells = len(cfg.sexes) * n_mort_ages
+    out = np.empty((len(cfg.years) - 1, len(cohorts)), dtype=int)
+    for row, co in enumerate(cohorts):
+        for ti in range(len(cfg.years) - 1):
+            age = ages[row, ti]
+            if age < 0:
+                out[ti, row] = n_cells
+            elif age == cfg.max_age:
+                out[ti, row] = n_cells + 1
+            else:
+                out[ti, row] = co.sex_index * n_mort_ages + age - mm.min_age
+    return out
+
+
 def reference_build(cfg):
-    """Cohorts and per-capita arrays, built the per-cohort way."""
+    """Cohort records and the `CohortSystem` tables, built the per-cohort way."""
     years = cfg.years
     n_years = len(years)
     census = cfg.census
@@ -118,10 +157,10 @@ def reference_build(cfg):
         for si, ai, ki in np.argwhere(census.counts[status] > 0):
             sex = cfg.sexes[si]
             age = cfg.min_age + int(ai)
-            co = Cohort(sex=sex, sex_index=int(si), first_year=cfg.first_year,
-                        first_age=age, first_seniority=int(ki),
-                        initially_retired=status == RETIRED,
-                        initial_count=float(census.counts[status, si, ai, ki]))
+            co = RefCohort(sex=sex, sex_index=int(si), first_year=cfg.first_year,
+                           first_age=age, first_seniority=int(ki),
+                           initially_retired=status == RETIRED,
+                           initial_count=float(census.counts[status, si, ai, ki]))
             if status == ACTIVE:
                 co.opening_notional = ref_opening_balance(cfg, sex, age, int(ki))
             cohorts.append(co)
@@ -129,10 +168,10 @@ def reference_build(cfg):
     for te in years[:-1]:
         for si, sex in enumerate(cfg.sexes):
             arrival_rows[te - cfg.first_year, si] = len(cohorts)
-            cohorts.append(Cohort(sex=sex, sex_index=si, first_year=te + 1,
-                                  first_age=cfg.entry_age, first_seniority=0,
-                                  initially_retired=False, initial_count=0.0,
-                                  arrival_year=te))
+            cohorts.append(RefCohort(sex=sex, sex_index=si, first_year=te + 1,
+                                     first_age=cfg.entry_age, first_seniority=0,
+                                     initially_retired=False, initial_count=0.0,
+                                     arrival_year=te))
     n = len(cohorts)
     out = {k: np.zeros((n, n_years)) for k in ("subjective", "integrative", "disbursement")}
     out["active_mask"] = np.zeros((n, n_years), dtype=bool)
@@ -151,31 +190,44 @@ def reference_build(cfg):
     qbar = np.empty((n_years, len(cfg.sexes), mm.max_age - mm.min_age + 1))
     for ti, t in enumerate(years):
         qbar[ti] = np.minimum(1.0, (1.0 + mm.drift) ** (t - mm.base_year) * mm.q0)
-    out.update(sex_index=np.array([c.sex_index for c in cohorts], dtype=int),
-               initial_counts=np.array([c.initial_count for c in cohorts]),
-               arrival_rows=arrival_rows, qbar=qbar, qsigma=mm.sigma)
-    return cohorts, out
+    # year-major rows in `FLOWS` order: three per-capita flows, then the masks
+    flow_block = np.stack([out[k].T.astype(float) for k in (
+        "subjective", "integrative", "disbursement", "active_mask", "retired_mask")], axis=1)
+    tables = dict(initial_counts=np.array([c.initial_count for c in cohorts]),
+                  arrival_rows=arrival_rows, qbar=qbar, qsigma=mm.sigma,
+                  flow_block=flow_block,
+                  survival_index=ref_survival_index(cfg, cohorts, out["ages"]))
+    return cohorts, tables
 
 
 def assert_same_build(cfg):
+    """Build both ways, compare every table bit for bit and return the
+    production system with the reference's cohort records."""
     system = build_system(cfg)
-    cohorts, arrays = reference_build(cfg)
+    cohorts, tables = reference_build(cfg)
     for name in ARRAYS:
-        got, want = getattr(system, name), arrays[name]
+        got, want = getattr(system, name), tables[name]
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name  # bit for bit, -0.0 included
-    assert [(c.retirement_year, c.benefit_type) for c in system.cohorts] == \
-        [(c.retirement_year, c.benefit_type) for c in cohorts]
-    assert system.cohorts == cohorts
-    return system
+    assert system.n_cohorts == len(cohorts)
+    return system, cohorts
+
+
+def chosen_types(cohorts):
+    return {c.benefit_type for c in cohorts if c.retirement_year}
 
 
 # ---------------------------------------------------------------------------
 
 
 def test_bundled_scenario(cfg):
-    system = assert_same_build(cfg)
+    system, _ = assert_same_build(cfg)
     assert system.n_cohorts == 214
+
+
+def test_system_holds_only_the_simulated_tables():
+    assert [f.name for f in fields(CohortSystem)] == [
+        "first_year", "last_year", "sexes", *ARRAYS]
 
 
 def test_small_scenario(small_scenario):
@@ -193,10 +245,11 @@ def test_tied_types_go_to_the_first_listed(tmp_path):
         "retirement": {"benefit_types": ["old_age", "twin"],
                        "thresholds": {"old_age": same, "twin": same}},
         "benefits": {"types": {"twin": {"kind": "notional_account",
-                                        "conversion_csv": "conversion.csv"}}}}))
-    system = assert_same_build(cfg)
-    chosen = {c.benefit_type for c in system.cohorts if c.retirement_year}
-    assert chosen == {"old_age"}
+                                        "conversion_csv": "conversion2.csv"}}}},
+        csv_overrides={"conversion2.csv": SECOND_CONVERSION}))
+    # twin converts at other rates, so the tie-break shows in the disbursements
+    _, cohorts = assert_same_build(cfg)
+    assert chosen_types(cohorts) == {"old_age"}
 
 
 def test_fixed_profile_benefit(tmp_path):
@@ -208,9 +261,9 @@ def test_fixed_profile_benefit(tmp_path):
         "benefits": {"types": {"flat": {"kind": "fixed_profile",
                                         "profile_csv": "fixed.csv"}}}},
         csv_overrides={"fixed.csv": FIXED_PROFILE}))
-    system = assert_same_build(cfg)
-    assert {c.benefit_type for c in system.cohorts if c.retirement_year} == {"flat"}
-    assert system.disbursement[:, 1:].any()
+    system, cohorts = assert_same_build(cfg)
+    assert chosen_types(cohorts) == {"flat"}
+    assert system.flow_block[1:, 2].any()
 
 
 class TestCoverage:
@@ -276,7 +329,7 @@ def scenario_tweaks(draw):
     second = draw(st.sampled_from(["notional_account", "fixed_profile"]))
     first_th = draw(thresholds())
     second_th = first_th if draw(st.booleans()) else draw(thresholds())
-    second_type = ({"kind": "notional_account", "conversion_csv": "conversion.csv"}
+    second_type = ({"kind": "notional_account", "conversion_csv": "conversion2.csv"}
                    if second == "notional_account"
                    else {"kind": "fixed_profile", "profile_csv": "fixed.csv"})
     return {
@@ -301,6 +354,11 @@ def scenario_tweaks(draw):
 FIXED_PROFILE = ["sex,age,amount"] + [
     f"{s},{a},{15000 + 250 * a + (s == 'female') * 100}"
     for s in ("male", "female") for a in range(30, 51)]
+# a second type's own conversion rates, all below conversion.csv's 0.06,
+# so that which type won shows in the disbursements
+SECOND_CONVERSION = ["sex,age,coefficient"] + [
+    f"{s},{a},{0.04 + 0.001 * (a - 35) + (s == 'female') * 0.002:.3f}"
+    for s in ("male", "female") for a in range(35, 51)]
 CENSUS = BASE_CSVS["census.csv"] + ["male,44,12,active,5", "female,33,2,active,7"]
 
 
@@ -310,5 +368,6 @@ CENSUS = BASE_CSVS["census.csv"] + ["male,44,12,active,5", "female,33,2,active,7
 def test_random_variants_build_identically(tweaks):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = load_config(write_scenario(tmp, tweaks=tweaks, csv_overrides={
-            "fixed.csv": FIXED_PROFILE, "census.csv": CENSUS}))
+            "fixed.csv": FIXED_PROFILE, "conversion2.csv": SECOND_CONVERSION,
+            "census.csv": CENSUS}))
     assert_same_build(cfg)

@@ -342,7 +342,8 @@ class TestEachScheduleIsCheckedWhereTheModelReadsIt:
 
 
 class TestFieldKinds:
-    """Flag fields take only YAML booleans, and integer fields only integers;
+    """Flag fields take only YAML booleans, integer fields only integers and
+    number fields only numbers;
     anything else is an error naming the field, not a silent conversion."""
 
     @pytest.mark.parametrize("tweaks, message", [
@@ -361,6 +362,40 @@ class TestFieldKinds:
         with pytest.raises(ConfigError) as exc:
             load_config(write_scenario(str(tmp_path), tweaks=tweaks))
         assert exc.value.messages == [message]
+
+    @pytest.mark.parametrize("value", [True, "0.05"])
+    @pytest.mark.parametrize("field, tweak", [
+        ("benefits.accrual_rate", {"benefits": {"accrual_rate": ...}}),
+        ("economics.initial_assets", {"economics": {"initial_assets": ...}}),
+        ("economics.admin_base", {"economics": {"admin_base": ...}}),
+        ("economics.admin_growth", {"economics": {"admin_growth": ...}}),
+        ("economics.return_deviations.phi", {"economics": {"return_deviations": {"phi": ...}}}),
+        ("economics.return_deviations.sigma",
+         {"economics": {"return_deviations": {"sigma": ...}}}),
+        ("economics.return_deviations.x0", {"economics": {"return_deviations": {"x0": ...}}}),
+        ("run.percentile_probes", {"run": {"percentile_probes": [...]}}),
+        # a schedule's mapping form: its default and an override
+        ("economics.inflation", {"economics": {"inflation": {"default": ...}}}),
+        ("economics.inflation",
+         {"economics": {"inflation": {"default": 0.02, "overrides": {2010: ...}}}}),
+    ], ids=lambda p: p if isinstance(p, str) else None)
+    def test_a_float_field_takes_only_a_number(self, tmp_path, capsys, field, tweak, value):
+        # a boolean would read as 1.0 and a quoted number would be parsed;
+        # the value goes where the tweak has `...`
+        def fill(node):
+            if isinstance(node, dict):
+                return {k: fill(v) for k, v in node.items()}
+            if isinstance(node, list):
+                return [fill(v) for v in node]
+            return value if node is ... else node
+
+        path = write_scenario(str(tmp_path), tweaks=fill(tweak))
+        message = f"{field}: expected a number, got {value!r}"
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.messages == [message]
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_wrong_kinds_are_collected_with_the_other_errors(self, tmp_path, capsys):
         path = write_scenario(str(tmp_path), tweaks={

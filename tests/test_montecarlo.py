@@ -10,6 +10,7 @@ from paygsim import cli, engine, montecarlo
 from paygsim import (LedgerRow, StochasticFlags, load_config, distribution_moments,
                      percentile_bands, run_deterministic_projection, run_simulation)
 from paygsim.cashflows import ledger_columns, to_cents
+from paygsim.errors import CoverageError
 from paygsim.montecarlo import draw_shock_blocks
 from paygsim.stochastic import open_streams
 from paygsim.outputs import emit_simulation_outputs, simulation_summary
@@ -440,9 +441,10 @@ class TestMoments:
         t = 2008 - small_cfg.first_year
         assert mom["mean"][0] == whole["mean"][t]
 
-    def test_result_moments_year_validation(self, base_run):
-        with pytest.raises(ValueError, match="2005"):
-            base_run.moments("fund_value", [2005])
+    @pytest.mark.parametrize("year", [1900, 2005, 2017])
+    def test_result_moments_year_validation(self, base_run, year):
+        with pytest.raises(CoverageError, match=f"year {year} outside"):
+            base_run.moments("fund_value", [2008, year])
 
     def test_uncertainty_grows_along_the_horizon(self, small_cfg):
         # more shocks accumulate each year, so the fund-value spread widens

@@ -52,3 +52,8 @@ def test_from_config_rejects_junk():
         Schedule.from_config({"default": 1, "overrides": [1, 2]})
     with pytest.raises(ValueError):
         Schedule.from_config(True)
+    # the mapping form's values are numbers too
+    with pytest.raises(ValueError, match="expected a number, got True"):
+        Schedule.from_config({"default": True})
+    with pytest.raises(ValueError, match="expected a number, got '0.05'"):
+        Schedule.from_config({"default": 0.02, "overrides": {2006: "0.05"}})

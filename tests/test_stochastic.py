@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paygsim.engine import entrant_product
-from paygsim.stochastic import (Ar1Params, TruncatedAffineParams, ar1_path,
-                                ar1_stationary_std, open_streams, stream_keys)
+from paygsim.stochastic import Ar1Params, ar1_path, ar1_stationary_std, open_streams, stream_keys
 
 
 def numpy_key(seed: int, stream_id: int) -> np.ndarray:
@@ -107,46 +106,34 @@ class TestOneStream:
         assert abs(draws.var() - 1.0) < 0.006
 
 
-def floored(p: TruncatedAffineParams, eps):
+def floored(mean, sigma, eps):
     """One factor draw as the entrant product takes it: max(0, mean + sigma*eps)."""
-    return entrant_product(np.array([p.mean]), np.array([p.sigma]), np.array([float(eps)]))
+    return entrant_product(np.array([mean]), np.array([sigma]), np.array([float(eps)]))
 
 
 class TestTruncatedAffine:
     def test_zero_eps_returns_mean(self):
-        p = TruncatedAffineParams(mean=0.5110, sigma=0.1996)
-        assert floored(p, 0.0) == 0.5110
+        assert floored(0.5110, 0.1996, 0.0) == 0.5110
 
     def test_floor_at_zero(self):
-        p = TruncatedAffineParams(mean=0.5, sigma=0.2)
-        assert floored(p, -3.0) == 0.0
+        assert floored(0.5, 0.2, -3.0) == 0.0
 
     def test_hand_value(self):
-        p = TruncatedAffineParams(mean=0.0085, sigma=0.0007)
-        assert floored(p, 2.0) == pytest.approx(0.0099)
+        assert floored(0.0085, 0.0007, 2.0) == pytest.approx(0.0099)
 
     def test_may_exceed_one(self):
         # ratios above 1 are legal and must not be clamped
-        p = TruncatedAffineParams(mean=0.9, sigma=0.2)
-        assert floored(p, 1.0) == pytest.approx(1.1)
+        assert floored(0.9, 0.2, 1.0) == pytest.approx(1.1)
 
     def test_sigma_zero_collapses(self):
-        p = TruncatedAffineParams(mean=0.3, sigma=0.0)
         for eps in (-10.0, 0.0, 10.0):
-            assert floored(p, eps) == 0.3
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            TruncatedAffineParams(mean=-0.1, sigma=0.1)
-        with pytest.raises(ValueError):
-            TruncatedAffineParams(mean=0.1, sigma=-0.1)
+            assert floored(0.3, 0.0, eps) == 0.3
 
     @given(st.floats(0.0, 2.0), st.floats(0.0, 1.0),
            st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))
     def test_nonnegative_and_monotone_in_eps(self, mean, sigma, e1, e2):
-        p = TruncatedAffineParams(mean=mean, sigma=sigma)
         lo, hi = sorted((e1, e2))
-        a, b = floored(p, lo), floored(p, hi)
+        a, b = floored(mean, sigma, lo), floored(mean, sigma, hi)
         assert a >= 0.0 and b >= 0.0
         assert a <= b
 
