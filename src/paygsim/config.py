@@ -2,14 +2,11 @@
 
 A scenario is one YAML file plus the CSV tables it references by relative
 path (census, mortality, reference population, age profiles, conversion
-coefficients). `load_config` parses everything into typed objects and
-checks each field where it is parsed, over every year the model reads it;
-every problem is reported with the path of the offending field, and all
-problems are collected before raising so a broken file can be fixed in one
-pass.
-
-CSV files may contain leading comment lines starting with '#'. Expected
-headers are documented next to each loader.
+coefficients). `load_config` reads the YAML through one schema, `_SCHEMA`,
+which gives each field's kind, default and bounds and the years a schedule
+is read at; a key it does not declare is an error. Every problem names its
+field, and all are collected before raising, so a broken file can be fixed
+in one pass. CSV files may start with '#' comments; loaders name columns.
 """
 
 from __future__ import annotations
@@ -18,6 +15,7 @@ import csv
 import hashlib
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +25,7 @@ from .cashflows import AgeProfile, BenefitRule, ContributionRule, EconomicAssump
 from .cohorts import ACTIVE, CohortGrid, MortalityModel, RetirementRule
 from .entrants import FACTOR_NAMES, EntrantsModelParams, FactorMoments, PopulationSeries
 from .errors import ConfigError
-from .schedules import Schedule, _float
+from .schedules import Schedule, _float, _int
 from .stochastic import Ar1Params
 
 DEFAULT_PROBES = (0.1, 1.0, 5.0, 25.0, 50.0, 75.0, 95.0, 99.0, 99.9)
@@ -179,6 +177,19 @@ def _finite(path: str, row: dict, col: str, where: str) -> float:
     return value
 
 
+def _age_grid(path: str, by_sex: dict, sexes, width: int) -> tuple[int, int, np.ndarray]:
+    """The first and last age with a row, and each sex's {age: cells} rows as
+    a (sex, age, cell) array between them; NaN where a sex has no row."""
+    ages = sorted({a for rows in by_sex.values() for a in rows})
+    if not ages:
+        raise ConfigError([f"{path}: no usable rows"])
+    grid = np.full((len(sexes), ages[-1] - ages[0] + 1, width), np.nan)
+    for si, s in enumerate(sexes):
+        for age, cells in by_sex[s].items():
+            grid[si, age - ages[0]] = cells
+    return ages[0], ages[-1], grid
+
+
 def load_population_series(path: str, sexes, min_age: int, max_age: int,
                            hasher) -> PopulationSeries:
     """Columns: year, sex, expected, sigma."""
@@ -214,15 +225,8 @@ def load_age_table(path: str, sexes, value_col: str, hasher) -> AgeProfile:
             if s not in by_sex:
                 raise ConfigError([f"{path}: unknown sex {sex!r}"])
             by_sex[s][age] = val
-    ages = sorted({a for d in by_sex.values() for a in d})
-    if not ages:
-        raise ConfigError([f"{path}: no usable rows"])
-    lo, hi = ages[0], ages[-1]
-    values = np.full((len(sexes), hi - lo + 1), np.nan)
-    for si, s in enumerate(sexes):
-        for a, v in by_sex[s].items():
-            values[si, a - lo] = v
-    return AgeProfile(sexes=tuple(sexes), min_age=lo, max_age=hi, values=values)
+    lo, hi, grid = _age_grid(path, by_sex, sexes, 1)
+    return AgeProfile(sexes=tuple(sexes), min_age=lo, max_age=hi, values=grid[..., 0].copy())
 
 
 def load_mortality(path: str, sexes, base_year: int, hasher) -> MortalityModel:
@@ -237,20 +241,13 @@ def load_mortality(path: str, sexes, base_year: int, hasher) -> MortalityModel:
         where = f"sex {sex!r} age {age}"
         by_sex[sex][age] = tuple(_finite(path, row, name, where)
                                  for name in ("q0", "drift", "sigma"))
-    ages = sorted({a for d in by_sex.values() for a in d})
-    lo, hi = ages[0], ages[-1]
-    n = hi - lo + 1
-    q0 = np.full((len(sexes), n), np.nan)
-    drift = np.zeros((len(sexes), n))
-    sig = np.zeros((len(sexes), n))
-    for si, s in enumerate(sexes):
-        for a, (q, d, g) in by_sex[s].items():
-            q0[si, a - lo], drift[si, a - lo], sig[si, a - lo] = q, d, g
-    if np.any(np.isnan(q0)):
-        si, ai = np.argwhere(np.isnan(q0))[0]
+    lo, hi, grid = _age_grid(path, by_sex, sexes, 3)
+    if np.isnan(grid).any():
+        si, ai, _ = np.argwhere(np.isnan(grid))[0]
         raise ConfigError([f"{path}: no row for sex {sexes[si]!r} age {lo + ai}"])
-    return MortalityModel(base_year=base_year, sexes=tuple(sexes),
-                          min_age=lo, max_age=hi, q0=q0, drift=drift, sigma=sig)
+    q0, drift, sigma = (grid[..., i].copy() for i in range(3))
+    return MortalityModel(base_year=base_year, sexes=tuple(sexes), min_age=lo, max_age=hi,
+                          q0=q0, drift=drift, sigma=sigma)
 
 
 def load_census(path: str, year, sexes, min_age, max_age, max_seniority,
@@ -273,10 +270,13 @@ def load_census(path: str, year, sexes, min_age, max_age, max_seniority,
 
 
 class _Ctx:
-    """Error accumulator with field-path reporting."""
+    """Error accumulator with field-path reporting, and the values read so
+    far, nested as in the file, with (path, value, field) for each."""
 
     def __init__(self):
         self.errors: list[str] = []
+        self.values: dict = {}
+        self.read: list[tuple[str, object, _Field]] = []
 
     def fail(self, path: str, message: str):
         self.errors.append(f"{path}: {message}")
@@ -298,86 +298,173 @@ class _Ctx:
             raise ConfigError(list(dict.fromkeys(self.errors)))
 
 
-def _need(raw: dict, key: str):
-    """raw[key], or a ValueError that `_Ctx.take` records under the field."""
-    # an explicit YAML null reads the same as an absent key
-    value = raw.get(key)
-    if value is None:
-        raise ValueError("missing required field")
-    return value
+def _kind(accepts, expected: str, make=lambda value: value):
+    """A field kind: `make(value)` if it `accepts` the YAML value, else a
+    ValueError saying what it expected. Schedules define `_int` and `_float`."""
+    def parse(value):
+        if not accepts(value):
+            raise ValueError(f"expected {expected}, got {value!r}")
+        return make(value)
+    return parse
 
 
-def _int(value) -> int:
-    """An integer field's value; a boolean or a non-integral number is a
-    ValueError, not truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+_bool = _kind(lambda x: isinstance(x, bool), "true or false")  # not a quoted "false"
+_file = _kind(lambda x: isinstance(x, str) and x != "", "a file path")
+_benefit_kind = _kind(lambda x: x in ("notional_account", "fixed_profile"),
+                      "notional_account or fixed_profile")
+_name_list = _kind(lambda x: isinstance(x, list) and x != [] and all(isinstance(n, str) for n in x)
+                   and len(set(x)) == len(x), "a non-empty list of distinct names", tuple)
+_floats = _kind(lambda x: isinstance(x, list), "a list of numbers",
+                lambda x: tuple(map(_float, x)))
+_ints = _kind(lambda x: isinstance(x, list), "a list of integers", lambda x: tuple(map(_int, x)))
+_schedule = Schedule.from_config
 
 
-def _flag(raw: dict, key: str, default: bool) -> bool:
-    """raw[key] if it is a YAML boolean, `default` if absent; otherwise a
-    ValueError, so that a quoted "false" is not read as true."""
-    value = raw.get(key, default)
-    if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class _Field:
+    """A field's kind and default: a YAML value, a function of the values read
+    before it (a KeyError if one failed), or None if required. An `_int` or
+    `_float` is finite and at least `lo`; a schedule is in [lo, hi] at `years`.
+    It exists where sibling `when[0]` is `when[1]`; a `column` makes an age table."""
+
+    kind: Callable
+    default: object = None
+    lo: float = -math.inf
+    hi: float = math.inf
+    years: str | None = None
+    when: tuple[str, str] | None = None
+    column: str | None = None
 
 
-def _table_sexes(path: str) -> list[str]:
-    """The sexes a table has rows for, in order of appearance; none if it
-    cannot be read, which its own load reports."""
-    try:
-        rows = _read_csv(path, ("sex",), hashlib.sha256())
-    except (ConfigError, ValueError):
-        return []
-    return list(dict.fromkeys(row["sex"] for _, row in rows if row["sex"]))
+def _first_year(t: dict) -> int:
+    return t["horizon"]["first_year"]
 
 
-def _mapping(raw: dict, key, path: str, ctx: _Ctx, required: bool = False) -> dict | None:
-    """raw[key] if it is a mapping; {} if absent or null and not `required`;
-    otherwise None, with the problem recorded under the field."""
-    value = raw.get(key)
-    if value is None and not required:
-        return {}
-    if not isinstance(value, dict):
-        ctx.fail(path, "missing required field" if value is None
-                 else f"expected a mapping, got {type(value).__name__}")
-        return None
-    return value
+# Every field of a scenario, in the order it is read and reported. <sex>,
+# <type> and <factor> stand for each name in population.sexes,
+# retirement.benefit_types and FACTOR_NAMES, and each must be present. A
+# level marked `?` may be left out; the fields under it then hold for every name.
+_SCHEMA = {
+    "horizon": {"first_year": _Field(_int), "last_year": _Field(_int)},
+    "run": {
+        "seed": _Field(_int, 0),
+        "n_reps": _Field(_int, 1000),
+        "stochastic": (StochasticFlags, {
+            n: _Field(_bool, True) for n in ("entrants", "mortality", "returns")}),
+        "percentile_probes": _Field(_floats, list(DEFAULT_PROBES)),
+        "moments_years": _Field(_ints, lambda t: list(
+            range(t["horizon"]["first_year"], t["horizon"]["last_year"] + 1))),
+    },
+    "population": {
+        "sexes": _Field(_name_list, ["male", "female"]),
+        **{k: _Field(_int) for k in ("min_age", "max_age", "max_seniority", "entry_age")},
+        "census_csv": _Field(_file),
+    },
+    "entrants": {
+        "study_years": _Field(_int, 5, lo=0),
+        "training_years": _Field(_int, 4, lo=0),
+        "factors": {"<sex>": {"<factor>": (FactorMoments, {
+            k: _Field(_schedule, 0.0, lo=0.0, years="lagged") for k in ("mean", "sigma")})}},
+        "pool_min_age": _Field(_int, 18),
+        "pool_max_age": _Field(_int, 25),
+        "population_csv": _Field(_file),
+    },
+    "mortality": {"base_year": _Field(_int, _first_year), "table_csv": _Field(_file)},
+    "retirement": {
+        "benefit_types": _Field(_name_list),
+        "thresholds": {"<type>": {"<sex>?": (
+            lambda min_age, min_seniority: (min_age, min_seniority),
+            {k: _Field(_schedule, years="horizon") for k in ("min_age", "min_seniority")})}},
+    },
+    "contributions": {
+        "exemption_years": _Field(_int, 0, lo=0),
+        "subjective": {"rate": _Field(_schedule, 0.0, lo=0.0, hi=1.0, years="credited"),
+                       "profile_csv": _Field(_file, column="amount")},
+        "integrative": {"rate": _Field(_schedule, 0.0, lo=0.0, hi=1.0, years="horizon"),
+                        "profile_csv": _Field(_file, column="amount")},
+    },
+    "benefits": {
+        "backfill_notional": _Field(_bool, False),
+        "accrual_rate": _Field(_float, 0.0, lo=0.0),
+        "pre_existing_profile_csv": _Field(_file, column="amount"),
+        "types": {"<type>": {
+            "kind": _Field(_benefit_kind, "notional_account"),
+            "conversion_csv": _Field(_file, when=("kind", "notional_account"),
+                                     column="coefficient"),
+            "profile_csv": _Field(_file, when=("kind", "fixed_profile"), column="amount"),
+        }},
+    },
+    "economics": {
+        "profile_base_year": _Field(_int, _first_year),
+        "inflation": _Field(_schedule, 0.0, years="priced"),
+        "expected_return": _Field(_schedule, 0.0, years="horizon"),
+        "return_deviations": (Ar1Params, {k: _Field(_float, 0.0) for k in ("phi", "sigma", "x0")}),
+        "admin_base_year": _Field(_int, _first_year),
+        "initial_assets": _Field(_float),
+        "admin_base": _Field(_float, 0.0),
+        "admin_growth": _Field(_float, 0.0),
+    },
+}
 
 
-def _names(raw: dict, key: str, path: str, ctx: _Ctx, default=None) -> tuple[str, ...] | None:
-    """raw[key] as a tuple of one or more names, or None with the problem recorded."""
-    value = raw.get(key, default)
-    if not (isinstance(value, list) and value and all(isinstance(v, str) for v in value)):
-        ctx.fail(path, f"expected a non-empty list of names, got {value!r}")
-        return None
-    return tuple(value)
-
-
-def _schedule(raw, path: str, ctx: _Ctx, years: range,
-              lo: float = -math.inf, hi: float = math.inf) -> Schedule | None:
-    """Parse a schedule and check it over the years the model reads it at:
-    a value at every year of `years`, each within [lo, hi]. Only the
-    overrides are visited, and the default where it is read."""
-    if raw is None:
-        ctx.fail(path, "missing required field")
-        return None
-    sched = ctx.take(path, lambda: Schedule.from_config(raw))
-    if sched is None:
-        return None
-    if not sched.covers(years):
-        gap = next(y for y in years if y not in sched.overrides)
-        ctx.fail(path, f"no value for year {gap} (values are read for {years[0]}-{years[-1]})")
-        return sched
-    read = {y: v for y, v in sched.overrides.items() if y in years}
-    if len(read) < len(years):  # the default is read at the years without an override
-        read[next(y for y in years if y not in read)] = sched.default
-    bad = min((y for y, v in read.items() if not lo <= v <= hi), default=None)
-    if bad is not None:
-        ctx.fail(path, f"{path.rsplit('.', 1)[-1]} at {bad} outside [{lo:g}, {hi:g}]: {read[bad]}")
-    return sched
+def _walk(schema: dict, node: dict, at: str, out: dict, ctx: _Ctx, keys=None) -> None:
+    """Read the fields `schema` declares from the YAML mapping `node`, at path
+    `at`, into `out`; a (build, fields) mapping into build(**fields) once all
+    its fields are read. A field that fails is left out, its problem recorded
+    under its path, as is one whose default reads a field that failed, and a
+    key of `node` that no field declares, unless `keys` collects the keys."""
+    declared = set() if keys is None else keys
+    for name, spec in schema.items():
+        # the names a wildcard stands for; None if the list they come from failed
+        names = (name,) if name[0] != "<" else {
+            "<sex>": lambda: ctx.values.get("population", {}).get("sexes"),
+            "<type>": lambda: ctx.values.get("retirement", {}).get("benefit_types"),
+            "<factor>": lambda: FACTOR_NAMES}[name.rstrip("?")]()
+        if names is None:
+            return  # the list failed: these keys are neither read nor checked
+        build, spec = spec if isinstance(spec, tuple) else (None, spec)
+        if name.endswith("?"):
+            declared.update(spec)  # read here for each name whose own mapping is left out
+        for n in names:
+            declared.add(n)
+            where, value = f"{at}.{n}" if at else n, node.get(n)
+            if isinstance(spec, dict):  # a mapping of fields
+                if value is None and name.endswith("?"):  # the level is left out
+                    _walk(spec, node, at, out.setdefault(n, {}), ctx, declared)
+                elif value is None and name.startswith("<"):
+                    ctx.fail(where, "missing required field")
+                elif value is None or isinstance(value, dict):
+                    _walk(spec, value or {}, where, out.setdefault(n, {}), ctx)
+                else:
+                    ctx.fail(where, f"expected a mapping, got {type(value).__name__}")
+                if build is not None and len(out.get(n, ())) == len(spec):
+                    out[n] = ctx.take(where, lambda: build(**out[n]))
+                continue
+            if spec.when is not None and out.get(spec.when[0]) != spec.when[1]:
+                if spec.when[0] in out:
+                    declared.discard(n)  # not a key of this sibling's value
+                continue
+            try:
+                if n not in node and spec.default is not None:
+                    value = spec.default(ctx.values) if callable(spec.default) else spec.default
+                elif value is None and spec.default is None:
+                    raise ValueError("missing required field")
+                value = spec.kind(value)
+                if spec.kind in (_int, _float) and not (math.isfinite(value) and value >= spec.lo):
+                    raise ValueError(f"must be >= {spec.lo:g}, got {value}" if value < spec.lo
+                                     else f"must be finite, got {value}")
+            except KeyError:
+                continue  # the default is read from a field that failed
+            except (ValueError, OverflowError) as exc:  # an integer too large for a float
+                ctx.fail(where, str(exc))
+                continue
+            out[n] = value
+            ctx.read.append((where, value, spec))
+    for n in node if keys is None else ():
+        if n not in declared:
+            import difflib  # only a scenario with a stray key pays for the import
+            close = difflib.get_close_matches(str(n), sorted(declared), n=1, cutoff=0)
+            ctx.fail(f"{at}.{n}" if at else str(n), f"unknown key; did you mean {close[0]!r}?")
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -395,231 +482,133 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError([f"{path}: not valid YAML: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError([f"{path}: top level must be a mapping"])
-    base_dir = os.path.dirname(os.path.abspath(path))
-    return _assemble(raw, base_dir, hasher)
+    base_dir = os.path.dirname(os.path.abspath(path))  # CSV paths are relative to it
 
-
-def _resolve(base_dir: str, rel: str) -> str:
-    return rel if os.path.isabs(rel) else os.path.join(base_dir, rel)
-
-
-def _assemble(raw: dict, base_dir: str, hasher) -> ScenarioConfig:
     # a check whose inputs failed to parse is skipped: one mistake, one message
     ctx = _Ctx()
-    horizon, run_raw, pop_raw, ent_raw, mort_raw, ret_raw, con_raw, ben_raw, eco_raw = (
-        _mapping(raw, name, name, ctx) for name in ("horizon", "run", "population", "entrants",
-                                                     "mortality", "retirement", "contributions",
-                                                     "benefits", "economics"))
-    ctx.raise_if_failed()  # every field is read from its section
-
-    first = ctx.take("horizon.first_year", lambda: _int(_need(horizon, "first_year")))
-    last = ctx.take("horizon.last_year", lambda: _int(_need(horizon, "last_year")))
-    if first is not None and last is not None and last < first:
+    _walk(_SCHEMA, raw, "", ctx.values, ctx)
+    hz, run, pop, ent, mort, ret, con, ben, eco = (ctx.values.get(s, {}) for s in _SCHEMA)
+    first, last, sexes = hz.get("first_year"), hz.get("last_year"), pop.get("sexes")
+    if None not in (first, last) and last < first:
         ctx.fail("horizon.last_year", f"must be >= first_year ({first}), got {last}")
-    ctx.raise_if_failed()
+    if None in (first, last, sexes) or last < first:
+        ctx.raise_if_failed()  # every year is read from the horizon, every table per sex
     years = range(first, last + 1)
+    spans = {"horizon": years, "credited": years}  # the years schedules are read at
 
-    seed = ctx.take("run.seed", lambda: _int(run_raw.get("seed", 0)))
-    n_reps = ctx.take("run.n_reps", lambda: _int(run_raw.get("n_reps", 1000)))
-    flags_raw = _mapping(run_raw, "stochastic", "run.stochastic", ctx)
-    switches = {} if flags_raw is None else {
-        n: ctx.take(f"run.stochastic.{n}", lambda n=n: _flag(flags_raw, n, True))
-        for n in ("entrants", "mortality", "returns")}
-    flags = StochasticFlags(**switches) if switches and None not in switches.values() else None
-    probes = ctx.take("run.percentile_probes", lambda: tuple(
-        _float(p) for p in run_raw.get("percentile_probes", DEFAULT_PROBES)))
-    moments_years = ctx.take("run.moments_years", lambda: tuple(
-        _int(y) for y in run_raw.get("moments_years", years)))
-    run = None
-    if None not in (seed, n_reps, flags, probes, moments_years):
-        run = ctx.take(None, lambda: RunSettings(seed=seed, n_reps=n_reps, flags=flags,
-                                                 probes=probes, moments_years=moments_years))
-        ctx.take(None, lambda: _check_moments_years(moments_years, first, last))
+    def load(path: str, name: str | None, loader, *args):
+        """The table the CSV field at `path` names; None if the field or the load failed."""
+        return None if name is None else ctx.take(
+            path, lambda: loader(os.path.join(base_dir, name), *args, hasher))
 
-    sexes = _names(pop_raw, "sexes", "population.sexes", ctx, default=["male", "female"])
-    if sexes is None:
-        ctx.raise_if_failed()  # every table and factor is read per sex
-    first_per_sex = len(ctx.errors)  # what follows is read per sex; see the end
-    min_age = ctx.take("population.min_age", lambda: _int(_need(pop_raw, "min_age")))
-    max_age = ctx.take("population.max_age", lambda: _int(_need(pop_raw, "max_age")))
-    max_sen = ctx.take("population.max_seniority", lambda: _int(_need(pop_raw, "max_seniority")))
-    entry_age = ctx.take("population.entry_age", lambda: _int(_need(pop_raw, "entry_age")))
+    settings = None
+    if len(run) == 5:
+        settings = ctx.take(None, lambda: RunSettings(
+            run["seed"], run["n_reps"], run["stochastic"], run["percentile_probes"],
+            run["moments_years"]))
+        ctx.take(None, lambda: _check_moments_years(run["moments_years"], first, last))
+
+    min_age, max_age, max_sen, entry_age = (
+        pop.get(k) for k in ("min_age", "max_age", "max_seniority", "entry_age"))
+    census = None
     # keep collecting problems in other sections even when the grid geometry
     # is unusable; only the census load depends on it
-    geometry_ok = None not in (min_age, max_age, max_sen, entry_age)
-    if geometry_ok and min_age > max_age:
-        ctx.fail("population.min_age", f"must be <= max_age, got {min_age} > {max_age}")
-        geometry_ok = False
-    if geometry_ok and not min_age <= entry_age <= max_age:
-        ctx.fail("population.entry_age", f"{entry_age} outside [{min_age}, {max_age}]")
-        geometry_ok = False
-
-    census = None
-    if geometry_ok:
-        census = ctx.take("population.census_csv", lambda: load_census(
-            _resolve(base_dir, _need(pop_raw, "census_csv")),
-            first, sexes, min_age, max_age, max_sen, hasher))
+    if None not in (min_age, max_age, max_sen, entry_age):
+        if min_age > max_age:
+            ctx.fail("population.min_age", f"must be <= max_age, got {min_age} > {max_age}")
+        elif not min_age <= entry_age <= max_age:
+            ctx.fail("population.entry_age", f"{entry_age} outside [{min_age}, {max_age}]")
+        else:
+            census = load("population.census_csv", pop.get("census_csv"), load_census,
+                          first, sexes, min_age, max_age, max_sen)
         if census is not None:
             ctx.take("population.census_csv", lambda: census.check_seniority_bound(entry_age))
 
-    n_errors = len(ctx.errors)  # a factor reported below is not reported missing again
-    study = ctx.take("entrants.study_years", lambda: _int(ent_raw.get("study_years", 5)))
-    training = ctx.take("entrants.training_years", lambda: _int(ent_raw.get("training_years", 4)))
-    # arrivals at t read the population and enrolment of t - study - training
-    lagged = range(0) if None in (study, training) else range(first - study - training, last + 1)
-    factors_raw = _mapping(ent_raw, "factors", "entrants.factors", ctx)
-    factors = {}
-    for s in sexes if factors_raw is not None else ():
-        sex_raw = _mapping(factors_raw, s, f"entrants.factors.{s}", ctx, required=True)
-        if sex_raw is None:
-            continue
-        fs = factors[s] = {}
-        for name in FACTOR_NAMES:
-            if sex_raw.get(name) is None:
-                continue  # EntrantsModelParams names the missing factor
-            fr = _mapping(sex_raw, name, f"entrants.factors.{s}.{name}", ctx)
-            if fr is not None:
-                fs[name] = FactorMoments(*(
-                    _schedule(fr.get(k, 0.0), f"entrants.factors.{s}.{name}.{k}", ctx, lagged, 0.0)
-                    for k in ("mean", "sigma")))
-    entrants_params = None if len(ctx.errors) > n_errors else ctx.take(
-        "entrants", lambda: EntrantsModelParams(
-            factors=factors, study_years=study, training_years=training))
-
-    pool_ages = [ctx.take(f"entrants.{k}", lambda k=k, d=d: _int(ent_raw.get(k, d)))
-                 for k, d in (("pool_min_age", 18), ("pool_max_age", 25))]
-    population = None if None in pool_ages else ctx.take(
-        "entrants.population_csv", lambda: load_population_series(
-            _resolve(base_dir, _need(ent_raw, "population_csv")), sexes, *pool_ages, hasher))
-    for s in sexes if population is not None else ():
-        missing = [y for y in lagged[:len(years)] if y not in population.expected[s]]
+    study, training = ent.get("study_years"), ent.get("training_years")
+    if None not in (study, training):
+        # arrivals at t read the population and enrolment of t - study - training
+        spans["lagged"] = range(first - study - training, last + 1)
+    pool_ages = [ent.get("pool_min_age"), ent.get("pool_max_age")]
+    population = None if None in pool_ages else load(
+        "entrants.population_csv", ent.get("population_csv"), load_population_series,
+        sexes, *pool_ages)
+    for s in sexes if population is not None and "lagged" in spans else ():
+        missing = [y for y in spans["lagged"][:len(years)] if y not in population.expected[s]]
         if missing:
             ctx.fail("entrants.population_csv",
                      f"sex {s!r}: population series missing years "
                      f"{missing[0]}..{missing[-1]} needed for the horizon")
 
-    mort_base = ctx.take("mortality.base_year", lambda: _int(mort_raw.get("base_year", first)))
+    mort_base = mort.get("base_year")
     if mort_base is not None and mort_base > first:
         ctx.fail("mortality.base_year", f"{mort_base} is after the first projection year")
-    mortality = ctx.take("mortality.table_csv", lambda: load_mortality(
-        _resolve(base_dir, _need(mort_raw, "table_csv")), sexes, mort_base, hasher))
+    mortality = None if mort_base is None else load(
+        "mortality.table_csv", mort.get("table_csv"), load_mortality, sexes, mort_base)
     if (mortality is not None and None not in (min_age, max_age)
             and (mortality.min_age > min_age or mortality.max_age < max_age)):
         ctx.fail("mortality.table_csv", "table does not cover the cohort grid")
 
-    types = _names(ret_raw, "benefit_types", "retirement.benefit_types", ctx) or ()
-    n_errors = len(ctx.errors)  # nor a benefit type reported below as lacking thresholds
-    thresholds_raw = _mapping(ret_raw, "thresholds", "retirement.thresholds", ctx)
-    thresholds = {}
-    for b in types if thresholds_raw is not None else ():
-        th = _mapping(thresholds_raw, b, f"retirement.thresholds.{b}", ctx, required=True)
-        if th is None:
-            continue
-        # a mapping per sex, or one for every sex
-        by_sex = {s: _mapping(th, s, f"retirement.thresholds.{b}.{s}", ctx) or th for s in sexes}
-        thresholds[b] = {s: tuple(
-            _schedule(by_sex[s].get(k), f"retirement.thresholds.{b}.{k}", ctx, years)
-            for k in ("min_age", "min_seniority")) for s in sexes}
-    retirement = None if len(ctx.errors) > n_errors else ctx.take(
-        "retirement", lambda: RetirementRule(benefit_types=types, thresholds=thresholds))
-
-    exemption = ctx.take("contributions.exemption_years",
-                         lambda: _int(con_raw.get("exemption_years", 0)))
-    backfill = ctx.take("benefits.backfill_notional",
-                        lambda: _flag(ben_raw, "backfill_notional", False))
+    exemption = con.get("exemption_years")
     # a backfilled history credits the subjective rate from the year the most
     # senior census active left the exemption, as `engine.opening_balance` does
-    credited = years
-    if backfill and census is not None and exemption is not None:
+    if ben.get("backfill_notional") and census is not None and exemption is not None:
         senior = census.counts[ACTIVE].nonzero()[2].max(initial=0)  # counts are >= 0
-        credited = range(min(first, first - senior + exemption + 1), last + 1)
-    contribs = {}
-    for name, span in (("subjective", credited), ("integrative", years)):
-        sub = _mapping(con_raw, name, f"contributions.{name}", ctx, required=True)
-        if sub is None:
-            continue
-        rate = _schedule(sub.get("rate", 0.0), f"contributions.{name}.rate", ctx, span, 0.0, 1.0)
-        profile = ctx.take(f"contributions.{name}.profile_csv", lambda sub=sub: load_age_table(
-            _resolve(base_dir, _need(sub, "profile_csv")), sexes, "amount", hasher))
-        contribs[name] = None if exemption is None else ctx.take(
-            f"contributions.{name}", lambda n=name, r=rate, p=profile: ContributionRule(
-                name=n, rate=r, profile=p, exemption_years=exemption))
+        spans["credited"] = range(min(first, first - senior + exemption + 1), last + 1)
+    # every age table by its field's path, loaded in the order the digest reads them
+    tables = {where: load(where, name, load_age_table, sexes, f.column)
+              for where, name, f in ctx.read if f.column}
 
-    accrual = ctx.take("benefits.accrual_rate", lambda: _float(ben_raw.get("accrual_rate", 0.0)))
-    if accrual is not None and accrual < 0:
-        ctx.fail("benefits.accrual_rate", f"must be >= 0, got {accrual}")
-    pre_existing = ctx.take("benefits.pre_existing_profile_csv", lambda: load_age_table(
-        _resolve(base_dir, _need(ben_raw, "pre_existing_profile_csv")), sexes, "amount", hasher))
-    types_raw = _mapping(ben_raw, "types", "benefits.types", ctx)
-    benefits = {}
-    for b in types if types_raw is not None else ():
-        sub = _mapping(types_raw, b, f"benefits.types.{b}", ctx, required=True)
-        if sub is None:
-            continue
-        kind = sub.get("kind", "notional_account")
-        conversion = profile = None
-        n_errors = len(ctx.errors)
-        if kind == "notional_account":
-            conversion = ctx.take(f"benefits.types.{b}.conversion_csv", lambda sub=sub:
-                                  load_age_table(_resolve(base_dir, _need(sub, "conversion_csv")),
-                                                 sexes, "coefficient", hasher))
-        elif kind == "fixed_profile":
-            profile = ctx.take(f"benefits.types.{b}.profile_csv", lambda sub=sub:
-                               load_age_table(_resolve(base_dir, _need(sub, "profile_csv")),
-                                              sexes, "amount", hasher))
-        if len(ctx.errors) > n_errors:
-            continue  # the table's own error says what is wrong
-        benefits[b] = ctx.take(f"benefits.types.{b}", lambda k=kind, c=conversion, p=profile:
-                               BenefitRule(kind=k, conversion=c, profile=p))
+    if eco.get("profile_base_year") is not None:
+        # `engine.price_index` compounds inflation from the year after the base year
+        spans["priced"] = range(min(eco["profile_base_year"] + 1, first), last + 1)
 
-    price_base = ctx.take("economics.profile_base_year",
-                          lambda: _int(eco_raw.get("profile_base_year", first)))
-    # `engine.price_index` compounds inflation from the year after the base year
-    inflation = _schedule(eco_raw.get("inflation", 0.0), "economics.inflation", ctx,
-                          range(0) if price_base is None
-                          else range(min(price_base + 1, first), last + 1))
-    exp_ret = _schedule(eco_raw.get("expected_return", 0.0), "economics.expected_return",
-                        ctx, years)
-    dev_raw = _mapping(eco_raw, "return_deviations", "economics.return_deviations", ctx)
-    dev = None if dev_raw is None else {
-        k: ctx.take(f"economics.return_deviations.{k}", lambda k=k: _float(dev_raw.get(k, 0.0)))
-        for k in ("phi", "sigma", "x0")}
-    deviations = None if dev is None or None in dev.values() else ctx.take(
-        "economics.return_deviations", lambda: Ar1Params(**dev))
-    admin_year = ctx.take("economics.admin_base_year",
-                          lambda: _int(eco_raw.get("admin_base_year", first)))
-    assets = ctx.take("economics.initial_assets",
-                      lambda: _float(_need(eco_raw, "initial_assets")))
-    if assets is not None and not math.isfinite(assets):
-        ctx.fail("economics.initial_assets", "must be finite")
-    admin_base, admin_growth = (
-        ctx.take(f"economics.{k}", lambda k=k: _float(eco_raw.get(k, 0.0)))
-        for k in ("admin_base", "admin_growth"))
-    economics = ctx.take("economics", lambda: EconomicAssumptions(
-        initial_assets=assets, admin_base=admin_base, admin_growth=admin_growth,
-        admin_base_year=admin_year,
-        inflation=inflation, expected_return=exp_ret, deviations=deviations,
-        profile_base_year=price_base))
+    for where, sched, f in (entry for entry in ctx.read if entry[2].years in spans):
+        # a schedule needs a value at every year it is read at, within its bounds;
+        # a default is checked once, and overrides at every year
+        at = spans[f.years]
+        values = ({y: sched.overrides.get(y, sched.default) for y in at} if sched.overrides
+                  else {at[0]: sched.default})
+        gap = next((y for y, x in values.items() if x is None), None)
+        bad = next((y for y, x in values.items() if gap is None and not f.lo <= x <= f.hi), None)
+        if gap is not None:
+            ctx.fail(where, f"no value for year {gap} (values are read for {at[0]}-{at[-1]})")
+        elif bad is not None:
+            ctx.fail(where, f"{where.rsplit('.', 1)[-1]} at {bad} outside "
+                     f"[{f.lo:g}, {f.hi:g}]: {values[bad]}")
     if ctx.errors:
-        # the mortality table has rows for every sex; a sex list it
-        # contradicts fails every table and factor read per sex, and is
-        # reported once instead
-        mort_csv = mort_raw.get("table_csv")
-        found = _table_sexes(_resolve(base_dir, mort_csv)) if isinstance(mort_csv, str) else []
-        if any(s not in sexes for s in found):
-            del ctx.errors[first_per_sex:]
+        # the mortality table has rows for every sex, and each listed sex has
+        # rows in it or in the population series; a sex list that contradicts
+        # this fails every table and factor read per sex, and is reported once
+        found = []
+        for name in (mort.get("table_csv"), ent.get("population_csv")):
+            try:
+                rows = _read_csv(os.path.join(base_dir, name), ("sex",), hashlib.sha256())
+                found.append(list(dict.fromkeys(row["sex"] for _, row in rows if row["sex"])))
+            except (ConfigError, TypeError, ValueError):  # no name, or an unreadable table
+                found.append(None)
+        mort_sexes, pop_sexes = found
+        if mort_sexes is not None and (set(mort_sexes) - set(sexes) or (
+                set(sexes) - set(mort_sexes) - set(sexes if pop_sexes is None else pop_sexes))):
+            ctx.errors = [e for e in ctx.errors if e.startswith(("horizon.", "run."))]
             ctx.fail("population.sexes", f"got {list(sexes)}, but mortality.table_csv has "
-                     f"rows for {', '.join(map(repr, found))}")
+                     f"rows for {', '.join(map(repr, mort_sexes))}")
     ctx.raise_if_failed()
 
+    contribs = {n: ContributionRule(n, con[n]["rate"], tables[f"contributions.{n}.profile_csv"],
+                                    exemption) for n in ("subjective", "integrative")}
     return ScenarioConfig(
-        first_year=first, last_year=last,
-        run=run,
+        first_year=first, last_year=last, run=settings,
         sexes=sexes, min_age=min_age, max_age=max_age, max_seniority=max_sen,
-        entry_age=entry_age, census=census, entrants_params=entrants_params,
-        population=population, mortality=mortality, retirement=retirement,
-        contrib_subjective=contribs["subjective"],
-        contrib_integrative=contribs["integrative"],
-        benefits=benefits, pre_existing=pre_existing, accrual_rate=accrual,
-        backfill_notional=backfill, economics=economics,
+        entry_age=entry_age, census=census, population=population, mortality=mortality,
+        entrants_params=EntrantsModelParams(ent["factors"], study, training),
+        retirement=RetirementRule(ret["benefit_types"], ret["thresholds"]),
+        contrib_subjective=contribs["subjective"], contrib_integrative=contribs["integrative"],
+        benefits={b: BenefitRule(fields["kind"], tables.get(f"benefits.types.{b}.conversion_csv"),
+                                 tables.get(f"benefits.types.{b}.profile_csv"))
+                  for b, fields in ben["types"].items()},
+        pre_existing=tables["benefits.pre_existing_profile_csv"],
+        accrual_rate=ben["accrual_rate"], backfill_notional=ben["backfill_notional"],
+        # the other economics fields are named as EconomicAssumptions names them
+        economics=EconomicAssumptions(deviations=eco["return_deviations"], **{
+            k: x for k, x in eco.items() if k != "return_deviations"}),
         source_digest=hasher.hexdigest())

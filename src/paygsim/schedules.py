@@ -23,6 +23,15 @@ def _float(value) -> float:
     return float(value)
 
 
+def _int(value) -> int:
+    """An integer field's value; a boolean, a non-integral number or a quoted
+    number is a ValueError, not truncated or parsed."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Year-indexed piecewise-constant value.
@@ -64,6 +73,6 @@ class Schedule:
                 raise ValueError("expected the overrides to be a year->value mapping")
             return cls(
                 default=None if default is None else _float(default),
-                overrides={int(y): _float(v) for y, v in overrides.items()},
+                overrides={_int(y): _float(v) for y, v in overrides.items()},
             )
         raise ValueError(f"expected a number or a mapping, got {type(raw).__name__}")

@@ -1,3 +1,8 @@
+import copy
+import math
+import os
+import re
+
 import numpy as np
 import pytest
 import yaml
@@ -6,6 +11,7 @@ from conftest import BASE_SCENARIO, write_scenario
 from paygsim import (StochasticFlags, default_config_path, load_config,
                      run_deterministic_projection, run_simulation, stepwise_projection)
 from paygsim.cli import main
+from paygsim.config import _SCHEMA, _Field, _bool, _float, _int, _schedule
 from paygsim.errors import ConfigError
 
 
@@ -170,6 +176,8 @@ class TestBrokenScenarios:
         (("male", "female"), range(30, 45), "does not cover the cohort grid"),
         (("male", "female"), range(31, 51), "does not cover the cohort grid"),
         (("male",), range(30, 51), "no row for sex 'female'"),
+        # a table with a header and no rows
+        (("male", "female"), range(0), "no usable rows"),
     ])
     def test_mortality_not_covering_grid(self, tmp_path, sexes, ages, error):
         rows = ["sex,age,q0,drift,sigma"] + [
@@ -328,7 +336,8 @@ class TestEachScheduleIsCheckedWhereTheModelReadsIt:
         ({"horizon": {"first_year": None}}, "horizon.first_year"),
         ({"population": {"census_csv": None}}, "population.census_csv"),
         ({"entrants": {"study_years": "x"}}, "entrants.study_years"),
-        ({"entrants": {"factors": {"male": {"membership": None}}}}, "entrants"),
+        ({"entrants": {"factors": {"male": {"membership": None}}}},
+         "entrants.factors.male.membership"),
         ({"retirement": {"thresholds": {"old_age": {"min_age": None, "min_seniority": 5}}}},
          "retirement.thresholds.old_age.min_age"),
         ({"contributions": {"exemption_years": "x"}}, "contributions.exemption_years"),
@@ -357,6 +366,20 @@ class TestFieldKinds:
         # an integer given a non-integral number, which would be truncated
         ({"run": {"n_reps": 1000.7}}, "run.n_reps: expected an integer, got 1000.7"),
         ({"run": {"seed": float("inf")}}, "run.seed: expected an integer, got inf"),
+        # a quoted number is not an integer
+        ({"run": {"n_reps": "12"}}, "run.n_reps: expected an integer, got '12'"),
+        ({"horizon": {"last_year": "2016"}}, "horizon.last_year: expected an integer, got '2016'"),
+        # a list field given one value, and a file given a number
+        ({"run": {"moments_years": "2010"}},
+         "run.moments_years: expected a list of integers, got '2010'"),
+        ({"run": {"percentile_probes": 50}},
+         "run.percentile_probes: expected a list of numbers, got 50"),
+        ({"mortality": {"table_csv": 3}}, "mortality.table_csv: expected a file path, got 3"),
+        # a schedule's override years are integers too
+        ({"economics": {"inflation": {"default": 0.02, "overrides": {2010.7: 0.05}}}},
+         "economics.inflation: expected an integer, got 2010.7"),
+        ({"economics": {"inflation": {"default": 0.02, "overrides": {True: 0.09}}}},
+         "economics.inflation: expected an integer, got True"),
     ])
     def test_a_wrong_kind_is_one_message_naming_the_field(self, tmp_path, tweaks, message):
         with pytest.raises(ConfigError) as exc:
@@ -426,8 +449,155 @@ def test_a_sex_the_tables_do_not_have_is_one_message(tmp_path, capsys):
         "for 'male', 'female'\n")
 
 
+def test_a_listed_sex_no_table_has_is_one_message(tmp_path, capsys):
+    path = write_scenario(str(tmp_path), tweaks={"population": {"sexes": ["male", "female", "x"]}})
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: population.sexes: got ['male', 'female', 'x'], but mortality.table_csv has "
+        "rows for 'male', 'female'\n")
+
+
+@pytest.mark.parametrize("field, names", [
+    ("population.sexes", ["male", "male"]),
+    # the engine and the grid oracle would pay such a type differently
+    ("retirement.benefit_types", ["old_age", "old_age"]),
+])
+def test_a_repeated_name_is_one_message(tmp_path, field, names):
+    section, key = field.split(".")
+    with pytest.raises(ConfigError) as exc:
+        load_config(write_scenario(str(tmp_path), tweaks={section: {key: names}}))
+    assert exc.value.messages == [
+        f"{field}: expected a non-empty list of distinct names, got {names!r}"]
+
+
+def _with_thresholds(tmp_path, thresholds: dict) -> str:
+    """The small scenario with its old_age thresholds replaced."""
+    path = write_scenario(str(tmp_path))
+    with open(path, encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    raw["retirement"]["thresholds"]["old_age"] = thresholds
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(raw, fh)
+    return path
+
+
+def test_per_sex_thresholds(tmp_path):
+    path = _with_thresholds(tmp_path, {"male": {"min_age": 40, "min_seniority": 5},
+                                       "female": {"min_age": 38, "min_seniority": 4}})
+    thresholds = load_config(path).retirement.thresholds["old_age"]
+    assert [(a.value(2010), s.value(2010)) for a, s in thresholds.values()] == [(40, 5), (38, 4)]
+
+
+def test_a_per_sex_threshold_error_names_the_sex(tmp_path):
+    path = _with_thresholds(tmp_path, {"male": {"min_age": 40, "min_seniority": 5},
+                                       "female": {"min_age": 40}})
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.messages == [
+        "retirement.thresholds.old_age.female.min_seniority: missing required field"]
+
+
+@pytest.mark.parametrize("tweaks, message", [
+    ({"economics": {"admin_grwoth": 0.05}},
+     "economics.admin_grwoth: unknown key; did you mean 'admin_growth'?"),
+    ({"run": {"stochastic": {"entrant": False}}},
+     "run.stochastic.entrant: unknown key; did you mean 'entrants'?"),
+    ({"entrants": {"factors": {"mael": BASE_SCENARIO["entrants"]["factors"]["male"]}}},
+     "entrants.factors.mael: unknown key; did you mean 'male'?"),
+    ({"econmics": {"admin_growth": 0.05}}, "econmics: unknown key; did you mean 'economics'?"),
+    ({"contributions": {"voluntary": {"rate": 0.01}}},
+     "contributions.voluntary: unknown key; did you mean 'integrative'?"),
+    # a type that retirement.benefit_types does not list
+    ({"benefits": {"types": {"disability": {"kind": "notional_account",
+                                           "conversion_csv": "conversion.csv"}}}},
+     "benefits.types.disability: unknown key; did you mean 'old_age'?"),
+    # the merged type keeps its conversion_csv, which a fixed_profile type does not read
+    ({"benefits": {"types": {"old_age": {"kind": "fixed_profile", "profile_csv": "pensions.csv"}}}},
+     "benefits.types.old_age.conversion_csv: unknown key; did you mean 'profile_csv'?"),
+])
+def test_an_unknown_key_is_one_message_with_the_closest_key(tmp_path, capsys, tweaks, message):
+    path = write_scenario(str(tmp_path), tweaks=tweaks)
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+SMALL_NAMES = {"<sex>": "male", "<type>": "old_age", "<factor>": "enrolment"}
+
+
+def _schema_fields(schema: dict = _SCHEMA, path: tuple = (), names: dict = SMALL_NAMES):
+    """(path, field) for every field of the scenario schema, each wildcard
+    at its name in `names` and each optional level left out."""
+    for name, spec in schema.items():
+        spec = spec[1] if isinstance(spec, tuple) else spec
+        at = path if name.endswith("?") else path + (names.get(name, name),)
+        if isinstance(spec, dict):
+            yield from _schema_fields(spec, at, names)
+        else:
+            yield at, spec
+
+
+def test_readme_lists_exactly_the_schedules():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        table = fh.read().split("\n| schedule ", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `([^`]+)`", table, flags=re.M)
+    schedules = [".".join(path) for path, field in _schema_fields(names={})
+                 if field.kind is _schedule]
+    assert sorted(listed) == sorted(schedules)
+
+
+def _wrong_values(field: _Field) -> dict:
+    """A value of every wrong kind for the field, and one out of its bounds."""
+    values = {"a quoted number": "12", "a list": [[1]], "a mapping": {"a": 1}, "null": None}
+    if field.kind is not _bool:
+        values["a boolean"] = True
+    if field.kind in (_int, _float, _schedule) and field.lo > -math.inf:
+        values["below its bounds"] = field.lo - 1
+    elif field.hi < math.inf:
+        values["above its bounds"] = field.hi + 1
+    elif field.kind is _float:
+        values["not finite"] = math.inf
+    elif field.kind is _schedule:
+        values["not a number"] = math.nan
+    return values
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    """A directory holding the small scenario's CSV files."""
+    return os.path.dirname(write_scenario(str(tmp_path_factory.mktemp("fuzz"))))
+
+
+@pytest.mark.parametrize("path, field, what, value", [
+    (path, field, what, value)
+    for path, field in _schema_fields() for what, value in _wrong_values(field).items()],
+    ids=lambda p: ".".join(p) if isinstance(p, tuple) else p if isinstance(p, str) else "")
+def test_a_wrong_value_in_any_field_is_one_message(csv_dir, capsys, path, field, what, value):
+    raw = copy.deepcopy(BASE_SCENARIO)
+    node = raw
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    if field.when is not None:  # the field exists only for one kind of benefit
+        node.clear()
+        node[field.when[0]] = field.when[1]
+    node[path[-1]] = value
+    scenario = os.path.join(csv_dir, "fuzzed.yaml")
+    with open(scenario, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(raw, fh)
+    assert main(["validate", "--config", scenario]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {'.'.join(path)}: ")
+
+
+def test_thresholds_for_every_sex_and_for_each_sex_may_be_given_together(tmp_path):
+    # the type's own thresholds are read for a sex without its own mapping
+    both = {"min_age": 45, "min_seniority": 5}
+    for per_sex in ({"female": both}, {"male": both, "female": both}):
+        load_config(_with_thresholds(tmp_path, {"min_age": 40, "min_seniority": 5, **per_sex}))
+
+
 @pytest.mark.parametrize("field, value, detail", [
-    ("pool_min_age", "x", "invalid literal for int() with base 10: 'x'"),
+    ("pool_min_age", "x", "expected an integer, got 'x'"),
     ("pool_max_age", 25.5, "expected an integer, got 25.5"),
 ])
 def test_a_bad_pool_age_is_reported_under_its_own_field(tmp_path, field, value, detail):
@@ -461,10 +631,11 @@ def test_a_malformed_shape_is_reported_not_raised(tmp_path, capsys, field, value
 
 @pytest.mark.parametrize("tweaks, message", [
     ({"population": {"sexes": None}},
-     "population.sexes: expected a non-empty list of names, got None"),
-    ({"population": {"sexes": []}}, "population.sexes: expected a non-empty list of names, got []"),
+     "population.sexes: expected a non-empty list of distinct names, got None"),
+    ({"population": {"sexes": []}},
+     "population.sexes: expected a non-empty list of distinct names, got []"),
     ({"retirement": {"benefit_types": 3}},
-     "retirement.benefit_types: expected a non-empty list of names, got 3"),
+     "retirement.benefit_types: expected a non-empty list of distinct names, got 3"),
     ({"entrants": {"factors": 3}}, "entrants.factors: expected a mapping, got int"),
     ({"economics": {"return_deviations": 3}},
      "economics.return_deviations: expected a mapping, got int"),

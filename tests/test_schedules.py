@@ -38,7 +38,7 @@ def test_from_config_bare_number():
 
 
 def test_from_config_mapping():
-    s = Schedule.from_config({"default": 0.02, "overrides": {"2006": 0.04}})
+    s = Schedule.from_config({"default": 0.02, "overrides": {2006: 0.04}})
     assert s.value(2006) == 0.04
     assert s.value(2010) == 0.02
 
@@ -57,3 +57,11 @@ def test_from_config_rejects_junk():
         Schedule.from_config({"default": True})
     with pytest.raises(ValueError, match="expected a number, got '0.05'"):
         Schedule.from_config({"default": 0.02, "overrides": {2006: "0.05"}})
+
+
+@pytest.mark.parametrize("year", [2010.7, True, "2010"])
+def test_from_config_override_years_are_integers(year):
+    # a fractional year would be truncated and a boolean read as year 1
+    with pytest.raises(ValueError, match=f"expected an integer, got {year!r}"):
+        Schedule.from_config({"default": 0.02, "overrides": {year: 0.05}})
+    assert Schedule.from_config({"overrides": {2010.0: 0.05}}).overrides == {2010: 0.05}
