@@ -14,8 +14,10 @@ per future arrival year and sex) and tabulates what `simulate_flows` reads
 into a `CohortSystem`: the census headcounts, the cohorts the arrivals
 enter, the per-capita flows and status masks per year, the survival cell
 of each cohort per year and the mortality moments. `simulate_flows` evolves
-the counts of many replications at once. Shocks enter as plain arrays so
-the deterministic path is the same code with the shocks at zero.
+the counts of many replications at once. Shocks enter as plain arrays,
+mapped a whole block at a time to arrivals (`entrant_product`), survival
+probabilities (`survival_rates`) and returns (`return_rates`), so the
+deterministic path is the same code with the shocks at zero.
 """
 
 from __future__ import annotations
@@ -210,16 +212,17 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
 
 
 def simulate_flows(system: CohortSystem, ne: np.ndarray,
-                   eps_mort: np.ndarray | None = None) -> dict[str, np.ndarray]:
+                   survival: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Evolve cohort counts for a batch of replications and sum the flows.
 
     Args:
         system: tables from `build_system`.
         ne: arrival headcounts, shape (n_reps, n_years, n_sex). The last
             year's arrivals fall outside the horizon and are ignored.
-        eps_mort: mortality shocks aligned with the mortality table, shape
-            (n_reps, n_years, n_sex, n_mort_ages), or None for the expected
-            path.
+        survival: survival probabilities aligned with the mortality table,
+            shape (n_reps, n_years, n_sex, n_mort_ages), as `survival_rates`
+            maps them from mortality shocks, or None for the expected path.
+            The last year's row is ignored.
     Returns:
         Euro flow and headcount arrays, each (n_reps, n_years), keyed by
         `FLOWS`: subjective, integrative, disbursements, actives, retirees.
@@ -229,35 +232,30 @@ def simulate_flows(system: CohortSystem, ne: np.ndarray,
         raise ValueError(f"arrivals shape {ne.shape}, expected "
                          f"{(n_reps, n_years, len(system.sexes))}")
     counts = np.tile(system.initial_counts, (n_reps, 1))
-    product = np.empty_like(counts)
+    product = np.empty((len(FLOWS),) + counts.shape)
     out = np.empty((len(FLOWS), n_reps, n_years))
     # one survival row per replication (one shared row without shocks): the
     # mortality table's cells, then the off-grid 1.0 and the terminal 0.0
     n_cells = system.qsigma.size
-    survival = np.empty((n_reps, n_cells + 2) if eps_mort is not None else n_cells + 2)
-    survival[..., n_cells:] = (1.0, 0.0)
-    cells = survival[..., :n_cells].reshape(survival.shape[:-1] + system.qsigma.shape)
+    cells = 1.0 - system.qbar if survival is None else survival
+    cells = cells.reshape(cells.shape[:-2] + (n_cells,))  # (..., n_years, n_cells)
+    row = np.empty(cells.shape[:-2] + (n_cells + 2,))
+    row[..., n_cells:] = (1.0, 0.0)
+    arrivals = [[(s, r) for s, r in enumerate(year) if r >= 0]
+                for year in system.arrival_rows.tolist()]
 
     for ti in range(n_years):
-        for k, col in enumerate(system.flow_block[ti]):
-            # not `counts @ col`: BLAS picks its reduction order from the batch
-            # shape, and replications must not feel how the batch was chunked.
-            # A last-axis sum reduces each row the same way at any batch size.
-            np.multiply(counts, col, out=product)
-            out[k, :, ti] = product.sum(axis=1)
+        # not `counts @ cols`: BLAS picks its reduction order from the batch
+        # shape, and replications must not feel how the batch was chunked.
+        # A last-axis sum reduces each row the same way at any batch size.
+        np.multiply(system.flow_block[ti, :, None], counts, out=product)
+        product.sum(axis=2, out=out[:, :, ti])
         if ti == n_years - 1:
             break
-        if eps_mort is None:
-            np.subtract(1.0, system.qbar[ti], out=cells)
-        else:
-            np.multiply(system.qsigma, eps_mort[:, ti], out=cells)
-            cells += system.qbar[ti]
-            np.clip(cells, 0.0, 1.0, out=cells)
-            np.subtract(1.0, cells, out=cells)
-        counts *= survival[..., system.survival_index[ti]]
-        for s, row in enumerate(system.arrival_rows[ti]):
-            if row >= 0:
-                counts[:, row] = ne[:, ti, s]
+        row[..., :n_cells] = cells[..., ti, :]
+        counts *= row[..., system.survival_index[ti]]
+        for s, r in arrivals[ti]:
+            counts[:, r] = ne[:, ti, s]
     return dict(zip(FLOWS, out))
 
 
@@ -294,6 +292,18 @@ def entrant_product(mean: np.ndarray, sigma: np.ndarray, eps: np.ndarray) -> np.
     factors = sigma * eps  # one working array, the size of eps
     factors += mean
     return np.prod(np.maximum(0.0, factors, out=factors), axis=-1)
+
+
+def survival_rates(system: CohortSystem, eps: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Survival probabilities from mortality shocks shaped (n_reps, n_years,
+    n_sex, n_mort_ages): one minus the death rate qbar + qsigma * eps,
+    clipped to [0, 1]. The result goes to `out` when given, which may be
+    `eps` itself; otherwise to a new array, and `eps` is left as it was."""
+    out = np.multiply(system.qsigma, eps, out=out)
+    out += system.qbar
+    np.clip(out, 0.0, 1.0, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
 def return_rates(cfg: ScenarioConfig, eps: np.ndarray, stochastic: bool) -> np.ndarray:

@@ -13,6 +13,8 @@ draws of another.
 
 from __future__ import annotations
 
+import queue
+import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -21,12 +23,12 @@ import numpy as np
 from .cashflows import LedgerRow, ledger_columns, to_cents
 from .config import ScenarioConfig, StochasticFlags
 from .engine import (CohortSystem, admin_path, build_system, entrant_moment_tables,
-                     entrant_product, return_rates, simulate_flows)
+                     entrant_product, return_rates, simulate_flows, survival_rates)
 from .entrants import DRAWS_PER_CELL
 from .errors import ConfigError, CoverageError
 from .stochastic import open_streams
 
-DEFAULT_CHUNK = 100  # replications drawn, simulated and handed to a worker together
+DEFAULT_CHUNK = 50  # replications drawn, simulated and handed to a worker together
 
 
 @dataclass
@@ -77,20 +79,54 @@ def entrant_paths(cfg: ScenarioConfig,
 def _run_chunk(cfg: ScenarioConfig, system: CohortSystem,
                moments: tuple[np.ndarray, np.ndarray], admin: np.ndarray, opening: int,
                lo: int, hi: int) -> dict:
-    """Draw and simulate replications [lo, hi) together and return their
-    per-year arrays, from the run-wide inputs `run_simulation` builds once:
-    entrant moment tables, administration costs and opening value in cents.
+    """Draw and simulate replications [lo, hi) together: one work unit."""
+    return _compose(cfg, system, moments, admin, opening, draw_shock_blocks(cfg, range(lo, hi)))
+
+
+def _compose(cfg: ScenarioConfig, system: CohortSystem,
+             moments: tuple[np.ndarray, np.ndarray], admin: np.ndarray, opening: int,
+             blocks: ShockBlocks) -> dict:
+    """Simulate one unit's replications from their shock blocks and return
+    their per-year arrays, from the run-wide inputs `run_simulation` builds
+    once: entrant moment tables, administration costs and opening value in
+    cents. The mortality block is overwritten with survival probabilities.
     Of the ledger, only the columns a `SimulationResult` holds come back."""
     flags = cfg.run.flags
-    blocks = draw_shock_blocks(cfg, range(lo, hi))
     ne = entrant_product(*moments, blocks.entrants if flags.entrants
                          else np.zeros_like(blocks.entrants))
-    flows = simulate_flows(system, ne, blocks.mortality if flags.mortality else None)
+    survival = (survival_rates(system, blocks.mortality, out=blocks.mortality)
+                if flags.mortality else None)
+    flows = simulate_flows(system, ne, survival)
     rates = return_rates(cfg, blocks.returns, stochastic=flags.returns)
     ledger = ledger_columns(opening, flows["subjective"], flows["integrative"],
                             flows["disbursements"], admin, rates)
     return {"ledger": {k: ledger[k] for k in _HELD_COLUMNS}, "entrants": ne,
             "actives": flows["actives"], "retirees": flows["retirees"]}
+
+
+class _Drawer(threading.Thread):
+    """Draws shock blocks on a thread of its own: the blocks of each span put
+    on `todo`, in turn, until None is put there."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        super().__init__(name="paygsim-draw")
+        self._cfg, self.todo, self._done = cfg, queue.SimpleQueue(), queue.SimpleQueue()
+        self.start()
+
+    def run(self) -> None:
+        while (span := self.todo.get()) is not None:
+            try:
+                out = draw_shock_blocks(self._cfg, range(*span))
+            except BaseException as exc:  # raised again by `result`, in the caller
+                out = exc
+            self._done.put(out)
+
+    def result(self) -> ShockBlocks:
+        """The blocks of the earliest span not yet handed over, or its error."""
+        out = self._done.get()
+        if isinstance(out, BaseException):
+            raise out
+        return out
 
 
 _worker_args: tuple = ()  # `_run_chunk`'s run-wide arguments in a pool worker, set once
@@ -256,7 +292,9 @@ def run_simulation(cfg: ScenarioConfig, workers: int | None = None) -> Simulatio
     is allocated once and each chunk's rows are copied into place as the
     chunk finishes, in chunk order. `cfg`, the cohort system and the other
     run-wide inputs are built once, and pool workers receive them once, when
-    they start.
+    they start. A serial run draws each chunk's shocks on one helper thread,
+    at most one chunk ahead of the chunk being simulated, which has exited
+    when this returns or raises; an error in either thread is raised here.
     """
     if workers is not None and workers < 1:
         raise ConfigError([f"workers: must be >= 1, got {workers}"])
@@ -268,23 +306,38 @@ def run_simulation(cfg: ScenarioConfig, workers: int | None = None) -> Simulatio
     entrants = {s: np.empty((n, n_years)) for s in cfg.sexes}
     actives, retirees = np.empty((n, n_years)), np.empty((n, n_years))
 
-    def store(parts):
-        for (lo, hi), part in zip(spans, parts):
-            for k, col in part["ledger"].items():
-                ledger[k][lo:hi] = col
-            for si, path in enumerate(entrants.values()):
-                path[lo:hi] = part["entrants"][:, :, si]
-            actives[lo:hi] = part["actives"]
-            retirees[lo:hi] = part["retirees"]
+    def store(lo, hi, part):
+        for k, col in part["ledger"].items():
+            ledger[k][lo:hi] = col
+        for si, path in enumerate(entrants.values()):
+            path[lo:hi] = part["entrants"][:, :, si]
+        actives[lo:hi] = part["actives"]
+        retirees[lo:hi] = part["retirees"]
 
     if workers is not None and workers > 1 and len(spans) > 1:
         # imported here, so that serial runs never load the pool machinery
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=shared) as pool:
-            store(pool.map(_run_pooled_chunk, *zip(*spans)))
+            for span, part in zip(spans, pool.map(_run_pooled_chunk, *zip(*spans))):
+                store(*span, part)
     else:
-        store(_run_chunk(*shared, lo, hi) for lo, hi in spans)
+        # numpy fills a normal block with the GIL released, so a helper
+        # thread draws the next chunk while this one simulates the current
+        # chunk; it is sent the next chunk only once the current chunk's
+        # blocks are taken and the previous chunk's released, so at most two
+        # chunks are in flight
+        drawer = _Drawer(cfg)
+        try:
+            drawer.todo.put(spans[0])
+            for i, span in enumerate(spans):
+                blocks = drawer.result()
+                if i + 1 < len(spans):
+                    drawer.todo.put(spans[i + 1])
+                store(*span, _compose(*shared, blocks))
+        finally:
+            drawer.todo.put(None)
+            drawer.join()
     admin_cents = to_cents(admin)  # the quantization `ledger_columns` applies
     for a in (*ledger.values(), admin_cents, *entrants.values(), actives, retirees):
         a.flags.writeable = False

@@ -449,6 +449,17 @@ def test_a_sex_the_tables_do_not_have_is_one_message(tmp_path, capsys):
         "for 'male', 'female'\n")
 
 
+@pytest.mark.parametrize("sexes", [["x"], ["male", "female", "x"], ["male", "x"]])
+def test_a_contradicting_sex_list_keeps_unrelated_errors(tmp_path, capsys, sexes):
+    path = write_scenario(str(tmp_path), tweaks={"population": {"sexes": sexes},
+                                                 "economics": {"admin_growth": "0.05"}})
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: economics.admin_growth: expected a number, got '0.05'\n"
+        f"error: population.sexes: got {sexes!r}, but mortality.table_csv has rows "
+        "for 'male', 'female'\n")
+
+
 def test_a_listed_sex_no_table_has_is_one_message(tmp_path, capsys):
     path = write_scenario(str(tmp_path), tweaks={"population": {"sexes": ["male", "female", "x"]}})
     assert main(["validate", "--config", path]) == 2

@@ -4,8 +4,10 @@ import pytest
 from conftest import write_scenario
 from paygsim import load_config, run_deterministic_projection, stepwise_projection
 from paygsim.cashflows import round_half_away
+from paygsim.cohorts import death_probability_grid
 from paygsim.engine import (build_system, entrant_moment_tables, entrant_product,
-                            entrants_matrix, opening_balance, price_index, return_rates)
+                            entrants_matrix, opening_balance, price_index, return_rates,
+                            simulate_flows, survival_rates)
 from paygsim.entrants import DRAWS_PER_CELL
 from paygsim.montecarlo import draw_shock_blocks
 from paygsim.stochastic import open_streams
@@ -48,8 +50,8 @@ class TestTwoEnginesAgree:
     def test_bundled_stochastic_replication_matches(self, cfg):
         blocks = draw_shock_blocks(cfg, [0])
         ne = entrants_matrix(cfg, blocks.entrants)
-        from paygsim.engine import simulate_flows
-        flows = simulate_flows(build_system(cfg), ne, blocks.mortality)
+        system = build_system(cfg)
+        flows = simulate_flows(system, ne, survival_rates(system, blocks.mortality))
         path = {s: ne[0, :, si] for si, s in enumerate(cfg.sexes)}
         slow = stepwise_projection(cfg, entrants_path=path,
                                    eps_mort=blocks.mortality[0],
@@ -62,8 +64,7 @@ class TestTwoEnginesAgree:
         blocks = draw_shock_blocks(small_cfg, [0])
         ne = entrants_matrix(small_cfg, blocks.entrants)
         system = build_system(small_cfg)
-        from paygsim.engine import simulate_flows
-        flows = simulate_flows(system, ne, blocks.mortality)
+        flows = simulate_flows(system, ne, survival_rates(system, blocks.mortality))
         rates = return_rates(small_cfg, blocks.returns, stochastic=True)
 
         path = {s: ne[0, :, si] for si, s in enumerate(small_cfg.sexes)}
@@ -73,6 +74,37 @@ class TestTwoEnginesAgree:
         for key in FLOW_KEYS:
             assert rel_close(flows[key][0], getattr(slow, key)), key
         assert rel_close(rates[0], slow.rates)
+
+
+class TestSurvivalRates:
+    def test_each_year_is_one_minus_the_oracles_death_rate(self, small_cfg):
+        system = build_system(small_cfg)
+        eps = draw_shock_blocks(small_cfg, range(3)).mortality * 400.0  # both clips
+        kept = eps.copy()
+        survival = survival_rates(system, eps)
+        assert eps.tobytes() == kept.tobytes()  # the shocks are left as they were
+        for rep in range(len(eps)):
+            for ti, t in enumerate(small_cfg.years):
+                q = death_probability_grid(small_cfg.mortality, t, eps[rep, ti])
+                assert survival[rep, ti].tobytes() == (1.0 - q).tobytes(), (rep, t)
+        assert np.any(survival == 0.0) and np.any(survival == 1.0)
+
+    def test_in_place_gives_the_same_bits(self, small_cfg):
+        system = build_system(small_cfg)
+        eps = draw_shock_blocks(small_cfg, range(2)).mortality
+        want = survival_rates(system, eps)
+        assert survival_rates(system, eps, out=eps) is eps
+        assert eps.tobytes() == want.tobytes()
+
+    def test_zero_shocks_give_the_expected_path(self, small_cfg):
+        system = build_system(small_cfg)
+        ne = entrants_matrix(small_cfg, np.zeros((2, len(small_cfg.years),
+                                                  len(small_cfg.sexes), DRAWS_PER_CELL)))
+        zero = survival_rates(system, np.zeros((2,) + system.qbar.shape))
+        assert zero.tobytes() == np.broadcast_to(1.0 - system.qbar, zero.shape).tobytes()
+        shocked, expected = simulate_flows(system, ne, zero), simulate_flows(system, ne)
+        for key in FLOW_KEYS:
+            assert shocked[key].tobytes() == expected[key].tobytes(), key
 
 
 class TestOpeningBalance:

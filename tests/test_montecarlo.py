@@ -1,5 +1,9 @@
 import os
 import pickle
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -84,13 +88,15 @@ class TestStreamedChunks:
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_uneven_chunks_match_one_chunk(self, small_cfg, monkeypatch, workers):
-        cfg = small_cfg.with_run(n_reps=23)
-        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 23)
-        whole = run_simulation(cfg)
-        # no size divides 23; pool workers are forked after the patch
-        for chunk in (7, 5, 3):
-            monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", chunk)
-            self.assert_same_run(whole, run_simulation(cfg, workers=workers))
+        for flags in (StochasticFlags(), StochasticFlags.none()):
+            cfg = small_cfg.with_run(n_reps=23, flags=flags)
+            monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 23)
+            whole = run_simulation(cfg)
+            # no size but 1 divides 23, and 50 is more than all of them; pool
+            # workers are forked after the patch
+            for chunk in (7, 5, 3, 1, 50):
+                monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", chunk)
+                self.assert_same_run(whole, run_simulation(cfg, workers=workers))
 
     def test_shock_blocks_of_a_later_range_are_the_rows_of_a_longer_one(self, small_cfg):
         whole = draw_shock_blocks(small_cfg, range(10))
@@ -132,6 +138,92 @@ class TestStreamedChunks:
         finally:
             tracemalloc.stop()
         assert peak <= n_reps * len(big.years) * 8 + 2e6
+
+
+class TestSerialPipeline:
+    """A serial run draws each unit on one helper thread, at most one unit
+    ahead of the unit being simulated."""
+
+    def test_the_helper_draws_at_most_one_unit_ahead(self, small_cfg, monkeypatch):
+        cfg = small_cfg.with_run(n_reps=17)
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)  # six units
+        simulated, draws = [], []  # units simulated when each draw began
+        real_draw, real_flows = montecarlo.draw_shock_blocks, montecarlo.simulate_flows
+        before = threading.active_count()
+
+        def draw(cfg, reps):
+            draws.append((reps[0], len(simulated), threading.get_ident()))
+            assert threading.active_count() == before + 1  # this helper alone
+            return real_draw(cfg, reps)
+
+        def flows(*args):
+            time.sleep(0.01)  # a helper free to run ahead would draw every unit now
+            out = real_flows(*args)
+            simulated.append(threading.get_ident())
+            return out
+
+        monkeypatch.setattr(montecarlo, "draw_shock_blocks", draw)
+        monkeypatch.setattr(montecarlo, "simulate_flows", flows)
+        result = run_simulation(cfg)
+        assert threading.active_count() == before  # the helper has exited
+        assert [lo for lo, _, _ in draws] == [0, 3, 6, 9, 12, 15]
+        for unit, (_, done, _) in enumerate(draws):
+            assert unit - 1 <= done <= unit, unit  # unit - 1 may still be simulated
+        helpers = {ident for _, _, ident in draws}
+        assert len(helpers) == 1 and threading.get_ident() not in helpers
+        assert set(simulated) == {threading.get_ident()}
+        TestStreamedChunks.assert_same_run(result, run_simulation(cfg))
+
+    def test_a_short_switch_interval_changes_nothing(self, small_cfg, monkeypatch):
+        # the threads switch at nearly every bytecode, so a block handed over
+        # before it was drawn, or reused while simulated, would show
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", small_cfg.run.n_reps)
+        whole = run_simulation(small_cfg)
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rechunked = run_simulation(small_cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        TestStreamedChunks.assert_same_run(whole, rechunked)
+
+    class Boom(Exception):
+        pass
+
+    @pytest.mark.parametrize("where", ["simulate_flows", "draw_shock_blocks"])
+    @pytest.mark.parametrize("failing_unit", [0, 2])
+    def test_an_error_in_a_unit_reaches_the_caller(self, small_cfg, monkeypatch,
+                                                   where, failing_unit):
+        # simulate_flows runs on the calling thread, draw_shock_blocks on the helper
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)
+        real, calls = getattr(montecarlo, where), []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) > failing_unit:
+                raise self.Boom(where)
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo, where, failing)
+        before = threading.active_count()
+        with pytest.raises(self.Boom, match=where):
+            run_simulation(small_cfg)
+        assert threading.active_count() == before
+        assert len(calls) == failing_unit + 1  # the run stops at the first failure
+
+    def test_a_serial_run_loads_no_process_pool_machinery(self):
+        code = ("import sys\n"
+                "from paygsim import load_config, run_simulation\n"
+                "from paygsim.config import default_config_path\n"
+                "run_simulation(load_config(default_config_path()).with_run(n_reps=120))\n"
+                "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
+                "             if m in sys.modules))\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestRunWideInputsBuiltOnce:
@@ -255,8 +347,9 @@ class TestDerivedLedger:
         blocks = draw_shock_blocks(cfg, range(cfg.run.n_reps))
         ne = engine.entrant_product(*engine.entrant_moment_tables(cfg), blocks.entrants
                                     if flags.entrants else np.zeros_like(blocks.entrants))
-        flows = engine.simulate_flows(engine.build_system(cfg), ne,
-                                      blocks.mortality if flags.mortality else None)
+        system = engine.build_system(cfg)
+        flows = engine.simulate_flows(system, ne, engine.survival_rates(system, blocks.mortality)
+                                      if flags.mortality else None)
         rates = engine.return_rates(cfg, blocks.returns, stochastic=flags.returns)
         return ledger_columns(int(to_cents(cfg.economics.initial_assets)), flows["subjective"],
                               flows["integrative"], flows["disbursements"],
