@@ -8,15 +8,12 @@ nothing is ever created or lost except deaths, arrivals, and survivors who
 age past the top of the grid.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from paygsim import Schedule
 from paygsim.cohorts import (ACTIVE, RETIRED, CohortGrid, MortalityModel,
-                             RetirementRule, death_probability_grid,
-                             inject_new_entrants, retirement_assignment,
-                             shift_active, shift_retired)
+                             RetirementRule, age_one_year, inject_new_entrants,
+                             retire)
 
 SEXES = ("male", "female")
 
@@ -41,31 +38,17 @@ rule = RetirementRule(
                             for s in SEXES}})
 
 
-
-def next_year(grid, arrivals):
-    """One projection year, step by step as the stepwise oracle takes it."""
-    # mortality, then everyone ages a year; actives also gain seniority
-    surv = (1.0 - death_probability_grid(mortality, grid.year))[:, :, None]
-    counts = np.empty_like(grid.counts)
-    counts[ACTIVE] = shift_active(grid.counts[ACTIVE] * surv)
-    counts[RETIRED] = shift_retired(grid.counts[RETIRED] * surv)
-    grid = replace(grid, year=grid.year + 1, counts=counts)
-    # the year's arrivals join at the entry age, untouched by its mortality
-    grid = inject_new_entrants(grid, arrivals, entry_age=29)
-    # whoever now passes the thresholds retires, seniority kept
-    counts = grid.counts.copy()
-    for mask in retirement_assignment(grid, rule, grid.year).values():
-        moved = np.where(mask, counts[ACTIVE], 0.0)
-        counts[RETIRED] += moved
-        counts[ACTIVE] -= moved
-    return replace(grid, counts=counts)
-
-
 print("year  actives  retired    total")
 for step in range(8):
     print(f"{grid.year}  {grid.total_active():7.1f}  {grid.total_retired():7.1f}"
           f"  {grid.total():7.1f}")
-    grid = next_year(grid, {"male": 12.0, "female": 10.0})
+    # one projection year, step by step as the stepwise oracle takes it:
+    # mortality, then everyone ages a year; actives also gain seniority
+    grid = age_one_year(grid, mortality)
+    # the year's arrivals join at the entry age, untouched by its mortality
+    grid = inject_new_entrants(grid, {"male": 12.0, "female": 10.0}, entry_age=29)
+    # whoever now passes the thresholds retires, seniority kept
+    grid, _ = retire(grid, rule)
 
 # where did everyone end up? The 60-year-olds crossed 65 in 2012 (age is
 # strict: retirement needs age > 65) and now sit in the retired layer.

@@ -121,18 +121,10 @@ class ContributionRule:
             raise ValueError("exemption_years must be >= 0")
 
 
-def _contributing_counts(grid: CohortGrid, exemption_years: int) -> np.ndarray:
-    """(n_sex, n_age) active headcount past the contribution exemption."""
-    start = exemption_years + 1
-    if start > grid.max_seniority:
-        return np.zeros((len(grid.sexes), grid.n_ages))
-    return grid.counts[ACTIVE, :, :, start:].sum(axis=2)
-
-
 def contribution_income(grid: CohortGrid, rule: ContributionRule, year: int,
                         price_index: float) -> float:
     """Total stream income for the year from the start-of-year census."""
-    counts = _contributing_counts(grid, rule.exemption_years)
+    counts = grid.counts[ACTIVE, :, :, rule.exemption_years + 1:].sum(axis=2)  # past exemption
     base = rule.profile.slice_for(grid)
     populated = counts > 0
     if np.any(populated & np.isnan(base)):
@@ -145,28 +137,16 @@ def contribution_income(grid: CohortGrid, rule: ContributionRule, year: int,
     return float(np.nansum(counts * base) * rate * price_index)
 
 
-@dataclass
-class NotionalAccounts:
-    """Accumulated subjective contributions of the active cells, as cell totals.
-
-    totals is aligned with the active layer of a CohortGrid. Balances grow by
-    the accrual rate plus newly credited contributions, and otherwise move
-    with their cohort. Storing totals (not per-capita values) makes merges and
-    mortality scaling exact.
-    """
-
-    accrual_rate: float
-    totals: np.ndarray
-
-    def accrue_and_credit(self, grid: CohortGrid, rule: ContributionRule,
-                          year: int, price_index: float) -> None:
-        """End-of-year update: one year of accrual plus the year's credits."""
-        counts = grid.counts[ACTIVE]
-        base = rule.profile.slice_for(grid)
-        percap = rule.rate.value(year) * np.where(np.isnan(base), 0.0, base) * price_index
-        credit = counts * percap[:, :, None]
-        credit[:, :, :rule.exemption_years + 1] = 0.0
-        self.totals = self.totals * (1.0 + self.accrual_rate) + credit
+def accrue_and_credit(balances: np.ndarray, grid: CohortGrid, rule: ContributionRule,
+                      year: int, price_index: float, accrual_rate: float) -> np.ndarray:
+    """End-of-year notional balances: one year of accrual plus the year's credits.
+    balances are per-cell totals on a grid's active layer; totals (not per-capita
+    values) make merges and mortality scaling exact."""
+    base = rule.profile.slice_for(grid)
+    percap = rule.rate.value(year) * np.where(np.isnan(base), 0.0, base) * price_index
+    credit = grid.counts[ACTIVE] * percap[:, :, None]
+    credit[:, :, :rule.exemption_years + 1] = 0.0
+    return balances * (1.0 + accrual_rate) + credit
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import outputs
 from ._version import __version__
-from .config import (ScenarioConfig, StochasticFlags, default_config_path,
-                     load_config)
+from .config import (SHOCK_FAMILIES, ScenarioConfig, StochasticFlags,
+                     default_config_path, load_config)
 from .engine import entrant_moment_tables, entrant_product
 from .errors import ConfigError, PaygsimError
 from .montecarlo import entrant_paths, run_simulation
@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override run.seed")
     p.add_argument("--reps", type=int, default=None, help="override run.n_reps")
     p.add_argument("--stochastic", metavar="LIST", default=None,
-                   help="comma list from entrants,mortality,returns; 'none' switches all off")
+                   help=f"comma list from {','.join(SHOCK_FAMILIES)}; 'none' switches all off")
     p.add_argument("--percentiles", metavar="LIST", default=None,
                    help="comma list of increasing percentile probes in (0, 100)")
     p.add_argument("--workers", type=int, default=None,
@@ -71,13 +71,12 @@ def _parse_stochastic(text: str) -> StochasticFlags:
     names = [n.strip() for n in text.split(",") if n.strip()]
     if names == ["none"]:
         return StochasticFlags.none()
-    known = ("entrants", "mortality", "returns")
-    for n in names:
-        if n not in known:
-            raise ConfigError([f"--stochastic: unknown factor {n!r}, expected one of {', '.join(known)}"])
     if not names:
         raise ConfigError(["--stochastic: empty list (use 'none' to switch everything off)"])
-    return StochasticFlags.only(*names)
+    try:
+        return StochasticFlags.only(*names)
+    except ConfigError as exc:
+        raise ConfigError([f"--stochastic: {m}" for m in exc.messages]) from exc
 
 
 def _parse_probes(text: str) -> tuple[float, ...]:

@@ -6,7 +6,7 @@ applies, in order, mortality with ageing, injection of new entrants at the
 entry age, and retirement of cells that satisfy the age and seniority
 thresholds. Retired cells keep their seniority frozen; cells that reach the
 terminal age are removed after their last mortality step.
-`projection.stepwise_projection` composes the primitives below into that year.
+`projection.stepwise_projection` runs that year as `age_one_year`, `inject_new_entrants`, `retire`.
 """
 
 from __future__ import annotations
@@ -143,23 +143,27 @@ def death_probability_grid(mm: MortalityModel, year: int, eps=None) -> np.ndarra
     return np.clip(qbar + mm.sigma * eps, 0.0, 1.0)
 
 
-def shift_active(values: np.ndarray) -> np.ndarray:
-    """Advance (sex, age, seniority) values one year: age+1, seniority+1.
-
-    Mass at the top age falls off the grid; mass at the top seniority stays
-    there (the bound is a storage cap, not a real ceiling).
-    """
+def _shift(values: np.ndarray) -> np.ndarray:
+    """Values shaped like a grid's counts, moved one year on as `age_one_year` says."""
     out = np.zeros_like(values)
-    out[:, 1:, 1:] = values[:, :-1, :-1]
-    out[:, 1:, -1] += values[:, :-1, -1]
+    out[ACTIVE, :, 1:, 1:] = values[ACTIVE, :, :-1, :-1]
+    out[ACTIVE, :, 1:, -1] += values[ACTIVE, :, :-1, -1]
+    out[RETIRED, :, 1:] = values[RETIRED, :, :-1]
     return out
 
 
-def shift_retired(values: np.ndarray) -> np.ndarray:
-    """Advance retired values one year: age+1 with seniority frozen."""
-    out = np.zeros_like(values)
-    out[:, 1:, :] = values[:, :-1, :]
-    return out
+def age_one_year(grid: CohortGrid, mm: MortalityModel, eps=None, totals=None):
+    """Apply the year's mortality (eps: its (n_sex, n_mort_ages) shock, None for the
+    expected path) to every cell, then age the grid a year. Actives gain a year of
+    seniority, capped at the top one; retirees keep theirs; survivors at the top age
+    leave. totals shaped like the counts (balances, pensions) die and age with their
+    members; when given, they are returned with the grid."""
+    lo = grid.min_age - mm.min_age
+    if lo < 0 or grid.max_age > mm.max_age:
+        raise CoverageError(f"grid ages {grid.min_age}-{grid.max_age} outside the mortality table")
+    surv = 1.0 - death_probability_grid(mm, grid.year, eps)[:, lo:lo + grid.n_ages, None]
+    aged = replace(grid, year=grid.year + 1, counts=_shift(grid.counts * surv))
+    return aged if totals is None else (aged, _shift(totals * surv))
 
 
 def inject_new_entrants(grid: CohortGrid, entrants_by_sex: dict[str, float],
@@ -219,3 +223,15 @@ def retirement_assignment(grid: CohortGrid, rule: RetirementRule,
     for bi in reversed(range(len(rule.benefit_types))):
         winner[(leads[bi] >= 0) & (leads[bi] == best)] = bi
     return {b: winner == bi for bi, b in enumerate(rule.benefit_types)}
+
+
+def retire(grid: CohortGrid, rule: RetirementRule):
+    """Move the active cells `retirement_assignment` picks this year to the retired
+    layer, seniority kept; return the new grid and each benefit type's mask."""
+    masks = retirement_assignment(grid, rule, grid.year)
+    counts = grid.counts.copy()
+    for mask in masks.values():
+        moved = np.where(mask, counts[ACTIVE], 0.0)
+        counts[RETIRED] += moved
+        counts[ACTIVE] -= moved
+    return replace(grid, counts=counts), masks

@@ -16,7 +16,7 @@ import hashlib
 import math
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import yaml
@@ -45,10 +45,18 @@ class StochasticFlags:
 
     @classmethod
     def only(cls, *names) -> "StochasticFlags":
-        return cls(**{n: (n in names) for n in ("entrants", "mortality", "returns")})
+        """Exactly the named families live; an unknown name is a ConfigError."""
+        unknown = [f"unknown shock family {n!r}, expected one of {', '.join(SHOCK_FAMILIES)}"
+                   for n in names if n not in SHOCK_FAMILIES]
+        if unknown:
+            raise ConfigError(unknown)
+        return cls(**{n: (n in names) for n in SHOCK_FAMILIES})
 
     def names(self) -> tuple[str, ...]:
-        return tuple(n for n in ("entrants", "mortality", "returns") if getattr(self, n))
+        return tuple(n for n in SHOCK_FAMILIES if getattr(self, n))
+
+
+SHOCK_FAMILIES = tuple(f.name for f in fields(StochasticFlags))  # in draw and report order
 
 
 @dataclass(frozen=True)
@@ -349,8 +357,7 @@ _SCHEMA = {
     "run": {
         "seed": _Field(_int, 0),
         "n_reps": _Field(_int, 1000),
-        "stochastic": (StochasticFlags, {
-            n: _Field(_bool, True) for n in ("entrants", "mortality", "returns")}),
+        "stochastic": (StochasticFlags, {n: _Field(_bool, True) for n in SHOCK_FAMILIES}),
         "percentile_probes": _Field(_floats, list(DEFAULT_PROBES)),
         "moments_years": _Field(_ints, lambda t: list(
             range(t["horizon"]["first_year"], t["horizon"]["last_year"] + 1))),

@@ -6,24 +6,23 @@ families switched off reproduces it exactly, replication by replication.
 
 `stepwise_projection` is a second, independent implementation that evolves
 the full (status, sex, age, seniority) grid one year at a time using the
-compositional operations, carrying notional balances and pensions in payment
-as per-cell totals. It accepts the same shock arrays, so any replication of
-the cohort engine can be replayed against it. It is much slower and exists
-to cross-check the cohort decomposition, which is why it deliberately shares
-none of its evolution code.
+year step of `cohorts` (`age_one_year`, `inject_new_entrants`, `retire`),
+carrying notional balances and pensions in payment as per-cell totals. It
+accepts the same shock arrays, so any replication of the cohort engine can be
+replayed against it. It is much slower and exists to cross-check the cohort
+decomposition, which is why it deliberately shares none of the engine's
+evolution code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cashflows import (FundLedger, NotionalAccounts, build_ledger,
+from .cashflows import (FundLedger, accrue_and_credit, build_ledger,
                         contribution_income, pension_disbursement)
-from .cohorts import (ACTIVE, RETIRED, death_probability_grid,
-                      inject_new_entrants, retirement_assignment, shift_active,
-                      shift_retired)
+from .cohorts import ACTIVE, RETIRED, age_one_year, inject_new_entrants, retire
 from .config import ScenarioConfig
 from .engine import (admin_path, build_system, entrant_moment_tables, entrant_product,
                      opening_balance, price_index, return_rates, simulate_flows)
@@ -75,18 +74,28 @@ def run_deterministic_projection(cfg: ScenarioConfig) -> ProjectionResult:
 # Reference grid engine
 
 
-def _initial_totals(cfg: ScenarioConfig):
-    """Per-cell notional balances and pensions in payment at the census."""
-    census = cfg.census
-    notional = np.zeros_like(census.counts[ACTIVE])
-    si, ai, ki = np.argwhere(census.counts[ACTIVE] > 0).T
-    notional[si, ai, ki] = census.counts[ACTIVE, si, ai, ki] * opening_balance(
+def _initial_totals(cfg: ScenarioConfig) -> np.ndarray:
+    """Per-cell totals shaped like the census counts: notional balances on the
+    active layer, pensions in payment on the retired layer."""
+    counts = cfg.census.counts
+    totals = np.zeros_like(counts)
+    si, ai, ki = np.argwhere(counts[ACTIVE] > 0).T
+    totals[ACTIVE, si, ai, ki] = counts[ACTIVE, si, ai, ki] * opening_balance(
         cfg, si, cfg.min_age + ai, ki)
-    pensions = np.zeros_like(census.counts[RETIRED])
-    for si, ai, ki in np.argwhere(census.counts[RETIRED] > 0):
-        pensions[si, ai, ki] = census.counts[RETIRED, si, ai, ki] * \
+    for si, ai, ki in np.argwhere(counts[RETIRED] > 0):
+        totals[RETIRED, si, ai, ki] = counts[RETIRED, si, ai, ki] * \
             cfg.pre_existing.value(cfg.sexes[si], cfg.min_age + int(ai))
-    return notional, pensions
+    return totals
+
+
+def _replay_input(name: str, value, shape: tuple) -> np.ndarray | None:
+    """A replay argument as a float array shaped for the horizon; None stays None."""
+    if value is None:
+        return None
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def _new_pensions(cfg: ScenarioConfig, benefit_type: str, grid, year: int,
@@ -112,6 +121,8 @@ def _new_pensions(cfg: ScenarioConfig, benefit_type: str, grid, year: int,
 def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
                         eps_mort=None, eps_ret=None) -> ProjectionResult:
     """Year-by-year grid evolution; shocks may be supplied to replay a path.
+    A replay argument shaped otherwise than below, or an entrants_path naming
+    other sexes, is a ValueError raised before year 1.
 
     Args:
         cfg: the scenario.
@@ -123,23 +134,28 @@ def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
     n_years = len(years)
     ec = cfg.economics
     mm = cfg.mortality
-    grid = cfg.census
-    notional, pensions = _initial_totals(cfg)
-    account = NotionalAccounts(accrual_rate=cfg.accrual_rate, totals=notional)
     if entrants_path is None:
         ne = entrant_product(*entrant_moment_tables(cfg), 0.0)
-        entrants_path = {s: ne[:, si] for si, s in enumerate(cfg.sexes)}
+    elif set(entrants_path) != set(cfg.sexes):
+        raise ValueError(f"entrants_path has sexes {sorted(entrants_path)}, "
+                         f"expected {sorted(cfg.sexes)}")
+    else:
+        ne = np.stack([_replay_input(f"entrants_path[{s!r}]", entrants_path[s], (n_years,))
+                       for s in cfg.sexes], axis=1)
+    eps_mort = _replay_input("eps_mort", eps_mort, (n_years,) + mm.q0.shape)
+    eps_ret = _replay_input("eps_ret", eps_ret, (n_years,))
 
+    grid = cfg.census
+    totals = _initial_totals(cfg)
     prices = price_index(cfg, years)
-    out = {k: np.empty(n_years) for k in
-           ("subjective", "integrative", "disbursements", "rates",
-            "actives", "retirees")}
+    out = {k: np.empty(n_years) for k in ("subjective", "integrative", "disbursements",
+                                          "rates", "actives", "retirees")}
     x_dev = ec.deviations.x0
     for ti, t in enumerate(years):
         index_t = prices[ti]
         out["subjective"][ti] = contribution_income(grid, cfg.contrib_subjective, t, index_t)
         out["integrative"][ti] = contribution_income(grid, cfg.contrib_integrative, t, index_t)
-        out["disbursements"][ti] = pension_disbursement(grid, pensions)
+        out["disbursements"][ti] = pension_disbursement(grid, totals[RETIRED])
         if eps_ret is None:
             out["rates"][ti] = ec.expected_return.value(t)
         else:
@@ -151,36 +167,22 @@ def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
             break
 
         # end of year t: credit the year's contributions to the accounts
-        account.accrue_and_credit(grid, cfg.contrib_subjective, t, index_t)
-
-        # mortality and ageing, applied to counts and totals alike
-        lo = grid.min_age - mm.min_age
-        q = death_probability_grid(mm, t, None if eps_mort is None else eps_mort[ti])
-        surv = (1.0 - q[:, lo:lo + grid.n_ages])[:, :, None]
-        counts = np.empty_like(grid.counts)
-        counts[ACTIVE] = shift_active(grid.counts[ACTIVE] * surv)
-        counts[RETIRED] = shift_retired(grid.counts[RETIRED] * surv)
-        account.totals = shift_active(account.totals * surv)
-        pensions = shift_retired(pensions * surv)
-        grid = replace(grid, year=t + 1, counts=counts)
+        totals[ACTIVE] = accrue_and_credit(totals[ACTIVE], grid, cfg.contrib_subjective,
+                                           t, index_t, cfg.accrual_rate)
+        grid, totals = age_one_year(grid, mm, None if eps_mort is None else eps_mort[ti],
+                                    totals)
         grid = inject_new_entrants(
-            grid, {s: float(entrants_path[s][ti]) for s in cfg.sexes}, cfg.entry_age)
+            grid, {s: float(ne[ti, si]) for si, s in enumerate(cfg.sexes)}, cfg.entry_age)
 
         # pensions in payment are indexed as the new year opens,
         # before this census's retirements join at their starting level
-        pensions = pensions * (1.0 + ec.inflation.value(t + 1))
-        counts = grid.counts.copy()
-        for b, mask in retirement_assignment(grid, cfg.retirement, t + 1).items():
-            moved = np.where(mask, counts[ACTIVE], 0.0)
-            moved_bal = np.where(mask, account.totals, 0.0)
-            pensions = pensions + _new_pensions(cfg, b, grid, t + 1, moved, moved_bal)
-            counts[RETIRED] += moved
-            counts[ACTIVE] -= moved
-            account.totals = account.totals - moved_bal
-        grid = replace(grid, counts=counts)
+        totals[RETIRED] *= 1.0 + ec.inflation.value(t + 1)
+        active = grid.counts[ACTIVE]
+        grid, masks = retire(grid, cfg.retirement)
+        for b, mask in masks.items():
+            moved_bal = np.where(mask, totals[ACTIVE], 0.0)
+            totals[RETIRED] += _new_pensions(cfg, b, grid, t + 1,
+                                             np.where(mask, active, 0.0), moved_bal)
+            totals[ACTIVE] -= moved_bal
 
-    return _assemble_result(
-        cfg, {k: out[k] for k in ("subjective", "integrative", "disbursements",
-                                  "actives", "retirees")},
-        out["rates"], admin_path(cfg),
-        np.stack([entrants_path[s] for s in cfg.sexes], axis=1))
+    return _assemble_result(cfg, out, out["rates"], admin_path(cfg), ne)

@@ -53,11 +53,6 @@ class Schedule:
             raise CoverageError(f"schedule has no value for year {year}")
         return self.default
 
-    def covers(self, years) -> bool:
-        if self.default is not None:
-            return True
-        return all(y in self.overrides for y in years)
-
     @classmethod
     def from_config(cls, raw) -> "Schedule":
         """Build from a bare number or a {default:, overrides: {year: v}} mapping."""

@@ -1,15 +1,11 @@
 import copy
 import re
 import os
-from dataclasses import replace
 
-import numpy as np
 import pytest
 import yaml
 
 from paygsim import default_config_path, load_config
-from paygsim.cohorts import (ACTIVE, RETIRED, death_probability_grid,
-                             retirement_assignment, shift_active, shift_retired)
 
 
 @pytest.fixture(scope="session")
@@ -96,34 +92,6 @@ BASE_CSVS = {
     "conversion.csv": ["sex,age,coefficient"]
     + [f"{s},{a},0.06" for s in ("male", "female") for a in range(35, 51)],
 }
-
-
-# One year of the member grid, composed from the cohort primitives the way
-# `stepwise_projection` composes them: mortality with ageing, then (after any
-# arrivals) retirement.
-
-
-def age_one_year(grid, mm, eps=None):
-    """Apply the year's mortality to every cell and advance ages; the result
-    is the census of the next year, without the terminal age's survivors."""
-    lo = grid.min_age - mm.min_age
-    q = death_probability_grid(mm, grid.year, eps)[:, lo:lo + grid.n_ages]
-    surv = (1.0 - q)[:, :, None]
-    counts = np.empty_like(grid.counts)
-    counts[ACTIVE] = shift_active(grid.counts[ACTIVE] * surv)
-    counts[RETIRED] = shift_retired(grid.counts[RETIRED] * surv)
-    return replace(grid, year=grid.year + 1, counts=counts)
-
-
-def retire(grid, rule):
-    """Move every active cell `retirement_assignment` picks this year to the
-    retired layer, seniority kept."""
-    counts = grid.counts.copy()
-    for mask in retirement_assignment(grid, rule, grid.year).values():
-        moved = np.where(mask, counts[ACTIVE], 0.0)
-        counts[RETIRED] += moved
-        counts[ACTIVE] -= moved
-    return replace(grid, counts=counts)
 
 
 def deep_merge(base: dict, tweaks: dict) -> dict:

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 from paygsim import Schedule, build_ledger
 from paygsim.cashflows import (AgeProfile, BenefitRule, ContributionRule,
-                               EconomicAssumptions, FundLedger, NotionalAccounts,
+                               EconomicAssumptions, FundLedger, accrue_and_credit,
                                cents_to_thousands, contribution_income, ledger_columns,
                                pension_disbursement, round_half_away, to_cents)
 from paygsim.cohorts import CohortGrid
@@ -128,6 +128,12 @@ class TestContributions:
         g = make_grid([("male", 40, 4, "active", 10)])
         assert contribution_income(g, rule, 2006, 1.0) > 0.0
 
+    def test_an_exemption_past_the_top_seniority_exempts_everyone(self):
+        rule = ContributionRule("subjective", Schedule(default=0.107),
+                                flat_profile(100_000.0), exemption_years=40)
+        g = make_grid([("male", 70, 40, "active", 10)], max_seniority=40)
+        assert contribution_income(g, rule, 2006, 1.0) == 0.0
+
     def test_retired_pay_nothing(self):
         g = make_grid([("male", 70, 30, "retired", 50)])
         rule = ContributionRule("subjective", Schedule(default=0.107),
@@ -168,19 +174,20 @@ class TestNotionalAccounts:
         g = make_grid([("male", 40, 5, "active", 1)])
         rule = ContributionRule("subjective", Schedule(default=0.10),
                                 flat_profile(100_000.0), exemption_years=3)
-        acc = NotionalAccounts(accrual_rate=0.03, totals=np.zeros_like(g.counts[0]))
-        acc.totals[0, 20, 5] = 100.0
-        acc.accrue_and_credit(g, rule, 2006, 1.0)
-        assert acc.totals[0, 20, 5] == pytest.approx(103.0 + 10_000.0)
+        balances = np.zeros_like(g.counts[0])
+        balances[0, 20, 5] = 100.0
+        credited = accrue_and_credit(balances, g, rule, 2006, 1.0, accrual_rate=0.03)
+        assert credited[0, 20, 5] == pytest.approx(103.0 + 10_000.0)
+        assert balances[0, 20, 5] == 100.0
 
     def test_exempt_cells_accrue_but_get_no_credit(self):
         g = make_grid([("male", 40, 2, "active", 1)])
         rule = ContributionRule("subjective", Schedule(default=0.10),
                                 flat_profile(100_000.0), exemption_years=3)
-        acc = NotionalAccounts(accrual_rate=0.05, totals=np.zeros_like(g.counts[0]))
-        acc.totals[0, 20, 2] = 200.0
-        acc.accrue_and_credit(g, rule, 2006, 1.0)
-        assert acc.totals[0, 20, 2] == pytest.approx(210.0)
+        balances = np.zeros_like(g.counts[0])
+        balances[0, 20, 2] = 200.0
+        credited = accrue_and_credit(balances, g, rule, 2006, 1.0, accrual_rate=0.05)
+        assert credited[0, 20, 2] == pytest.approx(210.0)
 
 
 class TestBenefits:

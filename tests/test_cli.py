@@ -302,7 +302,8 @@ class TestSimulate:
                            "--stochastic", "entrants,gremlins",
                            "--out", str(tmp_path / "run"))
         assert code == 2
-        assert "gremlins" in err
+        assert err == ("error: --stochastic: unknown shock family 'gremlins', "
+                       "expected one of entrants, mortality, returns\n")
         assert not (tmp_path / "run").exists()
 
     def test_empty_stochastic_exits_2(self, capsys, scenario, tmp_path):

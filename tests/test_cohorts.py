@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import age_one_year, retire
 from paygsim import Schedule
 from paygsim.cohorts import (ACTIVE, RETIRED, CohortGrid, MortalityModel,
-                             RetirementRule, death_probability_grid,
-                             expected_mortality_grid, inject_new_entrants,
-                             retirement_assignment, shift_active, shift_retired)
+                             RetirementRule, age_one_year, death_probability_grid,
+                             expected_mortality_grid, inject_new_entrants, retire,
+                             retirement_assignment)
 from paygsim.errors import CoverageError
 
 
@@ -170,19 +169,23 @@ class TestAgeOneYear:
         assert np.all(hard.counts <= soft.counts)
         assert hard.total() < soft.total()
 
+    @pytest.mark.parametrize("ages", [(19, 40), (30, 81)])
+    def test_a_mortality_table_narrower_than_the_grid_is_refused(self, ages):
+        g = make_grid([("male", 30, 2, "active", 10)], min_age=ages[0], max_age=ages[1])
+        with pytest.raises(CoverageError, match=f"grid ages {ages[0]}-{ages[1]} outside"):
+            age_one_year(g, make_mm(q0=0.1))
 
-class TestShifts:
-    def test_shift_active_moves_both_axes(self):
-        v = np.zeros((1, 3, 3))
-        v[0, 0, 0] = 7
-        out = shift_active(v)
-        assert out[0, 1, 1] == 7 and out.sum() == 7
-
-    def test_shift_retired_keeps_seniority(self):
-        v = np.zeros((1, 3, 3))
-        v[0, 1, 2] = 4
-        out = shift_retired(v)
-        assert out[0, 2, 2] == 4 and out.sum() == 4
+    def test_totals_die_and_age_with_their_cells(self):
+        g = make_grid([("male", 30, 2, "active", 10), ("female", 50, 20, "retired", 4)])
+        totals = np.zeros_like(g.counts)
+        totals[ACTIVE, 0, 10, 2] = 500.0
+        totals[RETIRED, 1, 30, 20] = 80.0
+        out, aged = age_one_year(g, make_mm(q0=0.1), totals=totals)
+        assert out.year == 2001
+        assert aged[ACTIVE, 0, 11, 3] == pytest.approx(450.0)   # age and seniority +1
+        assert aged[RETIRED, 1, 31, 20] == pytest.approx(72.0)  # seniority frozen
+        assert aged.sum() == pytest.approx(522.0)
+        assert totals[ACTIVE, 0, 10, 2] == 500.0                # input left as it was
 
 
 class TestInjection:
@@ -223,7 +226,7 @@ class TestRetirement:
             ("male", 65, 40, "active", 5),    # age only equal: stays
             ("male", 66, 5, "active", 7),     # seniority short: stays
         ])
-        out = retire(g, r)
+        out, _ = retire(g, r)
         assert out.counts[RETIRED, 0, 46, 31] == 10
         assert out.counts[RETIRED, 0, 46, 30] == 20
         assert out.counts[ACTIVE, 0, 45, 40] == 5
@@ -233,21 +236,29 @@ class TestRetirement:
     def test_retired_never_revert(self):
         r = rule(65, 30)
         g = make_grid([("male", 50, 10, "retired", 8)])
-        out = retire(g, r)
+        out, _ = retire(g, r)
         assert out.counts[RETIRED, 0, 30, 10] == 8
         assert out.total_active() == 0.0
 
     def test_seniority_kept_on_retirement(self):
-        out = retire(make_grid([("male", 70, 33, "active", 2)]), rule(65, 30))
+        out, _ = retire(make_grid([("male", 70, 33, "active", 2)]), rule(65, 30))
         assert out.counts[RETIRED, 0, 50, 33] == 2
 
     def test_thresholds_can_vary_by_year(self):
         th = {"male": (Schedule(default=65, overrides={2000: 60}), Schedule(default=0))}
         r = RetirementRule(("old_age",), {"old_age": th})
         g = make_grid([("male", 62, 10, "active", 1)], sexes=("male",))
-        assert retire(g, r).total_retired() == 1.0
+        assert retire(g, r)[0].total_retired() == 1.0
         later = CohortGrid(2001, g.sexes, g.min_age, g.max_age, g.max_seniority, g.counts)
-        assert retire(later, r).total_retired() == 0.0
+        assert retire(later, r)[0].total_retired() == 0.0
+
+    def test_returns_each_types_mask(self):
+        r = rule(65, 30)
+        g = make_grid([("male", 66, 31, "active", 10), ("male", 60, 31, "active", 3)])
+        _, masks = retire(g, r)
+        assert list(masks) == ["old_age"]
+        assert np.array_equal(masks["old_age"], retirement_assignment(g, r, 2000)["old_age"])
+        assert masks["old_age"][0, 46, 31] and not masks["old_age"][0, 40, 31]
 
     def test_tie_goes_to_first_listed_type(self):
         th = {"male": (Schedule(default=60), Schedule(default=5))}
@@ -276,7 +287,7 @@ class TestRetirement:
 
 def one_year(grid, mm, r, entrants_by_sex, entry_age):
     """Mortality and ageing, entry, then retirement, as the oracle steps."""
-    return retire(inject_new_entrants(age_one_year(grid, mm), entrants_by_sex, entry_age), r)
+    return retire(inject_new_entrants(age_one_year(grid, mm), entrants_by_sex, entry_age), r)[0]
 
 
 class TestEvolveYear:
@@ -328,8 +339,20 @@ class TestConservationProperties:
     def test_retirement_moves_mass_without_losing_any(self, grid_q, age_bar, sen_bar):
         grid, _ = grid_q
         r = rule(grid.min_age + age_bar, sen_bar)
-        out = retire(grid, r)
+        out, _ = retire(grid, r)
         assert out.total() == pytest.approx(grid.total())
         assert np.all(out.counts >= 0)
         # retired stock only grows
         assert out.total_retired() >= grid.total_retired() - 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_grids(), st.floats(0.0, 0.5), st.data())
+    def test_totals_equal_to_the_counts_age_into_the_aged_counts(self, grid_q, sigma, data):
+        grid, q = grid_q
+        # a mortality table wider than the grid, so the grid's slice is read
+        mm = make_mm(q0=q, sigma=sigma, min_age=grid.min_age - 2, max_age=grid.max_age + 3)
+        shape = (2, mm.max_age - mm.min_age + 1)
+        eps = np.array(data.draw(st.lists(st.floats(-5.0, 5.0), min_size=shape[0] * shape[1],
+                                          max_size=shape[0] * shape[1]))).reshape(shape)
+        aged, totals = age_one_year(grid, mm, eps, totals=grid.counts.copy())
+        assert totals.tobytes() == aged.counts.tobytes()

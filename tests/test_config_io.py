@@ -93,6 +93,12 @@ class TestSmallScenario:
         assert StochasticFlags.only("mortality").names() == ("mortality",)
 
 
+    @pytest.mark.parametrize("names", [("entrant",), ("mortality", "Returns")])
+    def test_flags_only_rejects_an_unknown_family(self, names):
+        with pytest.raises(ConfigError, match="unknown shock family .* expected one of "
+                                              "entrants, mortality, returns"):
+            StochasticFlags.only(*names)
+
 class TestBrokenScenarios:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

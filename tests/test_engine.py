@@ -76,6 +76,52 @@ class TestTwoEnginesAgree:
         assert rel_close(rates[0], slow.rates)
 
 
+
+def _halved(a):
+    return a[:len(a) // 2]
+
+
+def _lengthened(a):
+    return np.concatenate([a, a[-1:]])
+
+
+# each case turns a valid replay (entrants_path, eps_mort, eps_ret) into a bad one
+BAD_REPLAYS = {
+    "short_entrants_path": ("entrants_path", lambda p, m, r: (
+        {s: _halved(v) for s, v in p.items()}, m, r)),
+    "long_entrants_path": ("entrants_path", lambda p, m, r: (
+        {s: _lengthened(v) for s, v in p.items()}, m, r)),
+    "missing_sex": ("entrants_path", lambda p, m, r: ({"male": p["male"]}, m, r)),
+    "unknown_sex": ("entrants_path", lambda p, m, r: (dict(p, other=p["male"]), m, r)),
+    "short_eps_mort": ("eps_mort", lambda p, m, r: (p, _halved(m), r)),
+    "long_eps_mort": ("eps_mort", lambda p, m, r: (p, _lengthened(m), r)),
+    "eps_mort_missing_an_age": ("eps_mort", lambda p, m, r: (p, m[:, :, 1:], r)),
+    "short_eps_ret": ("eps_ret", lambda p, m, r: (p, m, _halved(r))),
+    "long_eps_ret": ("eps_ret", lambda p, m, r: (p, m, _lengthened(r))),
+    "2d_eps_ret": ("eps_ret", lambda p, m, r: (p, m, r[:, None])),
+}
+
+
+class TestReplayInputs:
+    @pytest.fixture(scope="class")
+    def replay(self, small_cfg):
+        blocks = draw_shock_blocks(small_cfg, [0])
+        ne = entrants_matrix(small_cfg, blocks.entrants)
+        return ({s: ne[0, :, si] for si, s in enumerate(small_cfg.sexes)},
+                blocks.mortality[0], blocks.returns[0])
+
+    @pytest.mark.parametrize("case", list(BAD_REPLAYS))
+    def test_a_misshapen_replay_is_refused_before_year_1(self, small_cfg, replay, case):
+        name, spoil = BAD_REPLAYS[case]
+        path, mort, ret = spoil(*replay)
+        with pytest.raises(ValueError, match=name):
+            stepwise_projection(small_cfg, entrants_path=path, eps_mort=mort, eps_ret=ret)
+
+    def test_a_valid_replay_returns_its_entrants(self, small_cfg, replay):
+        slow = stepwise_projection(small_cfg, *replay)
+        for s in small_cfg.sexes:
+            assert slow.entrants[s].tobytes() == replay[0][s].tobytes()
+
 class TestSurvivalRates:
     def test_each_year_is_one_minus_the_oracles_death_rate(self, small_cfg):
         system = build_system(small_cfg)

@@ -24,13 +24,6 @@ def test_no_default_requires_override():
         s.value(2007)
 
 
-def test_covers():
-    assert Schedule(default=1.0).covers(range(2000, 2100))
-    gappy = Schedule(default=None, overrides={2000: 1.0, 2002: 1.0})
-    assert gappy.covers([2000, 2002])
-    assert not gappy.covers([2000, 2001])
-
-
 def test_from_config_bare_number():
     s = Schedule.from_config(0.034)
     assert s.default == 0.034 and s.overrides == {}
