@@ -13,32 +13,29 @@ first row below reproduces the published figures to the thousand.
 """
 
 from paygsim import default_config_path, load_config, run_deterministic_projection
-from paygsim.cashflows import LedgerRow, cents_to_thousands
+from paygsim.cashflows import LEDGER_LETTERS, cents_to_thousands, identities_hold
 
 cfg = load_config(default_config_path())
 result = run_deterministic_projection(cfg)
-ledger = result.ledger
+ledger = result.ledger  # column name -> one int64 cent amount per year
 
-letters = list(LedgerRow.LETTERS)
 print("thousands of euros")
-print("year " + "".join(f"{letter:>11}" for letter in letters))
-for row in ledger.rows()[:5]:
-    cells = [int(cents_to_thousands(getattr(row, name)))
-             for name in LedgerRow.LETTERS.values()]
-    print(f"{row.year} " + "".join(f"{c:11,}" for c in cells))
+print("year " + "".join(f"{letter:>11}" for letter in LEDGER_LETTERS))
+for t, year in enumerate(result.years[:5]):
+    cells = [int(cents_to_thousands(ledger[name][t])) for name in LEDGER_LETTERS.values()]
+    print(f"{year} " + "".join(f"{c:11,}" for c in cells))
 
-assert all(row.identities_hold() for row in ledger.rows())
+assert identities_hold(ledger)
 print("\ncent-exact identities hold on every row")
 
 # the age wave: contributions stop covering pensions in the early 2030s,
 # after which investment income carries the fund
-balance = ledger.columns["pension_balance"]
-negative = [y for y, v in zip(ledger.years, balance) if v < 0]
+negative = [y for y, v in zip(result.years, ledger["pension_balance"]) if v < 0]
 print(f"pension balance turns negative in {negative[0]}")
 print(f"fund value {cfg.first_year}: "
-      f"{cents_to_thousands(ledger.columns['value_start'][0]) / 1e3:,.0f} million")
+      f"{cents_to_thousands(ledger['value_start'][0]) / 1e3:,.0f} million")
 print(f"fund value {cfg.last_year}: "
-      f"{cents_to_thousands(ledger.columns['value_end'][-1]) / 1e3:,.0f} million")
+      f"{cents_to_thousands(ledger['value_end'][-1]) / 1e3:,.0f} million")
 print(f"actives {cfg.first_year}: {result.actives[0]:,.0f}, "
       f"{cfg.last_year}: {result.actives[-1]:,.0f}")
 print(f"retired {cfg.first_year}: {result.retirees[0]:,.0f}, "

@@ -11,7 +11,6 @@ plumbing. The names below are the Python API the README documents.
 """
 
 from ._version import __version__
-from .cashflows import FundLedger, LedgerRow, build_ledger
 from .config import (RunSettings, ScenarioConfig, StochasticFlags,
                      default_config_path, load_config)
 from .entrants import variance_new_entrants
@@ -25,10 +24,10 @@ from .stochastic import ar1_stationary_std
 
 __all__ = [
     "__version__",
-    "ConfigError", "CoverageError", "FundLedger", "LedgerRow", "PaygsimError",
+    "ConfigError", "CoverageError", "PaygsimError",
     "ProjectionResult", "RunSettings", "ScenarioConfig", "Schedule",
     "SimulationResult", "StateError", "StochasticFlags",
-    "ar1_stationary_std", "build_ledger", "default_config_path",
+    "ar1_stationary_std", "default_config_path",
     "distribution_moments", "load_config", "percentile_bands",
     "run_deterministic_projection", "run_simulation", "stepwise_projection",
     "variance_new_entrants",

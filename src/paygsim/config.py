@@ -74,6 +74,8 @@ class RunSettings:
         probes = list(self.probes)
         errors = [message for bad, message in (
             (self.n_reps < 1, f"run.n_reps: must be >= 1, got {self.n_reps}"),
+            # replication i draws from stream id i, and stream ids are below 2**32
+            (self.n_reps > 2**32, f"run.n_reps: must be <= 2**32, got {self.n_reps}"),
             (self.seed < 0, f"run.seed: must be >= 0, got {self.seed}"),
             (not probes or probes != sorted(set(probes))
              or not all(0.0 < p < 100.0 for p in probes),
@@ -328,6 +330,16 @@ _ints = _kind(lambda x: isinstance(x, list), "a list of integers", lambda x: tup
 _schedule = Schedule.from_config
 
 
+def _sexes(value) -> tuple[str, ...]:
+    """A name list in which no sex's arrivals series, entrants_<sex>, is
+    named like another series."""
+    sexes = _name_list(value)
+    if "total" in sexes:
+        raise ValueError("a sex cannot be named 'total': entrants_total is the series "
+                         "of all arrivals")
+    return sexes
+
+
 @dataclass(frozen=True)
 class _Field:
     """A field's kind and default: a YAML value, a function of the values read
@@ -363,7 +375,7 @@ _SCHEMA = {
             range(t["horizon"]["first_year"], t["horizon"]["last_year"] + 1))),
     },
     "population": {
-        "sexes": _Field(_name_list, ["male", "female"]),
+        "sexes": _Field(_sexes, ["male", "female"]),
         **{k: _Field(_int) for k in ("min_age", "max_age", "max_seniority", "entry_age")},
         "census_csv": _Field(_file),
     },

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cashflows import LedgerRow, ledger_columns, to_cents
+from .cashflows import LEDGER_COLUMNS, ledger_columns, to_cents
 from .config import ScenarioConfig, StochasticFlags
 from .engine import (CohortSystem, admin_path, build_system, entrant_moment_tables,
                      entrant_product, return_rates, simulate_flows, survival_rates)
@@ -159,7 +159,7 @@ class SimulationResult:
     the nine statement columns in integer cents (B, C, E, H and I), with the
     run's `opening_cents` and per-year `admin_cents`; `entrants` the
     arrivals per sex (in sex order); and `actives` and `retirees` the
-    headcounts. `ledger` maps all nine columns, in `LedgerRow.COLUMNS`
+    headcounts. `ledger` maps all nine columns, in `LEDGER_COLUMNS`
     order, and derives the other four exactly in int64 each time they are
     read: A is I a year earlier (the opening value in the first year),
     D = (B + C) - E, F = (H + G) - E and G the admin costs of every
@@ -190,7 +190,7 @@ class SimulationResult:
 
     @property
     def ledger(self) -> "SeriesView":
-        return SeriesView(LedgerRow.COLUMNS, self._ledger_column)
+        return SeriesView(LEDGER_COLUMNS, self._ledger_column)
 
     def _ledger_column(self, name: str) -> np.ndarray:
         # each sum starts from an amount `ledger_columns` checked for int64

@@ -2,10 +2,11 @@
 
 Every file is comma-separated UTF-8 with a header row and '.' as decimal
 mark. Money columns come from the integer-cent ledger: the display ledger
-rounds to thousands of euros (halves up), the raw companion keeps exact
-cents as fixed-point euro strings. Free-floating values are written with
-repr so a re-parse returns the identical double. Nothing here reads the
-clock or the environment, so equal runs produce byte-identical files.
+rounds to thousands of euros (halves away from zero), the raw companion
+keeps exact cents as fixed-point euro strings. Free-floating values are
+written with repr so a re-parse returns the identical double. Nothing here
+reads the clock or the environment, so equal runs produce byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -17,11 +18,11 @@ import os
 import numpy as np
 
 from ._version import __version__
-from .cashflows import FundLedger, LedgerRow, cents_to_thousands
+from .cashflows import LEDGER_COLUMNS, LEDGER_LETTERS, cents_to_thousands, identities_hold
 from .config import ScenarioConfig
 
 LEDGER_HEADER = ("year",) + tuple(
-    f"{letter}_{name}" for letter, name in LedgerRow.LETTERS.items())
+    f"{letter}_{name}" for letter, name in LEDGER_LETTERS.items())
 
 MOMENT_STATS = ("mean", "std", "skewness", "excess_kurtosis")
 
@@ -51,22 +52,22 @@ def _write_lines(path, lines) -> None:
 # ---------------------------------------------------------------------------
 # yearly statement
 
-def write_ledger_csv(path, ledger: FundLedger) -> None:
+def _write_ledger(path, years, columns, cell) -> None:
+    """One row per year: the year, then `cell` of each column's amount."""
+    lines = [",".join(LEDGER_HEADER)]
+    for t, year in enumerate(years):
+        lines.append(",".join([str(int(year))] + [cell(c[t]) for c in columns]))
+    _write_lines(path, lines)
+
+
+def write_ledger_csv(path, years, ledger) -> None:
     """Statement in thousands of euros, each column rounded independently."""
-    cols = [cents_to_thousands(ledger.columns[c]) for c in LedgerRow.COLUMNS]
-    lines = [",".join(LEDGER_HEADER)]
-    for t, year in enumerate(ledger.years):
-        lines.append(",".join([str(int(year))] + [str(int(c[t])) for c in cols]))
-    _write_lines(path, lines)
+    _write_ledger(path, years, [cents_to_thousands(ledger[c]) for c in LEDGER_COLUMNS], str)
 
 
-def write_ledger_raw_csv(path, ledger: FundLedger) -> None:
+def write_ledger_raw_csv(path, years, ledger) -> None:
     """Statement at full precision, euros with exact cents."""
-    lines = [",".join(LEDGER_HEADER)]
-    for t, year in enumerate(ledger.years):
-        cells = [_eur(ledger.columns[c][t]) for c in LedgerRow.COLUMNS]
-        lines.append(",".join([str(int(year))] + cells))
-    _write_lines(path, lines)
+    _write_ledger(path, years, [ledger[c] for c in LEDGER_COLUMNS], _eur)
 
 
 def read_ledger_csv(path) -> list[dict[str, int]]:
@@ -75,8 +76,8 @@ def read_ledger_csv(path) -> list[dict[str, int]]:
         return [{k: int(v) for k, v in rec.items()} for rec in csv.DictReader(fh)]
 
 
-def read_ledger_raw_csv(path) -> FundLedger:
-    """Rebuild the cent-exact ledger from its raw file."""
+def read_ledger_raw_csv(path):
+    """(years, ledger) from a raw ledger file, the ledger cent-exact."""
     with open(path, encoding="utf-8", newline="") as fh:
         recs = list(csv.DictReader(fh))
     if not recs:
@@ -84,11 +85,9 @@ def read_ledger_raw_csv(path) -> FundLedger:
     years = [int(r["year"]) for r in recs]
     if years != list(range(years[0], years[0] + len(years))):
         raise ValueError(f"{path}: years are not consecutive")
-    cols = {}
-    for letter, name in LedgerRow.LETTERS.items():
-        key = f"{letter}_{name}"
-        cols[name] = np.array([_parse_eur(r[key]) for r in recs], dtype=np.int64)
-    return FundLedger(first_year=years[0], columns=cols)
+    return years, {name: np.array([_parse_eur(r[f"{letter}_{name}"]) for r in recs],
+                                  dtype=np.int64)
+                   for letter, name in LEDGER_LETTERS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +212,13 @@ def run_manifest(cfg: ScenarioConfig, mode: str) -> dict:
 
 def projection_summary(cfg: ScenarioConfig, result) -> dict:
     ledger = result.ledger
-    balance = ledger.columns["pension_balance"]
-    negative = [int(y) for y, v in zip(ledger.years, balance) if v < 0]
+    negative = [int(y) for y, v in zip(result.years, ledger["pension_balance"]) if v < 0]
     return {
         "schema": "paygsim.summary/1",
         "mode": "project",
         "horizon": {"first_year": cfg.first_year, "last_year": cfg.last_year},
-        "identities_hold": bool(ledger.identities_hold()),
-        "fund_value_end_eur": float(ledger.columns["value_end"][-1]) / 100.0,
+        "identities_hold": identities_hold(ledger),
+        "fund_value_end_eur": float(ledger["value_end"][-1]) / 100.0,
         "pension_balance_first_negative_year": negative[0] if negative else None,
         "entrants_final_year": {s: float(result.entrants[s][-1]) for s in cfg.sexes},
     }
@@ -268,8 +266,9 @@ def _write_bundle(outdir, files) -> list[str]:
 def emit_projection_outputs(outdir, cfg: ScenarioConfig, result) -> list[str]:
     """ledger.csv, ledger_raw.csv, entrants.csv, summary.json, manifest.json."""
     return _write_bundle(outdir, [
-        ("ledger.csv", lambda path: write_ledger_csv(path, result.ledger)),
-        ("ledger_raw.csv", lambda path: write_ledger_raw_csv(path, result.ledger)),
+        ("ledger.csv", lambda path: write_ledger_csv(path, result.years, result.ledger)),
+        ("ledger_raw.csv", lambda path: write_ledger_raw_csv(path, result.years,
+                                                             result.ledger)),
         ("entrants.csv", lambda path: write_entrants_csv(path, result.years, result.entrants)),
         ("summary.json", lambda path: write_json(path, projection_summary(cfg, result))),
         ("manifest.json", lambda path: write_json(path, run_manifest(cfg, "project"))),

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cashflows import (FundLedger, accrue_and_credit, build_ledger,
-                        contribution_income, pension_disbursement)
+from . import cashflows
+from .cashflows import accrue_and_credit, contribution_income, pension_disbursement, to_cents
 from .cohorts import ACTIVE, RETIRED, age_one_year, inject_new_entrants, retire
 from .config import ScenarioConfig
 from .engine import (admin_path, build_system, entrant_moment_tables, entrant_product,
@@ -31,11 +31,12 @@ from .errors import CoverageError
 
 @dataclass
 class ProjectionResult:
-    """One projected path: yearly euro flows, headcounts and the cent ledger."""
+    """One projected path: yearly euro flows, headcounts and the cent ledger,
+    which maps each of `cashflows.LEDGER_COLUMNS` to its (n_years,) array."""
 
     first_year: int
     years: np.ndarray
-    ledger: FundLedger
+    ledger: dict[str, np.ndarray]
     subjective: np.ndarray
     integrative: np.ndarray
     disbursements: np.ndarray
@@ -48,9 +49,10 @@ class ProjectionResult:
 
 def _assemble_result(cfg: ScenarioConfig, flows: dict, rates: np.ndarray,
                      admin: np.ndarray, ne: np.ndarray) -> ProjectionResult:
-    ledger = build_ledger(cfg.first_year, cfg.economics.initial_assets,
-                          flows["subjective"], flows["integrative"],
-                          flows["disbursements"], admin, rates)
+    # looked up on its module, where perfbench's tracer wraps it
+    ledger = cashflows.ledger_columns(int(to_cents(cfg.economics.initial_assets)),
+                                      flows["subjective"], flows["integrative"],
+                                      flows["disbursements"], admin, rates)
     return ProjectionResult(
         first_year=cfg.first_year, years=np.array(cfg.years), ledger=ledger,
         subjective=flows["subjective"], integrative=flows["integrative"],

@@ -15,7 +15,7 @@ import pytest
 
 from paygsim import (load_config, montecarlo, run_deterministic_projection,
                      run_simulation)
-from paygsim.cashflows import (LedgerRow, build_ledger, cents_to_thousands,
+from paygsim.cashflows import (LEDGER_LETTERS, cents_to_thousands, ledger_columns,
                                to_cents)
 from paygsim.cohorts import (CohortGrid, MortalityModel, RetirementRule, age_one_year,
                              death_probability_grid, expected_mortality_grid, retire)
@@ -68,14 +68,14 @@ def sensitivity(cfg):
 
 def test_criterion_1_yearly_statement_identities(cfg):
     t0 = time.perf_counter()
-    led = build_ledger(2006, opening_eur=ROW_2006["A"] * 1000.0,
-                       subj_eur=[ROW_2006["B"] * 1000.0],
-                       integ_eur=[ROW_2006["C"] * 1000.0],
-                       disb_eur=[ROW_2006["D"] * 1000.0],
-                       admin_eur=[ROW_2006["G"] * 1000.0],
-                       rates=[0.034])
-    got = {letter: int(cents_to_thousands(led.columns[name][0]))
-           for letter, name in LedgerRow.LETTERS.items()}
+    led = ledger_columns(int(to_cents(ROW_2006["A"] * 1000.0)),
+                         subj_eur=[ROW_2006["B"] * 1000.0],
+                         integ_eur=[ROW_2006["C"] * 1000.0],
+                         disb_eur=[ROW_2006["D"] * 1000.0],
+                         admin_eur=[ROW_2006["G"] * 1000.0],
+                         rates=[0.034])
+    got = {letter: int(cents_to_thousands(led[name][0]))
+           for letter, name in LEDGER_LETTERS.items()}
     for letter in ("E", "F", "H", "I"):
         assert abs(got[letter] - ROW_2006[letter]) <= 1, (letter, got[letter])
     admin = admin_path(cfg)
@@ -263,9 +263,9 @@ def test_criterion_9_fan_chart_structure(cfg, sensitivity):
     collapsed = run_simulation(cfg.with_run(n_reps=50, flags=StochasticFlags.none()))
     det = run_deterministic_projection(cfg)
     expected = {
-        "fund_value": det.ledger.columns["value_end"] / 100.0,
-        "total_balance": det.ledger.columns["total_balance"] / 100.0,
-        "pension_balance": det.ledger.columns["pension_balance"] / 100.0,
+        "fund_value": det.ledger["value_end"] / 100.0,
+        "total_balance": det.ledger["total_balance"] / 100.0,
+        "pension_balance": det.ledger["pension_balance"] / 100.0,
         "entrants_total": sum(det.entrants.values()),
         "actives": det.actives,
         "retirees": det.retirees,

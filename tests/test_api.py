@@ -1,4 +1,5 @@
-"""The package's exported names are the Python API the README lists."""
+"""The package's exported names are the Python API the README lists, and
+the README's Python example runs."""
 
 import re
 from pathlib import Path
@@ -38,3 +39,13 @@ def test_readme_states_the_held_array_count():
     held = len(montecarlo._HELD_COLUMNS) + 2 + 2
     assert re.findall(r"the result is (\d+) arrays", text) == [str(held)]
     assert re.findall(r"`n_reps × n_years × (\d+) × 8` bytes", text) == [str(held)]
+
+
+def test_readme_python_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert len(blocks) == 1
+    scope: dict = {}
+    exec(compile(blocks[0], "README.md", "exec"), scope)
+    assert scope["fan"]["values"].shape == (3, len(scope["cfg"].years))
+    assert capsys.readouterr().out.startswith("{'value_start': 206779398900,")

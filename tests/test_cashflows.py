@@ -3,11 +3,12 @@ import pytest
 
 from types import SimpleNamespace
 
-from paygsim import Schedule, build_ledger
-from paygsim.cashflows import (AgeProfile, BenefitRule, ContributionRule,
-                               EconomicAssumptions, FundLedger, accrue_and_credit,
-                               cents_to_thousands, contribution_income, ledger_columns,
-                               pension_disbursement, round_half_away, to_cents)
+from paygsim import Schedule
+from paygsim.cashflows import (LEDGER_COLUMNS, LEDGER_LETTERS, AgeProfile, BenefitRule,
+                               ContributionRule, EconomicAssumptions, accrue_and_credit,
+                               cents_to_thousands, contribution_income, identities_hold,
+                               ledger_columns, pension_disbursement, round_half_away,
+                               to_cents)
 from paygsim.cohorts import CohortGrid
 from paygsim.engine import admin_path, price_index, return_rates
 from paygsim.errors import CoverageError, StateError
@@ -39,11 +40,17 @@ def horizon(ec, first_year=2006, last_year=2040):
     return SimpleNamespace(economics=ec, years=list(range(first_year, last_year + 1)))
 
 
-def one_row(year, value_start_cents, subj_eur, integ_eur, disb_eur, admin_eur, rate):
-    """The ledger row of a one-year horizon opening at value_start_cents."""
+def one_row(value_start_cents, subj_eur, integ_eur, disb_eur, admin_eur, rate):
+    """The ledger of a one-year horizon opening at value_start_cents, each
+    column as its one amount."""
     cols = ledger_columns(value_start_cents, [subj_eur], [integ_eur], [disb_eur],
                           [admin_eur], [rate])
-    return FundLedger(year, cols).row(year)
+    return {name: int(col[0]) for name, col in cols.items()}
+
+
+def euro_ledger(opening_eur, *flows):
+    """The ledger of euro flows opening at opening_eur."""
+    return ledger_columns(int(to_cents(opening_eur)), *flows)
 
 
 class TestRounding:
@@ -264,44 +271,43 @@ class TestEconomics:
 
 
 class TestLedger:
+    def test_columns_follow_the_statement_order(self):
+        ledger = one_row(0, 1.0, 0.0, 0.0, 0.0, 0.0)
+        assert tuple(ledger) == LEDGER_COLUMNS
+        assert "".join(LEDGER_LETTERS) == "ABCDEFGHI"
+        assert tuple(LEDGER_LETTERS.values()) == LEDGER_COLUMNS
+
     def test_single_row_hand_values(self):
-        row = one_row(2006, int(to_cents(100.0)), subj_eur=10.0,
-                              integ_eur=0.0, disb_eur=5.0, admin_eur=1.0, rate=0.05)
-        assert row.investment_income == 500        # 5.00
-        assert row.pension_balance == 500
-        assert row.total_balance == 900
-        assert row.value_end == 10_900             # 109.00
-        assert row.identities_hold()
+        row = one_row(int(to_cents(100.0)), subj_eur=10.0,
+                      integ_eur=0.0, disb_eur=5.0, admin_eur=1.0, rate=0.05)
+        assert row["investment_income"] == 500        # 5.00
+        assert row["pension_balance"] == 500
+        assert row["total_balance"] == 900
+        assert row["value_end"] == 10_900             # 109.00
+        assert identities_hold(row)
 
     def test_zero_flows_zero_rate_is_identity(self):
-        row = one_row(2006, 12_345, 0.0, 0.0, 0.0, 0.0, 0.0)
-        assert row.value_end == row.value_start == 12_345
-        assert row.total_balance == 0
+        row = one_row(12_345, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert row["value_end"] == row["value_start"] == 12_345
+        assert row["total_balance"] == 0
 
     def test_investment_income_is_rounded_product(self):
         # 333.33 euros at 3.4%: 1133.3322 cents, half away from zero
-        row = one_row(2006, 33_333, 0.0, 0.0, 0.0, 0.0, 0.034)
-        assert row.investment_income == 1133
+        row = one_row(33_333, 0.0, 0.0, 0.0, 0.0, 0.034)
+        assert row["investment_income"] == 1133
 
     def test_chained_rows(self):
-        ledger = build_ledger(2006, 100.0, [10.0, 10.0, 10.0], [2.0, 2.0, 2.0],
-                              [5.0, 5.0, 5.0], [1.0, 1.0, 1.0], [0.05, 0.05, 0.05])
-        rows = ledger.rows()
-        assert [r.year for r in rows] == [2006, 2007, 2008]
-        for a, b in zip(rows, rows[1:]):
-            assert a.value_end == b.value_start
-        assert ledger.identities_hold()
-
-    def test_row_lookup_bounds(self):
-        ledger = build_ledger(2006, 100.0, [1.0], [0.0], [0.0], [0.0], [0.0])
-        with pytest.raises(CoverageError, match="2007"):
-            ledger.row(2007)
+        ledger = euro_ledger(100.0, [10.0, 10.0, 10.0], [2.0, 2.0, 2.0],
+                             [5.0, 5.0, 5.0], [1.0, 1.0, 1.0], [0.05, 0.05, 0.05])
+        assert all(col.shape == (3,) for col in ledger.values())
+        assert np.array_equal(ledger["value_end"][:-1], ledger["value_start"][1:])
+        assert identities_hold(ledger)
 
     def test_negative_flows_round_away_from_zero(self):
-        row = one_row(2006, 0, 0.0, 0.0, 0.005, 0.0, 0.0)
-        assert row.disbursements == 1
-        assert row.pension_balance == -1
-        assert row.identities_hold()
+        row = one_row(0, 0.0, 0.0, 0.005, 0.0, 0.0)
+        assert row["disbursements"] == 1
+        assert row["pension_balance"] == -1
+        assert identities_hold(row)
 
     def test_batched_recursion_matches_scalar(self):
         rng = np.random.default_rng(3)
@@ -310,19 +316,17 @@ class TestLedger:
         disb = rng.uniform(0, 120, (4, 6))
         admin = rng.uniform(0, 10, (4, 6))
         rates = rng.normal(0.03, 0.05, (4, 6))
-        batch = build_ledger(2006, 1000.0, subj, integ, disb, admin, rates)
+        batch = euro_ledger(1000.0, subj, integ, disb, admin, rates)
+        assert identities_hold(batch)
         for i in range(4):
-            solo = build_ledger(2006, 1000.0, subj[i], integ[i], disb[i],
-                                admin[i], rates[i])
-            for c, vals in solo.columns.items():
-                assert np.array_equal(batch.columns[c][i], vals)
+            solo = euro_ledger(1000.0, subj[i], integ[i], disb[i], admin[i], rates[i])
+            for c, vals in solo.items():
+                assert np.array_equal(batch[c][i], vals)
 
     def test_value_grows_with_the_return(self):
-        lo = build_ledger(2006, 1000.0, [10.0] * 5, [0.0] * 5, [0.0] * 5,
-                          [0.0] * 5, [0.01] * 5)
-        hi = build_ledger(2006, 1000.0, [10.0] * 5, [0.0] * 5, [0.0] * 5,
-                          [0.0] * 5, [0.05] * 5)
-        assert hi.row(2010).value_end > lo.row(2010).value_end
+        lo = euro_ledger(1000.0, [10.0] * 5, [0.0] * 5, [0.0] * 5, [0.0] * 5, [0.01] * 5)
+        hi = euro_ledger(1000.0, [10.0] * 5, [0.0] * 5, [0.0] * 5, [0.0] * 5, [0.05] * 5)
+        assert hi["value_end"][4] > lo["value_end"][4]
 
     def test_closing_value_that_would_wrap_raises(self):
         # 9e16 euros doubling in a year is 1.8e19 cents, past int64's 9.2e18

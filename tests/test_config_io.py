@@ -59,6 +59,14 @@ class TestSmallScenario:
         re = cfg.with_run(seed=99, n_reps=3)
         assert (re.run.seed, re.run.n_reps) == (99, 3)
 
+    def test_n_reps_is_capped_at_the_stream_id_range(self, small_scenario):
+        # replication i draws from stream id i, and stream ids are below 2**32
+        cfg = load_config(small_scenario)
+        assert cfg.with_run(n_reps=2**32).run.n_reps == 2**32
+        with pytest.raises(ConfigError) as exc:
+            cfg.with_run(n_reps=2**32 + 1)
+        assert exc.value.messages == ["run.n_reps: must be <= 2**32, got 4294967297"]
+
     @pytest.mark.parametrize("change, field", [
         ({"n_reps": 0}, "run.n_reps"), ({"n_reps": -3}, "run.n_reps"),
         ({"seed": -1}, "run.seed"),
@@ -336,7 +344,7 @@ class TestEachScheduleIsCheckedWhereTheModelReadsIt:
     def test_the_checked_years_are_the_years_read(self, tmp_path, tweaks):
         cfg = load_config(write_scenario(str(tmp_path), tweaks=tweaks))
         det, grid = run_deterministic_projection(cfg), stepwise_projection(cfg)
-        assert np.array_equal(det.ledger.columns["value_end"], grid.ledger.columns["value_end"])
+        assert np.array_equal(det.ledger["value_end"], grid.ledger["value_end"])
 
     @pytest.mark.parametrize("tweaks, field", [
         ({"horizon": {"first_year": None}}, "horizon.first_year"),
@@ -472,6 +480,22 @@ def test_a_listed_sex_no_table_has_is_one_message(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: population.sexes: got ['male', 'female', 'x'], but mortality.table_csv has "
         "rows for 'male', 'female'\n")
+
+
+def test_a_sex_named_total_is_refused(tmp_path, capsys):
+    # its arrivals series would be entrants_total, the name of the sum over
+    # the sexes, and drop out of every output
+    path = write_scenario(str(tmp_path))
+    for file in tmp_path.iterdir():
+        file.write_text(file.read_text(encoding="utf-8").replace("female", "total"),
+                        encoding="utf-8")
+    message = ("population.sexes: a sex cannot be named 'total': entrants_total is "
+               "the series of all arrivals")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.messages == [message]
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("field, names", [

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import write_scenario
-from paygsim import load_config, run_deterministic_projection, stepwise_projection
-from paygsim.cashflows import round_half_away
+from paygsim import (load_config, run_deterministic_projection, run_simulation,
+                     stepwise_projection)
+from paygsim.cashflows import LEDGER_COLUMNS, identities_hold, round_half_away
 from paygsim.cohorts import death_probability_grid
 from paygsim.engine import (build_system, entrant_moment_tables, entrant_product,
                             entrants_matrix, opening_balance, price_index, return_rates,
@@ -33,9 +34,9 @@ class TestTwoEnginesAgree:
         slow = stepwise_projection(small_cfg)
         for key in FLOW_KEYS:
             assert rel_close(getattr(fast, key), getattr(slow, key)), key
-        for name, col in fast.ledger.columns.items():
+        for name, col in fast.ledger.items():
             # the ledger quantizes to cents, so agreement must be exact
-            assert np.array_equal(col, slow.ledger.columns[name]), name
+            assert np.array_equal(col, slow.ledger[name]), name
         for s in small_cfg.sexes:
             assert rel_close(fast.entrants[s], slow.entrants[s])
 
@@ -44,8 +45,8 @@ class TestTwoEnginesAgree:
         slow = stepwise_projection(cfg)
         for key in FLOW_KEYS:
             assert rel_close(getattr(fast, key), getattr(slow, key)), key
-        for name, col in fast.ledger.columns.items():
-            assert np.array_equal(col, slow.ledger.columns[name]), name
+        for name, col in fast.ledger.items():
+            assert np.array_equal(col, slow.ledger[name]), name
 
     def test_bundled_stochastic_replication_matches(self, cfg):
         blocks = draw_shock_blocks(cfg, [0])
@@ -74,6 +75,20 @@ class TestTwoEnginesAgree:
         for key in FLOW_KEYS:
             assert rel_close(flows[key][0], getattr(slow, key)), key
         assert rel_close(rates[0], slow.rates)
+
+    @pytest.mark.parametrize("scenario", ["bundled", "small"])
+    def test_replayed_replications_give_the_same_ledger_to_the_cent(self, scenario,
+                                                                   request):
+        cfg = request.getfixturevalue("cfg" if scenario == "bundled" else "small_cfg")
+        result = run_simulation(cfg.with_run(n_reps=8))
+        blocks = draw_shock_blocks(cfg, range(8))
+        for rep in range(8):
+            slow = stepwise_projection(
+                cfg, entrants_path={s: result.entrants[s][rep] for s in cfg.sexes},
+                eps_mort=blocks.mortality[rep], eps_ret=blocks.returns[rep])
+            for name in LEDGER_COLUMNS:
+                assert np.array_equal(result.ledger[name][rep], slow.ledger[name]), \
+                    (rep, name)
 
 
 
@@ -177,32 +192,32 @@ class TestOpeningBalance:
 class TestDeterministicLedger:
     def test_investment_income_is_opening_times_rate(self, small_cfg):
         res = run_deterministic_projection(small_cfg)
-        cols = res.ledger.columns
+        cols = res.ledger
         for t, rate in enumerate(res.rates):
             want = round_half_away(cols["value_start"][t] * rate)
             assert cols["investment_income"][t] == want
 
     def test_identities_hold(self, small_cfg):
-        assert run_deterministic_projection(small_cfg).ledger.identities_hold()
+        assert identities_hold(run_deterministic_projection(small_cfg).ledger)
 
     def test_doubling_admin_base_doubles_admin_only(self, small_cfg, tmp_path):
         doubled = load_config(write_scenario(
             str(tmp_path), tweaks={"economics": {"admin_base": 20_000}}))
         a = run_deterministic_projection(small_cfg)
         b = run_deterministic_projection(doubled)
-        assert np.array_equal(2 * a.ledger.columns["admin_costs"],
-                              b.ledger.columns["admin_costs"])
+        assert np.array_equal(2 * a.ledger["admin_costs"],
+                              b.ledger["admin_costs"])
         for untouched in ("contrib_subjective", "contrib_integrative", "disbursements"):
-            assert np.array_equal(a.ledger.columns[untouched],
-                                  b.ledger.columns[untouched])
-        assert b.ledger.columns["value_end"][-1] < a.ledger.columns["value_end"][-1]
+            assert np.array_equal(a.ledger[untouched],
+                                  b.ledger[untouched])
+        assert b.ledger["value_end"][-1] < a.ledger["value_end"][-1]
 
     def test_final_value_increases_with_expected_return(self, small_cfg, tmp_path):
         rich = load_config(write_scenario(
             str(tmp_path), tweaks={"economics": {"expected_return": 0.05}}))
         a = run_deterministic_projection(small_cfg)
         b = run_deterministic_projection(rich)
-        assert b.ledger.columns["value_end"][-1] > a.ledger.columns["value_end"][-1]
+        assert b.ledger["value_end"][-1] > a.ledger["value_end"][-1]
 
     def test_without_arrivals_the_pension_balance_turns_negative(self, tmp_path):
         zero_factors = {
@@ -223,7 +238,7 @@ class TestDeterministicLedger:
         res = run_deterministic_projection(load_config(path))
         for s in res.entrants:
             assert np.all(res.entrants[s] == 0.0)
-        balance = res.ledger.columns["pension_balance"]
+        balance = res.ledger["pension_balance"]
         assert balance[0] > 0
         # once the last actives retire only disbursements remain
         # (until the retirees too age off the grid)

@@ -11,9 +11,9 @@ import pytest
 
 from conftest import write_scenario
 from paygsim import cli, engine, montecarlo
-from paygsim import (LedgerRow, StochasticFlags, load_config, distribution_moments,
+from paygsim import (StochasticFlags, load_config, distribution_moments,
                      percentile_bands, run_deterministic_projection, run_simulation)
-from paygsim.cashflows import ledger_columns, to_cents
+from paygsim.cashflows import LEDGER_COLUMNS, identities_hold, ledger_columns, to_cents
 from paygsim.errors import CoverageError
 from paygsim.montecarlo import draw_shock_blocks
 from paygsim.stochastic import open_streams
@@ -368,14 +368,26 @@ class TestDerivedLedger:
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", chunk)  # before workers fork
         result = run_simulation(cfg, workers=workers)
         want = self.recompute(cfg)
-        assert tuple(result.ledger) == LedgerRow.COLUMNS and len(result.ledger) == 9
-        for name in LedgerRow.COLUMNS:
+        assert tuple(result.ledger) == LEDGER_COLUMNS and len(result.ledger) == 9
+        for name in LEDGER_COLUMNS:
             col = result.ledger[name]
             assert col.dtype == np.int64 and not col.flags.writeable, name
             assert col.shape == want[name].shape and col.tobytes() == want[name].tobytes(), name
         assert "value_start" in result.ledger and "fund_value" not in result.ledger
         with pytest.raises(KeyError):
             result.ledger["fund_value"]
+
+    def test_identities_hold_on_every_replication(self, small_cfg, base_run):
+        assert identities_hold(base_run.ledger)
+        # and the check is not vacuous: a cent moved in any one column of a
+        # projection's or a run's ledger fails it
+        det = run_deterministic_projection(small_cfg).ledger
+        assert identities_hold(det)
+        for ledger, cell in ((det, 3), (base_run.ledger, (5, 3))):
+            for name in LEDGER_COLUMNS:
+                moved = {k: np.array(col) for k, col in ledger.items()}
+                moved[name][cell] += 1
+                assert not identities_hold(moved), name
 
     def test_derived_columns_are_computed_on_every_read(self, base_run):
         for name in ("value_start", "disbursements", "investment_income"):
@@ -403,7 +415,7 @@ class TestFlagCollapse:
         frozen = run_simulation(small_cfg.with_run(flags=StochasticFlags.none()))
         for rep in range(frozen.n_reps):
             assert np.array_equal(frozen.ledger["value_end"][rep],
-                                  det.ledger.columns["value_end"])
+                                  det.ledger["value_end"])
             assert np.array_equal(frozen.series["actives"][rep], det.actives)
             for si, s in enumerate(small_cfg.sexes):
                 assert np.array_equal(frozen.series[f"entrants_{s}"][rep],

@@ -3,8 +3,8 @@ import os
 import numpy as np
 import pytest
 
-from paygsim import (build_ledger, load_config, run_deterministic_projection,
-                     run_simulation)
+from paygsim import load_config, run_deterministic_projection, run_simulation
+from paygsim.cashflows import identities_hold, ledger_columns
 from paygsim.outputs import (LEDGER_HEADER, MOMENT_STATS, _eur, _parse_eur,
                              emit_entrants_outputs, emit_projection_outputs,
                              emit_simulation_outputs, projection_summary,
@@ -51,33 +51,37 @@ class TestEuroStrings:
         assert _parse_eur("-3") == -300
 
 
+YEARS = list(range(2006, 2012))
+
+
 class TestLedgerFiles:
     @pytest.fixture()
     def ledger(self):
         rng = np.random.default_rng(8)
-        n = 6
-        return build_ledger(2006, 2_000_000.0, rng.uniform(0, 3e5, n),
-                            rng.uniform(0, 2e5, n), rng.uniform(0, 4e5, n),
-                            rng.uniform(0, 5e4, n), rng.normal(0.03, 0.04, n))
+        n = len(YEARS)
+        return ledger_columns(200_000_000, rng.uniform(0, 3e5, n),
+                              rng.uniform(0, 2e5, n), rng.uniform(0, 4e5, n),
+                              rng.uniform(0, 5e4, n), rng.normal(0.03, 0.04, n))
 
     def test_raw_file_round_trips_exactly(self, tmp_path, ledger):
         path = tmp_path / "raw.csv"
-        write_ledger_raw_csv(path, ledger)
-        back = read_ledger_raw_csv(path)
-        assert back.first_year == ledger.first_year
-        for name, col in ledger.columns.items():
-            assert np.array_equal(back.columns[name], col)
-        assert back.identities_hold()
+        write_ledger_raw_csv(path, YEARS, ledger)
+        years, back = read_ledger_raw_csv(path)
+        assert years == YEARS
+        assert list(back) == list(ledger)
+        for name, col in ledger.items():
+            assert np.array_equal(back[name], col)
+        assert identities_hold(back)
 
     def test_rewrite_is_byte_identical(self, tmp_path, ledger):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_ledger_raw_csv(a, ledger)
-        write_ledger_raw_csv(b, read_ledger_raw_csv(a))
+        write_ledger_raw_csv(a, YEARS, ledger)
+        write_ledger_raw_csv(b, *read_ledger_raw_csv(a))
         assert a.read_bytes() == b.read_bytes()
 
     def test_display_file_headers_and_identities(self, tmp_path, ledger):
         path = tmp_path / "ledger.csv"
-        write_ledger_csv(path, ledger)
+        write_ledger_csv(path, YEARS, ledger)
         rows = read_ledger_csv(path)
         assert list(rows[0]) == list(LEDGER_HEADER)
         for row in rows:
@@ -93,14 +97,15 @@ class TestLedgerFiles:
     def test_display_chain_links_exactly(self, tmp_path, ledger):
         # I(t) and A(t+1) round the same cent value, so they agree exactly
         path = tmp_path / "ledger.csv"
-        write_ledger_csv(path, ledger)
+        write_ledger_csv(path, YEARS, ledger)
         rows = read_ledger_csv(path)
+        assert [row["year"] for row in rows] == YEARS
         for a, b in zip(rows, rows[1:]):
             assert a["I_value_end"] == b["A_value_start"]
 
     def test_raw_reader_rejects_gaps(self, tmp_path, ledger):
         path = tmp_path / "raw.csv"
-        write_ledger_raw_csv(path, ledger)
+        write_ledger_raw_csv(path, YEARS, ledger)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
         with pytest.raises(ValueError, match="consecutive"):
@@ -189,7 +194,7 @@ class TestJsonDocuments:
         assert s["schema"] == "paygsim.summary/1"
         assert s["identities_hold"] is True
         assert s["fund_value_end_eur"] == pytest.approx(
-            projection.ledger.columns["value_end"][-1] / 100.0)
+            projection.ledger["value_end"][-1] / 100.0)
         for sex in small_cfg.sexes:
             assert s["entrants_final_year"][sex] == projection.entrants[sex][-1]
 
@@ -210,8 +215,11 @@ class TestBundles:
         assert names == ["entrants.csv", "ledger.csv", "ledger_raw.csv",
                          "manifest.json", "summary.json"]
         assert all(os.path.exists(p) for p in written)
-        back = read_ledger_raw_csv(os.path.join(tmp_path, "out", "ledger_raw.csv"))
-        assert back.identities_hold()
+        years, back = read_ledger_raw_csv(os.path.join(tmp_path, "out", "ledger_raw.csv"))
+        assert years == small_cfg.years
+        for name, col in projection.ledger.items():
+            assert np.array_equal(back[name], col), name
+        assert identities_hold(back)
 
     def test_simulation_bundle(self, tmp_path, small_cfg, simulation):
         written = emit_simulation_outputs(str(tmp_path / "out"), small_cfg, simulation)
