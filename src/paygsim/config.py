@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 import yaml
@@ -139,82 +142,168 @@ def default_config_path() -> str:
 # CSV loaders
 
 
-def _read_csv(path: str, required: tuple[str, ...], hasher) -> list[tuple[int, dict]]:
-    """Rows of a CSV file, each with the number of the file line it ends on,
-    skipping '#' comment lines."""
+class _Table:
+    """A CSV file's data rows as columns: the lines that are not '#' comments,
+    read as CSV, the first of them the header, skipping blank lines. A loader
+    reads each column it needs in the order a row is checked, then calls
+    `check`; a column whose cells do not all read records a failure at its
+    first bad cell."""
+
+    def __init__(self, path: str, lines: list[str], required: tuple[str, ...]):
+        self.path, self._lines = path, lines
+        reader = self._reader()
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ConfigError([f"{path}: missing columns {missing}, found {header}"])
+        rows = list(filter(None, reader))
+        self.n = len(rows)
+        self._index = {name: j for j, name in enumerate(header)}  # a repeated name: its last
+        self._columns = list(zip_longest(*rows))  # None where a row is short
+        self._failures: list[tuple[int, int, str]] = []
+
+    def _reader(self):
+        # each line ends in a newline, as a quoted cell that spans lines keeps it
+        kept = [ln for ln in self._lines if ln[:1] != "#"]
+        return csv.reader(io.StringIO("\n".join(kept + [""])))
+
+    @cached_property
+    def lines(self) -> list[int]:
+        """The file line each data row ends on, read again for a message."""
+        numbers = [n for n, ln in enumerate(self._lines, 1) if ln[:1] != "#"]
+        reader = self._reader()
+        next(reader, None)
+        return [numbers[reader.line_num - 1] for row in reader if row]
+
+    def __contains__(self, name: str) -> bool:
+        return name in self._index
+
+    def cells(self, name: str) -> tuple:
+        j = self._index[name]
+        return self._columns[j] if j < len(self._columns) else (None,) * self.n
+
+    def _fail(self, row: int, message: str) -> None:
+        self._failures.append((row, len(self._failures), message))
+
+    def check(self) -> None:
+        """Raise the failure a row-by-row reading meets first: that of the
+        earliest failing row, and of the first check it fails."""
+        if self._failures:
+            _, _, message = min(self._failures)
+            raise ConfigError([f"{self.path}: {message}"])
+
+    def present(self, name: str) -> tuple:
+        """A key column's cells; a row too short to have one fails."""
+        cells = self.cells(name)
+        if None in cells:
+            i = cells.index(None)
+            self._fail(i, f"line {self.lines[i]}: no {name} cell")
+        return cells
+
+    def ints(self, name: str) -> list:
+        """A key column as integers, None for a cell that is not one."""
+        cells = self.cells(name)
+        try:
+            return list(map(int, cells))
+        except (TypeError, ValueError):
+            values = [_parse(int, c) for c in cells]
+            i = values.index(None)
+            self._fail(i, f"line {self.lines[i]}: no {name} cell" if cells[i] is None
+                       else f"line {self.lines[i]}: {name} {cells[i]!r} is not an integer")
+            return values
+
+    def finites(self, name: str, where: Callable[[int], str]) -> np.ndarray:
+        """A value column as floats; a cell that is not a finite number fails,
+        its message naming the row as `where(row)` does."""
+        cells = self.cells(name)
+        try:
+            values = np.array(list(map(float, cells)))
+        except (TypeError, ValueError):
+            values = np.array([_parse(float, c, math.nan) for c in cells])
+        bad = ~np.isfinite(values)
+        if bad.any():
+            i = int(bad.argmax())
+            self._fail(i, f"{name} {cells[i]!r} for {where(i)} is not a finite number")
+        return values
+
+    def sex_index(self, cells: tuple, sexes, every: bool = False) -> list:
+        """Each row's index into `sexes`, by its sex cell; if `every`, an empty
+        cell is a row for every sex, -1. An unknown sex fails."""
+        index = {s: i for i, s in enumerate(sexes)} | ({"": -1} if every else {})
+        try:
+            return [index[c] for c in cells]
+        except KeyError:
+            i = next(i for i, c in enumerate(cells) if c not in index)
+            self._fail(i, f"unknown sex {cells[i]!r}")
+            return []
+
+    def refuse_repeats(self, rows, keys, describe: Callable) -> None:
+        """A ConfigError if two rows give one cell: `keys[k]` is the cell that
+        row `rows[k]` gives, in row order, and `describe(key)` names it."""
+        first = {}
+        for row, key in zip(rows, keys):
+            if first.setdefault(key, row) != row:
+                raise ConfigError([f"{self.path}: line {self.lines[row]}: {describe(key)} "
+                                   f"was given on line {self.lines[first[key]]}"])
+
+
+def _parse(kind, cell, failed=None):
+    """kind(cell), or `failed` if the cell does not read as one."""
+    try:
+        return kind(cell)
+    except (TypeError, ValueError):
+        return failed
+
+
+def _read_csv(path: str, required: tuple[str, ...], hasher) -> _Table:
+    """A CSV file as a table, its bytes hashed; it may start with a byte-order
+    mark, and must have the required columns."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
     hasher.update(raw)
-    text = raw.decode("utf-8")
-    numbered = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if not ln.startswith("#")]
-    reader = csv.DictReader(ln + "\n" for _, ln in numbered)
-    got = tuple(reader.fieldnames or ())
-    missing = [c for c in required if c not in got]
-    if missing:
-        raise ConfigError([f"{path}: missing columns {missing}, found {list(got)}"])
-    return [(numbered[reader.line_num - 1][0], row) for row in reader]
+    return _Table(path, raw.decode("utf-8-sig").splitlines(), required)
 
 
-def _key(path: str, line: int, row: dict, col: str) -> str:
-    """One cell of a key column; a ConfigError naming the file, line and
-    column if the row is too short to have it."""
-    cell = row[col]
-    if cell is None:
-        raise ConfigError([f"{path}: line {line}: no {col} cell"])
-    return cell
-
-
-def _int_key(path: str, line: int, row: dict, col: str) -> int:
-    cell = _key(path, line, row, col)
-    try:
-        return int(cell)
-    except ValueError:
-        raise ConfigError([f"{path}: line {line}: {col} {cell!r} is not an integer"]) from None
-
-
-def _finite(path: str, row: dict, col: str, where: str) -> float:
-    """One cell as a float; a ConfigError naming the cell if it is not a
-    finite number (including a cell missing from a short row)."""
-    try:
-        value = float(row[col])
-    except (TypeError, ValueError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConfigError([f"{path}: {col} {row[col]!r} for {where} is not a finite number"])
-    return value
-
-
-def _age_grid(path: str, by_sex: dict, sexes, width: int) -> tuple[int, int, np.ndarray]:
-    """The first and last age with a row, and each sex's {age: cells} rows as
-    a (sex, age, cell) array between them; NaN where a sex has no row."""
-    ages = sorted({a for rows in by_sex.values() for a in rows})
-    if not ages:
-        raise ConfigError([f"{path}: no usable rows"])
-    grid = np.full((len(sexes), ages[-1] - ages[0] + 1, width), np.nan)
-    for si, s in enumerate(sexes):
-        for age, cells in by_sex[s].items():
-            grid[si, age - ages[0]] = cells
-    return ages[0], ages[-1], grid
+def _age_grid(table: _Table, sex: list, age: list, values: np.ndarray,
+              sexes) -> tuple[int, int, np.ndarray]:
+    """The first and last age with a row, and the rows' finite values as a
+    (sex, age, cell) array between them; NaN where a sex has no row. A sex of
+    -1 is a row for every sex. Two rows for one sex and age are a ConfigError."""
+    if not table.n:
+        raise ConfigError([f"{table.path}: no usable rows"])
+    age, sex = np.array(age), np.array(sex)
+    lo, hi = int(age.min()), int(age.max())
+    s, row = ((sex == np.arange(len(sexes))[:, None]) | (sex < 0)).nonzero()
+    grid = np.full((len(sexes), hi - lo + 1) + values.shape[1:], np.nan)
+    grid[s, age[row] - lo] = claimed = values[row]
+    if np.count_nonzero(np.isfinite(grid)) < claimed.size:  # a cell was given twice
+        order = np.argsort(row, kind="stable")
+        row, s = row[order], s[order]
+        table.refuse_repeats(row.tolist(), list(zip(s.tolist(), age[row].tolist())),
+                             lambda k: f"sex {sexes[k[0]]!r} age {k[1]}")
+    return lo, hi, grid
 
 
 def load_population_series(path: str, sexes, min_age: int, max_age: int,
                            hasher) -> PopulationSeries:
     """Columns: year, sex, expected, sigma."""
-    expected = {s: {} for s in sexes}
-    sigma = {s: {} for s in sexes}
-    for line, row in _read_csv(path, ("year", "sex", "expected", "sigma"), hasher):
-        sex = _key(path, line, row, "sex")
-        if sex not in expected:
-            raise ConfigError([f"{path}: unknown sex {sex!r}"])
-        year = _int_key(path, line, row, "year")
-        where = f"sex {sex!r} year {year}"
-        expected[sex][year] = _finite(path, row, "expected", where)
-        sigma[sex][year] = _finite(path, row, "sigma", where)
-    return PopulationSeries(expected=expected, sigma=sigma,
-                            min_age=min_age, max_age=max_age)
+    table = _read_csv(path, ("year", "sex", "expected", "sigma"), hasher)
+    sex = table.present("sex")
+    index = table.sex_index(sex, sexes)
+    year = table.ints("year")
+    expected, sigma = (table.finites(col, lambda i: f"sex {sex[i]!r} year {year[i]}")
+                       for col in ("expected", "sigma"))
+    table.check()
+    keys = list(zip(sex, year))
+    if len(set(keys)) < len(keys):
+        table.refuse_repeats(range(table.n), keys, lambda k: f"sex {k[0]!r} year {k[1]}")
+    rows = [[i for i, k in enumerate(index) if k == j] for j in range(len(sexes))]
+    expected, sigma = ({s: {year[i]: column[i] for i in r} for s, r in zip(sexes, rows)}
+                       for column in (expected.tolist(), sigma.tolist()))
+    return PopulationSeries(expected=expected, sigma=sigma, min_age=min_age, max_age=max_age)
 
 
 def load_age_table(path: str, sexes, value_col: str, hasher) -> AgeProfile:
@@ -223,35 +312,28 @@ def load_age_table(path: str, sexes, value_col: str, hasher) -> AgeProfile:
     Ages a sex has no row for are NaN in the assembled table, so a cell must
     be finite when it is read.
     """
-    rows = _read_csv(path, ("age", value_col), hasher)
-    by_sex = {s: {} for s in sexes}
-    for line, row in rows:
-        age = _int_key(path, line, row, "age")
-        # a table without a sex column, or an empty sex cell, is for every sex
-        sex = _key(path, line, row, "sex") if "sex" in row else ""
-        val = _finite(path, row, value_col,
-                      f"sex {sex!r} age {age}" if sex else f"every sex age {age}")
-        for s in [sex] if sex else sexes:
-            if s not in by_sex:
-                raise ConfigError([f"{path}: unknown sex {sex!r}"])
-            by_sex[s][age] = val
-    lo, hi, grid = _age_grid(path, by_sex, sexes, 1)
-    return AgeProfile(sexes=tuple(sexes), min_age=lo, max_age=hi, values=grid[..., 0].copy())
+    table = _read_csv(path, ("age", value_col), hasher)
+    age = table.ints("age")
+    # a table without a sex column, or an empty sex cell, is for every sex
+    sex = table.present("sex") if "sex" in table else ("",) * table.n
+    values = table.finites(value_col, lambda i: (
+        f"sex {sex[i]!r} age {age[i]}" if sex[i] else f"every sex age {age[i]}"))
+    index = table.sex_index(sex, sexes, every=True)
+    table.check()
+    lo, hi, grid = _age_grid(table, index, age, values, sexes)
+    return AgeProfile(sexes=tuple(sexes), min_age=lo, max_age=hi, values=grid)
 
 
 def load_mortality(path: str, sexes, base_year: int, hasher) -> MortalityModel:
     """Columns: sex, age, q0, drift, sigma."""
-    rows = _read_csv(path, ("sex", "age", "q0", "drift", "sigma"), hasher)
-    by_sex = {s: {} for s in sexes}
-    for line, row in rows:
-        sex = _key(path, line, row, "sex")
-        if sex not in by_sex:
-            raise ConfigError([f"{path}: unknown sex {sex!r}"])
-        age = _int_key(path, line, row, "age")
-        where = f"sex {sex!r} age {age}"
-        by_sex[sex][age] = tuple(_finite(path, row, name, where)
-                                 for name in ("q0", "drift", "sigma"))
-    lo, hi, grid = _age_grid(path, by_sex, sexes, 3)
+    table = _read_csv(path, ("sex", "age", "q0", "drift", "sigma"), hasher)
+    sex = table.present("sex")
+    index = table.sex_index(sex, sexes)
+    age = table.ints("age")
+    columns = [table.finites(col, lambda i: f"sex {sex[i]!r} age {age[i]}")
+               for col in ("q0", "drift", "sigma")]
+    table.check()
+    lo, hi, grid = _age_grid(table, index, age, np.stack(columns, axis=1), sexes)
     if np.isnan(grid).any():
         si, ai, _ = np.argwhere(np.isnan(grid))[0]
         raise ConfigError([f"{path}: no row for sex {sexes[si]!r} age {lo + ai}"])
@@ -262,15 +344,16 @@ def load_mortality(path: str, sexes, base_year: int, hasher) -> MortalityModel:
 
 def load_census(path: str, year, sexes, min_age, max_age, max_seniority,
                 hasher) -> CohortGrid:
-    """Columns: sex, age, seniority, status, count."""
-    records = []
-    for line, row in _read_csv(path, ("sex", "age", "seniority", "status", "count"), hasher):
-        sex = _key(path, line, row, "sex")
-        age, seniority = (_int_key(path, line, row, col) for col in ("age", "seniority"))
-        count = _finite(path, row, "count", f"sex {sex!r} age {age} seniority {seniority}")
-        records.append((sex, age, seniority, row["status"], count))
+    """Columns: sex, age, seniority, status, count. Rows for one cell add up."""
+    table = _read_csv(path, ("sex", "age", "seniority", "status", "count"), hasher)
+    sex = table.present("sex")
+    age, seniority = table.ints("age"), table.ints("seniority")
+    count = table.finites("count", lambda i: f"sex {sex[i]!r} age {age[i]} "
+                                             f"seniority {seniority[i]}")
+    table.check()
     try:
-        return CohortGrid.from_records(records, year, sexes, min_age, max_age, max_seniority)
+        return CohortGrid.from_records(zip(sex, age, seniority, table.cells("status"), count),
+                                       year, sexes, min_age, max_age, max_seniority)
     except ValueError as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
 
@@ -602,8 +685,8 @@ def load_config(path: str) -> ScenarioConfig:
         found = []
         for name in (mort.get("table_csv"), ent.get("population_csv")):
             try:
-                rows = _read_csv(os.path.join(base_dir, name), ("sex",), hashlib.sha256())
-                found.append(list(dict.fromkeys(row["sex"] for _, row in rows if row["sex"])))
+                table = _read_csv(os.path.join(base_dir, name), ("sex",), hashlib.sha256())
+                found.append(list(dict.fromkeys(s for s in table.cells("sex") if s)))
             except (ConfigError, TypeError, ValueError):  # no name, or an unreadable table
                 found.append(None)
         mort_sexes, pop_sexes = found

@@ -69,11 +69,14 @@ def opening_balance(cfg: ScenarioConfig, sex_index, age, seniority) -> np.ndarra
     hist = np.arange(first_credit, cfg.first_year)
     rate, index = np.array([rule.rate.value(y) for y in hist]), price_index(cfg, hist)
     profile = rule.profile.slice_for(cfg.census)
-    for k in range(rule.exemption_years + 1, sen.max()):
-        live = (sen > k).nonzero()[0]
-        ti = cfg.first_year - sen[live] + k - first_credit
-        credit = rate[ti] * profile[si[live], entry[live] + k - cfg.min_age]
-        bal[live] = bal[live] * (1.0 + cfg.accrual_rate) + credit * index[ti]
+    # each cell's credit in each history year, zero before its first credited
+    # year, so that its balance stays exactly zero until then
+    credit = np.zeros((len(hist), len(age)))
+    ti, live = ((np.arange(len(hist))[:, None] + sen - len(hist)) > rule.exemption_years).nonzero()
+    then = age[live] - len(hist) + ti - cfg.min_age  # the cell's age that year, on the grid
+    credit[ti, live] = rate[ti] * profile[si[live], then] * index[ti]
+    for row in credit:
+        bal = bal * (1.0 + cfg.accrual_rate) + row
     for i in np.isnan(bal).nonzero()[0][:1]:  # the first gap, if any
         raise CoverageError(f"subjective profile has a gap in the history of sex "
                             f"{cfg.sexes[si[i]]!r} age {age[i]} seniority {sen[i]}")
@@ -121,13 +124,15 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
 
     Cohorts are the populated census cells, actives first, then one arrival
     cohort per later year and sex. The rules become per-year and per-(sex,
-    age) arrays once; one pass over the years then retires and fills all
-    cohorts together. A cohort retires in the first checked year in which
-    the thresholds then in force are met: age strictly above the minimum,
-    seniority at or above it. The type exceeded by the widest margin wins,
-    ties going to the first listed. Census cohorts are checked from the year
-    after the census, which says who is retired; arrivals from their first
-    year. A table gap is a CoverageError only where some cohort visits it.
+    age) arrays once, and every cohort's age, seniority, status and
+    contributions become (cohort, year) tables over the whole horizon; only
+    the notional balances and the indexed pensions are carried year to year.
+    A cohort retires in the first checked year in which the thresholds then
+    in force are met: age strictly above the minimum, seniority at or above
+    it. The type exceeded by the widest margin wins, ties going to the first
+    listed. Census cohorts are checked from the year after the census, which
+    says who is retired; arrivals from their first year. A table gap is a
+    CoverageError only where some cohort visits it.
     """
     years, grid = cfg.years, cfg.census
     n_years, n_sex = len(years), len(cfg.sexes)
@@ -138,9 +143,9 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
     age0 = np.concatenate([cfg.min_age + cells[:, 2], np.full(n - n_census, cfg.entry_age)])
     sen0 = np.concatenate([cells[:, 3], np.zeros(n - n_census, dtype=int)])
     fy = np.concatenate([np.full(n_census, cfg.first_year), np.repeat(years[1:], n_sex)])
-    retired = (np.arange(n) >= n_act) & (np.arange(n) < n_census)  # grows as cohorts retire
 
-    prices, infl = price_index(cfg, years), [cfg.economics.inflation.value(t) for t in years]
+    prices = price_index(cfg, years)
+    infl = np.array([cfg.economics.inflation.value(t) for t in years])
     rule = cfg.retirement
     thresholds = [[np.array([[rule.thresholds[b][s][k].value(t) for t in years] for s in cfg.sexes])
                    for k in (0, 1)] for b in rule.benefit_types]
@@ -149,51 +154,62 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
     notional = np.array([ben.kind == "notional_account" for ben in benefits])
     payout = np.concatenate([(ben.conversion if ben.kind == "notional_account"
                               else ben.profile).slice_for(grid).ravel() for ben in benefits])
-    contribs = [([c.rate.value(t) for t in years], c.profile.slice_for(grid).ravel())
+    contribs = [(np.array([c.rate.value(t) for t in years]), c.profile.slice_for(grid).ravel())
                 for c in (cfg.contrib_subjective, cfg.contrib_integrative)]
     cell0 = sex * grid.n_ages - cfg.min_age  # plus the age gives the cell
 
-    bal = np.zeros(n)
-    bal[:n_act] = opening_balance(cfg, sex[:n_act], age0[:n_act], sen0[:n_act])
-    pension = np.where(retired, cfg.pre_existing.slice_for(grid).ravel()[cell0 + age0], 0.0)
-    ret_type = np.full(n, -1)  # -1: not retired
+    # (cohort, year) tables: age, seniority, and whether the cohort is on the grid
+    x = age0[:, None] + (np.array(years) - fy[:, None])
+    cell = cell0[:, None] + x
+    sen = np.minimum(x - (age0 - sen0)[:, None], cfg.max_seniority)
+    on = (fy[:, None] <= years) & (x <= cfg.max_age)
+    ages = np.where(on, x, -1).astype(np.int32)
+
+    best, kind = np.full(x.shape, -np.inf), np.zeros(x.shape, dtype=int)
+    for j, (age_min, sen_min) in enumerate(thresholds):
+        lead = np.minimum((x - age_min[sex]) - 1.0, sen - sen_min[sex])
+        wins = lead > best  # strict, so ties stay with the earlier type
+        best, kind = np.where(wins, lead, best), np.where(wins, j, kind)
+    # a cohort retires in its first eligible year, a census retiree before the
+    # horizon, one that never qualifies after it (n_years); none at the census
+    eligible = on & (best >= 0)
+    eligible[:, 0] = False
+    ret_year = np.where(eligible.any(axis=1), eligible.argmax(axis=1), n_years)
+    ret_year[n_act:n_census] = 0
+    retired = np.arange(n_years) >= ret_year[:, None]
+    active, paid = on & ~retired, on & retired
+
     # year-major, so that each year's columns are contiguous rows for simulate_flows
     flow_block = np.zeros((n_years, len(FLOWS), n))
-    subj, integ, disb = (flow_block[:, k].T for k in range(3))
-    ages = np.empty((n, n_years), dtype=np.int32)
-    for ti, t in enumerate(years):
-        x = age0 + (t - fy)
-        cell = cell0 + x
-        sen = np.minimum(x - (age0 - sen0), cfg.max_seniority)
-        on = (fy <= t) & (x <= cfg.max_age)
-        ages[:, ti] = np.where(on, x, -1)
+    flow_block[:, 4] = paid.T
+    flow_block[:, 3] = active.T
+    row, ti = (active & (sen > cfg.contrib_subjective.exemption_years)).nonzero()
+    for k, (rate, profile) in enumerate(contribs):
+        flow_block[ti, k, row] = (rate[ti] * profile[cell[row, ti]]) * prices[ti]
 
-        check = (on & ~retired & (ti > 0)).nonzero()[0]  # none retire at the census
-        s, xc, sc = sex[check], x[check], sen[check]
-        best, kind = np.full(check.size, -np.inf), np.zeros(check.size, dtype=int)
-        for j, (age_min, sen_min) in enumerate(thresholds):
-            lead = np.minimum((xc - age_min[s, ti]) - 1.0, sc - sen_min[s, ti])
-            wins = lead > best  # strict, so ties stay with the earlier type
-            best, kind = np.where(wins, lead, best), np.where(wins, j, kind)
-        now = check[best >= 0]
-        ret_type[now], retired[now] = kind[best >= 0], True
+    # the balance each cohort holds at the start of each year; only actives'
+    # balances are read, the others may drift
+    balance = np.zeros((n_years, n))
+    balance[0, :n_act] = opening_balance(cfg, sex[:n_act], age0[:n_act], sen0[:n_act])
+    for ti in range(n_years - 1):
+        np.multiply(balance[ti], 1.0 + cfg.accrual_rate, out=balance[ti + 1])
+        balance[ti + 1] += flow_block[ti, 0]
 
-        if ti:  # pensions in payment follow inflation; new ones are set next
-            pension *= 1.0 + infl[ti]
-        coef = payout[ret_type[now] * n_sex * grid.n_ages + cell[now]]
-        pension[now] = np.where(notional[ret_type[now]], bal[now] * coef, coef * prices[ti])
-        flow_block[ti, 4] = paid = on & retired
-        disb[:, ti] = np.where(paid, pension, 0.0)
-        flow_block[ti, 3] = active = on & ~retired
-        paying = (active & (sen > cfg.contrib_subjective.exemption_years)).nonzero()[0]
-        for col, (rate, profile) in zip((subj, integ), contribs):
-            col[paying, ti] = (rate[ti] * profile[cell[paying]]) * prices[ti]
-        # only actives' balances are read again, the others may drift
-        bal = bal * (1.0 + cfg.accrual_rate) + subj[:, ti]
+    # pensions as running products, one factor a year: ones until retirement,
+    # which leave the first pension exact, the first pension, then inflation
+    factor = np.where(retired, 1.0 + infl, 1.0)
+    factor[n_act:n_census, 0] = cfg.pre_existing.slice_for(grid).ravel()[
+        (cell0 + age0)[n_act:n_census]]
+    new = ((ret_year > 0) & (ret_year < n_years)).nonzero()[0]
+    ry, rt = ret_year[new], kind[new, ret_year[new]]
+    coef = payout[rt * n_sex * grid.n_ages + cell[new, ry]]
+    factor[new, ry] = np.where(notional[rt], balance[ry, new] * coef, coef * prices[ry])
+    flow_block[:, 2] = np.where(paid, np.cumprod(factor, axis=1), 0.0).T
 
-    for what, col in (("subjective profile", subj), ("integrative profile", integ),
-                      ("pension or conversion table", disb)):
-        for row, ti in np.argwhere(np.isnan(col))[:1]:  # the first gap, if any
+    gaps = np.isnan(flow_block)
+    for what, k in (("subjective profile", 0), ("integrative profile", 1),
+                    ("pension or conversion table", 2)) if gaps.any() else ():
+        for row, ti in np.argwhere(gaps[:, k].T)[:1]:  # the first gap, cohort by cohort
             raise CoverageError(f"{what} has no value for sex {cfg.sexes[sex[row]]!r} "
                                 f"age {ages[row, ti]} in {years[ti]}")
     counts = np.concatenate([grid.counts[tuple(cells.T)], np.zeros(n - n_census)])

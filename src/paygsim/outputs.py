@@ -79,9 +79,14 @@ def read_ledger_csv(path) -> list[dict[str, int]]:
 def read_ledger_raw_csv(path):
     """(years, ledger) from a raw ledger file, the ledger cent-exact."""
     with open(path, encoding="utf-8", newline="") as fh:
-        recs = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        recs = list(reader)
     if not recs:
         raise ValueError(f"{path}: no data rows")
+    missing = [c for c in ("year", *(f"{letter}_{name}" for letter, name in LEDGER_LETTERS.items()))
+               if c not in reader.fieldnames]
+    if missing:
+        raise ValueError(f"{path}: missing columns {missing}")
     years = [int(r["year"]) for r in recs]
     if years != list(range(years[0], years[0] + len(years))):
         raise ValueError(f"{path}: years are not consecutive")

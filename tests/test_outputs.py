@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -115,6 +116,16 @@ class TestLedgerFiles:
         path = tmp_path / "raw.csv"
         path.write_text(",".join(LEDGER_HEADER) + "\n")
         with pytest.raises(ValueError, match="no data"):
+            read_ledger_raw_csv(path)
+
+    def test_raw_reader_names_a_missing_column(self, tmp_path, ledger):
+        path = tmp_path / "raw.csv"
+        write_ledger_raw_csv(path, YEARS, ledger)
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        cut = rows[0].index("C_contrib_integrative")
+        path.write_text("".join(",".join(r[:cut] + r[cut + 1:]) + "\n" for r in rows))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: missing columns ['C_contrib_integrative']")):
             read_ledger_raw_csv(path)
 
 
