@@ -59,28 +59,24 @@ class CohortGrid:
         grid = cls.empty(year, sexes, min_age, max_age, max_seniority)
         sex_idx = {s: i for i, s in enumerate(grid.sexes)}
         records = list(records)
+        for sex, age, sen, status, count in records:
+            if sex not in sex_idx:
+                raise ValueError(f"unknown sex {sex!r}")
+            if not min_age <= age <= max_age:
+                raise ValueError(f"age {age} outside [{min_age}, {max_age}]")
+            if not 0 <= sen <= max_seniority:
+                raise ValueError(f"seniority {sen} outside [0, {max_seniority}]")
+            if status not in STATUS_NAMES:
+                raise ValueError(f"status must be one of {STATUS_NAMES}, got {status!r}")
+            if count < 0:
+                raise ValueError(f"count must be >= 0, got {count}")
         if not records:
             return grid
         sex, age, sen, status, count = zip(*records)
-        count = np.array(count, dtype=float)
-        if not (set(sex) <= sex_idx.keys() and set(status) <= set(STATUS_NAMES)
-                and min_age <= min(age) and max(age) <= max_age
-                and 0 <= min(sen) and max(sen) <= max_seniority and not np.any(count < 0)):
-            for s, a, k, st, c in records:  # the first bad record, checked in this order
-                if s not in sex_idx:
-                    raise ValueError(f"unknown sex {s!r}")
-                if not min_age <= a <= max_age:
-                    raise ValueError(f"age {a} outside [{min_age}, {max_age}]")
-                if not 0 <= k <= max_seniority:
-                    raise ValueError(f"seniority {k} outside [0, {max_seniority}]")
-                if st not in STATUS_NAMES:
-                    raise ValueError(f"status must be one of {STATUS_NAMES}, got {st!r}")
-                if c < 0:
-                    raise ValueError(f"count must be >= 0, got {c}")
-        # unbuffered, so repeated cells add up in record order
         status_idx = {name: i for i, name in enumerate(STATUS_NAMES)}
-        np.add.at(grid.counts, (list(map(status_idx.get, status)), list(map(sex_idx.get, sex)),
-                                np.array(age) - min_age, np.array(sen)), count)
+        cells = (list(map(status_idx.get, status)), list(map(sex_idx.get, sex)),
+                 np.array(age) - min_age, np.array(sen))
+        np.add.at(grid.counts, cells, np.array(count, dtype=float))  # unbuffered: record order
         return grid
 
     def total(self) -> float:

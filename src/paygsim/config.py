@@ -276,12 +276,10 @@ def _age_grid(table: _Table, sex: list, age: list, values: np.ndarray,
         raise ConfigError([f"{table.path}: no usable rows"])
     age, sex = np.array(age), np.array(sex)
     lo, hi = int(age.min()), int(age.max())
-    s, row = ((sex == np.arange(len(sexes))[:, None]) | (sex < 0)).nonzero()
+    row, s = ((sex[:, None] == np.arange(len(sexes))) | (sex[:, None] < 0)).nonzero()
     grid = np.full((len(sexes), hi - lo + 1) + values.shape[1:], np.nan)
     grid[s, age[row] - lo] = claimed = values[row]
     if np.count_nonzero(np.isfinite(grid)) < claimed.size:  # a cell was given twice
-        order = np.argsort(row, kind="stable")
-        row, s = row[order], s[order]
         table.refuse_repeats(row.tolist(), list(zip(s.tolist(), age[row].tolist())),
                              lambda k: f"sex {sexes[k[0]]!r} age {k[1]}")
     return lo, hi, grid
@@ -297,9 +295,8 @@ def load_population_series(path: str, sexes, min_age: int, max_age: int,
     expected, sigma = (table.finites(col, lambda i: f"sex {sex[i]!r} year {year[i]}")
                        for col in ("expected", "sigma"))
     table.check()
-    keys = list(zip(sex, year))
-    if len(set(keys)) < len(keys):
-        table.refuse_repeats(range(table.n), keys, lambda k: f"sex {k[0]!r} year {k[1]}")
+    table.refuse_repeats(range(table.n), list(zip(sex, year)),
+                         lambda k: f"sex {k[0]!r} year {k[1]}")
     rows = [[i for i, k in enumerate(index) if k == j] for j in range(len(sexes))]
     expected, sigma = ({s: {year[i]: column[i] for i in r} for s, r in zip(sexes, rows)}
                        for column in (expected.tolist(), sigma.tolist()))

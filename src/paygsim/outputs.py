@@ -83,8 +83,7 @@ def read_ledger_raw_csv(path):
         recs = list(reader)
     if not recs:
         raise ValueError(f"{path}: no data rows")
-    missing = [c for c in ("year", *(f"{letter}_{name}" for letter, name in LEDGER_LETTERS.items()))
-               if c not in reader.fieldnames]
+    missing = [c for c in LEDGER_HEADER if c not in reader.fieldnames]
     if missing:
         raise ValueError(f"{path}: missing columns {missing}")
     years = [int(r["year"]) for r in recs]
