@@ -13,6 +13,7 @@ failure. All data files go to --out (created if missing).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -27,6 +28,7 @@ from .montecarlo import entrant_paths, run_simulation
 from .projection import run_deterministic_projection
 
 
+@functools.cache  # built once: a process may call main many times
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paygsim",
@@ -92,24 +94,21 @@ def _load(args) -> tuple[str, ScenarioConfig]:
     return path, load_config(path)
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> list[str]:
     path, cfg = _load(args)
     print(f"ok: {path}")
     print(f"  years {cfg.first_year}-{cfg.last_year}, sexes {', '.join(cfg.sexes)}, "
           f"ages {cfg.min_age}-{cfg.max_age}")
     print(f"  sha256 {cfg.source_digest}")
-    return 0
+    return []
 
 
-def _cmd_project(args) -> int:
+def _cmd_project(args) -> list[str]:
     _, cfg = _load(args)
-    result = run_deterministic_projection(cfg)
-    for f in outputs.emit_projection_outputs(args.out, cfg, result):
-        print(f"wrote {f}")
-    return 0
+    return outputs.emit_projection_outputs(args.out, cfg, run_deterministic_projection(cfg))
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> list[str]:
     _, cfg = _load(args)
     override = {}
     if args.seed is not None:
@@ -125,12 +124,10 @@ def _cmd_simulate(args) -> int:
     result = run_simulation(cfg, workers=args.workers)
     if result.n_reps < 2:
         print("note: one replication, skipping moments.csv")
-    for f in outputs.emit_simulation_outputs(args.out, cfg, result):
-        print(f"wrote {f}")
-    return 0
+    return outputs.emit_simulation_outputs(args.out, cfg, result)
 
 
-def _cmd_entrants(args) -> int:
+def _cmd_entrants(args) -> list[str]:
     _, cfg = _load(args)
     if args.seed is not None:
         cfg = cfg.with_run(seed=args.seed)
@@ -147,9 +144,7 @@ def _cmd_entrants(args) -> int:
         std = {s: paths[s].std(axis=0, ddof=1) if args.reps > 1
                else np.zeros(len(cfg.years)) for s in cfg.sexes}
         sampled = (mean, std)
-    for f in outputs.emit_entrants_outputs(args.out, cfg, expected, sampled):
-        print(f"wrote {f}")
-    return 0
+    return outputs.emit_entrants_outputs(args.out, cfg, expected, sampled)
 
 
 _COMMANDS = {
@@ -163,7 +158,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        for path in _COMMANDS[args.command](args):
+            print(f"wrote {path}")
     except ConfigError as exc:
         for message in exc.messages:
             print(f"error: {message}", file=sys.stderr)
@@ -171,6 +167,7 @@ def main(argv=None) -> int:
     except (PaygsimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

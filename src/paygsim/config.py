@@ -566,6 +566,27 @@ def _walk(schema: dict, node: dict, at: str, out: dict, ctx: _Ctx, keys=None) ->
             ctx.fail(f"{at}.{n}" if at else str(n), f"unknown key; did you mean {close[0]!r}?")
 
 
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """The safe loader, libyaml's if built, refusing a repeated key YAML would overwrite."""
+
+    def construct_document(self, root):
+        todo, seen = [(root, "")], set()
+        while todo:
+            node, at = todo.pop(0)
+            if not isinstance(node, yaml.MappingNode) or id(node) in seen:
+                continue  # no list the schema takes holds a mapping; an alias is checked once
+            seen.add(id(node))
+            marks: dict = {}
+            for key, value in node.value:
+                where = f"{at}.{key.value}" if at else f"{key.value}"
+                first = marks.setdefault((key.tag, where), key.start_mark)
+                if first is not key.start_mark:
+                    raise ConfigError([f"{where}: given on line {first.line + 1} and again on "
+                                       f"line {key.start_mark.line + 1}"])
+                todo.append((value, where))
+        return super().construct_document(root)
+
+
 def load_config(path: str) -> ScenarioConfig:
     """Parse and validate one scenario file. Raises ConfigError listing every problem."""
     hasher = hashlib.sha256()
@@ -576,7 +597,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError([f"{path}: {exc}"]) from exc
     hasher.update(raw_bytes)
     try:
-        raw = yaml.load(raw_bytes, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        raw = yaml.load(raw_bytes, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError([f"{path}: not valid YAML: {exc}"]) from exc
     if not isinstance(raw, dict):

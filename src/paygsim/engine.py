@@ -142,7 +142,7 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
     sex = np.concatenate([cells[:, 1], np.tile(np.arange(n_sex), n_years - 1)])
     age0 = np.concatenate([cfg.min_age + cells[:, 2], np.full(n - n_census, cfg.entry_age)])
     sen0 = np.concatenate([cells[:, 3], np.zeros(n - n_census, dtype=int)])
-    fy = np.concatenate([np.full(n_census, cfg.first_year), np.repeat(years[1:], n_sex)])
+    fy = np.concatenate([np.full(n_census, years[0]), np.repeat(np.array(years[1:], int), n_sex)])
 
     prices = price_index(cfg, years)
     infl = np.array([cfg.economics.inflation.value(t) for t in years])

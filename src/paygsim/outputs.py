@@ -1,4 +1,4 @@
-"""Writers for the run output files, and the readers that re-parse them.
+"""Writers for the run output files and the per-command bundles.
 
 Every file is comma-separated UTF-8 with a header row and '.' as decimal
 mark. Money columns come from the integer-cent ledger: the display ledger
@@ -11,7 +11,6 @@ files.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 
@@ -36,12 +35,6 @@ def _eur(cents) -> str:
     c = int(cents)
     sign = "-" if c < 0 else ""
     return f"{sign}{abs(c) // 100}.{abs(c) % 100:02d}"
-
-
-def _parse_eur(text: str) -> int:
-    sign = -1 if text.startswith("-") else 1
-    whole, _, frac = text.lstrip("+-").partition(".")
-    return sign * (int(whole) * 100 + int((frac + "00")[:2]))
 
 
 def _write_lines(path, lines) -> None:
@@ -70,30 +63,6 @@ def write_ledger_raw_csv(path, years, ledger) -> None:
     _write_ledger(path, years, [ledger[c] for c in LEDGER_COLUMNS], _eur)
 
 
-def read_ledger_csv(path) -> list[dict[str, int]]:
-    """Rows of the display ledger as {header: int} dicts."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return [{k: int(v) for k, v in rec.items()} for rec in csv.DictReader(fh)]
-
-
-def read_ledger_raw_csv(path):
-    """(years, ledger) from a raw ledger file, the ledger cent-exact."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        recs = list(reader)
-    if not recs:
-        raise ValueError(f"{path}: no data rows")
-    missing = [c for c in LEDGER_HEADER if c not in reader.fieldnames]
-    if missing:
-        raise ValueError(f"{path}: missing columns {missing}")
-    years = [int(r["year"]) for r in recs]
-    if years != list(range(years[0], years[0] + len(years))):
-        raise ValueError(f"{path}: years are not consecutive")
-    return years, {name: np.array([_parse_eur(r[f"{letter}_{name}"]) for r in recs],
-                                  dtype=np.int64)
-                   for letter, name in LEDGER_LETTERS.items()}
-
-
 # ---------------------------------------------------------------------------
 # distribution files
 
@@ -109,16 +78,6 @@ def write_fan_chart_csv(path, result, probes) -> None:
     _write_lines(path, lines)
 
 
-def read_fan_chart_csv(path) -> dict:
-    """{series: {year: {probe: value}}}."""
-    out: dict = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            per_year = out.setdefault(rec["series"], {}).setdefault(int(rec["year"]), {})
-            per_year[float(rec["probe"])] = float(rec["value"])
-    return out
-
-
 def write_moments_csv(path, result, years) -> None:
     """Long format, one row per (series, reporting year, statistic)."""
     lines = ["series,year,statistic,value"]
@@ -128,16 +87,6 @@ def write_moments_csv(path, result, years) -> None:
             for stat in MOMENT_STATS:
                 lines.append(f"{name},{int(year)},{stat},{_num(mom[stat][t])}")
     _write_lines(path, lines)
-
-
-def read_moments_csv(path) -> dict:
-    """{series: {year: {statistic: value}}}."""
-    out: dict = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            per_year = out.setdefault(rec["series"], {}).setdefault(int(rec["year"]), {})
-            per_year[rec["statistic"]] = float(rec["value"])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +101,6 @@ def write_entrants_csv(path, years, by_sex: dict) -> None:
     _write_lines(path, lines)
 
 
-def read_entrants_csv(path):
-    """(years, {sex: array}) from an arrivals file."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
-    years = [int(r[0]) for r in rows]
-    by_sex = {s: np.array([float(r[i + 1]) for r in rows]) for i, s in enumerate(header[1:])}
-    return years, by_sex
-
-
 def write_entrants_mc_csv(path, years, mean_by_sex: dict, std_by_sex: dict) -> None:
     """Replication mean and spread of sampled arrivals, long format."""
     lines = ["year,sex,mean,std"]
@@ -172,28 +110,11 @@ def write_entrants_mc_csv(path, years, mean_by_sex: dict, std_by_sex: dict) -> N
     _write_lines(path, lines)
 
 
-def read_entrants_mc_csv(path) -> dict:
-    """{sex: {year: (mean, std)}}."""
-    out: dict = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            out.setdefault(rec["sex"], {})[int(rec["year"])] = (
-                float(rec["mean"]), float(rec["std"]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # JSON documents
 
 def write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text + "\n")
-
-
-def read_json(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False)])
 
 
 def run_manifest(cfg: ScenarioConfig, mode: str) -> dict:

@@ -1,13 +1,15 @@
-"""The package's exported names are the Python API the README lists, and
-the README's Python example runs."""
+"""The package's exported names are the Python API the README lists, the
+README's Python example runs, and the package ships no name only tests use."""
 
+import ast
 import re
 from pathlib import Path
 
 import paygsim
 from paygsim import montecarlo
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def readme_api_names() -> set[str]:
@@ -49,3 +51,44 @@ def test_readme_python_example_runs(capsys):
     exec(compile(blocks[0], "README.md", "exec"), scope)
     assert scope["fan"]["values"].shape == (3, len(scope["cfg"].years))
     assert capsys.readouterr().out.startswith("{'value_start': 206779398900,")
+
+
+def _defined_names(tree) -> set[str]:
+    """The public names a module binds at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if not n.startswith("_")}
+
+
+def _referenced_names(tree) -> set[str]:
+    """Names read, attributes, imported names and the strings of `__all__`."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.alias):
+            refs.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            refs.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return refs
+
+
+def test_every_public_name_has_a_user_outside_the_tests():
+    # code only tests reach belongs in tests/; the package, the demos, the
+    # scripts and the bench are its users
+    package = sorted((ROOT / "src" / "paygsim").glob("*.py"))
+    users = [p for d in ("src/paygsim", "demos", "scripts", "perfbench")
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    defined = set().union(*(_defined_names(ast.parse(p.read_text(encoding="utf-8")))
+                            for p in package))
+    referenced = set().union(*(_referenced_names(ast.parse(p.read_text(encoding="utf-8")))
+                               for p in users))
+    assert sorted(defined - referenced) == []

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from paygsim import __version__, load_config
-from paygsim.cli import main
+from paygsim.cli import build_parser, main
 from paygsim.config import default_config_path
 from paygsim.engine import entrants_matrix
 from paygsim.entrants import DRAWS_PER_CELL
 from paygsim.montecarlo import draw_shock_blocks
-from paygsim.outputs import (emit_entrants_outputs, read_entrants_csv,
-                             read_entrants_mc_csv, read_fan_chart_csv, read_json)
+from paygsim.outputs import emit_entrants_outputs
+
+from bundle_readers import read_entrants_csv, read_entrants_mc_csv, read_long_csv
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +60,12 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_one_parser_serves_every_call(self, capsys, scenario):
+        build_parser.cache_clear()
+        for _ in range(2):
+            assert run(capsys, "validate", "--config", scenario)[0] == 0
+        assert build_parser.cache_info().misses == 1
 
 
 class TestValidate:
@@ -223,7 +230,7 @@ class TestProject:
             "entrants.csv", "ledger.csv", "ledger_raw.csv",
             "manifest.json", "summary.json"]
         assert out.count("wrote ") == 5
-        manifest = read_json(outdir / "manifest.json")
+        manifest = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["mode"] == "project"
         assert manifest["config_sha256"] == load_config(scenario).source_digest
 
@@ -258,7 +265,7 @@ class TestSimulate:
         assert code == 0
         assert sorted(os.listdir(outdir)) == [
             "fanchart.csv", "manifest.json", "moments.csv", "summary.json"]
-        manifest = read_json(outdir / "manifest.json")
+        manifest = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["mode"] == "simulate"
         assert manifest["n_reps"] == 4
 
@@ -268,12 +275,12 @@ class TestSimulate:
                          "--out", str(outdir), "--seed", "99", "--reps", "3",
                          "--percentiles", "5,50,95", "--stochastic", "returns")
         assert code == 0
-        manifest = read_json(outdir / "manifest.json")
+        manifest = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["seed"] == 99
         assert manifest["n_reps"] == 3
         assert manifest["percentile_probes"] == [5.0, 50.0, 95.0]
         assert manifest["stochastic"] == ["returns"]
-        fan = read_fan_chart_csv(outdir / "fanchart.csv")
+        fan = read_long_csv(outdir / "fanchart.csv", key=float)
         probes = set(next(iter(fan["fund_value"].values())))
         assert probes == {5.0, 50.0, 95.0}
 
@@ -291,9 +298,10 @@ class TestSimulate:
                          "--reps", "2", "--stochastic", "none",
                          "--out", str(outdir))
         assert code == 0
-        assert read_json(outdir / "manifest.json")["stochastic"] == []
+        manifest = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["stochastic"] == []
         # with every source switched off the band has zero width
-        fan = read_fan_chart_csv(outdir / "fanchart.csv")
+        fan = read_long_csv(outdir / "fanchart.csv", key=float)
         for per_year in fan["fund_value"].values():
             assert len(set(per_year.values())) == 1
 

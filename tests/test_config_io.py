@@ -562,6 +562,39 @@ def test_an_unknown_key_is_one_message_with_the_closest_key(tmp_path, capsys, tw
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("repeat, message", [
+    # a second section would replace the first one whole
+    (lambda text: text + "run:\n  seed: 9\n", "run: given on line 4 and again on line {end}"),
+    (lambda text: text.replace("  seed: 11\n", "  seed: 11\n  seed: 5\n"),
+     "run.seed: given on line 5 and again on line 6"),
+], ids=["section", "nested"])
+def test_a_repeated_key_is_refused_with_both_lines(tmp_path, capsys, repeat, message):
+    path = write_scenario(str(tmp_path))
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.startswith("horizon:\n  first_year: 2006\n  last_year: 2016\nrun:\n  seed: 11\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(repeat(text))
+    assert main(["validate", "--config", path]) == 2
+    end = text.count("\n") + 1
+    assert capsys.readouterr().err == f"error: {message.format(end=end)}\n"
+
+
+def test_a_key_given_beside_a_merge_key_is_no_repeat(tmp_path):
+    path = write_scenario(str(tmp_path))
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    old = "  subjective:\n    rate: 0.1\n    profile_csv: income.csv\n  integrative:\n"
+    assert old in text
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text.replace(old, old.replace("subjective:", "subjective: &subjective")
+                              + "    <<: *subjective\n"))
+    merged, plain = load_config(path), load_config(write_scenario(str(tmp_path)))
+    got, want = merged.contrib_integrative, plain.contrib_integrative
+    assert got.rate == want.rate
+    assert np.array_equal(got.profile.values, want.profile.values)
+
+
 SMALL_NAMES = {"<sex>": "male", "<type>": "old_age", "<factor>": "enrolment"}
 
 

@@ -1,9 +1,12 @@
+import os
+import shutil
+
 import numpy as np
 import pytest
 
 from conftest import write_scenario
-from paygsim import (load_config, run_deterministic_projection, run_simulation,
-                     stepwise_projection)
+from paygsim import (cli, default_config_path, load_config, run_deterministic_projection,
+                     run_simulation, stepwise_projection)
 from paygsim.cashflows import LEDGER_COLUMNS, identities_hold, round_half_away
 from paygsim.cohorts import death_probability_grid
 from paygsim.engine import (build_system, entrant_moment_tables, entrant_product,
@@ -331,3 +334,27 @@ class TestRetirementConventions:
         # afterwards the pension rides inflation
         assert res.disbursements[2] == pytest.approx(bal * 0.06 * 1.02)
         assert res.retirees[1] == 1.0 and res.actives[1] == 0.0
+
+
+def test_a_one_year_horizon_runs(tmp_path, capsys):
+    # no arrival cohorts at all: the census alone, for the census year
+    bundled = os.path.dirname(default_config_path())
+    for name in os.listdir(bundled):
+        shutil.copy(os.path.join(bundled, name), tmp_path)
+    path = tmp_path / "default_scenario.yaml"
+    text = path.read_text(encoding="utf-8")
+    for old, new in (("last_year: 2046", "last_year: 2006"),
+                     ("moments_years: [2010, 2015, 2020, 2025, 2030, 2035, 2040, 2045]",
+                      "moments_years: [2006]")):
+        assert old in text
+        text = text.replace(old, new)
+    path.write_text(text, encoding="utf-8")
+    assert cli.main(["project", "--config", str(path), "--out", str(tmp_path / "p")]) == 0
+    assert cli.main(["simulate", "--config", str(path), "--reps", "3",
+                     "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    cfg = load_config(str(path))
+    fast, slow = run_deterministic_projection(cfg), stepwise_projection(cfg)
+    assert list(fast.years) == [2006]
+    for name in LEDGER_COLUMNS:
+        assert np.array_equal(fast.ledger[name], slow.ledger[name]), name
