@@ -21,11 +21,13 @@ params, series = cfg.entrants_params, cfg.population
 
 # the lag structure for one arrival year
 year = 2020
-lagged = params.factor_years(year)
-print(f"arrivals of {year} draw on:")
-print(f"  population of {params.population_year(year)}")
-for factor, t in lagged.items():
-    print(f"  {factor:<11} rate of {t}")
+h, k = params.study_years, params.training_years
+print(f"arrivals of {year} draw on ({h} years of study, {k} of training):")
+print(f"  population      of {year - h - k}")
+print(f"  enrolment rate  of {year - h - k}")
+print(f"  graduation rate of {year - k}")
+print(f"  admission rate  of {year}")
+print(f"  membership rate of {year}")
 
 # expected arrivals, men and women, a few years along the horizon: the
 # arrival product with every shock at zero

@@ -29,15 +29,18 @@ BATCH = 500_000
 SEED = 424242
 
 
-def factor_moments(cfg, sex):
-    """[(mean, sigma)] for population then the four chain factors at YEAR."""
+def lagged_moments(cfg, sex, year):
+    """[(mean, sigma)] for population then the four chain factors of NE(year),
+    each read at its own calendar year: population and enrolment h + k years
+    earlier, graduation k years earlier, admission and membership at year."""
     params = cfg.entrants_params
-    pop = cfg.population.at(sex, params.population_year(YEAR))
-    lagged = params.factor_years(YEAR)
-    out = [pop]
-    for name, year in lagged.items():
+    h, k = params.study_years, params.training_years
+    pop_year = year - h - k
+    out = [(cfg.population.expected[sex][pop_year], cfg.population.sigma[sex][pop_year])]
+    for name, at in (("enrolment", pop_year), ("graduation", year - k),
+                     ("admission", year), ("membership", year)):
         fm = params.factors[sex][name]
-        out.append((fm.mean.value(year), fm.sigma.value(year)))
+        out.append((fm.mean.value(at), fm.sigma.value(at)))
     return out
 
 
@@ -68,7 +71,7 @@ def main():
     cfg = load_config(default_config_path())
     rng = np.random.default_rng(SEED)
     for sex in cfg.sexes:
-        moments = factor_moments(cfg, sex)
+        moments = lagged_moments(cfg, sex, YEAR)
         (mean_t, var_t), (mean_r, var_r) = brute_force(moments, rng)
         closed = variance_new_entrants(cfg.entrants_params, cfg.population, sex, YEAR)
         print(f"{sex}:")

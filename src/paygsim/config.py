@@ -212,18 +212,22 @@ class _Table:
                        else f"line {self.lines[i]}: {name} {cells[i]!r} is not an integer")
             return values
 
-    def finites(self, name: str, where: Callable[[int], str]) -> np.ndarray:
+    def finites(self, name: str, where: Callable[[int], str],
+                nonnegative: bool = False) -> np.ndarray:
         """A value column as floats; a cell that is not a finite number fails,
-        its message naming the row as `where(row)` does."""
+        and so does a negative one if `nonnegative`, its message naming the
+        row as `where(row)` does."""
         cells = self.cells(name)
         try:
             values = np.array(list(map(float, cells)))
         except (TypeError, ValueError):
             values = np.array([_parse(float, c, math.nan) for c in cells])
-        bad = ~np.isfinite(values)
+        finite = np.isfinite(values)
+        bad = ~finite | (values < 0) if nonnegative else ~finite
         if bad.any():
             i = int(bad.argmax())
-            self._fail(i, f"{name} {cells[i]!r} for {where(i)} is not a finite number")
+            problem = "is negative" if finite[i] else "is not a finite number"
+            self._fail(i, f"{name} {cells[i]!r} for {where(i)} {problem}")
         return values
 
     def sex_index(self, cells: tuple, sexes, every: bool = False) -> list:
@@ -287,13 +291,13 @@ def _age_grid(table: _Table, sex: list, age: list, values: np.ndarray,
 
 def load_population_series(path: str, sexes, min_age: int, max_age: int,
                            hasher) -> PopulationSeries:
-    """Columns: year, sex, expected, sigma."""
+    """Columns: year, sex, expected, sigma; a negative cell is refused."""
     table = _read_csv(path, ("year", "sex", "expected", "sigma"), hasher)
     sex = table.present("sex")
     index = table.sex_index(sex, sexes)
     year = table.ints("year")
-    expected, sigma = (table.finites(col, lambda i: f"sex {sex[i]!r} year {year[i]}")
-                       for col in ("expected", "sigma"))
+    expected, sigma = (table.finites(col, lambda i: f"sex {sex[i]!r} year {year[i]}",
+                                     nonnegative=True) for col in ("expected", "sigma"))
     table.check()
     table.refuse_repeats(range(table.n), list(zip(sex, year)),
                          lambda k: f"sex {k[0]!r} year {k[1]}")
@@ -307,14 +311,15 @@ def load_age_table(path: str, sexes, value_col: str, hasher) -> AgeProfile:
     """Columns: age, <value_col>, optionally sex (absent rows apply to all sexes).
 
     Ages a sex has no row for are NaN in the assembled table, so a cell must
-    be finite when it is read.
+    be finite when it is read. A negative cell is refused.
     """
     table = _read_csv(path, ("age", value_col), hasher)
     age = table.ints("age")
     # a table without a sex column, or an empty sex cell, is for every sex
     sex = table.present("sex") if "sex" in table else ("",) * table.n
     values = table.finites(value_col, lambda i: (
-        f"sex {sex[i]!r} age {age[i]}" if sex[i] else f"every sex age {age[i]}"))
+        f"sex {sex[i]!r} age {age[i]}" if sex[i] else f"every sex age {age[i]}"),
+        nonnegative=True)
     index = table.sex_index(sex, sexes, every=True)
     table.check()
     lo, hi, grid = _age_grid(table, index, age, values, sexes)

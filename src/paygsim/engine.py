@@ -28,7 +28,7 @@ import numpy as np
 
 from .cohorts import ACTIVE, expected_mortality_grid
 from .config import ScenarioConfig
-from .entrants import DRAWS_PER_CELL, factor_moments
+from .entrants import moment_tables
 from .errors import CoverageError
 from .stochastic import ar1_path
 
@@ -280,14 +280,9 @@ def simulate_flows(system: CohortSystem, ne: np.ndarray,
 
 
 def entrant_moment_tables(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and sigma of the five arrival factors per (year, sex), in the
-    draw order of `entrants.factor_moments`."""
-    shape = (len(cfg.years), len(cfg.sexes), DRAWS_PER_CELL)
-    mean, sigma = np.empty(shape), np.empty(shape)
-    for ti, t in enumerate(cfg.years):
-        for si, s in enumerate(cfg.sexes):
-            mean[ti, si], sigma[ti, si] = factor_moments(cfg.entrants_params, cfg.population, s, t)
-    return mean, sigma
+    """Mean and sigma of the five arrival factors per (year, sex), in draw
+    order, over the scenario's horizon and sexes."""
+    return moment_tables(cfg.entrants_params, cfg.population, cfg.sexes, cfg.years)
 
 
 def entrants_matrix(cfg: ScenarioConfig, eps: np.ndarray) -> np.ndarray:

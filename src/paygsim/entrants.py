@@ -12,14 +12,16 @@ where h is the nominal study duration and k the professional training lag.
 Each factor is a zero-floored affine normal (rates above 1 are legal, e.g.
 after an education reform); shocks are independent across factors, sexes and
 years. One shock per factor per (sex, year), in a fixed order, so paths are
-reproducible from the seed alone. This module holds the model's inputs and
-the closed-form variance; `engine.entrants_matrix` evaluates the product for
-whole arrays of shocks.
+reproducible from the seed alone. This module holds the model's inputs,
+`moment_tables`, which reads each factor's mean and sigma at its lagged year
+for every arrival year and sex at once, and the closed-form variance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CoverageError
 from .schedules import Schedule
@@ -48,15 +50,6 @@ class PopulationSeries:
     def __post_init__(self):
         if self.min_age > self.max_age:
             raise ValueError("min_age must be <= max_age")
-
-    def at(self, sex: str, year: int) -> tuple[float, float]:
-        try:
-            by_year = self.expected[sex]
-        except KeyError:
-            raise CoverageError(f"population series has no sex {sex!r}") from None
-        if year not in by_year:
-            raise CoverageError(f"population series does not cover year {year} for sex {sex!r}")
-        return by_year[year], self.sigma[sex].get(year, 0.0)
 
 
 @dataclass(frozen=True)
@@ -88,35 +81,32 @@ class EntrantsModelParams:
             if missing:
                 raise ValueError(f"sex {sex!r} is missing factors {sorted(missing)}")
 
-    def factor_years(self, year: int) -> dict[str, int]:
-        """Calendar year at which each factor schedule is evaluated for NE(year)."""
-        h, k = self.study_years, self.training_years
-        return {
-            "enrolment": year - h - k,
-            "graduation": year - k,
-            "admission": year,
-            "membership": year,
-        }
 
-    def population_year(self, year: int) -> int:
-        return year - self.study_years - self.training_years
-
-
-def factor_moments(params: EntrantsModelParams, series: PopulationSeries,
-                   sex: str, year: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Means and sigmas of the five factors of NE(year), in draw order: the
-    reference population at its lag, then each transition rate at the
-    calendar year `factor_years` gives it."""
-    pop = series.at(sex, params.population_year(year))
-    try:
-        fs = params.factors[sex]
-    except KeyError:
-        raise CoverageError(f"entrants model has no sex {sex!r}") from None
-    lagged = params.factor_years(year)
-    rates = [(fs[name].mean.value(lagged[name]), fs[name].sigma.value(lagged[name]))
-             for name in FACTOR_NAMES]
-    means, sigmas = zip(pop, *rates)
-    return means, sigmas
+def moment_tables(params: EntrantsModelParams, series: PopulationSeries,
+                  sexes, years) -> tuple[np.ndarray, np.ndarray]:
+    """Means and sigmas of the five factors of NE(t) for each year t and sex,
+    two (n_years, n_sex, DRAWS_PER_CELL) tables in draw order: the reference
+    population and the enrolment rate at t - h - k, the graduation rate at
+    t - k, the admission and membership rates at t."""
+    h, k = params.study_years, params.training_years
+    pop_years, *rate_years = ([t - lag for t in years] for lag in (h + k, h + k, k, 0, 0))
+    mean, sigma = (np.empty((len(years), len(sexes), DRAWS_PER_CELL)) for _ in range(2))
+    for si, s in enumerate(sexes):
+        if s not in series.expected:
+            raise CoverageError(f"population series has no sex {s!r}")
+        try:
+            mean[:, si, 0] = [series.expected[s][y] for y in pop_years]
+        except KeyError as exc:
+            raise CoverageError(f"population series does not cover year {exc.args[0]} "
+                                f"for sex {s!r}") from None
+        sigma[:, si, 0] = [series.sigma[s][y] for y in pop_years]
+        if s not in params.factors:
+            raise CoverageError(f"entrants model has no sex {s!r}")
+        for d, (name, at) in enumerate(zip(FACTOR_NAMES, rate_years), 1):
+            fm = params.factors[s][name]
+            mean[:, si, d] = [fm.mean.value(y) for y in at]
+            sigma[:, si, d] = [fm.sigma.value(y) for y in at]
+    return mean, sigma
 
 
 def variance_new_entrants(params: EntrantsModelParams, series: PopulationSeries,
@@ -127,9 +117,10 @@ def variance_new_entrants(params: EntrantsModelParams, series: PopulationSeries,
     is subtracted to get a true variance. Truncation at zero is ignored, which
     is immaterial while every mean sits several sigmas above zero.
     """
+    mean, sigma = moment_tables(params, series, (sex,), (year,))
     raw2 = mean2 = 1.0
-    for mean, sigma in zip(*factor_moments(params, series, sex, year)):
-        raw2 *= mean * mean + sigma * sigma
-        mean2 *= mean * mean
+    for m, s in zip(mean[0, 0].tolist(), sigma[0, 0].tolist()):
+        raw2 *= m * m + s * s
+        mean2 *= m * m
     # same association order on both products, so all-zero sigmas give exactly 0
     return raw2 - mean2

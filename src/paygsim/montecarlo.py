@@ -13,8 +13,6 @@ draws of another.
 
 from __future__ import annotations
 
-import queue
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -102,31 +100,6 @@ def _compose(cfg: ScenarioConfig, system: CohortSystem,
                             flows["disbursements"], admin, rates)
     return {"ledger": {k: ledger[k] for k in _HELD_COLUMNS}, "entrants": ne,
             "actives": flows["actives"], "retirees": flows["retirees"]}
-
-
-class _Drawer(threading.Thread):
-    """Draws shock blocks on a thread of its own: the blocks of each span put
-    on `todo`, in turn, until None is put there."""
-
-    def __init__(self, cfg: ScenarioConfig):
-        super().__init__(name="paygsim-draw")
-        self._cfg, self.todo, self._done = cfg, queue.SimpleQueue(), queue.SimpleQueue()
-        self.start()
-
-    def run(self) -> None:
-        while (span := self.todo.get()) is not None:
-            try:
-                out = draw_shock_blocks(self._cfg, range(*span))
-            except BaseException as exc:  # raised again by `result`, in the caller
-                out = exc
-            self._done.put(out)
-
-    def result(self) -> ShockBlocks:
-        """The blocks of the earliest span not yet handed over, or its error."""
-        out = self._done.get()
-        if isinstance(out, BaseException):
-            raise out
-        return out
 
 
 _worker_args: tuple = ()  # `_run_chunk`'s run-wide arguments in a pool worker, set once
@@ -326,18 +299,16 @@ def run_simulation(cfg: ScenarioConfig, workers: int | None = None) -> Simulatio
         # thread draws the next chunk while this one simulates the current
         # chunk; it is sent the next chunk only once the current chunk's
         # blocks are taken and the previous chunk's released, so at most two
-        # chunks are in flight
-        drawer = _Drawer(cfg)
-        try:
-            drawer.todo.put(spans[0])
+        # chunks are in flight. Imported here, so that `import paygsim`
+        # does not load the executor machinery.
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(1, thread_name_prefix="paygsim-draw") as drawer:
+            pending = drawer.submit(draw_shock_blocks, cfg, range(*spans[0]))
             for i, span in enumerate(spans):
-                blocks = drawer.result()
+                blocks = pending.result()
                 if i + 1 < len(spans):
-                    drawer.todo.put(spans[i + 1])
+                    pending = drawer.submit(draw_shock_blocks, cfg, range(*spans[i + 1]))
                 store(*span, _compose(*shared, blocks))
-        finally:
-            drawer.todo.put(None)
-            drawer.join()
     admin_cents = to_cents(admin)  # the quantization `ledger_columns` applies
     for a in (*ledger.values(), admin_cents, *entrants.values(), actives, retirees):
         a.flags.writeable = False

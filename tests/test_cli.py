@@ -187,6 +187,36 @@ class TestValidate:
         assert table in lines[0] and f"{column} {value!r}" in lines[0]
         assert where in lines[0] and "not a finite number" in lines[0]
 
+    @pytest.mark.parametrize("command", ["validate", "project"])
+    @pytest.mark.parametrize("table, row, bad, column, value, where", [
+        ("income.csv", "male,40,50000", "male,40,-50000", "amount", "-50000", "'male' age 40"),
+        ("turnover.csv", "female,33,80000", "female,33,-1e-9", "amount", "-1e-9",
+         "'female' age 33"),
+        ("pensions.csv", "male,45,20000", "male,45,-20000", "amount", "-20000", "'male' age 45"),
+        ("conversion.csv", "male,45,0.06", "male,45,-0.06", "coefficient", "-0.06",
+         "'male' age 45"),
+        ("population.csv", "1997,male,1000,100", "1997,male,-1000,100", "expected", "-1000",
+         "'male' year 1997"),
+        ("population.csv", "2010,female,1000,100", "2010,female,1000,-100", "sigma", "-100",
+         "'female' year 2010"),
+    ])
+    def test_negative_table_cell_exits_2(self, capsys, tmp_path, command, table, row, bad,
+                                         column, value, where):
+        # a negative amount, coefficient, population or dispersion would run
+        # and give wrong numbers: negative pensions, or arrivals floored to 0
+        from conftest import BASE_CSVS, write_scenario
+        assert row in BASE_CSVS[table]
+        lines = [bad if r == row else r for r in BASE_CSVS[table]]
+        path = write_scenario(str(tmp_path), csv_overrides={table: lines})
+        argv = [] if command == "validate" else ["--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, command, "--config", path, *argv)
+        assert code == 2
+        assert not (tmp_path / "out").exists()
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines[0].endswith(f"{os.path.join(str(tmp_path), table)}: "
+                                 f"{column} {value!r} for sex {where} is negative")
+
     @pytest.mark.parametrize("command", ["validate", "project", "entrants"])
     @pytest.mark.parametrize("table, row, column", [
         ("census.csv", "male", "age"), ("census.csv", "female,38", "seniority"),

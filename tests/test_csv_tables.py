@@ -188,13 +188,15 @@ def ref_key(path, line, row, col, kind=str):
         raise ConfigError([f"{path}: line {line}: {col} {cell!r} is not an integer"]) from None
 
 
-def ref_finite(path, row, col, where):
+def ref_finite(path, row, col, where, nonnegative=False):
     try:
         value = float(row[col])
     except (TypeError, ValueError):
         value = math.nan
     if not math.isfinite(value):
         raise ConfigError([f"{path}: {col} {row[col]!r} for {where} is not a finite number"])
+    if nonnegative and value < 0:
+        raise ConfigError([f"{path}: {col} {row[col]!r} for {where} is negative"])
     return value
 
 
@@ -207,7 +209,8 @@ def ref_load(path, table):
             age = ref_key(path, line, row, "age", int)
             sex = ref_key(path, line, row, "sex") if "sex" in row else ""
             value = ref_finite(path, row, "amount",
-                               f"sex {sex!r} age {age}" if sex else f"every sex age {age}")
+                               f"sex {sex!r} age {age}" if sex else f"every sex age {age}",
+                               nonnegative=True)
             if sex and sex not in sexes:
                 raise ConfigError([f"{path}: unknown sex {sex!r}"])
             keys, axis = [(s, age) for s in ([sex] if sex else sexes)], "age"
@@ -223,7 +226,8 @@ def ref_load(path, table):
                 raise ConfigError([f"{path}: unknown sex {sex!r}"])
             axis = "age" if table == "mortality" else "year"
             key = ref_key(path, line, row, axis, int)
-            value = tuple(ref_finite(path, row, col, f"sex {sex!r} {axis} {key}")
+            value = tuple(ref_finite(path, row, col, f"sex {sex!r} {axis} {key}",
+                                     nonnegative=table == "population")
                           for col in REQUIRED[table][2:])
             keys = [(sex, key)]
         for k in keys:
@@ -263,8 +267,9 @@ COLUMNS = {"age": ("sex", "age", "amount"), **{t: REQUIRED[t] for t in REQUIRED 
 CELLS = {"sex": ("male", "female", "", "dog"), "age": ("30", "31", " 32", "3x", "33.0", "45"),
          "year": ("1995", "1996", "19x6"), "seniority": ("0", "2", "9", "y"),
          "status": ("active", "retired", "working"),
-         "amount": ("0.5", "12", "inf", "nan", "x", "", "1e400", " 7"),
-         "count": ("1", "2.5", "nan", "-1"), "expected": ("1000", "inf"), "sigma": ("0.001", "z"),
+         "amount": ("0.5", "12", "inf", "nan", "x", "", "1e400", " 7", "-3"),
+         "count": ("1", "2.5", "nan", "-1"), "expected": ("1000", "inf", "-1000"),
+         "sigma": ("0.001", "z", "-0.5"),
          "q0": ("0.01", "0.5", "nan"), "drift": ("0", "-0.01", "x")}
 
 

@@ -1,3 +1,6 @@
+import dataclasses
+import importlib.util
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,8 +8,8 @@ import pytest
 
 from paygsim import Schedule, variance_new_entrants
 from paygsim.engine import entrant_moment_tables, entrants_matrix
-from paygsim.entrants import (DRAWS_PER_CELL, EntrantsModelParams, FactorMoments,
-                              PopulationSeries)
+from paygsim.entrants import (DRAWS_PER_CELL, FACTOR_NAMES, EntrantsModelParams,
+                              FactorMoments, PopulationSeries)
 from paygsim.errors import CoverageError
 from paygsim.montecarlo import entrant_paths
 from paygsim.stochastic import open_streams
@@ -75,11 +78,16 @@ class TestSamplePopulation:
         assert self.population(series, 2000, eps=1.0) == 1500.0
 
     def test_unknown_sex_or_year(self):
-        series = make_series()
-        with pytest.raises(CoverageError, match="sex"):
-            series.at("other", 2000)
+        params, series = make_params(), make_series()
+        with pytest.raises(CoverageError, match="'other'"):
+            entrant_moment_tables(arrival_cfg(params, series, [2020], sexes=("male", "other")))
+        with pytest.raises(CoverageError, match="'other'"):
+            variance_new_entrants(params, series, "other", 2020)
+        # NE(1910) reads the population of 1910 - h - k
         with pytest.raises(CoverageError, match="1901"):
-            series.at("male", 1901)
+            entrant_moment_tables(arrival_cfg(params, series, [2020, 1910]))
+        with pytest.raises(CoverageError, match="1901"):
+            variance_new_entrants(params, series, "male", 1910)
 
 
 class TestExpectationAndVariance:
@@ -214,3 +222,32 @@ class TestSampling:
                 want = new_entrants(params, series, s, t)
                 # truncation bias is tiny at these moments; 3 standard errors
                 assert abs(x.mean() - want) <= 3 * x.std(ddof=1) / np.sqrt(n)
+
+
+def oracle_script():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "compute_oracles.py"
+    spec = importlib.util.spec_from_file_location("compute_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # defines the script's functions; main is not run
+    return module
+
+
+@pytest.mark.parametrize("rates", ["bundled", "new_every_year"])
+def test_the_oracle_script_reads_every_factor_where_the_tables_do(cfg, rates):
+    # the script lags each factor by its own arithmetic, an independent check
+    # of the year at which the tables read it
+    if rates == "new_every_year":  # each rate differs by factor and year, so a wrong lag shows
+        years = range(cfg.first_year - 20, cfg.last_year + 1)
+
+        def rate(d, scale):
+            return Schedule(overrides={y: scale * ((d + 1) * 0.01 + y * 1e-5) for y in years})
+        factors = {s: {name: FactorMoments(rate(d, 1.0), rate(d, 0.1))
+                       for d, name in enumerate(FACTOR_NAMES)} for s in cfg.sexes}
+        cfg = dataclasses.replace(cfg, entrants_params=dataclasses.replace(
+            cfg.entrants_params, factors=factors))
+    mean, sigma = entrant_moment_tables(cfg)
+    script = oracle_script()
+    for ti, year in enumerate(cfg.years):
+        for si, sex in enumerate(cfg.sexes):
+            assert script.lagged_moments(cfg, sex, year) == list(
+                zip(mean[ti, si].tolist(), sigma[ti, si].tolist())), (sex, year)
