@@ -49,47 +49,6 @@ def cents_to_thousands(cents):
 
 
 @dataclass(frozen=True)
-class AgeProfile:
-    """Per-(sex, age) amounts, e.g. incomes or pensions at base-year prices.
-
-    values has shape (n_sex, n_age); missing cells are NaN and asking for one
-    raises a coverage error.
-    """
-
-    sexes: tuple[str, ...]
-    min_age: int
-    max_age: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        want = (len(self.sexes), self.max_age - self.min_age + 1)
-        if self.values.shape != want:
-            raise ValueError(f"values shape {self.values.shape}, expected {want}")
-
-    def value(self, sex: str, age: int) -> float:
-        if sex not in self.sexes:
-            raise CoverageError(f"profile has no sex {sex!r}")
-        if not self.min_age <= age <= self.max_age:
-            raise CoverageError(f"profile does not cover age {age}")
-        v = self.values[self.sexes.index(sex), age - self.min_age]
-        if np.isnan(v):
-            raise CoverageError(f"profile has no value for sex {sex!r} age {age}")
-        return float(v)
-
-    def slice_for(self, grid: CohortGrid) -> np.ndarray:
-        """(n_sex, n_age) values aligned with a grid's age axis (NaN where missing)."""
-        if self.sexes != grid.sexes:
-            raise CoverageError("profile sexes do not match the grid")
-        out = np.full((len(grid.sexes), grid.n_ages), np.nan)
-        lo = max(self.min_age, grid.min_age)
-        hi = min(self.max_age, grid.max_age)
-        if lo <= hi:
-            out[:, lo - grid.min_age:hi - grid.min_age + 1] = \
-                self.values[:, lo - self.min_age:hi - self.min_age + 1]
-        return out
-
-
-@dataclass(frozen=True)
 class EconomicAssumptions:
     """Fund-level economic inputs shared by every flow."""
 
@@ -100,20 +59,21 @@ class EconomicAssumptions:
     inflation: Schedule            # rate in force during each year
     expected_return: Schedule
     deviations: Ar1Params          # AR(1) around the expected return
-    profile_base_year: int         # prices at which the age profiles are stated
+    profile_base_year: int         # prices at which the age tables are stated
 
 
 @dataclass(frozen=True)
 class ContributionRule:
     """One contribution stream: rate schedule times an age profile.
 
-    The profile is stated at profile_base_year prices and appreciated by
+    The profile is a (sex, age) array on the cohort grid's ages, NaN where its
+    table has no row, stated at profile_base_year prices and appreciated by
     cumulative inflation. Cells with seniority <= exemption_years pay nothing.
     """
 
     name: str
     rate: Schedule
-    profile: AgeProfile
+    profile: np.ndarray
     exemption_years: int
 
     def __post_init__(self):
@@ -125,16 +85,12 @@ def contribution_income(grid: CohortGrid, rule: ContributionRule, year: int,
                         price_index: float) -> float:
     """Total stream income for the year from the start-of-year census."""
     counts = grid.counts[ACTIVE, :, :, rule.exemption_years + 1:].sum(axis=2)  # past exemption
-    base = rule.profile.slice_for(grid)
-    populated = counts > 0
-    if np.any(populated & np.isnan(base)):
-        si, ai = np.argwhere(populated & np.isnan(base))[0]
+    for si, ai in np.argwhere((counts > 0) & np.isnan(rule.profile))[:1]:
         raise CoverageError(
             f"{rule.name} profile has no value for sex {grid.sexes[si]!r} "
             f"age {grid.min_age + ai} but the cell is populated"
         )
-    rate = rule.rate.value(year)
-    return float(np.nansum(counts * base) * rate * price_index)
+    return float(np.nansum(counts * rule.profile) * rule.rate.value(year) * price_index)
 
 
 def accrue_and_credit(balances: np.ndarray, grid: CohortGrid, rule: ContributionRule,
@@ -142,8 +98,7 @@ def accrue_and_credit(balances: np.ndarray, grid: CohortGrid, rule: Contribution
     """End-of-year notional balances: one year of accrual plus the year's credits.
     balances are per-cell totals on a grid's active layer; totals (not per-capita
     values) make merges and mortality scaling exact."""
-    base = rule.profile.slice_for(grid)
-    percap = rule.rate.value(year) * np.where(np.isnan(base), 0.0, base) * price_index
+    percap = rule.rate.value(year) * np.nan_to_num(rule.profile) * price_index
     credit = grid.counts[ACTIVE] * percap[:, :, None]
     credit[:, :, :rule.exemption_years + 1] = 0.0
     return balances * (1.0 + accrual_rate) + credit
@@ -156,12 +111,13 @@ class BenefitRule:
     kind "notional_account": the per-capita balance times the conversion
     coefficient at the retirement age. kind "fixed_profile": a per-(sex, age)
     pension profile at base-year prices, appreciated to the retirement year.
-    Every pension in payment is then indexed to inflation annually.
+    Both are (sex, age) arrays like `ContributionRule.profile`. Every pension
+    in payment is then indexed to inflation annually.
     """
 
     kind: str
-    conversion: AgeProfile | None = None
-    profile: AgeProfile | None = None
+    conversion: np.ndarray | None = None
+    profile: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("notional_account", "fixed_profile"):

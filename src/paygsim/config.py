@@ -24,7 +24,7 @@ from itertools import zip_longest
 import numpy as np
 import yaml
 
-from .cashflows import AgeProfile, BenefitRule, ContributionRule, EconomicAssumptions
+from .cashflows import BenefitRule, ContributionRule, EconomicAssumptions
 from .cohorts import ACTIVE, CohortGrid, MortalityModel, RetirementRule
 from .entrants import FACTOR_NAMES, EntrantsModelParams, FactorMoments, PopulationSeries
 from .errors import ConfigError
@@ -117,7 +117,7 @@ class ScenarioConfig:
     contrib_subjective: ContributionRule
     contrib_integrative: ContributionRule
     benefits: dict[str, BenefitRule]
-    pre_existing: AgeProfile
+    pre_existing: np.ndarray  # (sex, age) pensions in payment, as ContributionRule.profile
     accrual_rate: float
     backfill_notional: bool
     economics: EconomicAssumptions
@@ -259,23 +259,28 @@ def _parse(kind, cell, failed=None):
         return failed
 
 
-def _read_csv(path: str, required: tuple[str, ...], hasher) -> _Table:
-    """A CSV file as a table, its bytes hashed; it may start with a byte-order
-    mark, and must have the required columns."""
+def _read_bytes(path: str, hasher) -> bytes:
+    """A file's bytes, hashed."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
     hasher.update(raw)
-    return _Table(path, raw.decode("utf-8-sig").splitlines(), required)
+    return raw
+
+
+def _read_csv(path: str, required: tuple[str, ...], hasher) -> _Table:
+    """A CSV file as a table, its bytes hashed; it may start with a byte-order
+    mark, and must have the required columns."""
+    return _Table(path, _read_bytes(path, hasher).decode("utf-8-sig").splitlines(), required)
 
 
 def _age_grid(table: _Table, sex: list, age: list, values: np.ndarray,
-              sexes) -> tuple[int, int, np.ndarray]:
-    """The first and last age with a row, and the rows' finite values as a
-    (sex, age, cell) array between them; NaN where a sex has no row. A sex of
-    -1 is a row for every sex. Two rows for one sex and age are a ConfigError."""
+              sexes) -> tuple[int, np.ndarray]:
+    """The first age with a row, and the rows' finite values as a (sex, age,
+    cell) array from it to the last; NaN where a sex has no row. A sex of -1
+    is a row for every sex. Two rows for one sex and age are a ConfigError."""
     if not table.n:
         raise ConfigError([f"{table.path}: no usable rows"])
     age, sex = np.array(age), np.array(sex)
@@ -286,7 +291,7 @@ def _age_grid(table: _Table, sex: list, age: list, values: np.ndarray,
     if np.count_nonzero(np.isfinite(grid)) < claimed.size:  # a cell was given twice
         table.refuse_repeats(row.tolist(), list(zip(s.tolist(), age[row].tolist())),
                              lambda k: f"sex {sexes[k[0]]!r} age {k[1]}")
-    return lo, hi, grid
+    return lo, grid
 
 
 def load_population_series(path: str, sexes, min_age: int, max_age: int,
@@ -307,11 +312,12 @@ def load_population_series(path: str, sexes, min_age: int, max_age: int,
     return PopulationSeries(expected=expected, sigma=sigma, min_age=min_age, max_age=max_age)
 
 
-def load_age_table(path: str, sexes, value_col: str, hasher) -> AgeProfile:
+def load_age_table(path: str, sexes, value_col: str, hasher) -> tuple[int, np.ndarray]:
     """Columns: age, <value_col>, optionally sex (absent rows apply to all sexes).
 
-    Ages a sex has no row for are NaN in the assembled table, so a cell must
-    be finite when it is read. A negative cell is refused.
+    The first age with a row, and the (sex, age) values from it to the last;
+    ages a sex has no row for are NaN, so a cell must be finite when it is
+    read. A negative cell is refused.
     """
     table = _read_csv(path, ("age", value_col), hasher)
     age = table.ints("age")
@@ -322,8 +328,18 @@ def load_age_table(path: str, sexes, value_col: str, hasher) -> AgeProfile:
         nonnegative=True)
     index = table.sex_index(sex, sexes, every=True)
     table.check()
-    lo, hi, grid = _age_grid(table, index, age, values, sexes)
-    return AgeProfile(sexes=tuple(sexes), min_age=lo, max_age=hi, values=grid)
+    return _age_grid(table, index, age, values, sexes)
+
+
+def _on_grid(table: tuple[int, np.ndarray], min_age: int, max_age: int) -> np.ndarray:
+    """An age table's values at the cohort grid's ages, read-only: its rows
+    outside the grid are dropped, and grid ages it has no row for are NaN."""
+    lo, values = table
+    at = np.arange(min_age, max_age + 1) - lo  # each grid age's column of the table
+    inside = (at >= 0) & (at < values.shape[1])
+    out = np.where(inside, values[:, np.where(inside, at, 0)], np.nan)
+    out.flags.writeable = False
+    return out
 
 
 def load_mortality(path: str, sexes, base_year: int, hasher) -> MortalityModel:
@@ -335,13 +351,13 @@ def load_mortality(path: str, sexes, base_year: int, hasher) -> MortalityModel:
     columns = [table.finites(col, lambda i: f"sex {sex[i]!r} age {age[i]}")
                for col in ("q0", "drift", "sigma")]
     table.check()
-    lo, hi, grid = _age_grid(table, index, age, np.stack(columns, axis=1), sexes)
+    lo, grid = _age_grid(table, index, age, np.stack(columns, axis=1), sexes)
     if np.isnan(grid).any():
         si, ai, _ = np.argwhere(np.isnan(grid))[0]
         raise ConfigError([f"{path}: no row for sex {sexes[si]!r} age {lo + ai}"])
     q0, drift, sigma = (grid[..., i].copy() for i in range(3))
-    return MortalityModel(base_year=base_year, sexes=tuple(sexes), min_age=lo, max_age=hi,
-                          q0=q0, drift=drift, sigma=sigma)
+    return MortalityModel(base_year=base_year, sexes=tuple(sexes), min_age=lo,
+                          max_age=lo + grid.shape[1] - 1, q0=q0, drift=drift, sigma=sigma)
 
 
 def load_census(path: str, year, sexes, min_age, max_age, max_seniority,
@@ -429,16 +445,21 @@ def _sexes(value) -> tuple[str, ...]:
 class _Field:
     """A field's kind and default: a YAML value, a function of the values read
     before it (a KeyError if one failed), or None if required. An `_int` or
-    `_float` is finite and at least `lo`; a schedule is in [lo, hi] at `years`.
-    It exists where sibling `when[0]` is `when[1]`; a `column` makes an age table."""
+    `_float` is finite and at least `lo`, or above it if `strict`; a schedule
+    is finite and within those bounds and at most `hi` at `years`. It exists
+    where sibling `when[0]` is `when[1]`; a `column` makes an age table."""
 
     kind: Callable
     default: object = None
     lo: float = -math.inf
     hi: float = math.inf
+    strict: bool = False
     years: str | None = None
     when: tuple[str, str] | None = None
     column: str | None = None
+
+    def admits(self, x: float) -> bool:
+        return math.isfinite(x) and (self.lo < x if self.strict else self.lo <= x) and x <= self.hi
 
 
 def _first_year(t: dict) -> int:
@@ -500,13 +521,14 @@ _SCHEMA = {
     },
     "economics": {
         "profile_base_year": _Field(_int, _first_year),
-        "inflation": _Field(_schedule, 0.0, years="priced"),
-        "expected_return": _Field(_schedule, 0.0, years="horizon"),
+        # a rate of -100% or below would zero or flip the sign of every later amount
+        "inflation": _Field(_schedule, 0.0, lo=-1.0, strict=True, years="priced"),
+        "expected_return": _Field(_schedule, 0.0, lo=-1.0, strict=True, years="horizon"),
         "return_deviations": (Ar1Params, {k: _Field(_float, 0.0) for k in ("phi", "sigma", "x0")}),
         "admin_base_year": _Field(_int, _first_year),
         "initial_assets": _Field(_float),
         "admin_base": _Field(_float, 0.0),
-        "admin_growth": _Field(_float, 0.0),
+        "admin_growth": _Field(_float, 0.0, lo=-1.0, strict=True),
     },
 }
 
@@ -554,9 +576,10 @@ def _walk(schema: dict, node: dict, at: str, out: dict, ctx: _Ctx, keys=None) ->
                 elif value is None and spec.default is None:
                     raise ValueError("missing required field")
                 value = spec.kind(value)
-                if spec.kind in (_int, _float) and not (math.isfinite(value) and value >= spec.lo):
-                    raise ValueError(f"must be >= {spec.lo:g}, got {value}" if value < spec.lo
-                                     else f"must be finite, got {value}")
+                if spec.kind in (_int, _float) and not spec.admits(value):
+                    bound = f"{'>' if spec.strict else '>='} {spec.lo:g}"
+                    raise ValueError(f"must be {bound if math.isfinite(value) else 'finite'}, "
+                                     f"got {value}")
             except KeyError:
                 continue  # the default is read from a field that failed
             except (ValueError, OverflowError) as exc:  # an integer too large for a float
@@ -595,12 +618,7 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 def load_config(path: str) -> ScenarioConfig:
     """Parse and validate one scenario file. Raises ConfigError listing every problem."""
     hasher = hashlib.sha256()
-    try:
-        with open(path, "rb") as fh:
-            raw_bytes = fh.read()
-    except OSError as exc:
-        raise ConfigError([f"{path}: {exc}"]) from exc
-    hasher.update(raw_bytes)
+    raw_bytes = _read_bytes(path, hasher)
     try:
         raw = yaml.load(raw_bytes, Loader=_Loader)
     except yaml.YAMLError as exc:
@@ -654,9 +672,11 @@ def load_config(path: str) -> ScenarioConfig:
         # arrivals at t read the population and enrolment of t - study - training
         spans["lagged"] = range(first - study - training, last + 1)
     pool_ages = [ent.get("pool_min_age"), ent.get("pool_max_age")]
-    population = None if None in pool_ages else load(
+    if None not in pool_ages and pool_ages[0] > pool_ages[1]:
+        ctx.fail("entrants.pool_min_age", "must be <= pool_max_age, got {} > {}".format(*pool_ages))
+    population = None if None in pool_ages else load(  # swapped ages are reported above
         "entrants.population_csv", ent.get("population_csv"), load_population_series,
-        sexes, *pool_ages)
+        sexes, *sorted(pool_ages))
     for s in sexes if population is not None and "lagged" in spans else ():
         missing = [y for y in spans["lagged"][:len(years)] if y not in population.expected[s]]
         if missing:
@@ -679,9 +699,15 @@ def load_config(path: str) -> ScenarioConfig:
     if ben.get("backfill_notional") and census is not None and exemption is not None:
         senior = census.counts[ACTIVE].nonzero()[2].max(initial=0)  # counts are >= 0
         spans["credited"] = range(min(first, first - senior + exemption + 1), last + 1)
-    # every age table by its field's path, loaded in the order the digest reads them
-    tables = {where: load(where, name, load_age_table, sexes, f.column)
-              for where, name, f in ctx.read if f.column}
+    # each age table is parsed, and its problems reported, once, under the
+    # first field that names it; the digest reads it again for every field
+    parsed, named = {}, {}
+    for where, name, f in (entry for entry in ctx.read if entry[2].column):
+        key = named[where] = (name, f.column)
+        if key not in parsed:
+            parsed[key] = load(where, name, load_age_table, sexes, f.column)
+        elif parsed[key] is not None:
+            ctx.take(where, lambda: _read_bytes(os.path.join(base_dir, name), hasher))
 
     if eco.get("profile_base_year") is not None:
         # `engine.price_index` compounds inflation from the year after the base year
@@ -694,12 +720,13 @@ def load_config(path: str) -> ScenarioConfig:
         values = ({y: sched.overrides.get(y, sched.default) for y in at} if sched.overrides
                   else {at[0]: sched.default})
         gap = next((y for y, x in values.items() if x is None), None)
-        bad = next((y for y, x in values.items() if gap is None and not f.lo <= x <= f.hi), None)
+        bad = next((y for y, x in values.items() if gap is None and not f.admits(x)), None)
         if gap is not None:
             ctx.fail(where, f"no value for year {gap} (values are read for {at[0]}-{at[-1]})")
         elif bad is not None:
-            ctx.fail(where, f"{where.rsplit('.', 1)[-1]} at {bad} outside "
-                     f"[{f.lo:g}, {f.hi:g}]: {values[bad]}")
+            ctx.fail(where, f"{where.rsplit('.', 1)[-1]} at {bad} outside "  # open at infinity
+                     f"{'(' if f.strict or f.lo == -math.inf else '['}{f.lo:g}, {f.hi:g}"
+                     f"{')' if f.hi == math.inf else ']'}: {values[bad]}")
     if ctx.errors:
         # the mortality table has rows for every sex, and each listed sex has
         # rows in it or in the population series; a sex list that contradicts
@@ -722,6 +749,8 @@ def load_config(path: str) -> ScenarioConfig:
                      f"rows for {', '.join(map(repr, mort_sexes))}")
     ctx.raise_if_failed()
 
+    on_grid = {key: _on_grid(table, min_age, max_age) for key, table in parsed.items()}
+    tables = {where: on_grid[key] for where, key in named.items()}
     contribs = {n: ContributionRule(n, con[n]["rate"], tables[f"contributions.{n}.profile_csv"],
                                     exemption) for n in ("subjective", "integrative")}
     return ScenarioConfig(

@@ -68,13 +68,12 @@ def opening_balance(cfg: ScenarioConfig, sex_index, age, seniority) -> np.ndarra
         raise CoverageError("a contribution history leaves the age grid")
     hist = np.arange(first_credit, cfg.first_year)
     rate, index = np.array([rule.rate.value(y) for y in hist]), price_index(cfg, hist)
-    profile = rule.profile.slice_for(cfg.census)
     # each cell's credit in each history year, zero before its first credited
     # year, so that its balance stays exactly zero until then
     credit = np.zeros((len(hist), len(age)))
     ti, live = ((np.arange(len(hist))[:, None] + sen - len(hist)) > rule.exemption_years).nonzero()
     then = age[live] - len(hist) + ti - cfg.min_age  # the cell's age that year, on the grid
-    credit[ti, live] = rate[ti] * profile[si[live], then] * index[ti]
+    credit[ti, live] = rate[ti] * rule.profile[si[live], then] * index[ti]
     for row in credit:
         bal = bal * (1.0 + cfg.accrual_rate) + row
     for i in np.isnan(bal).nonzero()[0][:1]:  # the first gap, if any
@@ -153,8 +152,8 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
     benefits = [cfg.benefits[b] for b in rule.benefit_types]
     notional = np.array([ben.kind == "notional_account" for ben in benefits])
     payout = np.concatenate([(ben.conversion if ben.kind == "notional_account"
-                              else ben.profile).slice_for(grid).ravel() for ben in benefits])
-    contribs = [(np.array([c.rate.value(t) for t in years]), c.profile.slice_for(grid).ravel())
+                              else ben.profile).ravel() for ben in benefits])
+    contribs = [(np.array([c.rate.value(t) for t in years]), c.profile.ravel())
                 for c in (cfg.contrib_subjective, cfg.contrib_integrative)]
     cell0 = sex * grid.n_ages - cfg.min_age  # plus the age gives the cell
 
@@ -198,8 +197,7 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
     # pensions as running products, one factor a year: ones until retirement,
     # which leave the first pension exact, the first pension, then inflation
     factor = np.where(retired, 1.0 + infl, 1.0)
-    factor[n_act:n_census, 0] = cfg.pre_existing.slice_for(grid).ravel()[
-        (cell0 + age0)[n_act:n_census]]
+    factor[n_act:n_census, 0] = cfg.pre_existing.ravel()[(cell0 + age0)[n_act:n_census]]
     new = ((ret_year > 0) & (ret_year < n_years)).nonzero()[0]
     ry, rt = ret_year[new], kind[new, ret_year[new]]
     coef = payout[rt * n_sex * grid.n_ages + cell[new, ry]]

@@ -84,9 +84,12 @@ def _initial_totals(cfg: ScenarioConfig) -> np.ndarray:
     si, ai, ki = np.argwhere(counts[ACTIVE] > 0).T
     totals[ACTIVE, si, ai, ki] = counts[ACTIVE, si, ai, ki] * opening_balance(
         cfg, si, cfg.min_age + ai, ki)
-    for si, ai, ki in np.argwhere(counts[RETIRED] > 0):
-        totals[RETIRED, si, ai, ki] = counts[RETIRED, si, ai, ki] * \
-            cfg.pre_existing.value(cfg.sexes[si], cfg.min_age + int(ai))
+    si, ai, ki = np.argwhere(counts[RETIRED] > 0).T
+    pension = cfg.pre_existing[si, ai]
+    for i in np.isnan(pension).nonzero()[0][:1]:  # the first gap, if any
+        raise CoverageError(f"profile has no value for sex {cfg.sexes[si[i]]!r} "
+                            f"age {cfg.min_age + ai[i]}")
+    totals[RETIRED, si, ai, ki] = counts[RETIRED, si, ai, ki] * pension
     return totals
 
 
@@ -105,15 +108,12 @@ def _new_pensions(cfg: ScenarioConfig, benefit_type: str, grid, year: int,
     """Pension totals created by one benefit type's retirements this census."""
     ben = cfg.benefits[benefit_type]
     if ben.kind == "notional_account":
-        factor = ben.conversion.slice_for(grid)[:, :, None]
-        source = moved_totals
+        factor, source = ben.conversion[:, :, None], moved_totals
     else:
-        factor = ben.profile.slice_for(grid)[:, :, None] * price_index(cfg, year)
-        source = moved_counts
+        factor, source = ben.profile[:, :, None] * price_index(cfg, year), moved_counts
     live = source != 0.0
     bad = live & ~np.isfinite(np.broadcast_to(factor, source.shape))
-    if np.any(bad):
-        si, ai, _ = np.argwhere(bad)[0]
+    for si, ai, _ in np.argwhere(bad)[:1]:
         raise CoverageError(
             f"benefit {benefit_type!r} has no coefficient for sex "
             f"{grid.sexes[si]!r} age {grid.min_age + ai}")

@@ -2,8 +2,8 @@
 
 `reference_build` below is the original implementation, kept here as the
 oracle: it walks each cohort record year by year through scalar
-`Schedule.value` and `AgeProfile.value` lookups, and compounds its own price
-index one year at a time. The production build fills all cohorts at once
+`Schedule.value` and `ref_value` lookups, and compounds its own price index
+one year at a time. The production build fills all cohorts at once
 from per-year and per-(sex, age) tables with the same float operations in
 the same order, so every table of the `CohortSystem` must agree bit for bit.
 A cohort's retirement year shows in its rows of the retired mask, and its
@@ -23,6 +23,7 @@ from paygsim import load_config
 from paygsim.cohorts import ACTIVE, RETIRED
 from paygsim.engine import CohortSystem, build_system, opening_balance
 from paygsim.errors import CoverageError
+from paygsim.projection import stepwise_projection
 
 ARRAYS = ("initial_counts", "arrival_rows", "qbar", "qsigma", "flow_block",
           "survival_index")
@@ -49,6 +50,15 @@ class RefCohort:
     opening_notional: float = 0.0   # per-capita balance the year before first_year
 
 
+def ref_value(cfg, table, sex, age):
+    """One cell of a (sex, age) table on the grid's ages; a CoverageError
+    where the table has no value."""
+    value = table[cfg.sexes.index(sex), age - cfg.min_age] if cfg.min_age <= age else np.nan
+    if np.isnan(value):
+        raise CoverageError(f"table has no value for sex {sex!r} age {age}")
+    return float(value)
+
+
 def ref_price_index(cfg, year):
     """Product of (1 + inflation) over the years after the profile base year."""
     out = 1.0
@@ -67,7 +77,7 @@ def ref_opening_balance(cfg, sex, age, seniority):
         credit = 0.0
         if sen > rule.exemption_years:
             credit = (rule.rate.value(year)
-                      * rule.profile.value(sex, age - seniority + sen)
+                      * ref_value(cfg, rule.profile, sex, age - seniority + sen)
                       * ref_price_index(cfg, year))
         bal = bal * (1.0 + cfg.accrual_rate) + credit
     return bal
@@ -96,7 +106,7 @@ def ref_fill(cfg, co, row, subj, integ, disb, active_mask, retired_mask, ages):
     infl = cfg.economics.inflation
     pension = 0.0
     if co.initially_retired:
-        pension = cfg.pre_existing.value(co.sex, co.first_age)
+        pension = ref_value(cfg, cfg.pre_existing, co.sex, co.first_age)
     bal = co.opening_notional
     for t in range(co.first_year, last_on_grid + 1):
         ti = t - cfg.first_year
@@ -108,9 +118,9 @@ def ref_fill(cfg, co, row, subj, integ, disb, active_mask, retired_mask, ages):
             if t == co.retirement_year:
                 ben = cfg.benefits[co.benefit_type]
                 if ben.kind == "notional_account":
-                    pension = bal * ben.conversion.value(co.sex, x)
+                    pension = bal * ref_value(cfg, ben.conversion, co.sex, x)
                 else:
-                    pension = ben.profile.value(co.sex, x) * ref_price_index(cfg, t)
+                    pension = ref_value(cfg, ben.profile, co.sex, x) * ref_price_index(cfg, t)
             elif t > co.first_year:
                 pension *= 1.0 + infl.value(t)
             retired_mask[row, ti] = True
@@ -121,9 +131,9 @@ def ref_fill(cfg, co, row, subj, integ, disb, active_mask, retired_mask, ages):
         if sen > exemption:
             idx = ref_price_index(cfg, t)
             subj[row, ti] = (cfg.contrib_subjective.rate.value(t)
-                             * cfg.contrib_subjective.profile.value(co.sex, x) * idx)
+                             * ref_value(cfg, cfg.contrib_subjective.profile, co.sex, x) * idx)
             integ[row, ti] = (cfg.contrib_integrative.rate.value(t)
-                              * cfg.contrib_integrative.profile.value(co.sex, x) * idx)
+                              * ref_value(cfg, cfg.contrib_integrative.profile, co.sex, x) * idx)
         bal = bal * (1.0 + cfg.accrual_rate) + subj[row, ti]
 
 
@@ -298,6 +308,24 @@ class TestCoverage:
     def test_visited_conversion_age_must_be_present(self, tmp_path):
         with pytest.raises(CoverageError, match="conversion"):
             self._build(tmp_path, "conversion.csv", lambda age: age != 41)
+
+    @staticmethod
+    def _without_pension_row(tmp_path, row):
+        header, *rows = BASE_CSVS["pensions.csv"]
+        return load_config(write_scenario(str(tmp_path), csv_overrides={
+            "pensions.csv": [header] + [r for r in rows if not r.startswith(row)]}))
+
+    def test_a_census_retirees_pension_must_be_present(self, tmp_path):
+        # the census retirees are aged 42
+        cfg = self._without_pension_row(tmp_path, "male,42,")
+        for project in (build_system, stepwise_projection):
+            with pytest.raises(CoverageError, match="sex 'male' age 42"):
+                project(cfg)
+
+    def test_pension_ages_no_retiree_holds_may_be_missing(self, tmp_path):
+        cfg = self._without_pension_row(tmp_path, "male,45,")
+        assert_same_build(cfg)
+        stepwise_projection(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from types import SimpleNamespace
 
 from paygsim import Schedule
-from paygsim.cashflows import (LEDGER_COLUMNS, LEDGER_LETTERS, AgeProfile, BenefitRule,
+from paygsim.cashflows import (LEDGER_COLUMNS, LEDGER_LETTERS, BenefitRule,
                                ContributionRule, EconomicAssumptions, accrue_and_credit,
                                cents_to_thousands, contribution_income, identities_hold,
                                ledger_columns, pension_disbursement, round_half_away,
@@ -15,9 +15,11 @@ from paygsim.errors import CoverageError, StateError
 from paygsim.stochastic import Ar1Params
 
 
-def flat_profile(amount, sexes=("male", "female"), min_age=20, max_age=80):
-    n = (len(sexes), max_age - min_age + 1)
-    return AgeProfile(tuple(sexes), min_age, max_age, np.full(n, float(amount)))
+def flat_profile(amount, min_age=20, max_age=80):
+    """A (sex, age) table on make_grid's sexes and ages 20-80: amount from
+    min_age to max_age, NaN elsewhere."""
+    ages = np.arange(20, 81)
+    return np.tile(np.where((ages >= min_age) & (ages <= max_age), float(amount), np.nan), (2, 1))
 
 
 def make_grid(records, year=2006, sexes=("male", "female"),
@@ -91,32 +93,6 @@ class TestRounding:
         got = cents_to_thousands(np.array([149_999, 150_000]))
         assert got.tolist() == [1, 2]
         assert round_half_away(np.array([0.5, -0.5])).tolist() == [1, -1]
-
-
-class TestAgeProfile:
-    def test_value_and_errors(self):
-        p = flat_profile(100.0)
-        assert p.value("male", 40) == 100.0
-        with pytest.raises(CoverageError, match="sex"):
-            p.value("other", 40)
-        with pytest.raises(CoverageError, match="age"):
-            p.value("male", 19)
-
-    def test_nan_cell_is_a_gap(self):
-        vals = np.full((1, 3), 50.0)
-        vals[0, 1] = np.nan
-        p = AgeProfile(("male",), 30, 32, vals)
-        assert p.value("male", 30) == 50.0
-        with pytest.raises(CoverageError, match="31"):
-            p.value("male", 31)
-
-    def test_slice_pads_outside_band_with_nan(self):
-        p = flat_profile(10.0, sexes=("male",), min_age=30, max_age=35)
-        g = CohortGrid.empty(2006, ("male",), 28, 37, 5)
-        s = p.slice_for(g)
-        assert s.shape == (1, 10)
-        assert np.isnan(s[0, 0]) and np.isnan(s[0, -1])
-        assert np.all(s[0, 2:8] == 10.0)
 
 
 class TestContributions:

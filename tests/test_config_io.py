@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import BASE_SCENARIO, write_scenario
-from paygsim import (StochasticFlags, default_config_path, load_config,
+from conftest import BASE_CSVS, BASE_SCENARIO, write_scenario
+from paygsim import (StochasticFlags, config, default_config_path, load_config,
                      run_deterministic_projection, run_simulation, stepwise_projection)
 from paygsim.cli import main
 from paygsim.config import _SCHEMA, _Field, _bool, _float, _int, _schedule
@@ -247,7 +247,20 @@ class TestBrokenScenarios:
         # an empty cell, unlike a missing one, is a row for every sex
         rows = ["age,amount,sex"] + [f"{a},50000," for a in range(30, 51)]
         cfg = load_config(write_scenario(str(tmp_path), csv_overrides={"income.csv": rows}))
-        assert np.all(cfg.contrib_subjective.profile.values == 50000.0)
+        assert np.all(cfg.contrib_subjective.profile == 50000.0)
+
+    def test_a_table_is_read_at_the_grid_ages(self, tmp_path):
+        # the grid holds ages 30-50: rows outside it are dropped, and grid
+        # ages without a row are NaN
+        rows = ["sex,age,amount"] + [f"{s},{a},{a}" for s in ("male", "female")
+                                     for a in (*range(25, 36), *range(45, 56))]
+        cfg = load_config(write_scenario(str(tmp_path), csv_overrides={"income.csv": rows}))
+        profile = cfg.contrib_subjective.profile
+        assert profile.shape == (2, 21)
+        ages = np.arange(30, 51)
+        held = (ages <= 35) | (ages >= 45)
+        assert np.array_equal(profile[:, held], np.tile(ages[held], (2, 1)))
+        assert np.isnan(profile[:, ~held]).all()
 
     def test_non_finite_cell_of_a_table_for_every_sex(self, tmp_path):
         # a row without a sex applies to all sexes, and the error says so
@@ -295,16 +308,16 @@ class TestEachScheduleIsCheckedWhereTheModelReadsIt:
         ({"economics": {"expected_return": {"overrides": {2006: 0.03}}}},
          "economics.expected_return", "no value for year 2007"),
         ({"economics": {"expected_return": float("nan")}},
-         "economics.expected_return", "expected_return at 2006 outside [-inf, inf]: nan"),
+         "economics.expected_return", "expected_return at 2006 outside (-1, inf): nan"),
         ({"retirement": {"thresholds": {"old_age": {
             "min_age": {"overrides": {y: 40 for y in range(2006, 2016)}},
             "min_seniority": 5}}}},
          "retirement.thresholds.old_age.min_age", "no value for year 2016"),
         # factor moments are read from the enrolment year of the first arrivals
         ({"entrants": {"factors": {"male": {"enrolment": {"mean": -0.1, "sigma": 0.02}}}}},
-         "entrants.factors.male.enrolment.mean", "mean at 1997 outside [0, inf]: -0.1"),
+         "entrants.factors.male.enrolment.mean", "mean at 1997 outside [0, inf): -0.1"),
         ({"entrants": {"factors": {"female": {"graduation": {"mean": 0.5, "sigma": -0.02}}}}},
-         "entrants.factors.female.graduation.sigma", "sigma at 1997 outside [0, inf]: -0.02"),
+         "entrants.factors.female.graduation.sigma", "sigma at 1997 outside [0, inf): -0.02"),
         ({"entrants": {"factors": {"male": {"admission": {
             "mean": {"overrides": {y: 0.2 for y in range(1998, 2017)}}, "sigma": 0.02}}}}},
          "entrants.factors.male.admission.mean", "no value for year 1997"),
@@ -592,7 +605,7 @@ def test_a_key_given_beside_a_merge_key_is_no_repeat(tmp_path):
     merged, plain = load_config(path), load_config(write_scenario(str(tmp_path)))
     got, want = merged.contrib_integrative, plain.contrib_integrative
     assert got.rate == want.rate
-    assert np.array_equal(got.profile.values, want.profile.values)
+    assert np.array_equal(got.profile, want.profile)
 
 
 SMALL_NAMES = {"<sex>": "male", "<type>": "old_age", "<factor>": "enrolment"}
@@ -678,6 +691,73 @@ def test_a_bad_pool_age_is_reported_under_its_own_field(tmp_path, field, value, 
     with pytest.raises(ConfigError) as exc:
         load_config(write_scenario(str(tmp_path), tweaks={"entrants": {field: value}}))
     assert exc.value.messages == [f"entrants.{field}: {detail}"]
+
+
+@pytest.mark.parametrize("tweaks, message", [
+    # a rate of -100% or below zeroes an amount or flips its sign every year
+    ({"economics": {"admin_growth": -1.0, "admin_base_year": 2010}},
+     "economics.admin_growth: must be > -1, got -1.0"),
+    ({"economics": {"admin_growth": -2.0}}, "economics.admin_growth: must be > -1, got -2.0"),
+    ({"economics": {"inflation": -2.0}},
+     "economics.inflation: inflation at 2006 outside (-1, inf): -2.0"),
+    ({"economics": {"inflation": {"default": 0.02, "overrides": {2010: -1.0}}}},
+     "economics.inflation: inflation at 2010 outside (-1, inf): -1.0"),
+    ({"economics": {"expected_return": -3.0}},
+     "economics.expected_return: expected_return at 2006 outside (-1, inf): -3.0"),
+    # a schedule is finite at every year it is read
+    ({"economics": {"inflation": math.inf}},
+     "economics.inflation: inflation at 2006 outside (-1, inf): inf"),
+    ({"entrants": {"factors": {"male": {"admission": {"mean": math.inf, "sigma": 0.02}}}}},
+     "entrants.factors.male.admission.mean: mean at 1997 outside [0, inf): inf"),
+])
+def test_a_value_that_breaks_the_arithmetic_is_refused(tmp_path, capsys, tweaks, message):
+    assert main(["validate", "--config", write_scenario(str(tmp_path), tweaks=tweaks)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("population, messages", [
+    (None, []),
+    (["year,sex,expected,sigma", "1995,male,-1,0"],
+     ["entrants.population_csv: {}: expected '-1' for sex 'male' year 1995 is negative"]),
+])
+def test_swapped_pool_ages_are_reported_under_the_pool_ages(tmp_path, population, messages):
+    path = write_scenario(str(tmp_path), tweaks={"entrants": {"pool_min_age": 30,
+                                                              "pool_max_age": 20}},
+                          csv_overrides=population and {"population.csv": population})
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    csv_path = os.path.join(str(tmp_path), "population.csv")
+    assert exc.value.messages == ["entrants.pool_min_age: must be <= pool_max_age, got 30 > 20",
+                                  *(m.format(csv_path) for m in messages)]
+
+
+def test_a_table_several_fields_name_is_parsed_once_and_shared(cfg, monkeypatch):
+    parsed = []
+    load_age_table = config.load_age_table
+    monkeypatch.setattr(config, "load_age_table", lambda path, *args: (
+        parsed.append(os.path.basename(path)), load_age_table(path, *args))[1])
+    loaded = load_config(default_config_path())
+    assert parsed.count("conversion.csv") == 1
+    assert loaded.source_digest == cfg.source_digest
+    assert loaded.benefits["vecchiaia"].conversion is loaded.benefits["unica_contributiva"].conversion
+    for table in (loaded.contrib_subjective.profile, loaded.contrib_integrative.profile,
+                  loaded.pre_existing, *(b.conversion for b in loaded.benefits.values())):
+        assert table.shape == (2, 77) and not table.flags.writeable
+
+
+def test_a_bad_table_several_fields_name_is_one_message(tmp_path, capsys):
+    rows = BASE_CSVS["conversion.csv"] + ["male,34,-0.06"]
+    path = write_scenario(str(tmp_path), tweaks={
+        "retirement": {"benefit_types": ["old_age", "twin"],
+                       "thresholds": {"old_age": {"min_age": 40, "min_seniority": 5},
+                                      "twin": {"min_age": 40, "min_seniority": 5}}},
+        "benefits": {"types": {"twin": {"kind": "notional_account",
+                                        "conversion_csv": "conversion.csv"}}}},
+        csv_overrides={"conversion.csv": rows})
+    assert main(["validate", "--config", path]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: benefits.types.old_age.conversion_csv: ")
+    assert "coefficient '-0.06' for sex 'male' age 34 is negative" in line
 
 
 def _nested_fields(raw: dict, prefix=()):

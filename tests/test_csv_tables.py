@@ -27,13 +27,13 @@ def _tables(cfg) -> dict:
     out = {"census": cfg.census.counts,
            "population.expected": cfg.population.expected,
            "population.sigma": cfg.population.sigma,
-           "subjective": cfg.contrib_subjective.profile.values,
-           "integrative": cfg.contrib_integrative.profile.values,
-           "pre_existing": cfg.pre_existing.values,
+           "subjective": cfg.contrib_subjective.profile,
+           "integrative": cfg.contrib_integrative.profile,
+           "pre_existing": cfg.pre_existing,
            **{f"mortality.{k}": getattr(cfg.mortality, k) for k in ("q0", "drift", "sigma")}}
     for name, rule in cfg.benefits.items():
         out[f"benefits.{name}"] = (rule.conversion if rule.kind == "notional_account"
-                                   else rule.profile).values
+                                   else rule.profile)
     return out
 
 
@@ -293,9 +293,9 @@ def tables(draw):
 
 def production_load(path, table):
     if table == "age":
-        profile = load_age_table(path, ("male", "female"), "amount", hashlib.sha256())
-        return {(s, profile.min_age + a): float(v) for (si, a), v in np.ndenumerate(profile.values)
-                if not np.isnan(v) for s in [profile.sexes[si]]}
+        lo, values = load_age_table(path, ("male", "female"), "amount", hashlib.sha256())
+        return {(("male", "female")[si], lo + a): float(v)
+                for (si, a), v in np.ndenumerate(values) if not np.isnan(v)}
     if table == "population":
         series = load_population_series(path, ("male", "female"), 18, 25, hashlib.sha256())
         return {(s, y): (v, series.sigma[s][y])
