@@ -64,8 +64,9 @@ SHOCK_FAMILIES = tuple(f.name for f in fields(StochasticFlags))  # in draw and r
 
 @dataclass(frozen=True)
 class RunSettings:
-    """How a run samples and reports. Every way of setting the probes, from a
-    scenario file, `--percentiles` or `with_run`, goes through this check."""
+    """How a run samples and reports. Every way of setting the probes or the
+    moments years, from a scenario file, `--percentiles` or `with_run`, goes
+    through this check."""
 
     seed: int
     n_reps: int
@@ -84,6 +85,8 @@ class RunSettings:
              or not all(0.0 < p < 100.0 for p in probes),
              f"run.percentile_probes: must be one or more increasing probes within (0, 100), "
              f"got {probes}"),
+            (len(set(self.moments_years)) < len(self.moments_years),
+             f"run.moments_years: must not repeat a year, got {list(self.moments_years)}"),
         ) if bad]
         if errors:
             raise ConfigError(errors)
@@ -294,8 +297,7 @@ def _age_grid(table: _Table, sex: list, age: list, values: np.ndarray,
     return lo, grid
 
 
-def load_population_series(path: str, sexes, min_age: int, max_age: int,
-                           hasher) -> PopulationSeries:
+def load_population_series(path: str, sexes, hasher) -> PopulationSeries:
     """Columns: year, sex, expected, sigma; a negative cell is refused."""
     table = _read_csv(path, ("year", "sex", "expected", "sigma"), hasher)
     sex = table.present("sex")
@@ -309,7 +311,7 @@ def load_population_series(path: str, sexes, min_age: int, max_age: int,
     rows = [[i for i, k in enumerate(index) if k == j] for j in range(len(sexes))]
     expected, sigma = ({s: {year[i]: column[i] for i in r} for s, r in zip(sexes, rows)}
                        for column in (expected.tolist(), sigma.tolist()))
-    return PopulationSeries(expected=expected, sigma=sigma, min_age=min_age, max_age=max_age)
+    return PopulationSeries(expected=expected, sigma=sigma)
 
 
 def load_age_table(path: str, sexes, value_col: str, hasher) -> tuple[int, np.ndarray]:
@@ -674,9 +676,8 @@ def load_config(path: str) -> ScenarioConfig:
     pool_ages = [ent.get("pool_min_age"), ent.get("pool_max_age")]
     if None not in pool_ages and pool_ages[0] > pool_ages[1]:
         ctx.fail("entrants.pool_min_age", "must be <= pool_max_age, got {} > {}".format(*pool_ages))
-    population = None if None in pool_ages else load(  # swapped ages are reported above
-        "entrants.population_csv", ent.get("population_csv"), load_population_series,
-        sexes, *sorted(pool_ages))
+    population = load("entrants.population_csv", ent.get("population_csv"),
+                      load_population_series, sexes)
     for s in sexes if population is not None and "lagged" in spans else ():
         missing = [y for y in spans["lagged"][:len(years)] if y not in population.expected[s]]
         if missing:

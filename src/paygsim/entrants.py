@@ -39,17 +39,10 @@ class PopulationSeries:
     Args:
         expected: mapping sex -> {year: expected population}.
         sigma: mapping sex -> {year: standard deviation of the aggregate}.
-        min_age, max_age: age band the aggregate covers (metadata).
     """
 
     expected: dict[str, dict[int, float]]
     sigma: dict[str, dict[int, float]]
-    min_age: int
-    max_age: int
-
-    def __post_init__(self):
-        if self.min_age > self.max_age:
-            raise ValueError("min_age must be <= max_age")
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ draws of another.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -265,9 +266,11 @@ def run_simulation(cfg: ScenarioConfig, workers: int | None = None) -> Simulatio
     is allocated once and each chunk's rows are copied into place as the
     chunk finishes, in chunk order. `cfg`, the cohort system and the other
     run-wide inputs are built once, and pool workers receive them once, when
-    they start. A serial run draws each chunk's shocks on one helper thread,
-    at most one chunk ahead of the chunk being simulated, which has exited
-    when this returns or raises; an error in either thread is raised here.
+    they start. The pool has at most `workers` processes, and no more than
+    there are chunks or CPUs this process may run on. A serial run draws
+    each chunk's shocks on one helper thread, at most one chunk ahead of the
+    chunk being simulated, which has exited when this returns or raises; an
+    error in either thread is raised here.
     """
     if workers is not None and workers < 1:
         raise ConfigError([f"workers: must be >= 1, got {workers}"])
@@ -287,10 +290,14 @@ def run_simulation(cfg: ScenarioConfig, workers: int | None = None) -> Simulatio
         actives[lo:hi] = part["actives"]
         retirees[lo:hi] = part["retirees"]
 
-    if workers is not None and workers > 1 and len(spans) > 1:
+    # the pool forks all its processes when the first chunk is sent
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    pool_size = min(workers or 1, len(spans), cpus)
+    if pool_size > 1:
         # imported here, so that serial runs never load the pool machinery
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+        with ProcessPoolExecutor(max_workers=pool_size, initializer=_init_worker,
                                  initargs=shared) as pool:
             for span, part in zip(spans, pool.map(_run_pooled_chunk, *zip(*spans))):
                 store(*span, part)

@@ -19,8 +19,9 @@ from itertools import pairwise
 import numpy as np
 
 
-# numpy's SeedSequence hash (O'Neill's seed_seq_fe128 with a 4-word pool),
-# restated so that its last steps run over many stream ids at once
+# numpy's SeedSequence hash (O'Neill's seed_seq_fe128 with a 4-word pool).
+# numpy hashes the seed into the pool; the steps after that, which mix in a
+# stream id and read the pool out, are restated to run over many ids at once.
 _POOL = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -54,33 +55,17 @@ def _mix(x, y):
     return value ^ value >> 16
 
 
-def _words(n: int) -> list[int]:
-    """A non-negative integer as little-endian 32-bit words (at least one)."""
-    words = [n & _MASK]
-    while n := n >> 32:
-        words.append(n & _MASK)
-    return words
-
-
 @lru_cache(maxsize=16)
 def _spawn_pool(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pool of `SeedSequence(seed, spawn_key=(id,))` before its id word
     is mixed in, and the constant pairs that mix the id into each pool word,
     as read-only uint32 arrays."""
-    # a spawned sequence pads the seed's words to the pool with zeros
-    words = _words(seed)
-    words += [0] * (_POOL - len(words))
-    # hashmix steps: one per word filling the pool, one per ordered pair of
-    # pool words, and one per pool word for each later word, the id the last
-    steps = pairwise(_chain(_INIT_A, _MULT_A, 4 * len(words) + 5))
-    pool = [_hashmix(w, *next(steps)) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], *next(steps)))
-    for w in words[_POOL:]:
-        pool = [_mix(p, _hashmix(w, *next(steps))) for p in pool]
-    out = (np.array(pool, dtype=np.uint32), *(np.array(c, dtype=np.uint32) for c in zip(*steps)))
+    # A spawned sequence pads the seed's w words to the pool with zeros, as
+    # an unspawned one pads its pool, so the two pools agree. Filling and
+    # mixing the pool takes 4 * w hashmix steps; the id takes the next four.
+    w = max(_POOL, -(-seed.bit_length() // 32))
+    steps = pairwise(_chain(_INIT_A, _MULT_A, 4 * w + 5)[4 * w:])
+    out = (np.random.SeedSequence(seed).pool, *(np.array(c, dtype=np.uint32) for c in zip(*steps)))
     for a in out:
         a.flags.writeable = False
     return out
@@ -91,10 +76,10 @@ def stream_keys(seed: int, ids) -> np.ndarray:
 
     Row i equals `SeedSequence(seed, spawn_key=(ids[i],)).generate_state(2,
     np.uint64)`, the key `Philox(SeedSequence(...))` would use, so a stream
-    opened from it is numpy's stream for that key. The seed's words are
-    hashed once, in Python integers; the id, the last entropy word, is then
-    mixed in for all ids at once in uint32 arrays. Ids must be below 2**32,
-    one entropy word each.
+    opened from it is numpy's stream for that key. The seed is hashed once,
+    by `SeedSequence(seed)`; the id, the last entropy word, is then mixed in
+    for all ids at once in uint32 arrays. Ids must be below 2**32, one
+    entropy word each.
     """
     seed = int(seed)
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)

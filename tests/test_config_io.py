@@ -81,6 +81,7 @@ class TestSmallScenario:
         ({"probes": (5.0, 5.0, 50.0)}, "run.percentile_probes"),
         ({"moments_years": (1900,)}, "run.moments_years"),
         ({"moments_years": (2010, 2017)}, "run.moments_years"),
+        ({"moments_years": (2010, 2010, 2015)}, "run.moments_years"),
     ])
     def test_with_run_validates(self, small_scenario, change, field):
         cfg = load_config(small_scenario)
@@ -172,6 +173,12 @@ class TestBrokenScenarios:
         path = write_scenario(str(tmp_path), tweaks={"run": {"moments_years": [2005]}})
         with pytest.raises(ConfigError, match="moments_years"):
             load_config(path)
+
+    def test_moments_years_must_not_repeat(self, tmp_path, capsys):
+        path = write_scenario(str(tmp_path), tweaks={"run": {"moments_years": [2010, 2010, 2015]}})
+        assert main(["validate", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: run.moments_years: must not repeat a year, got [2010, 2010, 2015]\n")
 
     def test_horizon_order(self, tmp_path):
         path = write_scenario(str(tmp_path), tweaks={

@@ -297,7 +297,7 @@ def production_load(path, table):
         return {(("male", "female")[si], lo + a): float(v)
                 for (si, a), v in np.ndenumerate(values) if not np.isnan(v)}
     if table == "population":
-        series = load_population_series(path, ("male", "female"), 18, 25, hashlib.sha256())
+        series = load_population_series(path, ("male", "female"), hashlib.sha256())
         return {(s, y): (v, series.sigma[s][y])
                 for s, by_year in series.expected.items() for y, v in by_year.items()}
     if table == "mortality":

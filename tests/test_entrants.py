@@ -38,7 +38,6 @@ def make_series(mean=1000.0, sigma=100.0, years=range(1990, 2031),
     return PopulationSeries(
         expected={s: {y: mean for y in years} for s in sexes},
         sigma={s: {y: sigma for y in years} for s in sexes},
-        min_age=18, max_age=25,
     )
 
 

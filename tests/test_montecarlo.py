@@ -73,6 +73,51 @@ class TestReproducibility:
         assert np.array_equal(a.returns[3], c.returns[0])
 
 
+class TestPoolSize:
+    """The pool starts no more processes than there are chunks or CPUs."""
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size and runs the
+        initializer and the chunks in this process, starting none."""
+
+        def __init__(self, sizes, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    # 8 replications in chunks of 2 make 4 chunks; an empty pool size means
+    # the run was serial; cpus None means os.sched_getaffinity is missing
+    # and os.cpu_count() gives 3
+    @pytest.mark.parametrize("workers, cpus, size", [
+        (5000, 8, [4]), (5000, 3, [3]), (2, 8, [2]), (5000, None, [3]), (5000, 1, []),
+    ])
+    def test_pool_is_sized_to_the_work(self, small_cfg, base_run, monkeypatch,
+                                       workers, cpus, size):
+        import concurrent.futures
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            lambda **kw: self.RecordingPool(sizes, **kw))
+        monkeypatch.setattr(montecarlo, "_worker_args", ())  # put back afterwards
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 2)
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        result = run_simulation(small_cfg, workers=workers)
+        assert sizes == size
+        TestStreamedChunks.assert_same_run(base_run, result)
+
+
 class TestStreamedChunks:
     """Chunks, each drawn and simulated together, land in one preallocated result."""
 
