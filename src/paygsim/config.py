@@ -696,7 +696,7 @@ def load_config(path: str) -> ScenarioConfig:
 
     exemption = con.get("exemption_years")
     # a backfilled history credits the subjective rate from the year the most
-    # senior census active left the exemption, as `engine.opening_balance` does
+    # senior census active left the exemption, as `engine.build_system` does
     if ben.get("backfill_notional") and census is not None and exemption is not None:
         senior = census.counts[ACTIVE].nonzero()[2].max(initial=0)  # counts are >= 0
         spans["credited"] = range(min(first, first - senior + exemption + 1), last + 1)

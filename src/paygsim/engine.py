@@ -42,44 +42,10 @@ def price_index(cfg: ScenarioConfig, years):
     at or before the base year, which only backcast contribution histories reach."""
     years = np.asarray(years, dtype=int)
     base = cfg.economics.profile_base_year
-    lo = min(int(years.min()), base + 1)
+    lo = int(years.min(initial=base + 1))
     growth = [1.0 + cfg.economics.inflation.value(y) if y > base else 1.0
-              for y in range(lo, int(years.max()) + 1)]
+              for y in range(lo, int(years.max(initial=base)) + 1)]
     return np.cumprod(growth)[years - lo][()]
-
-
-def opening_balance(cfg: ScenarioConfig, sex_index, age, seniority) -> np.ndarray:
-    """Backcast per-capita notional balances for census cells, given as
-    equal-length sequences (a sex as an index into `cfg.sexes`).
-
-    Replays each cell's assumed contribution history: entry `seniority`
-    years before the census at age - seniority, crediting each year's
-    subjective contribution under the same accrual and exemption rules the
-    projection uses. Without backfilling, census members start from zero and
-    their eventual pensions reflect projected contributions only.
-    """
-    si, age, sen = (np.asarray(a, dtype=int).reshape(-1) for a in (sex_index, age, seniority))
-    bal, rule = np.zeros(len(age)), cfg.contrib_subjective
-    first_credit = cfg.first_year - sen.max(initial=0) + rule.exemption_years + 1
-    if not cfg.backfill_notional or first_credit >= cfg.first_year:
-        return bal  # no credited year, and zero balances stay zero
-    entry = age - sen
-    if np.any((sen > 0) & ((entry < cfg.min_age) | (age > cfg.max_age))):
-        raise CoverageError("a contribution history leaves the age grid")
-    hist = np.arange(first_credit, cfg.first_year)
-    rate, index = np.array([rule.rate.value(y) for y in hist]), price_index(cfg, hist)
-    # each cell's credit in each history year, zero before its first credited
-    # year, so that its balance stays exactly zero until then
-    credit = np.zeros((len(hist), len(age)))
-    ti, live = ((np.arange(len(hist))[:, None] + sen - len(hist)) > rule.exemption_years).nonzero()
-    then = age[live] - len(hist) + ti - cfg.min_age  # the cell's age that year, on the grid
-    credit[ti, live] = rate[ti] * rule.profile[si[live], then] * index[ti]
-    for row in credit:
-        bal = bal * (1.0 + cfg.accrual_rate) + row
-    for i in np.isnan(bal).nonzero()[0][:1]:  # the first gap, if any
-        raise CoverageError(f"subjective profile has a gap in the history of sex "
-                            f"{cfg.sexes[si[i]]!r} age {age[i]} seniority {sen[i]}")
-    return bal
 
 
 @dataclass
@@ -126,6 +92,7 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
     age) arrays once, and every cohort's age, seniority, status and
     contributions become (cohort, year) tables over the whole horizon; only
     the notional balances and the indexed pensions are carried year to year.
+    Census balances start from their backfilled history, in the same recursion.
     A cohort retires in the first checked year in which the thresholds then
     in force are met: age strictly above the minimum, seniority at or above
     it. The type exceeded by the widest margin wins, ties going to the first
@@ -182,17 +149,32 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
     flow_block = np.zeros((n_years, len(FLOWS), n))
     flow_block[:, 4] = paid.T
     flow_block[:, 3] = active.T
-    row, ti = (active & (sen > cfg.contrib_subjective.exemption_years)).nonzero()
+    subj = cfg.contrib_subjective
+    row, ti = (active & (sen > subj.exemption_years)).nonzero()
     for k, (rate, profile) in enumerate(contribs):
         flow_block[ti, k, row] = (rate[ti] * profile[cell[row, ti]]) * prices[ti]
 
-    # the balance each cohort holds at the start of each year; only actives'
-    # balances are read, the others may drift
-    balance = np.zeros((n_years, n))
-    balance[0, :n_act] = opening_balance(cfg, sex[:n_act], age0[:n_act], sen0[:n_act])
-    for ti in range(n_years - 1):
-        np.multiply(balance[ti], 1.0 + cfg.accrual_rate, out=balance[ti + 1])
-        balance[ti + 1] += flow_block[ti, 0]
+    # backfilled credits, from the year the most senior census active left the exemption
+    n_back = (max(int(sen0[:n_act].max(initial=0)) - subj.exemption_years - 1, 0)
+              if cfg.backfill_notional else 0)
+    if n_back and np.any(age0[:n_act] - sen0[:n_act] < cfg.min_age):
+        raise CoverageError("a contribution history leaves the age grid")
+    lag = np.arange(-n_back, 0)  # the years before the census, counted back from it
+    rate = np.array([subj.rate.value(years[0] + k) for k in lag])
+    tb, row = (sen0[:n_act] + lag[:, None] > subj.exemption_years).nonzero()
+    # the balance each cohort holds at the start of each year, from the first
+    # credited one: the year before's credits, then that year's opening balance
+    # accrued is added; only actives' balances are read, the others may drift
+    balance = np.zeros((n_back + n_years, n))
+    balance[tb + 1, row] = ((rate[tb] * contribs[0][1][cell[row, 0] + lag[tb]])
+                            * price_index(cfg, years[0] + lag)[tb])
+    for row in np.isnan(balance).any(axis=0).nonzero()[0][:1]:  # the first gap
+        raise CoverageError(f"subjective profile has a gap in the history of sex "
+                            f"{cfg.sexes[sex[row]]!r} age {age0[row]} seniority {sen0[row]}")
+    balance[n_back + 1:] = flow_block[:-1, 0]
+    for ti in range(n_back + n_years - 1):
+        balance[ti + 1] += balance[ti] * (1.0 + cfg.accrual_rate)
+    balance = balance[n_back:]
 
     # pensions as running products, one factor a year: ones until retirement,
     # which leave the first pension exact, the first pension, then inflation

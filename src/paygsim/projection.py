@@ -10,8 +10,9 @@ year step of `cohorts` (`age_one_year`, `inject_new_entrants`, `retire`),
 carrying notional balances and pensions in payment as per-cell totals. It
 accepts the same shock arrays, so any replication of the cohort engine can be
 replayed against it. It is much slower and exists to cross-check the cohort
-decomposition, which is why it deliberately shares none of the engine's
-evolution code.
+decomposition, so it shares none of the engine's evolution code: it replays
+the census accounts' backfilled history itself, and takes only input rules
+from the engine (the price index, admin costs and expected arrivals).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .cashflows import accrue_and_credit, contribution_income, pension_disbursem
 from .cohorts import ACTIVE, RETIRED, age_one_year, inject_new_entrants, retire
 from .config import ScenarioConfig
 from .engine import (admin_path, build_system, entrant_moment_tables, entrant_product,
-                     opening_balance, price_index, return_rates, simulate_flows)
+                     price_index, return_rates, simulate_flows)
 from .errors import CoverageError
 
 
@@ -77,13 +78,28 @@ def run_deterministic_projection(cfg: ScenarioConfig) -> ProjectionResult:
 
 
 def _initial_totals(cfg: ScenarioConfig) -> np.ndarray:
-    """Per-cell totals shaped like the census counts: notional balances on the
-    active layer, pensions in payment on the retired layer."""
-    counts = cfg.census.counts
+    """Per-cell totals shaped like the census counts: pensions in payment on
+    the retired layer, notional balances on the active layer. Those are zero
+    unless the scenario backfills them, replaying each cell's subjective
+    credits one year at a time, from entry, after the exemption."""
+    counts, rule = cfg.census.counts, cfg.contrib_subjective
     totals = np.zeros_like(counts)
     si, ai, ki = np.argwhere(counts[ACTIVE] > 0).T
-    totals[ACTIVE, si, ai, ki] = counts[ACTIVE, si, ai, ki] * opening_balance(
-        cfg, si, cfg.min_age + ai, ki)
+    lags = (range(ki.max(initial=0) - rule.exemption_years - 1, 0, -1)
+            if cfg.backfill_notional else ())  # the credited years before the census
+    if lags and np.any(ai < ki):  # entered below the grid's first age
+        raise CoverageError("a contribution history leaves the age grid")
+    bal = np.zeros(len(ki))  # per capita
+    for lag in lags:
+        year, paying = cfg.first_year - lag, ki - lag > rule.exemption_years
+        credit = np.zeros(len(ki))
+        credit[paying] = (rule.rate.value(year) * rule.profile[si[paying], ai[paying] - lag]
+                          * price_index(cfg, year))
+        bal = bal * (1.0 + cfg.accrual_rate) + credit
+    for i in np.isnan(bal).nonzero()[0][:1]:  # the first gap, if any
+        raise CoverageError(f"subjective profile has a gap in the history of sex "
+                            f"{cfg.sexes[si[i]]!r} age {cfg.min_age + ai[i]} seniority {ki[i]}")
+    totals[ACTIVE, si, ai, ki] = counts[ACTIVE, si, ai, ki] * bal
     si, ai, ki = np.argwhere(counts[RETIRED] > 0).T
     pension = cfg.pre_existing[si, ai]
     for i in np.isnan(pension).nonzero()[0][:1]:  # the first gap, if any

@@ -10,20 +10,19 @@ A cohort's retirement year shows in its rows of the retired mask, and its
 benefit type in its disbursements wherever the types' tables differ.
 """
 
-import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from conftest import BASE_CSVS, write_scenario
 from paygsim import load_config
 from paygsim.cohorts import ACTIVE, RETIRED
-from paygsim.engine import CohortSystem, build_system, opening_balance
+from paygsim.engine import CohortSystem, build_system
 from paygsim.errors import CoverageError
 from paygsim.projection import stepwise_projection
+from strategies import FIXED_PROFILE, SECOND_CONVERSION, load_variant, scenario_tweaks
 
 ARRAYS = ("initial_counts", "arrival_rows", "qbar", "qsigma", "flow_block",
           "survival_index")
@@ -299,8 +298,15 @@ class TestCoverage:
             self._build(tmp_path, "income.csv", lambda age: age != 32)
 
     def test_backcast_may_not_leave_the_grid(self, small_scenario):
-        with pytest.raises(CoverageError, match="age grid"):
-            opening_balance(load_config(small_scenario), [0], [33], [10])
+        # an active aged 33 with seniority 10 entered at 23, below the grid;
+        # load_config refuses such a census, so this one is put in by hand
+        cfg = load_config(small_scenario)
+        counts = cfg.census.counts.copy()
+        counts[ACTIVE, 0, 33 - cfg.min_age, 10] = 1.0
+        cfg = replace(cfg, census=replace(cfg.census, counts=counts))
+        for project in (build_system, stepwise_projection):
+            with pytest.raises(CoverageError, match="age grid"):
+                project(cfg)
 
     def test_unvisited_conversion_ages_may_be_missing(self, tmp_path):
         self._build(tmp_path, "conversion.csv", lambda age: age >= 41)
@@ -331,71 +337,8 @@ class TestCoverage:
 # ---------------------------------------------------------------------------
 # Random variants of the small scenario
 
-# the horizon plus the years the census members' backcast histories reach
-YEARS = range(1994, 2017)
-
-
-@st.composite
-def schedules(draw, lo, hi, places=3):
-    """A bare number or a {default, overrides} mapping within [lo, hi]."""
-    value = st.integers(int(lo * 10 ** places), int(hi * 10 ** places)).map(
-        lambda v: v / 10 ** places)
-    default = draw(value)
-    overrides = draw(st.dictionaries(st.sampled_from(YEARS), value, max_size=3))
-    return {"default": default, "overrides": overrides} if overrides else default
-
-
-@st.composite
-def thresholds(draw):
-    # narrow ranges, so that two benefit types often tie on their lead
-    return {"min_age": draw(schedules(36, 44, places=0)),
-            "min_seniority": draw(schedules(0, 10, places=0))}
-
-
-@st.composite
-def scenario_tweaks(draw):
-    second = draw(st.sampled_from(["notional_account", "fixed_profile"]))
-    first_th = draw(thresholds())
-    second_th = first_th if draw(st.booleans()) else draw(thresholds())
-    second_type = ({"kind": "notional_account", "conversion_csv": "conversion2.csv"}
-                   if second == "notional_account"
-                   else {"kind": "fixed_profile", "profile_csv": "fixed.csv"})
-    return {
-        "retirement": {"benefit_types": ["old_age", "second"],
-                       "thresholds": {"old_age": first_th, "second": second_th}},
-        "contributions": {
-            "exemption_years": draw(st.integers(0, 5)),
-            "subjective": {"rate": draw(schedules(0.05, 0.15))},
-            "integrative": {"rate": draw(schedules(0.0, 0.05))},
-        },
-        "benefits": {
-            "backfill_notional": draw(st.booleans()),
-            "types": {"old_age": {"kind": "notional_account",
-                                  "conversion_csv": "conversion.csv"},
-                      "second": second_type},
-        },
-        "economics": {"inflation": draw(schedules(-0.01, 0.05)),
-                      "profile_base_year": draw(st.integers(1998, 2008))},
-    }
-
-
-FIXED_PROFILE = ["sex,age,amount"] + [
-    f"{s},{a},{15000 + 250 * a + (s == 'female') * 100}"
-    for s in ("male", "female") for a in range(30, 51)]
-# a second type's own conversion rates, all below conversion.csv's 0.06,
-# so that which type won shows in the disbursements
-SECOND_CONVERSION = ["sex,age,coefficient"] + [
-    f"{s},{a},{0.04 + 0.001 * (a - 35) + (s == 'female') * 0.002:.3f}"
-    for s in ("male", "female") for a in range(35, 51)]
-CENSUS = BASE_CSVS["census.csv"] + ["male,44,12,active,5", "female,33,2,active,7"]
-
-
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenario_tweaks())
 def test_random_variants_build_identically(tweaks):
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = load_config(write_scenario(tmp, tweaks=tweaks, csv_overrides={
-            "fixed.csv": FIXED_PROFILE, "conversion2.csv": SECOND_CONVERSION,
-            "census.csv": CENSUS}))
-    assert_same_build(cfg)
+    assert_same_build(load_variant(tweaks))
