@@ -370,7 +370,8 @@ def check():
     import numpy as np
 
     from paygsim import load_config
-    from paygsim.cashflows import contribution_income, pension_disbursement
+    from paygsim.cashflows import contribution_income
+    from paygsim.cohorts import RETIRED
     from paygsim.engine import entrants_matrix, price_index
     from paygsim.entrants import DRAWS_PER_CELL
     from paygsim.projection import _initial_totals
@@ -384,7 +385,7 @@ def check():
     index = price_index(cfg, 2006)
     subj = contribution_income(cfg.census, cfg.contrib_subjective, 2006, index)
     integ = contribution_income(cfg.census, cfg.contrib_integrative, 2006, index)
-    disb = pension_disbursement(cfg.census, _initial_totals(cfg)[1])
+    disb = float(_initial_totals(cfg)[RETIRED].sum())
     print(f"2006 subjective   {subj:16,.2f}  target {TARGET_SUBJECTIVE:16,.2f}")
     print(f"2006 integrative  {integ:16,.2f}  target {TARGET_INTEGRATIVE:16,.2f}")
     print(f"2006 pensions     {disb:16,.2f}  target {TARGET_PENSIONS:16,.2f}")

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CoverageError, StateError
 from .schedules import Schedule
 from .stochastic import Ar1Params
-from .cohorts import ACTIVE, RETIRED, CohortGrid
+from .cohorts import ACTIVE, CohortGrid
 
 
 def round_half_away(x):
@@ -126,25 +126,6 @@ class BenefitRule:
             raise ValueError("notional_account benefits need conversion coefficients")
         if self.kind == "fixed_profile" and self.profile is None:
             raise ValueError("fixed_profile benefits need a pension profile")
-
-
-def pension_disbursement(grid: CohortGrid, benefit_totals: np.ndarray) -> float:
-    """Total pensions paid during the year to the start-of-year retirees.
-
-    benefit_totals is aligned with the retired layer and already holds this
-    year's price level. A populated retired cell without any assigned benefit
-    is a state error, not a zero.
-    """
-    if benefit_totals.shape != grid.counts[RETIRED].shape:
-        raise ValueError("benefit totals are not aligned with the retired layer")
-    orphan = (grid.counts[RETIRED] > 0) & ~(benefit_totals > 0)
-    if np.any(orphan):
-        si, ai, ki = np.argwhere(orphan)[0]
-        raise StateError(
-            f"retiree cohort sex {grid.sexes[si]!r} age {grid.min_age + ai} "
-            f"seniority {ki} has no benefit assignment"
-        )
-    return float(benefit_totals.sum())
 
 
 LEDGER_COLUMNS = ("value_start", "contrib_subjective", "contrib_integrative",

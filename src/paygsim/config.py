@@ -26,7 +26,8 @@ import yaml
 
 from .cashflows import BenefitRule, ContributionRule, EconomicAssumptions
 from .cohorts import ACTIVE, CohortGrid, MortalityModel, RetirementRule
-from .entrants import FACTOR_NAMES, EntrantsModelParams, FactorMoments, PopulationSeries
+from .entrants import (FACTOR_NAMES, EntrantsModelParams, FactorMoments, PopulationSeries,
+                       _draw_lags)
 from .errors import ConfigError
 from .schedules import Schedule, _float, _int
 from .stochastic import Ar1Params
@@ -448,8 +449,9 @@ class _Field:
     """A field's kind and default: a YAML value, a function of the values read
     before it (a KeyError if one failed), or None if required. An `_int` or
     `_float` is finite and at least `lo`, or above it if `strict`; a schedule
-    is finite and within those bounds and at most `hi` at `years`. It exists
-    where sibling `when[0]` is `when[1]`; a `column` makes an age table."""
+    is finite and within those bounds and at most `hi` at `years` ("<factor>":
+    the years its arrival factor is read at). It exists where sibling
+    `when[0]` is `when[1]`; a `column` makes an age table."""
 
     kind: Callable
     default: object = None
@@ -491,7 +493,7 @@ _SCHEMA = {
         "study_years": _Field(_int, 5, lo=0),
         "training_years": _Field(_int, 4, lo=0),
         "factors": {"<sex>": {"<factor>": (FactorMoments, {
-            k: _Field(_schedule, 0.0, lo=0.0, years="lagged") for k in ("mean", "sigma")})}},
+            k: _Field(_schedule, 0.0, lo=0.0, years="<factor>") for k in ("mean", "sigma")})}},
         "pool_min_age": _Field(_int, 18),
         "pool_max_age": _Field(_int, 25),
         "population_csv": _Field(_file),
@@ -671,15 +673,16 @@ def load_config(path: str) -> ScenarioConfig:
 
     study, training = ent.get("study_years"), ent.get("training_years")
     if None not in (study, training):
-        # arrivals at t read the population and enrolment of t - study - training
-        spans["lagged"] = range(first - study - training, last + 1)
+        # arrivals at t read each draw at its own lag before t
+        for name, lag in zip(("population",) + FACTOR_NAMES, _draw_lags(study, training)):
+            spans[name] = range(first - lag, last - lag + 1)
     pool_ages = [ent.get("pool_min_age"), ent.get("pool_max_age")]
     if None not in pool_ages and pool_ages[0] > pool_ages[1]:
         ctx.fail("entrants.pool_min_age", "must be <= pool_max_age, got {} > {}".format(*pool_ages))
     population = load("entrants.population_csv", ent.get("population_csv"),
                       load_population_series, sexes)
-    for s in sexes if population is not None and "lagged" in spans else ():
-        missing = [y for y in spans["lagged"][:len(years)] if y not in population.expected[s]]
+    for s in sexes if population is not None and "population" in spans else ():
+        missing = [y for y in spans["population"] if y not in population.expected[s]]
         if missing:
             ctx.fail("entrants.population_csv",
                      f"sex {s!r}: population series missing years "
@@ -714,10 +717,13 @@ def load_config(path: str) -> ScenarioConfig:
         # `engine.price_index` compounds inflation from the year after the base year
         spans["priced"] = range(min(eco["profile_base_year"] + 1, first), last + 1)
 
-    for where, sched, f in (entry for entry in ctx.read if entry[2].years in spans):
+    for where, sched, f in ctx.read:
         # a schedule needs a value at every year it is read at, within its bounds;
-        # a default is checked once, and overrides at every year
-        at = spans[f.years]
+        # a default is checked once, and overrides at every year. A factor's
+        # years are those of the factor its path names.
+        at = spans.get(where.split(".")[-2] if f.years == "<factor>" else f.years)
+        if at is None:
+            continue
         values = ({y: sched.overrides.get(y, sched.default) for y in at} if sched.overrides
                   else {at[0]: sched.default})
         gap = next((y for y, x in values.items() if x is None), None)

@@ -75,14 +75,21 @@ class EntrantsModelParams:
                 raise ValueError(f"sex {sex!r} is missing factors {sorted(missing)}")
 
 
+def _draw_lags(study_years: int, training_years: int) -> tuple[int, ...]:
+    """How many years before the arrival year t each draw of a cell is read,
+    in draw order: the population and enrolment at t - h - k, graduation at
+    t - k, admission and membership at t."""
+    h, k = study_years, training_years
+    return (h + k, h + k, k, 0, 0)
+
+
 def moment_tables(params: EntrantsModelParams, series: PopulationSeries,
                   sexes, years) -> tuple[np.ndarray, np.ndarray]:
     """Means and sigmas of the five factors of NE(t) for each year t and sex,
-    two (n_years, n_sex, DRAWS_PER_CELL) tables in draw order: the reference
-    population and the enrolment rate at t - h - k, the graduation rate at
-    t - k, the admission and membership rates at t."""
-    h, k = params.study_years, params.training_years
-    pop_years, *rate_years = ([t - lag for t in years] for lag in (h + k, h + k, k, 0, 0))
+    two (n_years, n_sex, DRAWS_PER_CELL) tables in draw order, each factor
+    read at its lag before t (`_draw_lags`)."""
+    pop_years, *rate_years = ([t - lag for t in years]
+                              for lag in _draw_lags(params.study_years, params.training_years))
     mean, sigma = (np.empty((len(years), len(sexes), DRAWS_PER_CELL)) for _ in range(2))
     for si, s in enumerate(sexes):
         if s not in series.expected:

@@ -24,4 +24,4 @@ class CoverageError(PaygsimError):
 
 
 class StateError(PaygsimError):
-    """Projection state is inconsistent (e.g. a retiree cohort with no benefit)."""
+    """Projection state is inconsistent: an amount that int64 cents cannot hold."""

@@ -12,7 +12,9 @@ accepts the same shock arrays, so any replication of the cohort engine can be
 replayed against it. It is much slower and exists to cross-check the cohort
 decomposition, so it shares none of the engine's evolution code: it replays
 the census accounts' backfilled history itself, and takes only input rules
-from the engine (the price index, admin costs and expected arrivals).
+from the engine (the price index, admin costs and expected arrivals). It runs
+every scenario the engine runs, a pension of zero included, and reports a
+table gap as a CoverageError where a member reads it, as the engine does.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cashflows
-from .cashflows import accrue_and_credit, contribution_income, pension_disbursement, to_cents
+from .cashflows import accrue_and_credit, contribution_income, to_cents
 from .cohorts import ACTIVE, RETIRED, age_one_year, inject_new_entrants, retire
 from .config import ScenarioConfig
 from .engine import (admin_path, build_system, entrant_moment_tables, entrant_product,
@@ -127,13 +129,13 @@ def _new_pensions(cfg: ScenarioConfig, benefit_type: str, grid, year: int,
         factor, source = ben.conversion[:, :, None], moved_totals
     else:
         factor, source = ben.profile[:, :, None] * price_index(cfg, year), moved_counts
-    live = source != 0.0
-    bad = live & ~np.isfinite(np.broadcast_to(factor, source.shape))
+    # a gap is met by every member who retires, an empty account's too
+    bad = (moved_counts > 0) & ~np.isfinite(np.broadcast_to(factor, source.shape))
     for si, ai, _ in np.argwhere(bad)[:1]:
         raise CoverageError(
             f"benefit {benefit_type!r} has no coefficient for sex "
             f"{grid.sexes[si]!r} age {grid.min_age + ai}")
-    return np.where(live, source * np.nan_to_num(factor), 0.0)
+    return source * np.nan_to_num(factor)  # both moved arrays are zero off the mask
 
 
 def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
@@ -173,7 +175,7 @@ def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
         index_t = prices[ti]
         out["subjective"][ti] = contribution_income(grid, cfg.contrib_subjective, t, index_t)
         out["integrative"][ti] = contribution_income(grid, cfg.contrib_integrative, t, index_t)
-        out["disbursements"][ti] = pension_disbursement(grid, totals[RETIRED])
+        out["disbursements"][ti] = float(totals[RETIRED].sum())
         if eps_ret is None:
             out["rates"][ti] = ec.expected_return.value(t)
         else:

@@ -73,10 +73,10 @@ SECOND_CONVERSION = ["sex,age,coefficient"] + [
 CENSUS = BASE_CSVS["census.csv"] + ["male,44,12,active,5", "female,33,2,active,7"]
 
 
-def load_variant(tweaks):
+def load_variant(tweaks, csv_overrides=None):
     """The small scenario with `tweaks` applied, written to a temporary
-    directory and loaded."""
+    directory and loaded; `csv_overrides` replaces any of its tables."""
     with tempfile.TemporaryDirectory() as tmp:
         return load_config(write_scenario(tmp, tweaks=tweaks, csv_overrides={
             "fixed.csv": FIXED_PROFILE, "conversion2.csv": SECOND_CONVERSION,
-            "census.csv": CENSUS}))
+            "census.csv": CENSUS, **(csv_overrides or {})}))

@@ -7,8 +7,7 @@ from paygsim import Schedule
 from paygsim.cashflows import (LEDGER_COLUMNS, LEDGER_LETTERS, BenefitRule,
                                ContributionRule, EconomicAssumptions, accrue_and_credit,
                                cents_to_thousands, contribution_income, identities_hold,
-                               ledger_columns, pension_disbursement, round_half_away,
-                               to_cents)
+                               ledger_columns, round_half_away, to_cents)
 from paygsim.cohorts import CohortGrid
 from paygsim.engine import admin_path, price_index, return_rates
 from paygsim.errors import CoverageError, StateError
@@ -184,26 +183,6 @@ class TestBenefits:
             BenefitRule("notional_account")
         with pytest.raises(ValueError, match="profile"):
             BenefitRule("fixed_profile")
-
-    def test_no_retirees_no_disbursement(self):
-        g = make_grid([("male", 40, 5, "active", 10)])
-        assert pension_disbursement(g, np.zeros_like(g.counts[0])) == 0.0
-
-    def test_total_paid(self):
-        g = make_grid([("male", 70, 30, "retired", 100)])
-        totals = np.zeros_like(g.counts[0])
-        totals[0, 50, 30] = 100 * 20_000.0
-        assert pension_disbursement(g, totals) == pytest.approx(2_000_000.0)
-
-    def test_orphan_retiree_is_a_state_error(self):
-        g = make_grid([("male", 70, 30, "retired", 1)])
-        with pytest.raises(StateError, match="age 70"):
-            pension_disbursement(g, np.zeros_like(g.counts[0]))
-
-    def test_misaligned_totals_rejected(self):
-        g = make_grid([("male", 70, 30, "retired", 1)])
-        with pytest.raises(ValueError, match="aligned"):
-            pension_disbursement(g, np.zeros((2, 3, 4)))
 
 
 class TestEconomics:

@@ -1,8 +1,10 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
+import yaml
 
 from paygsim import __version__, load_config
 from paygsim.cli import build_parser, main
@@ -123,6 +125,33 @@ class TestValidate:
         lines = err.splitlines()
         assert all(line.startswith("error: ") for line in lines)
         assert [line.split(": ")[1] for line in lines] == fields
+
+    # the bundled horizon is 2006-2046; arrivals read enrolment 9 years back
+    @pytest.mark.parametrize("factor, years, message", [
+        ("admission", range(2006, 2047), None),
+        ("admission", [y for y in range(2006, 2047) if y != 2020],
+         "no value for year 2020 (values are read for 2006-2046)"),
+        ("enrolment", range(1998, 2038),
+         "no value for year 1997 (values are read for 1997-2037)"),
+    ])
+    def test_each_arrival_factor_is_checked_at_the_years_it_is_read(
+            self, capsys, tmp_path, factor, years, message):
+        bundled = os.path.dirname(default_config_path())
+        for name in os.listdir(bundled):
+            shutil.copy(os.path.join(bundled, name), tmp_path)
+        path = tmp_path / "default_scenario.yaml"
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        moments = raw["entrants"]["factors"]["male"][factor]
+        moments["mean"] = {"overrides": {y: moments["mean"] for y in years}}
+        path.write_text(yaml.safe_dump(raw, sort_keys=False), encoding="utf-8")
+        if message is None:
+            assert run(capsys, "validate", "--config", str(path))[0] == 0
+            out = str(tmp_path / "out")
+            assert run(capsys, "project", "--config", str(path), "--out", out)[0] == 0
+        else:
+            where = f"entrants.factors.male.{factor}.mean"
+            assert run(capsys, "validate", "--config", str(path)) == (
+                2, "", f"error: {where}: {message}\n")
 
     @pytest.mark.parametrize("value, message", [
         ("high", "economics.expected_return: expected a number or a mapping, got str"),

@@ -12,6 +12,7 @@ from paygsim import (StochasticFlags, config, default_config_path, load_config,
                      run_deterministic_projection, run_simulation, stepwise_projection)
 from paygsim.cli import main
 from paygsim.config import _SCHEMA, _Field, _bool, _float, _int, _schedule
+from paygsim.entrants import FACTOR_NAMES
 from paygsim.errors import ConfigError
 
 
@@ -320,14 +321,20 @@ class TestEachScheduleIsCheckedWhereTheModelReadsIt:
             "min_age": {"overrides": {y: 40 for y in range(2006, 2016)}},
             "min_seniority": 5}}}},
          "retirement.thresholds.old_age.min_age", "no value for year 2016"),
-        # factor moments are read from the enrolment year of the first arrivals
+        # each factor is read at its own lag: enrolment from 1997, graduation
+        # from 2002, admission and membership over the horizon
         ({"entrants": {"factors": {"male": {"enrolment": {"mean": -0.1, "sigma": 0.02}}}}},
          "entrants.factors.male.enrolment.mean", "mean at 1997 outside [0, inf): -0.1"),
         ({"entrants": {"factors": {"female": {"graduation": {"mean": 0.5, "sigma": -0.02}}}}},
-         "entrants.factors.female.graduation.sigma", "sigma at 1997 outside [0, inf): -0.02"),
+         "entrants.factors.female.graduation.sigma", "sigma at 2002 outside [0, inf): -0.02"),
         ({"entrants": {"factors": {"male": {"admission": {
-            "mean": {"overrides": {y: 0.2 for y in range(1998, 2017)}}, "sigma": 0.02}}}}},
-         "entrants.factors.male.admission.mean", "no value for year 1997"),
+            "mean": {"overrides": {y: 0.2 for y in range(2007, 2017)}}, "sigma": 0.02}}}}},
+         "entrants.factors.male.admission.mean",
+         "no value for year 2006 (values are read for 2006-2016)"),
+        ({"entrants": {"factors": {"female": {"graduation": {
+            "mean": {"overrides": {y: 0.5 for y in range(2002, 2012)}}, "sigma": 0.02}}}}},
+         "entrants.factors.female.graduation.mean",
+         "no value for year 2012 (values are read for 2002-2012)"),
         # the whole-scenario checks, now made where their field is parsed
         ({"mortality": {"base_year": 2007}}, "mortality.base_year", "after the first"),
         ({"benefits": {"accrual_rate": -0.01}}, "benefits.accrual_rate", "must be >= 0"),
@@ -359,7 +366,11 @@ class TestEachScheduleIsCheckedWhereTheModelReadsIt:
         {"economics": {"profile_base_year": 2000,
                        "inflation": {"overrides": {y: 0.02 for y in range(2001, 2017)}}}},
         {"entrants": {"factors": {"male": {"enrolment": {
-            "mean": {"overrides": {y: 0.1 for y in range(1997, 2017)}}, "sigma": 0.02}}}}},
+            "mean": {"overrides": {y: 0.1 for y in range(1997, 2008)}}, "sigma": 0.02}}}}},
+        {"entrants": {"factors": {"female": {"graduation": {
+            "mean": {"overrides": {y: 0.5 for y in range(2002, 2013)}}, "sigma": 0.02}}}}},
+        {"entrants": {"factors": {"male": {"admission": {
+            "mean": {"overrides": HORIZON}, "sigma": 0.02}}}}},
     ])
     def test_the_checked_years_are_the_years_read(self, tmp_path, tweaks):
         cfg = load_config(write_scenario(str(tmp_path), tweaks=tweaks))
@@ -635,8 +646,10 @@ def test_readme_lists_exactly_the_schedules():
     with open(readme, encoding="utf-8") as fh:
         table = fh.read().split("\n| schedule ", 1)[1].split("\n\n", 1)[0]
     listed = re.findall(r"^\| `([^`]+)`", table, flags=re.M)
-    schedules = [".".join(path) for path, field in _schema_fields(names={})
-                 if field.kind is _schedule]
+    # each arrival factor has its own row, as each is read at its own years
+    schedules = {".".join(path) for factor in FACTOR_NAMES
+                 for path, field in _schema_fields(names={"<factor>": factor})
+                 if field.kind is _schedule}
     assert sorted(listed) == sorted(schedules)
 
 
@@ -715,7 +728,7 @@ def test_a_bad_pool_age_is_reported_under_its_own_field(tmp_path, field, value, 
     ({"economics": {"inflation": math.inf}},
      "economics.inflation: inflation at 2006 outside (-1, inf): inf"),
     ({"entrants": {"factors": {"male": {"admission": {"mean": math.inf, "sigma": 0.02}}}}},
-     "entrants.factors.male.admission.mean: mean at 1997 outside [0, inf): inf"),
+     "entrants.factors.male.admission.mean: mean at 2006 outside [0, inf): inf"),
 ])
 def test_a_value_that_breaks_the_arithmetic_is_refused(tmp_path, capsys, tweaks, message):
     assert main(["validate", "--config", write_scenario(str(tmp_path), tweaks=tweaks)]) == 2
