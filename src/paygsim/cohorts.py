@@ -49,14 +49,10 @@ class CohortGrid:
         return self.max_age - self.min_age + 1
 
     @classmethod
-    def empty(cls, year, sexes, min_age, max_age, max_seniority) -> "CohortGrid":
-        shape = (2, len(sexes), max_age - min_age + 1, max_seniority + 1)
-        return cls(year, tuple(sexes), min_age, max_age, max_seniority, np.zeros(shape))
-
-    @classmethod
     def from_records(cls, records, year, sexes, min_age, max_age, max_seniority) -> "CohortGrid":
         """Build from (sex, age, seniority, status, count) tuples, summing duplicates."""
-        grid = cls.empty(year, sexes, min_age, max_age, max_seniority)
+        shape = (2, len(sexes), max_age - min_age + 1, max_seniority + 1)
+        grid = cls(year, tuple(sexes), min_age, max_age, max_seniority, np.zeros(shape))
         sex_idx = {s: i for i, s in enumerate(grid.sexes)}
         records = list(records)
         for sex, age, sen, status, count in records:

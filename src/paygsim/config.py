@@ -49,9 +49,10 @@ class StochasticFlags:
 
     @classmethod
     def only(cls, *names) -> "StochasticFlags":
-        """Exactly the named families live; an unknown name is a ConfigError."""
+        """Exactly the named families live; an unknown name is a ConfigError,
+        which names each unknown name once, in the order given."""
         unknown = [f"unknown shock family {n!r}, expected one of {', '.join(SHOCK_FAMILIES)}"
-                   for n in names if n not in SHOCK_FAMILIES]
+                   for n in dict.fromkeys(names) if n not in SHOCK_FAMILIES]
         if unknown:
             raise ConfigError(unknown)
         return cls(**{n: (n in names) for n in SHOCK_FAMILIES})
@@ -486,7 +487,7 @@ _SCHEMA = {
     },
     "population": {
         "sexes": _Field(_sexes, ["male", "female"]),
-        **{k: _Field(_int) for k in ("min_age", "max_age", "max_seniority", "entry_age")},
+        **{k: _Field(_int, lo=0) for k in ("min_age", "max_age", "max_seniority", "entry_age")},
         "census_csv": _Field(_file),
     },
     "entrants": {

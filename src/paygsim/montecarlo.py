@@ -75,13 +75,6 @@ def entrant_paths(cfg: ScenarioConfig,
     return paths
 
 
-def _run_chunk(cfg: ScenarioConfig, system: CohortSystem,
-               moments: tuple[np.ndarray, np.ndarray], admin: np.ndarray, opening: int,
-               lo: int, hi: int) -> dict:
-    """Draw and simulate replications [lo, hi) together: one work unit."""
-    return _compose(cfg, system, moments, admin, opening, draw_shock_blocks(cfg, range(lo, hi)))
-
-
 def _compose(cfg: ScenarioConfig, system: CohortSystem,
              moments: tuple[np.ndarray, np.ndarray], admin: np.ndarray, opening: int,
              blocks: ShockBlocks) -> dict:
@@ -103,7 +96,7 @@ def _compose(cfg: ScenarioConfig, system: CohortSystem,
             "actives": flows["actives"], "retirees": flows["retirees"]}
 
 
-_worker_args: tuple = ()  # `_run_chunk`'s run-wide arguments in a pool worker, set once
+_worker_args: tuple = ()  # `_compose`'s run-wide arguments in a pool worker, set once
 
 
 def _init_worker(*args) -> None:
@@ -112,7 +105,8 @@ def _init_worker(*args) -> None:
 
 
 def _run_pooled_chunk(lo: int, hi: int) -> dict:
-    return _run_chunk(*_worker_args, lo, hi)
+    """Draw and simulate replications [lo, hi) together: one pool task."""
+    return _compose(*_worker_args, draw_shock_blocks(_worker_args[0], range(lo, hi)))
 
 
 # the ledger columns a result holds (B, C, E, H and I); the statement's

@@ -177,10 +177,12 @@ def simulation_summary(cfg: ScenarioConfig, result) -> dict:
 # ---------------------------------------------------------------------------
 # per-command bundles
 
-def _write_bundle(outdir, files) -> list[str]:
+def _write_bundle(outdir, cfg: ScenarioConfig, mode: str, files) -> list[str]:
     """Create `outdir` and call each (name, write) pair's `write(path)` with
-    the file's path there, in order; return the paths written."""
+    the file's path there, in order, then write the run's manifest.json;
+    return the paths written."""
     os.makedirs(outdir, exist_ok=True)
+    files = [*files, ("manifest.json", lambda path: write_json(path, run_manifest(cfg, mode)))]
     written = []
     for name, write in files:
         written.append(os.path.join(outdir, name))
@@ -190,13 +192,12 @@ def _write_bundle(outdir, files) -> list[str]:
 
 def emit_projection_outputs(outdir, cfg: ScenarioConfig, result) -> list[str]:
     """ledger.csv, ledger_raw.csv, entrants.csv, summary.json, manifest.json."""
-    return _write_bundle(outdir, [
+    return _write_bundle(outdir, cfg, "project", [
         ("ledger.csv", lambda path: write_ledger_csv(path, result.years, result.ledger)),
         ("ledger_raw.csv", lambda path: write_ledger_raw_csv(path, result.years,
                                                              result.ledger)),
         ("entrants.csv", lambda path: write_entrants_csv(path, result.years, result.entrants)),
         ("summary.json", lambda path: write_json(path, projection_summary(cfg, result))),
-        ("manifest.json", lambda path: write_json(path, run_manifest(cfg, "project"))),
     ])
 
 
@@ -207,11 +208,10 @@ def emit_simulation_outputs(outdir, cfg: ScenarioConfig, result) -> list[str]:
     """
     moments = [("moments.csv", lambda path: write_moments_csv(
         path, result, cfg.run.moments_years))] if result.n_reps >= 2 else []
-    return _write_bundle(outdir, [
+    return _write_bundle(outdir, cfg, "simulate", [
         ("fanchart.csv", lambda path: write_fan_chart_csv(path, result, cfg.run.probes)),
         *moments,
         ("summary.json", lambda path: write_json(path, simulation_summary(cfg, result))),
-        ("manifest.json", lambda path: write_json(path, run_manifest(cfg, "simulate"))),
     ])
 
 
@@ -220,8 +220,7 @@ def emit_entrants_outputs(outdir, cfg: ScenarioConfig, expected: dict,
     """entrants.csv, optional entrants_mc.csv, manifest.json."""
     mc = [] if sampled is None else [("entrants_mc.csv", lambda path: write_entrants_mc_csv(
         path, cfg.years, *sampled))]
-    return _write_bundle(outdir, [
+    return _write_bundle(outdir, cfg, "entrants", [
         ("entrants.csv", lambda path: write_entrants_csv(path, cfg.years, expected)),
         *mc,
-        ("manifest.json", lambda path: write_json(path, run_manifest(cfg, "entrants"))),
     ])

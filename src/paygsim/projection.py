@@ -43,7 +43,6 @@ class ProjectionResult:
     subjective: np.ndarray
     integrative: np.ndarray
     disbursements: np.ndarray
-    admin: np.ndarray
     rates: np.ndarray
     actives: np.ndarray
     retirees: np.ndarray
@@ -51,15 +50,15 @@ class ProjectionResult:
 
 
 def _assemble_result(cfg: ScenarioConfig, flows: dict, rates: np.ndarray,
-                     admin: np.ndarray, ne: np.ndarray) -> ProjectionResult:
+                     ne: np.ndarray) -> ProjectionResult:
     # looked up on its module, where perfbench's tracer wraps it
     ledger = cashflows.ledger_columns(int(to_cents(cfg.economics.initial_assets)),
                                       flows["subjective"], flows["integrative"],
-                                      flows["disbursements"], admin, rates)
+                                      flows["disbursements"], admin_path(cfg), rates)
     return ProjectionResult(
         first_year=cfg.first_year, years=np.array(cfg.years), ledger=ledger,
         subjective=flows["subjective"], integrative=flows["integrative"],
-        disbursements=flows["disbursements"], admin=admin, rates=rates,
+        disbursements=flows["disbursements"], rates=rates,
         actives=flows["actives"], retirees=flows["retirees"],
         entrants={s: ne[:, si].copy() for si, s in enumerate(cfg.sexes)})
 
@@ -70,9 +69,8 @@ def run_deterministic_projection(cfg: ScenarioConfig) -> ProjectionResult:
     ne = entrant_product(*entrant_moment_tables(cfg), 0.0)
     flows = simulate_flows(system, ne[None])
     rates = return_rates(cfg, np.zeros((1, len(cfg.years))), stochastic=False)
-    admin = admin_path(cfg)
     flows = {k: v[0] for k, v in flows.items()}
-    return _assemble_result(cfg, flows, rates[0], admin, ne)
+    return _assemble_result(cfg, flows, rates[0], ne)
 
 
 # ---------------------------------------------------------------------------
@@ -205,4 +203,4 @@ def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
                                              np.where(mask, active, 0.0), moved_bal)
             totals[ACTIVE] -= moved_bal
 
-    return _assemble_result(cfg, out, out["rates"], admin_path(cfg), ne)
+    return _assemble_result(cfg, out, out["rates"], ne)

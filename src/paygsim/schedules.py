@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 from .errors import CoverageError
 
-_MISSING = object()
-
 
 def _float(value) -> float:
     """A number field's value as a float; a boolean or a quoted number is a
@@ -46,12 +44,10 @@ class Schedule:
     overrides: dict[int, float] = field(default_factory=dict)
 
     def value(self, year: int) -> float:
-        v = self.overrides.get(year, _MISSING)
-        if v is not _MISSING:
-            return v
-        if self.default is None:
+        v = self.overrides.get(year, self.default)
+        if v is None:
             raise CoverageError(f"schedule has no value for year {year}")
-        return self.default
+        return v
 
     @classmethod
     def from_config(cls, raw) -> "Schedule":

@@ -278,11 +278,14 @@ def test_fixed_profile_benefit(tmp_path):
 class TestCoverage:
     """A table gap raises only where some cohort actually visits it."""
 
-    def _build(self, tmp_path, name, keep):
+    @staticmethod
+    def _config(tmp_path, name, keep):
         header, *rows = BASE_CSVS[name]
         kept = [r for r in rows if keep(int(r.split(",")[1]))]
-        return build_system(load_config(write_scenario(
-            str(tmp_path), csv_overrides={name: [header] + kept})))
+        return load_config(write_scenario(str(tmp_path), csv_overrides={name: [header] + kept}))
+
+    def _build(self, tmp_path, name, keep):
+        return build_system(self._config(tmp_path, name, keep))
 
     def test_unvisited_income_ages_may_be_missing(self, tmp_path):
         # everybody retires at 41, so no active ever reaches 45
@@ -296,6 +299,16 @@ class TestCoverage:
         # the census cell aged 38 with seniority 8 entered at 30
         with pytest.raises(CoverageError, match="history"):
             self._build(tmp_path, "income.csv", lambda age: age != 32)
+
+    def test_the_oracle_reports_the_same_backcast_gap(self, tmp_path):
+        cfg = self._config(tmp_path, "income.csv", lambda age: age != 32)
+        messages = []
+        for project in (build_system, stepwise_projection):
+            with pytest.raises(CoverageError) as exc:
+                project(cfg)
+            messages.append(str(exc.value))
+        assert messages == ["subjective profile has a gap in the history of "
+                            "sex 'male' age 35 seniority 5"] * 2
 
     def test_backcast_may_not_leave_the_grid(self, small_scenario):
         # an active aged 33 with seniority 10 entered at 23, below the grid;

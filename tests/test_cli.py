@@ -36,6 +36,19 @@ def expected_arrivals(cfg) -> dict:
     return {s: ne[:, si] for si, s in enumerate(cfg.sexes)}
 
 
+def bundled_copy(tmp_path, edit):
+    """Copy the bundled scenario into tmp_path, apply `edit` to its parsed
+    YAML and return the copy's path."""
+    bundled = os.path.dirname(default_config_path())
+    for name in os.listdir(bundled):
+        shutil.copy(os.path.join(bundled, name), tmp_path)
+    path = tmp_path / "default_scenario.yaml"
+    raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    edit(raw)
+    path.write_text(yaml.safe_dump(raw, sort_keys=False), encoding="utf-8")
+    return str(path)
+
+
 def read_bytes_by_name(outdir):
     names = sorted(os.listdir(outdir))
     out = {}
@@ -136,22 +149,42 @@ class TestValidate:
     ])
     def test_each_arrival_factor_is_checked_at_the_years_it_is_read(
             self, capsys, tmp_path, factor, years, message):
-        bundled = os.path.dirname(default_config_path())
-        for name in os.listdir(bundled):
-            shutil.copy(os.path.join(bundled, name), tmp_path)
-        path = tmp_path / "default_scenario.yaml"
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-        moments = raw["entrants"]["factors"]["male"][factor]
-        moments["mean"] = {"overrides": {y: moments["mean"] for y in years}}
-        path.write_text(yaml.safe_dump(raw, sort_keys=False), encoding="utf-8")
+        def edit(raw):
+            moments = raw["entrants"]["factors"]["male"][factor]
+            moments["mean"] = {"overrides": {y: moments["mean"] for y in years}}
+
+        path = bundled_copy(tmp_path, edit)
         if message is None:
-            assert run(capsys, "validate", "--config", str(path))[0] == 0
+            assert run(capsys, "validate", "--config", path)[0] == 0
             out = str(tmp_path / "out")
-            assert run(capsys, "project", "--config", str(path), "--out", out)[0] == 0
+            assert run(capsys, "project", "--config", path, "--out", out)[0] == 0
         else:
             where = f"entrants.factors.male.{factor}.mean"
-            assert run(capsys, "validate", "--config", str(path)) == (
+            assert run(capsys, "validate", "--config", path) == (
                 2, "", f"error: {where}: {message}\n")
+
+    # the bundled grid is ages 29-105, seniority 0-45; a negative geometry
+    # value is blamed on its own field, and the census is then not read
+    @pytest.mark.parametrize("field, value, message", [
+        ("population.max_seniority", -1, "population.max_seniority: must be >= 0, got -1"),
+        ("population.min_age", -1, "population.min_age: must be >= 0, got -1"),
+        ("population.max_age", -1, "population.max_age: must be >= 0, got -1"),
+        ("population.entry_age", -1, "population.entry_age: must be >= 0, got -1"),
+        ("population.min_age", 110, "population.min_age: must be <= max_age, got 110 > 105"),
+        ("population.entry_age", 20, "population.entry_age: 20 outside [29, 105]"),
+        ("economics.return_deviations.sigma", -0.03667,
+         "economics.return_deviations: sigma must be >= 0, got -0.03667"),
+    ])
+    def test_a_bad_bundled_value_is_one_line_under_its_own_field(
+            self, capsys, tmp_path, field, value, message):
+        def edit(raw):
+            *parents, key = field.split(".")
+            for name in parents:
+                raw = raw[name]
+            raw[key] = value
+
+        path = bundled_copy(tmp_path, edit)
+        assert run(capsys, "validate", "--config", path) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("value, message", [
         ("high", "economics.expected_return: expected a number or a mapping, got str"),
@@ -372,6 +405,16 @@ class TestSimulate:
         assert err == ("error: --stochastic: unknown shock family 'gremlins', "
                        "expected one of entrants, mortality, returns\n")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("families, unknown", [
+        ("dog,dog", ["dog"]), ("dog,cat,returns,dog", ["dog", "cat"])])
+    def test_a_repeated_unknown_family_is_named_once(self, capsys, scenario, tmp_path,
+                                                     families, unknown):
+        code, _, err = run(capsys, "simulate", "--config", scenario,
+                           "--stochastic", families, "--out", str(tmp_path / "run"))
+        assert code == 2
+        assert err == "".join(f"error: --stochastic: unknown shock family {n!r}, "
+                              "expected one of entrants, mortality, returns\n" for n in unknown)
 
     def test_empty_stochastic_exits_2(self, capsys, scenario, tmp_path):
         code, _, err = run(capsys, "simulate", "--config", scenario,

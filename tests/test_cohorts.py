@@ -49,7 +49,7 @@ class TestGrid:
             make_grid([("male", 30, 0, "active", -1)])
 
     def test_negative_counts_rejected(self):
-        g = CohortGrid.empty(2000, ("male",), 20, 25, 3)
+        g = CohortGrid.from_records([], 2000, ("male",), 20, 25, 3)
         bad = g.counts.copy()
         bad[0, 0, 0, 0] = -1
         with pytest.raises(ValueError, match="non-negative"):
@@ -195,7 +195,7 @@ class TestInjection:
         assert np.array_equal(out.counts, g.counts)
 
     def test_entrants_land_at_entry_age(self):
-        g = CohortGrid.empty(2020, ("male", "female"), 20, 80, 40)
+        g = CohortGrid.from_records([], 2020, ("male", "female"), 20, 80, 40)
         out = inject_new_entrants(g, {"male": 595.0, "female": 516.0}, entry_age=29)
         assert out.counts[ACTIVE, 0, 9, 0] == 595.0
         assert out.counts[ACTIVE, 1, 9, 0] == 516.0

@@ -442,11 +442,12 @@ class TestDerivedLedger:
                 first[0, 0] = 1
         assert np.shares_memory(base_run.ledger["value_end"], base_run.held_ledger["value_end"])
 
-    def test_a_pool_task_returns_only_the_held_columns(self, small_cfg):
+    def test_a_pool_task_returns_only_the_held_columns(self, small_cfg, monkeypatch):
         cfg = small_cfg.with_run(n_reps=5)
-        shared = (cfg, engine.build_system(cfg), engine.entrant_moment_tables(cfg),
-                  engine.admin_path(cfg), int(to_cents(cfg.economics.initial_assets)))
-        part = pickle.loads(pickle.dumps(montecarlo._run_chunk(*shared, 0, 5)))
+        monkeypatch.setattr(montecarlo, "_worker_args", (
+            cfg, engine.build_system(cfg), engine.entrant_moment_tables(cfg),
+            engine.admin_path(cfg), int(to_cents(cfg.economics.initial_assets))))
+        part = pickle.loads(pickle.dumps(montecarlo._run_pooled_chunk(0, 5)))
         want = self.recompute(cfg)
         assert tuple(part["ledger"]) == ("contrib_subjective", "contrib_integrative",
                                          "pension_balance", "total_balance", "value_end")

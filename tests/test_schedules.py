@@ -24,6 +24,12 @@ def test_no_default_requires_override():
         s.value(2007)
 
 
+def test_a_none_override_is_no_value():
+    # only direct construction can hold one; from_config parses every override
+    with pytest.raises(CoverageError, match="2006"):
+        Schedule(default=0.02, overrides={2006: None}).value(2006)
+
+
 def test_from_config_bare_number():
     s = Schedule.from_config(0.034)
     assert s.default == 0.034 and s.overrides == {}
