@@ -36,7 +36,8 @@ def lagged_moments(cfg, sex, year):
     params = cfg.entrants_params
     h, k = params.study_years, params.training_years
     pop_year = year - h - k
-    out = [(cfg.population.expected[sex][pop_year], cfg.population.sigma[sex][pop_year])]
+    pop = cfg.population[sex]
+    out = [(pop.mean.value(pop_year), pop.sigma.value(pop_year))]
     for name, at in (("enrolment", pop_year), ("graduation", year - k),
                      ("admission", year), ("membership", year)):
         fm = params.factors[sex][name]
@@ -76,9 +77,9 @@ def main():
         closed = variance_new_entrants(cfg.entrants_params, cfg.population, sex, YEAR)
         print(f"{sex}:")
         print(f"  factors            {[f'{m:.6g}/{s:.6g}' for m, s in moments]}")
-        print(f"  truncated   mean {mean_t!r}  var {var_t!r}")
-        print(f"  unfloored   mean {mean_r!r}  var {var_r!r}")
-        print(f"  closed-form var  {closed!r}  rel diff vs unfloored "
+        print(f"  truncated   mean {float(mean_t)!r}  var {float(var_t)!r}")
+        print(f"  unfloored   mean {float(mean_r)!r}  var {float(var_r)!r}")
+        print(f"  closed-form var  {float(closed)!r}  rel diff vs unfloored "
               f"{abs(closed - var_r) / var_r:.2e}")
 
 

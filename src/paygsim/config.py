@@ -26,8 +26,7 @@ import yaml
 
 from .cashflows import BenefitRule, ContributionRule, EconomicAssumptions
 from .cohorts import ACTIVE, CohortGrid, MortalityModel, RetirementRule
-from .entrants import (FACTOR_NAMES, EntrantsModelParams, FactorMoments, PopulationSeries,
-                       _draw_lags)
+from .entrants import FACTOR_NAMES, EntrantsModelParams, FactorMoments, _draw_lags
 from .errors import ConfigError
 from .schedules import Schedule, _float, _int
 from .stochastic import Ar1Params
@@ -116,7 +115,7 @@ class ScenarioConfig:
     entry_age: int
     census: CohortGrid
     entrants_params: EntrantsModelParams
-    population: PopulationSeries
+    population: dict[str, FactorMoments]  # sex -> the first factor of NE(t)
     mortality: MortalityModel
     retirement: RetirementRule
     contrib_subjective: ContributionRule
@@ -299,8 +298,11 @@ def _age_grid(table: _Table, sex: list, age: list, values: np.ndarray,
     return lo, grid
 
 
-def load_population_series(path: str, sexes, hasher) -> PopulationSeries:
-    """Columns: year, sex, expected, sigma; a negative cell is refused."""
+def load_population_series(path: str, sexes, hasher) -> dict[str, FactorMoments]:
+    """Columns: year, sex, expected, sigma; a negative cell is refused.
+
+    Returns sex -> FactorMoments, the first factor of NE(t): a mean and a
+    sigma schedule with no default and one override per year the CSV gives."""
     table = _read_csv(path, ("year", "sex", "expected", "sigma"), hasher)
     sex = table.present("sex")
     index = table.sex_index(sex, sexes)
@@ -311,9 +313,9 @@ def load_population_series(path: str, sexes, hasher) -> PopulationSeries:
     table.refuse_repeats(range(table.n), list(zip(sex, year)),
                          lambda k: f"sex {k[0]!r} year {k[1]}")
     rows = [[i for i, k in enumerate(index) if k == j] for j in range(len(sexes))]
-    expected, sigma = ({s: {year[i]: column[i] for i in r} for s, r in zip(sexes, rows)}
-                       for column in (expected.tolist(), sigma.tolist()))
-    return PopulationSeries(expected=expected, sigma=sigma)
+    columns = expected.tolist(), sigma.tolist()
+    return {s: FactorMoments(*(Schedule(overrides={year[i]: c[i] for i in r}) for c in columns))
+            for s, r in zip(sexes, rows)}
 
 
 def load_age_table(path: str, sexes, value_col: str, hasher) -> tuple[int, np.ndarray]:
@@ -683,7 +685,7 @@ def load_config(path: str) -> ScenarioConfig:
     population = load("entrants.population_csv", ent.get("population_csv"),
                       load_population_series, sexes)
     for s in sexes if population is not None and "population" in spans else ():
-        missing = [y for y in spans["population"] if y not in population.expected[s]]
+        missing = [y for y in spans["population"] if y not in population[s].mean.overrides]
         if missing:
             ctx.fail("entrants.population_csv",
                      f"sex {s!r}: population series missing years "

@@ -12,9 +12,11 @@ where h is the nominal study duration and k the professional training lag.
 Each factor is a zero-floored affine normal (rates above 1 are legal, e.g.
 after an education reform); shocks are independent across factors, sexes and
 years. One shock per factor per (sex, year), in a fixed order, so paths are
-reproducible from the seed alone. This module holds the model's inputs,
-`moment_tables`, which reads each factor's mean and sigma at its lagged year
-for every arrival year and sex at once, and the closed-form variance.
+reproducible from the seed alone. The reference population is the first
+factor, held like the four rates as a mean and a sigma schedule by year. This
+module holds the model's inputs, `moment_tables`, which reads each factor's
+mean and sigma at its lagged year for every arrival year and sex at once, and
+the closed-form variance.
 """
 
 from __future__ import annotations
@@ -33,21 +35,8 @@ DRAWS_PER_CELL = 1 + len(FACTOR_NAMES)  # population shock first
 
 
 @dataclass(frozen=True)
-class PopulationSeries:
-    """Reference population aggregated over the recruitment ages, by sex and year.
-
-    Args:
-        expected: mapping sex -> {year: expected population}.
-        sigma: mapping sex -> {year: standard deviation of the aggregate}.
-    """
-
-    expected: dict[str, dict[int, float]]
-    sigma: dict[str, dict[int, float]]
-
-
-@dataclass(frozen=True)
 class FactorMoments:
-    """Mean and dispersion of one transition rate, possibly varying by year."""
+    """Mean and dispersion of one factor of NE(t), possibly varying by year."""
 
     mean: Schedule
     sigma: Schedule
@@ -83,33 +72,25 @@ def _draw_lags(study_years: int, training_years: int) -> tuple[int, ...]:
     return (h + k, h + k, k, 0, 0)
 
 
-def moment_tables(params: EntrantsModelParams, series: PopulationSeries,
+def moment_tables(params: EntrantsModelParams, population: dict[str, FactorMoments],
                   sexes, years) -> tuple[np.ndarray, np.ndarray]:
     """Means and sigmas of the five factors of NE(t) for each year t and sex,
     two (n_years, n_sex, DRAWS_PER_CELL) tables in draw order, each factor
-    read at its lag before t (`_draw_lags`)."""
-    pop_years, *rate_years = ([t - lag for t in years]
-                              for lag in _draw_lags(params.study_years, params.training_years))
+    read at its lag before t (`_draw_lags`). The population, keyed by sex, is
+    the first factor."""
+    lags = _draw_lags(params.study_years, params.training_years)
     mean, sigma = (np.empty((len(years), len(sexes), DRAWS_PER_CELL)) for _ in range(2))
     for si, s in enumerate(sexes):
-        if s not in series.expected:
-            raise CoverageError(f"population series has no sex {s!r}")
-        try:
-            mean[:, si, 0] = [series.expected[s][y] for y in pop_years]
-        except KeyError as exc:
-            raise CoverageError(f"population series does not cover year {exc.args[0]} "
-                                f"for sex {s!r}") from None
-        sigma[:, si, 0] = [series.sigma[s][y] for y in pop_years]
-        if s not in params.factors:
-            raise CoverageError(f"entrants model has no sex {s!r}")
-        for d, (name, at) in enumerate(zip(FACTOR_NAMES, rate_years), 1):
-            fm = params.factors[s][name]
-            mean[:, si, d] = [fm.mean.value(y) for y in at]
-            sigma[:, si, d] = [fm.sigma.value(y) for y in at]
+        if s not in population or s not in params.factors:
+            raise CoverageError(f"entrants model or population series has no sex {s!r}")
+        draws = (population[s], *(params.factors[s][n] for n in FACTOR_NAMES))
+        for d, (fm, lag) in enumerate(zip(draws, lags)):
+            mean[:, si, d] = [fm.mean.value(t - lag) for t in years]
+            sigma[:, si, d] = [fm.sigma.value(t - lag) for t in years]
     return mean, sigma
 
 
-def variance_new_entrants(params: EntrantsModelParams, series: PopulationSeries,
+def variance_new_entrants(params: EntrantsModelParams, series: dict[str, FactorMoments],
                           sex: str, year: int) -> float:
     """Variance of the factor product under independent shocks.
 

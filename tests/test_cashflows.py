@@ -137,6 +137,10 @@ class TestContributions:
         assert contribution_income(g, rule, 2006, 1.0) == pytest.approx(40_000.0)
         assert contribution_income(g, rule, 2010, 1.0) == pytest.approx(20_000.0)
 
+    def test_negative_exemption_refused(self):
+        with pytest.raises(ValueError, match="exemption_years must be >= 0"):
+            ContributionRule("subjective", Schedule(0.1), np.zeros((2, 3)), -1)
+
     def test_populated_cell_without_profile_value(self):
         g = make_grid([("male", 40, 5, "active", 10)])
         narrow = flat_profile(100_000.0, min_age=50, max_age=60)

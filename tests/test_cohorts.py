@@ -55,6 +55,11 @@ class TestGrid:
         with pytest.raises(ValueError, match="non-negative"):
             CohortGrid(2000, ("male",), 20, 25, 3, bad)
 
+    def test_counts_shape_checked(self):
+        with pytest.raises(ValueError, match=r"counts shape \(2, 1, 11, 5\), "
+                                             r"expected \(2, 1, 11, 6\)"):
+            CohortGrid(2006, ("male",), 30, 40, 5, np.zeros((2, 1, 11, 5)))
+
     def test_seniority_bound_check(self):
         g = make_grid([("male", 30, 2, "active", 1)])
         g.check_seniority_bound(entry_age=28)
@@ -65,6 +70,11 @@ class TestGrid:
 class TestMortality:
     # the cell of a 40-year-old man on make_mm's (sex, age) axes
     MALE_40 = (0, 20)
+
+    def test_table_shape_checked(self):
+        mm = make_mm(sexes=("male",), min_age=30, max_age=40)
+        with pytest.raises(ValueError, match=r"q0 shape \(1, 10\), expected \(1, 11\)"):
+            MortalityModel(mm.base_year, mm.sexes, 30, 40, np.zeros((1, 10)), mm.drift, mm.sigma)
 
     def test_no_drift_is_flat(self):
         mm = make_mm(q0=0.01)

@@ -110,6 +110,9 @@ class TestSmallScenario:
             StochasticFlags.only(*names)
 
 class TestBrokenScenarios:
+    def test_one_message_is_a_list_of_one(self):
+        assert ConfigError("one message").messages == ["one message"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(str(tmp_path / "nope.yaml"))

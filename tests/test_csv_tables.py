@@ -25,8 +25,8 @@ BUNDLED_CSVS = sorted(f for f in os.listdir(BUNDLED_DIR) if f.endswith(".csv"))
 def _tables(cfg) -> dict:
     """Every array and series the loaders build, by name."""
     out = {"census": cfg.census.counts,
-           "population.expected": cfg.population.expected,
-           "population.sigma": cfg.population.sigma,
+           "population.expected": {s: m.mean.overrides for s, m in cfg.population.items()},
+           "population.sigma": {s: m.sigma.overrides for s, m in cfg.population.items()},
            "subjective": cfg.contrib_subjective.profile,
            "integrative": cfg.contrib_integrative.profile,
            "pre_existing": cfg.pre_existing,
@@ -298,8 +298,8 @@ def production_load(path, table):
                 for (si, a), v in np.ndenumerate(values) if not np.isnan(v)}
     if table == "population":
         series = load_population_series(path, ("male", "female"), hashlib.sha256())
-        return {(s, y): (v, series.sigma[s][y])
-                for s, by_year in series.expected.items() for y, v in by_year.items()}
+        return {(s, y): (v, m.sigma.overrides[y])
+                for s, m in series.items() for y, v in m.mean.overrides.items()}
     if table == "mortality":
         mm = load_mortality(path, ("male", "female"), 2006, hashlib.sha256())
         return {(s, mm.min_age + a): (float(mm.q0[si, a]), float(mm.drift[si, a]),

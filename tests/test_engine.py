@@ -355,6 +355,11 @@ class TestEntrantsMatrix:
         with pytest.raises(ValueError, match="shocks"):
             entrants_matrix(small_cfg, np.zeros((1, 3, 2, DRAWS_PER_CELL)))
 
+    def test_arrivals_shape_checked(self, cfg):
+        with pytest.raises(ValueError, match=r"arrivals shape \(1, 3, 2\), "
+                                             r"expected \(1, 41, 2\)"):
+            simulate_flows(build_system(cfg), np.zeros((1, 3, 2)))
+
 
 class TestRetirementConventions:
     def test_census_retirees_draw_the_pre_existing_profile(self, small_cfg):

@@ -8,8 +8,7 @@ import pytest
 
 from paygsim import Schedule, variance_new_entrants
 from paygsim.engine import entrant_moment_tables, entrants_matrix
-from paygsim.entrants import (DRAWS_PER_CELL, FACTOR_NAMES, EntrantsModelParams,
-                              FactorMoments, PopulationSeries)
+from paygsim.entrants import DRAWS_PER_CELL, FACTOR_NAMES, EntrantsModelParams, FactorMoments
 from paygsim.errors import CoverageError
 from paygsim.montecarlo import entrant_paths
 from paygsim.stochastic import open_streams
@@ -35,10 +34,9 @@ def make_params(means=(0.1, 0.5, 0.2, 0.5), sigmas=(0.02, 0.02, 0.02, 0.02),
 
 def make_series(mean=1000.0, sigma=100.0, years=range(1990, 2031),
                 sexes=("male", "female")):
-    return PopulationSeries(
-        expected={s: {y: mean for y in years} for s in sexes},
-        sigma={s: {y: sigma for y in years} for s in sexes},
-    )
+    return {s: FactorMoments(Schedule(overrides={y: mean for y in years}),
+                             Schedule(overrides={y: sigma for y in years}))
+            for s in sexes}
 
 
 def arrival_cfg(params, series, years, sexes=("male", "female"), seed=0, n_reps=1):
@@ -147,6 +145,14 @@ class TestExpectationAndVariance:
         v1 = variance_new_entrants(params, small, "male", 2020)
         v3 = variance_new_entrants(params, big, "male", 2020)
         assert v3 == pytest.approx(9 * v1)
+
+    def test_params_validated(self):
+        factors = make_params().factors
+        with pytest.raises(ValueError, match="lags must be non-negative"):
+            EntrantsModelParams(factors, -1, 4)
+        no_membership = {"male": {n: m for n, m in factors["male"].items() if n != "membership"}}
+        with pytest.raises(ValueError, match=r"sex 'male' is missing factors \['membership'\]"):
+            EntrantsModelParams(no_membership, 5, 4)
 
     def test_unknown_sex(self):
         params = make_params(sexes=("male",))
