@@ -451,10 +451,10 @@ def _sexes(value) -> tuple[str, ...]:
 class _Field:
     """A field's kind and default: a YAML value, a function of the values read
     before it (a KeyError if one failed), or None if required. An `_int` or
-    `_float` is finite and at least `lo`, or above it if `strict`; a schedule
-    is finite and within those bounds and at most `hi` at `years` ("<factor>":
-    the years its arrival factor is read at). It exists where sibling
-    `when[0]` is `when[1]`; a `column` makes an age table."""
+    `_float` is finite, at least `lo` (above it if `strict`) and at most
+    `hi`; so is a schedule at `years` ("<factor>": the years its arrival
+    factor is read at). It exists where sibling `when[0]` is `when[1]`; a
+    `column` makes an age table."""
 
     kind: Callable
     default: object = None
@@ -477,8 +477,10 @@ def _first_year(t: dict) -> int:
 # <type> and <factor> stand for each name in population.sexes,
 # retirement.benefit_types and FACTOR_NAMES, and each must be present. A
 # level marked `?` may be left out; the fields under it then hold for every name.
+# Every year field lies in 1800-2300, which keeps short each span of years
+# the loader lists and each gap of years a price or cost path compounds over.
 _SCHEMA = {
-    "horizon": {"first_year": _Field(_int), "last_year": _Field(_int)},
+    "horizon": {k: _Field(_int, lo=1800, hi=2300) for k in ("first_year", "last_year")},
     "run": {
         "seed": _Field(_int, 0),
         "n_reps": _Field(_int, 1000),
@@ -501,7 +503,8 @@ _SCHEMA = {
         "pool_max_age": _Field(_int, 25),
         "population_csv": _Field(_file),
     },
-    "mortality": {"base_year": _Field(_int, _first_year), "table_csv": _Field(_file)},
+    "mortality": {"base_year": _Field(_int, _first_year, lo=1800, hi=2300),
+                  "table_csv": _Field(_file)},
     "retirement": {
         "benefit_types": _Field(_name_list),
         "thresholds": {"<type>": {"<sex>?": (
@@ -527,12 +530,12 @@ _SCHEMA = {
         }},
     },
     "economics": {
-        "profile_base_year": _Field(_int, _first_year),
+        "profile_base_year": _Field(_int, _first_year, lo=1800, hi=2300),
         # a rate of -100% or below would zero or flip the sign of every later amount
         "inflation": _Field(_schedule, 0.0, lo=-1.0, strict=True, years="priced"),
         "expected_return": _Field(_schedule, 0.0, lo=-1.0, strict=True, years="horizon"),
         "return_deviations": (Ar1Params, {k: _Field(_float, 0.0) for k in ("phi", "sigma", "x0")}),
-        "admin_base_year": _Field(_int, _first_year),
+        "admin_base_year": _Field(_int, _first_year, lo=1800, hi=2300),
         "initial_assets": _Field(_float),
         "admin_base": _Field(_float, 0.0),
         "admin_growth": _Field(_float, 0.0, lo=-1.0, strict=True),
@@ -584,7 +587,8 @@ def _walk(schema: dict, node: dict, at: str, out: dict, ctx: _Ctx, keys=None) ->
                     raise ValueError("missing required field")
                 value = spec.kind(value)
                 if spec.kind in (_int, _float) and not spec.admits(value):
-                    bound = f"{'>' if spec.strict else '>='} {spec.lo:g}"
+                    bound = (f"between {spec.lo:g} and {spec.hi:g}" if math.isfinite(spec.hi)
+                             else f"{'>' if spec.strict else '>='} {spec.lo:g}")
                     raise ValueError(f"must be {bound if math.isfinite(value) else 'finite'}, "
                                      f"got {value}")
             except KeyError:

@@ -29,7 +29,7 @@ import numpy as np
 from .cohorts import ACTIVE, expected_mortality_grid
 from .config import ScenarioConfig
 from .entrants import moment_tables
-from .errors import CoverageError
+from .errors import CoverageError, StateError
 from .stochastic import ar1_path
 
 # the flows `simulate_flows` sums, in `CohortSystem.flow_block` row order
@@ -310,7 +310,14 @@ def return_rates(cfg: ScenarioConfig, eps: np.ndarray, stochastic: bool) -> np.n
 
 
 def admin_path(cfg: ScenarioConfig) -> np.ndarray:
-    """Deterministic administration costs per projection year."""
+    """Deterministic administration costs per projection year; StateError
+    naming the growth rate if a year's growth factor overflows a float."""
     ec = cfg.economics
-    return np.array([ec.admin_base * (1.0 + ec.admin_growth) ** (t - ec.admin_base_year)
-                     for t in cfg.years])
+    costs = []
+    for t in cfg.years:
+        try:
+            costs.append(ec.admin_base * (1.0 + ec.admin_growth) ** (t - ec.admin_base_year))
+        except OverflowError:
+            raise StateError(f"economics.admin_growth: the administration costs of {t} "
+                             "overflow a float") from None
+    return np.array(costs)

@@ -24,4 +24,4 @@ class CoverageError(PaygsimError):
 
 
 class StateError(PaygsimError):
-    """Projection state is inconsistent: an amount that int64 cents cannot hold."""
+    """Projection state is inconsistent: an amount that int64 cents or a float cannot hold."""

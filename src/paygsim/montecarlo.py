@@ -109,10 +109,13 @@ def _run_pooled_chunk(lo: int, hi: int) -> dict:
     return _compose(*_worker_args, draw_shock_blocks(_worker_args[0], range(lo, hi)))
 
 
-# the ledger columns a result holds (B, C, E, H and I); the statement's
-# identities give the other four from these, the opening value and the admin costs
-_HELD_COLUMNS = ("contrib_subjective", "contrib_integrative", "pension_balance",
-                 "total_balance", "value_end")
+# the ledger columns a result holds (B, C, E and I); the statement's
+# identities give the other five from these, the opening value and the admin costs
+_HELD_COLUMNS = ("contrib_subjective", "contrib_integrative", "pension_balance", "value_end")
+
+# the most bytes of one series a fan chart sorts at once: it reduces the
+# series one block of years at a time, each block at most this size
+_BLOCK_BYTES = 1 << 20
 
 # money series in euros, read from the ledger column of the same amount in cents
 LEDGER_SERIES = {"fund_value": "value_end", "total_balance": "total_balance",
@@ -123,16 +126,17 @@ LEDGER_SERIES = {"fund_value": "value_end", "total_balance": "total_balance",
 class SimulationResult:
     """All replications of one run, as (n_reps, n_years) arrays.
 
-    The result holds each number once, all read-only: `held_ledger` five of
-    the nine statement columns in integer cents (B, C, E, H and I), with the
+    The result holds each number once, all read-only: `held_ledger` four of
+    the nine statement columns in integer cents (B, C, E and I), with the
     run's `opening_cents` and per-year `admin_cents`; `entrants` the
     arrivals per sex (in sex order); and `actives` and `retirees` the
     headcounts. `ledger` maps all nine columns, in `LEDGER_COLUMNS`
-    order, and derives the other four exactly in int64 each time they are
+    order, and derives the other five exactly in int64 each time they are
     read: A is I a year earlier (the opening value in the first year),
-    D = (B + C) - E, F = (H + G) - E and G the admin costs of every
-    replication. `series` maps the tracked output series to their arrays;
-    the money series and `entrants_total` are likewise computed when read.
+    D = (B + C) - E, H = I - A, F = (H + G) - E and G the admin costs of
+    every replication. `series` maps the tracked output series to their
+    arrays; the money series and `entrants_total` are likewise computed
+    when read.
     """
 
     first_year: int
@@ -160,24 +164,33 @@ class SimulationResult:
     def ledger(self) -> "SeriesView":
         return SeriesView(LEDGER_COLUMNS, self._ledger_column)
 
-    def _ledger_column(self, name: str) -> np.ndarray:
+    def _ledger_column(self, name: str, idx=slice(None)) -> np.ndarray:
+        """One ledger column in cents at the year indices `idx`, computing
+        only those years of a derived column."""
         # each sum starts from an amount `ledger_columns` checked for int64
-        # overflow: B + C is the gross contributions, H + G is E + F
+        # overflow: B + C is the gross contributions, I - A is H and H + G
+        # is E + F
         held = self.held_ledger
         if name in held:
-            return held[name]
+            return held[name][:, idx]
+        end = held["value_end"]
         if name == "admin_costs":
-            return np.broadcast_to(self.admin_cents, held["value_end"].shape)
-        if name == "value_start":
-            col = np.empty_like(held["value_end"])
-            col[:, 0] = self.opening_cents
-            col[:, 1:] = held["value_end"][:, :-1]
+            return np.broadcast_to(self.admin_cents[idx], end[:, idx].shape)
+        if name in ("value_start", "total_balance"):
+            t = np.arange(end.shape[1])[idx]
+            start = np.take(end, t - 1, axis=1)
+            start[..., t == 0] = self.opening_cents
+            if name == "value_start":
+                col = start
+            else:  # I - A, laid out as I indexed at idx: the moments sum in that order
+                col = np.array(end[:, idx])
+                col -= start
         elif name == "disbursements":
-            col = held["contrib_subjective"] + held["contrib_integrative"]
-            col -= held["pension_balance"]
+            col = held["contrib_subjective"][:, idx] + held["contrib_integrative"][:, idx]
+            col -= held["pension_balance"][:, idx]
         elif name == "investment_income":
-            col = held["total_balance"] + self.admin_cents
-            col -= held["pension_balance"]
+            col = self._ledger_column("total_balance", idx) + self.admin_cents[idx]
+            col -= held["pension_balance"][:, idx]
         else:
             raise KeyError(name)
         col.flags.writeable = False
@@ -193,7 +206,7 @@ class SimulationResult:
         which fixes the order in which the moments sum over replications.
         """
         if name in LEDGER_SERIES:
-            return np.divide(self.held_ledger[LEDGER_SERIES[name]][:, idx], 100.0, order=order)
+            return np.divide(self._ledger_column(LEDGER_SERIES[name], idx), 100.0, order=order)
         if name == "entrants_total":
             first, *rest = (path[:, idx] for path in self.entrants.values())
             total = first.copy(order=order)
@@ -209,13 +222,19 @@ class SimulationResult:
 
     def fan_chart(self, name: str, probes) -> dict:
         """Percentile bands of one series across replications, per year."""
+        probes = tuple(float(p) for p in probes)
         derived = name in LEDGER_SERIES or name == "entrants_total"
-        # a derived series is computed for this call alone, year by year
-        # contiguous, so it may be sorted in place instead of copied
-        values = percentile_bands(self.columns(name, order="F"), probes, axis=0,
-                                  overwrite_input=derived)
-        return {"series": name, "probes": tuple(float(p) for p in probes),
-                "years": self.years.copy(), "values": values}
+        step = max(1, _BLOCK_BYTES // (8 * self.n_reps))
+        values = np.empty((len(probes), len(self.years)))
+        # a band is an order statistic of one year, so the series is reduced
+        # one block of years at a time; a derived block is computed for this
+        # call alone, year by year contiguous, and sorted in place, a held
+        # one is copied
+        for lo in range(0, len(self.years), step):
+            block = slice(lo, lo + step)
+            values[:, block] = percentile_bands(self.columns(name, block, order="F"), probes,
+                                                axis=0, overwrite_input=derived)
+        return {"series": name, "probes": probes, "years": self.years.copy(), "values": values}
 
     def moments(self, name: str, years=None) -> dict:
         """Distribution moments of one series, optionally at selected years."""

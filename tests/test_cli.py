@@ -174,6 +174,17 @@ class TestValidate:
         ("population.entry_age", 20, "population.entry_age: 20 outside [29, 105]"),
         ("economics.return_deviations.sigma", -0.03667,
          "economics.return_deviations: sigma must be >= 0, got -0.03667"),
+        # a year outside 1800-2300 would have the loader list a billion years,
+        # or the price index overflow
+        ("horizon.first_year", -10**9,
+         "horizon.first_year: must be between 1800 and 2300, got -1000000000"),
+        ("horizon.last_year", 2301, "horizon.last_year: must be between 1800 and 2300, got 2301"),
+        ("mortality.base_year", 1799,
+         "mortality.base_year: must be between 1800 and 2300, got 1799"),
+        ("economics.profile_base_year", 10**30, "economics.profile_base_year: must be "
+         "between 1800 and 2300, got 1000000000000000000000000000000"),
+        ("economics.admin_base_year", 1700,
+         "economics.admin_base_year: must be between 1800 and 2300, got 1700"),
     ])
     def test_a_bad_bundled_value_is_one_line_under_its_own_field(
             self, capsys, tmp_path, field, value, message):
@@ -185,6 +196,20 @@ class TestValidate:
 
         path = bundled_copy(tmp_path, edit)
         assert run(capsys, "validate", "--config", path) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["project", "simulate"])
+    def test_admin_costs_that_overflow_exit_3_naming_the_growth(self, capsys, tmp_path,
+                                                                command):
+        def edit(raw):
+            raw["economics"]["admin_growth"] = 10**30
+
+        path = bundled_copy(tmp_path, edit)
+        assert run(capsys, "validate", "--config", path)[0] == 0
+        out = str(tmp_path / "out")
+        assert run(capsys, command, "--config", path, "--out", out, *(
+            ["--reps", "2"] if command == "simulate" else [])) == (
+            3, "", "error: economics.admin_growth: the administration costs of 2017 "
+                   "overflow a float\n")
 
     @pytest.mark.parametrize("value, message", [
         ("high", "economics.expected_return: expected a number or a mapping, got str"),

@@ -151,8 +151,8 @@ class TestStreamedChunks:
 
     @pytest.mark.parametrize("n_reps, workers", [(2000, None), (4000, 2)])
     def test_working_set_stays_bounded(self, cfg, monkeypatch, n_reps, workers):
-        # the result holds five of the nine ledger columns, the entrants of
-        # each sex, actives and retirees, and nothing else of size; beside
+        # the result holds the held ledger columns, the entrants of each
+        # sex, actives and retirees, and nothing else of size; beside
         # it, the parent holds only a per-chunk working set, which must not
         # grow with n_reps or with the number of chunks
         with monkeypatch.context() as patch:
@@ -165,7 +165,8 @@ class TestStreamedChunks:
             held, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        arrays = n_reps * len(cfg.years) * (5 + len(cfg.sexes) + 2) * 8
+        held_arrays = len(montecarlo._HELD_COLUMNS) + len(cfg.sexes) + 2
+        arrays = n_reps * len(cfg.years) * held_arrays * 8
         assert arrays <= held <= arrays + 64e3
         assert result.n_reps == n_reps
         assert peak - held <= 16e6
@@ -383,7 +384,7 @@ class TestLeanResult:
 
 
 class TestDerivedLedger:
-    """The result holds five ledger columns and derives the other four, bit
+    """The result holds four ledger columns and derives the other five, bit
     for bit what `ledger_columns` gives for the same replications."""
 
     @staticmethod
@@ -435,7 +436,7 @@ class TestDerivedLedger:
                 assert not identities_hold(moved), name
 
     def test_derived_columns_are_computed_on_every_read(self, base_run):
-        for name in ("value_start", "disbursements", "investment_income"):
+        for name in ("value_start", "disbursements", "investment_income", "total_balance"):
             first, second = base_run.ledger[name], base_run.ledger[name]
             assert first is not second and not np.shares_memory(first, second), name
             with pytest.raises(ValueError, match="read-only"):
@@ -450,7 +451,7 @@ class TestDerivedLedger:
         part = pickle.loads(pickle.dumps(montecarlo._run_pooled_chunk(0, 5)))
         want = self.recompute(cfg)
         assert tuple(part["ledger"]) == ("contrib_subjective", "contrib_integrative",
-                                         "pension_balance", "total_balance", "value_end")
+                                         "pension_balance", "value_end")
         for name, col in part["ledger"].items():
             assert np.array_equal(col, want[name]), name
 
@@ -538,6 +539,33 @@ class TestFanChart:
         for name, series in result.series.items():
             want = np.percentile(series, probes, axis=0, method="linear")
             assert result.fan_chart(name, probes)["values"].tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("years_per_block", [1, 3])
+    def test_year_blocks_give_the_bands_of_the_whole_series(self, small_cfg, monkeypatch,
+                                                            years_per_block):
+        result = run_simulation(small_cfg.with_run(n_reps=40))
+        probes = (0.1, 25.0, 50.0, 99.9)
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", years_per_block * 8 * result.n_reps)
+        for name in result.series_names:
+            want = percentile_bands(result.series[name], probes)
+            assert result.fan_chart(name, probes)["values"].tobytes() == want.tobytes(), name
+
+    def test_a_fan_chart_holds_a_few_year_blocks_at_a_time(self, small_cfg, monkeypatch):
+        # total_balance is derived through two int64 temporaries per block;
+        # a whole series would take len(years) blocks
+        result = run_simulation(small_cfg.with_run(n_reps=2000))
+        block = 8 * result.n_reps
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block)
+        assert len(result.years) >= 10
+        result.fan_chart("fund_value", (50.0,))  # numpy's first-call set-up
+        for name in ("total_balance", "entrants_total", "fund_value"):
+            tracemalloc.start()
+            try:
+                result.fan_chart(name, (5.0, 50.0, 95.0))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * block, name
 
     def test_probe_validation(self):
         x = np.zeros((4, 2))
