@@ -497,8 +497,10 @@ _SCHEMA = {
     "entrants": {
         "study_years": _Field(_int, 5, lo=0),
         "training_years": _Field(_int, 4, lo=0),
+        # each factor is a rate, its mean and spread at most 100%
         "factors": {"<sex>": {"<factor>": (FactorMoments, {
-            k: _Field(_schedule, 0.0, lo=0.0, years="<factor>") for k in ("mean", "sigma")})}},
+            k: _Field(_schedule, 0.0, lo=0.0, hi=1.0, years="<factor>")
+            for k in ("mean", "sigma")})}},
         "pool_min_age": _Field(_int, 18),
         "pool_max_age": _Field(_int, 25),
         "population_csv": _Field(_file),
@@ -531,10 +533,14 @@ _SCHEMA = {
     },
     "economics": {
         "profile_base_year": _Field(_int, _first_year, lo=1800, hi=2300),
-        # a rate of -100% or below would zero or flip the sign of every later amount
-        "inflation": _Field(_schedule, 0.0, lo=-1.0, strict=True, years="priced"),
+        # a rate of -100% or below would zero or flip the sign of every later
+        # amount; one above 100% a year is no price path this model is meant for
+        "inflation": _Field(_schedule, 0.0, lo=-1.0, hi=1.0, strict=True, years="priced"),
         "expected_return": _Field(_schedule, 0.0, lo=-1.0, strict=True, years="horizon"),
-        "return_deviations": (Ar1Params, {k: _Field(_float, 0.0) for k in ("phi", "sigma", "x0")}),
+        # deviations of the return rate, so within 100% of it
+        "return_deviations": (Ar1Params, {"phi": _Field(_float, 0.0),
+                                          "sigma": _Field(_float, 0.0, hi=1.0),
+                                          "x0": _Field(_float, 0.0, lo=-1.0, hi=1.0)}),
         "admin_base_year": _Field(_int, _first_year, lo=1800, hi=2300),
         "initial_assets": _Field(_float),
         "admin_base": _Field(_float, 0.0),
@@ -587,7 +593,8 @@ def _walk(schema: dict, node: dict, at: str, out: dict, ctx: _Ctx, keys=None) ->
                     raise ValueError("missing required field")
                 value = spec.kind(value)
                 if spec.kind in (_int, _float) and not spec.admits(value):
-                    bound = (f"between {spec.lo:g} and {spec.hi:g}" if math.isfinite(spec.hi)
+                    bound = (f"<= {spec.hi:g}" if spec.lo == -math.inf
+                             else f"between {spec.lo:g} and {spec.hi:g}" if math.isfinite(spec.hi)
                              else f"{'>' if spec.strict else '>='} {spec.lo:g}")
                     raise ValueError(f"must be {bound if math.isfinite(value) else 'finite'}, "
                                      f"got {value}")

@@ -113,9 +113,9 @@ def _run_pooled_chunk(lo: int, hi: int) -> dict:
 # identities give the other five from these, the opening value and the admin costs
 _HELD_COLUMNS = ("contrib_subjective", "contrib_integrative", "pension_balance", "value_end")
 
-# the most bytes of one series a fan chart sorts at once: it reduces the
-# series one block of years at a time, each block at most this size
-_BLOCK_BYTES = 1 << 20
+# the most bytes of one series a fan chart or the moments read at once: each
+# reduces the series one block of years at a time, each block at most this size
+_BLOCK_BYTES = 1 << 18
 
 # money series in euros, read from the ledger column of the same amount in cents
 LEDGER_SERIES = {"fund_value": "value_end", "total_balance": "total_balance",
@@ -220,18 +220,22 @@ class SimulationResult:
             return self.entrants[sex][:, idx]
         raise KeyError(name)
 
+    def _year_blocks(self, n_years: int) -> list[slice]:
+        """Slices that cover positions 0..n_years-1 in blocks of as many years
+        of one series as fit in _BLOCK_BYTES, and at least one; one empty
+        slice if there are no years. A band or a moment of a year depends on
+        that year's column alone, so a series is reduced block by block."""
+        step = max(1, _BLOCK_BYTES // (8 * self.n_reps))
+        return [slice(lo, lo + step) for lo in range(0, n_years, step)] or [slice(0, 0)]
+
     def fan_chart(self, name: str, probes) -> dict:
         """Percentile bands of one series across replications, per year."""
         probes = tuple(float(p) for p in probes)
         derived = name in LEDGER_SERIES or name == "entrants_total"
-        step = max(1, _BLOCK_BYTES // (8 * self.n_reps))
         values = np.empty((len(probes), len(self.years)))
-        # a band is an order statistic of one year, so the series is reduced
-        # one block of years at a time; a derived block is computed for this
-        # call alone, year by year contiguous, and sorted in place, a held
-        # one is copied
-        for lo in range(0, len(self.years), step):
-            block = slice(lo, lo + step)
+        # a derived block is computed for this call alone, year by year
+        # contiguous, and sorted in place; a held one is copied
+        for block in self._year_blocks(len(self.years)):
             values[:, block] = percentile_bands(self.columns(name, block, order="F"), probes,
                                                 axis=0, overwrite_input=derived)
         return {"series": name, "probes": probes, "years": self.years.copy(), "values": values}
@@ -243,7 +247,12 @@ class SimulationResult:
         for y, t in zip(years, idx):
             if not 0 <= t < len(self.years):
                 raise CoverageError(f"year {y} outside the simulated horizon")
-        out = distribution_moments(self.columns(name, idx), axis=0)
+        # each column of a list of indices comes back contiguous, so numpy
+        # sums it in the same order whatever else the block holds
+        parts = [distribution_moments(self.columns(name, idx[block]), axis=0)
+                 for block in self._year_blocks(len(idx))]
+        out = {k: v if k == "n" else np.concatenate([p[k] for p in parts])
+               for k, v in parts[0].items()}
         out["series"] = name
         out["years"] = np.asarray(years)
         return out

@@ -327,9 +327,9 @@ class TestEachScheduleIsCheckedWhereTheModelReadsIt:
         # each factor is read at its own lag: enrolment from 1997, graduation
         # from 2002, admission and membership over the horizon
         ({"entrants": {"factors": {"male": {"enrolment": {"mean": -0.1, "sigma": 0.02}}}}},
-         "entrants.factors.male.enrolment.mean", "mean at 1997 outside [0, inf): -0.1"),
+         "entrants.factors.male.enrolment.mean", "mean at 1997 outside [0, 1]: -0.1"),
         ({"entrants": {"factors": {"female": {"graduation": {"mean": 0.5, "sigma": -0.02}}}}},
-         "entrants.factors.female.graduation.sigma", "sigma at 2002 outside [0, inf): -0.02"),
+         "entrants.factors.female.graduation.sigma", "sigma at 2002 outside [0, 1]: -0.02"),
         ({"entrants": {"factors": {"male": {"admission": {
             "mean": {"overrides": {y: 0.2 for y in range(2007, 2017)}}, "sigma": 0.02}}}}},
          "entrants.factors.male.admission.mean",
@@ -663,11 +663,11 @@ def _wrong_values(field: _Field) -> dict:
         values["a boolean"] = True
     if field.kind in (_int, _float, _schedule) and field.lo > -math.inf:
         values["below its bounds"] = field.lo - 1
-    elif field.hi < math.inf:
+    if field.hi < math.inf:
         values["above its bounds"] = field.hi + 1
-    elif field.kind is _float:
+    if field.lo == -math.inf and field.kind is _float:
         values["not finite"] = math.inf
-    elif field.kind is _schedule:
+    elif field.lo == -math.inf and field.kind is _schedule:
         values["not a number"] = math.nan
     return values
 
@@ -722,16 +722,27 @@ def test_a_bad_pool_age_is_reported_under_its_own_field(tmp_path, field, value, 
      "economics.admin_growth: must be > -1, got -1.0"),
     ({"economics": {"admin_growth": -2.0}}, "economics.admin_growth: must be > -1, got -2.0"),
     ({"economics": {"inflation": -2.0}},
-     "economics.inflation: inflation at 2006 outside (-1, inf): -2.0"),
+     "economics.inflation: inflation at 2006 outside (-1, 1]: -2.0"),
     ({"economics": {"inflation": {"default": 0.02, "overrides": {2010: -1.0}}}},
-     "economics.inflation: inflation at 2010 outside (-1, inf): -1.0"),
+     "economics.inflation: inflation at 2010 outside (-1, 1]: -1.0"),
     ({"economics": {"expected_return": -3.0}},
      "economics.expected_return: expected_return at 2006 outside (-1, inf): -3.0"),
     # a schedule is finite at every year it is read
     ({"economics": {"inflation": math.inf}},
-     "economics.inflation: inflation at 2006 outside (-1, inf): inf"),
+     "economics.inflation: inflation at 2006 outside (-1, 1]: inf"),
     ({"entrants": {"factors": {"male": {"admission": {"mean": math.inf, "sigma": 0.02}}}}},
-     "entrants.factors.male.admission.mean: mean at 2006 outside [0, inf): inf"),
+     "entrants.factors.male.admission.mean: mean at 2006 outside [0, 1]: inf"),
+    # a money amount each of these scales must fit in int64 cents
+    ({"economics": {"inflation": 1.0e308}},
+     "economics.inflation: inflation at 2006 outside (-1, 1]: 1e+308"),
+    ({"entrants": {"factors": {"male": {"admission": {"mean": 1.0e308}}}}},
+     "entrants.factors.male.admission.mean: mean at 2006 outside [0, 1]: 1e+308"),
+    ({"entrants": {"factors": {"male": {"membership": {"sigma": 1.0e308}}}}},
+     "entrants.factors.male.membership.sigma: sigma at 2006 outside [0, 1]: 1e+308"),
+    ({"economics": {"return_deviations": {"x0": -1.0e308}}},
+     "economics.return_deviations.x0: must be between -1 and 1, got -1e+308"),
+    ({"economics": {"return_deviations": {"sigma": 2.0}}},
+     "economics.return_deviations.sigma: must be <= 1, got 2.0"),
 ])
 def test_a_value_that_breaks_the_arithmetic_is_refused(tmp_path, capsys, tweaks, message):
     assert main(["validate", "--config", write_scenario(str(tmp_path), tweaks=tweaks)]) == 2

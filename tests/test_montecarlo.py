@@ -171,19 +171,28 @@ class TestStreamedChunks:
         assert result.n_reps == n_reps
         assert peak - held <= 16e6
 
-    def test_emission_holds_one_series_at_a_time(self, cfg, tmp_path):
+    def test_emission_holds_one_series_at_a_time(self, cfg, tmp_path, monkeypatch):
         # fan charts, moments and the summary compute a derived series (or
-        # copy a held one) one at a time, and never keep it
+        # copy a held one) one block of years at a time, and never keep it:
+        # beyond the output text, which a 2-replication run writes as well,
+        # emission holds a few one-year blocks
         n_reps = 4000
-        big = cfg.with_run(n_reps=n_reps)
-        result = run_simulation(big, workers=2)
-        tracemalloc.start()
-        try:
-            emit_simulation_outputs(str(tmp_path), big, result)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= n_reps * len(big.years) * 8 + 2e6
+        block = 8 * n_reps
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block)
+
+        def emission_peak(reps):
+            run_cfg = cfg.with_run(n_reps=reps)
+            result = run_simulation(run_cfg, workers=2)
+            tracemalloc.start()
+            try:
+                emit_simulation_outputs(str(tmp_path), run_cfg, result)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        emission_peak(2)  # the first call's set-up
+        text = emission_peak(2)
+        assert emission_peak(n_reps) <= text + 4 * block
 
 
 class TestSerialPipeline:
@@ -619,6 +628,53 @@ class TestMoments:
         whole = base_run.moments("fund_value")
         t = 2008 - small_cfg.first_year
         assert mom["mean"][0] == whole["mean"][t]
+
+    SELECTIONS = {"all": None, "bundled": tuple(range(2010, 2046, 5)),
+                  "uneven": (2006, 2007, 2011, 2019, 2030, 2041, 2046), "empty": (),
+                  "single": (2033,), "repeated": (2030, 2010, 2030),
+                  "unsorted": (2045, 2006, 2020, 2015)}
+
+    @pytest.fixture(scope="class")
+    def bundled_run(self, cfg):
+        assert cfg.run.moments_years == self.SELECTIONS["bundled"]
+        return run_simulation(cfg.with_run(n_reps=40))
+
+    @pytest.mark.parametrize("selection", SELECTIONS)
+    @pytest.mark.parametrize("years_per_block", [1, 2, 3])
+    def test_year_blocks_give_the_moments_of_the_whole_selection(
+            self, bundled_run, monkeypatch, years_per_block, selection):
+        # a year's moments depend on its own column alone, whatever else its
+        # block holds; years come back in the caller's order, repeats included
+        result = bundled_run
+        years = self.SELECTIONS[selection]
+        want_years = result.years.tolist() if years is None else list(years)
+        idx = [y - result.first_year for y in want_years]
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", years_per_block * 8 * result.n_reps)
+        for name in result.series_names:
+            want = distribution_moments(result.series[name][:, idx], axis=0)
+            got = result.moments(name, years)
+            assert got["n"] == want["n"] == result.n_reps
+            assert got["series"] == name and got["years"].tolist() == want_years
+            for stat in ("mean", "std", "skewness", "excess_kurtosis", "degenerate"):
+                assert got[stat].shape == (len(idx),), (name, stat)
+                assert got[stat].tobytes() == want[stat].tobytes(), (name, stat)
+
+    def test_the_moments_hold_a_few_year_blocks_at_a_time(self, small_cfg, monkeypatch):
+        # as in a fan chart, total_balance is derived through two int64
+        # temporaries per block; the whole series would take len(years) blocks
+        result = run_simulation(small_cfg.with_run(n_reps=2000))
+        block = 8 * result.n_reps
+        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block)
+        assert len(result.years) >= 10
+        result.moments("fund_value")  # numpy's first-call set-up
+        for name in ("total_balance", "entrants_total", "fund_value"):
+            tracemalloc.start()
+            try:
+                result.moments(name)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * block, name
 
     @pytest.mark.parametrize("year", [1900, 2005, 2017])
     def test_result_moments_year_validation(self, base_run, year):
