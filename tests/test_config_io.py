@@ -657,7 +657,8 @@ def test_readme_lists_exactly_the_schedules():
 
 
 def _wrong_values(field: _Field) -> dict:
-    """A value of every wrong kind for the field, and one out of its bounds."""
+    """A value of every wrong kind for the field, one past each of its bounds
+    and, for a float or a schedule, one that is not finite."""
     values = {"a quoted number": "12", "a list": [[1]], "a mapping": {"a": 1}, "null": None}
     if field.kind is not _bool:
         values["a boolean"] = True
@@ -665,9 +666,9 @@ def _wrong_values(field: _Field) -> dict:
         values["below its bounds"] = field.lo - 1
     if field.hi < math.inf:
         values["above its bounds"] = field.hi + 1
-    if field.lo == -math.inf and field.kind is _float:
+    if field.kind is _float:
         values["not finite"] = math.inf
-    elif field.lo == -math.inf and field.kind is _schedule:
+    elif field.kind is _schedule:
         values["not a number"] = math.nan
     return values
 

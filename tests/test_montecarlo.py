@@ -559,18 +559,22 @@ class TestFanChart:
             want = percentile_bands(result.series[name], probes)
             assert result.fan_chart(name, probes)["values"].tobytes() == want.tobytes(), name
 
-    def test_a_fan_chart_holds_a_few_year_blocks_at_a_time(self, small_cfg, monkeypatch):
+    @pytest.mark.parametrize("reduce", [
+        lambda result, name: result.fan_chart(name, (5.0, 50.0, 95.0)),
+        lambda result, name: result.moments(name),
+    ], ids=["fan_chart", "moments"])
+    def test_a_reduction_holds_a_few_year_blocks_at_a_time(self, small_cfg, monkeypatch, reduce):
         # total_balance is derived through two int64 temporaries per block;
         # a whole series would take len(years) blocks
         result = run_simulation(small_cfg.with_run(n_reps=2000))
         block = 8 * result.n_reps
         monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block)
         assert len(result.years) >= 10
-        result.fan_chart("fund_value", (50.0,))  # numpy's first-call set-up
+        reduce(result, "fund_value")  # numpy's first-call set-up
         for name in ("total_balance", "entrants_total", "fund_value"):
             tracemalloc.start()
             try:
-                result.fan_chart(name, (5.0, 50.0, 95.0))
+                reduce(result, name)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -658,23 +662,6 @@ class TestMoments:
             for stat in ("mean", "std", "skewness", "excess_kurtosis", "degenerate"):
                 assert got[stat].shape == (len(idx),), (name, stat)
                 assert got[stat].tobytes() == want[stat].tobytes(), (name, stat)
-
-    def test_the_moments_hold_a_few_year_blocks_at_a_time(self, small_cfg, monkeypatch):
-        # as in a fan chart, total_balance is derived through two int64
-        # temporaries per block; the whole series would take len(years) blocks
-        result = run_simulation(small_cfg.with_run(n_reps=2000))
-        block = 8 * result.n_reps
-        monkeypatch.setattr(montecarlo, "_BLOCK_BYTES", block)
-        assert len(result.years) >= 10
-        result.moments("fund_value")  # numpy's first-call set-up
-        for name in ("total_balance", "entrants_total", "fund_value"):
-            tracemalloc.start()
-            try:
-                result.moments(name)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 4 * block, name
 
     @pytest.mark.parametrize("year", [1900, 2005, 2017])
     def test_result_moments_year_validation(self, base_run, year):
