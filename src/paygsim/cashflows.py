@@ -68,23 +68,19 @@ class ContributionRule:
 
     The profile is a (sex, age) array on the cohort grid's ages, NaN where its
     table has no row, stated at profile_base_year prices and appreciated by
-    cumulative inflation. Cells with seniority <= exemption_years pay nothing.
+    cumulative inflation. Both streams share one exemption, the scenario's
+    `exemption_years`: cells with seniority at or below it pay nothing.
     """
 
     name: str
     rate: Schedule
     profile: np.ndarray
-    exemption_years: int
-
-    def __post_init__(self):
-        if self.exemption_years < 0:
-            raise ValueError("exemption_years must be >= 0")
 
 
 def contribution_income(grid: CohortGrid, rule: ContributionRule, year: int,
-                        price_index: float) -> float:
+                        price_index: float, exemption_years: int) -> float:
     """Total stream income for the year from the start-of-year census."""
-    counts = grid.counts[ACTIVE, :, :, rule.exemption_years + 1:].sum(axis=2)  # past exemption
+    counts = grid.counts[ACTIVE, :, :, exemption_years + 1:].sum(axis=2)  # past exemption
     for si, ai in np.argwhere((counts > 0) & np.isnan(rule.profile))[:1]:
         raise CoverageError(
             f"{rule.name} profile has no value for sex {grid.sexes[si]!r} "
@@ -94,13 +90,14 @@ def contribution_income(grid: CohortGrid, rule: ContributionRule, year: int,
 
 
 def accrue_and_credit(balances: np.ndarray, grid: CohortGrid, rule: ContributionRule,
-                      year: int, price_index: float, accrual_rate: float) -> np.ndarray:
+                      year: int, price_index: float, accrual_rate: float,
+                      exemption_years: int) -> np.ndarray:
     """End-of-year notional balances: one year of accrual plus the year's credits.
     balances are per-cell totals on a grid's active layer; totals (not per-capita
     values) make merges and mortality scaling exact."""
     percap = rule.rate.value(year) * np.nan_to_num(rule.profile) * price_index
     credit = grid.counts[ACTIVE] * percap[:, :, None]
-    credit[:, :, :rule.exemption_years + 1] = 0.0
+    credit[:, :, :exemption_years + 1] = 0.0
     return balances * (1.0 + accrual_rate) + credit
 
 
@@ -108,24 +105,20 @@ def accrue_and_credit(balances: np.ndarray, grid: CohortGrid, rule: Contribution
 class BenefitRule:
     """How one benefit type turns a retiring cohort into an annual pension.
 
-    kind "notional_account": the per-capita balance times the conversion
-    coefficient at the retirement age. kind "fixed_profile": a per-(sex, age)
-    pension profile at base-year prices, appreciated to the retirement year.
-    Both are (sex, age) arrays like `ContributionRule.profile`. Every pension
-    in payment is then indexed to inflation annually.
+    Each type reads one (sex, age) table, like `ContributionRule.profile`,
+    and its kind says what the table holds. "notional_account": conversion
+    coefficients; the pension is the per-capita balance times the coefficient
+    at the retirement age. "fixed_profile": pensions at base-year prices,
+    appreciated to the retirement year. Every pension in payment is then
+    indexed to inflation annually.
     """
 
     kind: str
-    conversion: np.ndarray | None = None
-    profile: np.ndarray | None = None
+    table: np.ndarray
 
     def __post_init__(self):
         if self.kind not in ("notional_account", "fixed_profile"):
             raise ValueError(f"unknown benefit kind {self.kind!r}")
-        if self.kind == "notional_account" and self.conversion is None:
-            raise ValueError("notional_account benefits need conversion coefficients")
-        if self.kind == "fixed_profile" and self.profile is None:
-            raise ValueError("fixed_profile benefits need a pension profile")
 
 
 LEDGER_COLUMNS = ("value_start", "contrib_subjective", "contrib_integrative",

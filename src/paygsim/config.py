@@ -113,13 +113,14 @@ class ScenarioConfig:
     max_age: int
     max_seniority: int
     entry_age: int
-    census: CohortGrid
+    census: np.ndarray  # read-only (status, sex, age, seniority) counts on the grid above
     entrants_params: EntrantsModelParams
     population: dict[str, FactorMoments]  # sex -> the first factor of NE(t)
     mortality: MortalityModel
     retirement: RetirementRule
     contrib_subjective: ContributionRule
     contrib_integrative: ContributionRule
+    exemption_years: int  # of both streams, and of the backfilled history
     benefits: dict[str, BenefitRule]
     pre_existing: np.ndarray  # (sex, age) pensions in payment, as ContributionRule.profile
     accrual_rate: float
@@ -349,13 +350,13 @@ def _on_grid(table: tuple[int, np.ndarray], min_age: int, max_age: int) -> np.nd
 
 
 def load_mortality(path: str, sexes, base_year: int, hasher) -> MortalityModel:
-    """Columns: sex, age, q0, drift, sigma."""
+    """Columns: sex, age, q0, drift, sigma; a negative q0 or sigma is refused."""
     table = _read_csv(path, ("sex", "age", "q0", "drift", "sigma"), hasher)
     sex = table.present("sex")
     index = table.sex_index(sex, sexes)
     age = table.ints("age")
-    columns = [table.finites(col, lambda i: f"sex {sex[i]!r} age {age[i]}")
-               for col in ("q0", "drift", "sigma")]
+    columns = [table.finites(col, lambda i: f"sex {sex[i]!r} age {age[i]}",
+                             nonnegative=col != "drift") for col in ("q0", "drift", "sigma")]
     table.check()
     lo, grid = _age_grid(table, index, age, np.stack(columns, axis=1), sexes)
     if np.isnan(grid).any():
@@ -542,7 +543,7 @@ _SCHEMA = {
                                           "sigma": _Field(_float, 0.0, hi=1.0),
                                           "x0": _Field(_float, 0.0, lo=-1.0, hi=1.0)}),
         "admin_base_year": _Field(_int, _first_year, lo=1800, hi=2300),
-        "initial_assets": _Field(_float),
+        "initial_assets": _Field(_float, lo=-9e16, hi=9e16),  # within what int64 cents hold
         "admin_base": _Field(_float, 0.0),
         "admin_growth": _Field(_float, 0.0, lo=-1.0, strict=True),
     },
@@ -771,20 +772,19 @@ def load_config(path: str) -> ScenarioConfig:
     ctx.raise_if_failed()
 
     on_grid = {key: _on_grid(table, min_age, max_age) for key, table in parsed.items()}
-    tables = {where: on_grid[key] for where, key in named.items()}
-    contribs = {n: ContributionRule(n, con[n]["rate"], tables[f"contributions.{n}.profile_csv"],
-                                    exemption) for n in ("subjective", "integrative")}
+    tables = {where.rpartition(".")[0]: on_grid[key] for where, key in named.items()}
+    census.counts.flags.writeable = False
     return ScenarioConfig(
         first_year=first, last_year=last, run=settings,
         sexes=sexes, min_age=min_age, max_age=max_age, max_seniority=max_sen,
-        entry_age=entry_age, census=census, population=population, mortality=mortality,
+        entry_age=entry_age, census=census.counts, population=population, mortality=mortality,
         entrants_params=EntrantsModelParams(ent["factors"], study, training),
         retirement=RetirementRule(ret["benefit_types"], ret["thresholds"]),
-        contrib_subjective=contribs["subjective"], contrib_integrative=contribs["integrative"],
-        benefits={b: BenefitRule(fields["kind"], tables.get(f"benefits.types.{b}.conversion_csv"),
-                                 tables.get(f"benefits.types.{b}.profile_csv"))
+        **{f"contrib_{n}": ContributionRule(n, con[n]["rate"], tables[f"contributions.{n}"])
+           for n in ("subjective", "integrative")}, exemption_years=exemption,
+        benefits={b: BenefitRule(fields["kind"], tables[f"benefits.types.{b}"])
                   for b, fields in ben["types"].items()},
-        pre_existing=tables["benefits.pre_existing_profile_csv"],
+        pre_existing=tables["benefits"],  # tables are keyed by the mapping naming them
         accrual_rate=ben["accrual_rate"], backfill_notional=ben["backfill_notional"],
         # the other economics fields are named as EconomicAssumptions names them
         economics=EconomicAssumptions(deviations=eco["return_deviations"], **{

@@ -100,9 +100,9 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
     says who is retired; arrivals from their first year. A table gap is a
     CoverageError only where some cohort visits it.
     """
-    years, grid = cfg.years, cfg.census
+    years, n_ages = cfg.years, cfg.max_age - cfg.min_age + 1
     n_years, n_sex = len(years), len(cfg.sexes)
-    cells = np.argwhere(grid.counts > 0)  # (status, sex, age, seniority), actives first
+    cells = np.argwhere(cfg.census > 0)  # (status, sex, age, seniority), actives first
     n_census, n_act = len(cells), int(np.sum(cells[:, 0] == ACTIVE))
     n = n_census + (n_years - 1) * n_sex
     sex = np.concatenate([cells[:, 1], np.tile(np.arange(n_sex), n_years - 1)])
@@ -118,11 +118,10 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
     # (sex, age) tables are flattened, so one cell index per cohort reads them all
     benefits = [cfg.benefits[b] for b in rule.benefit_types]
     notional = np.array([ben.kind == "notional_account" for ben in benefits])
-    payout = np.concatenate([(ben.conversion if ben.kind == "notional_account"
-                              else ben.profile).ravel() for ben in benefits])
+    payout = np.concatenate([ben.table.ravel() for ben in benefits])
     contribs = [(np.array([c.rate.value(t) for t in years]), c.profile.ravel())
                 for c in (cfg.contrib_subjective, cfg.contrib_integrative)]
-    cell0 = sex * grid.n_ages - cfg.min_age  # plus the age gives the cell
+    cell0 = sex * n_ages - cfg.min_age  # plus the age gives the cell
 
     # (cohort, year) tables: age, seniority, and whether the cohort is on the grid
     x = age0[:, None] + (np.array(years) - fy[:, None])
@@ -149,19 +148,18 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
     flow_block = np.zeros((n_years, len(FLOWS), n))
     flow_block[:, 4] = paid.T
     flow_block[:, 3] = active.T
-    subj = cfg.contrib_subjective
-    row, ti = (active & (sen > subj.exemption_years)).nonzero()
+    row, ti = (active & (sen > cfg.exemption_years)).nonzero()
     for k, (rate, profile) in enumerate(contribs):
         flow_block[ti, k, row] = (rate[ti] * profile[cell[row, ti]]) * prices[ti]
 
     # backfilled credits, from the year the most senior census active left the exemption
-    n_back = (max(int(sen0[:n_act].max(initial=0)) - subj.exemption_years - 1, 0)
+    n_back = (max(int(sen0[:n_act].max(initial=0)) - cfg.exemption_years - 1, 0)
               if cfg.backfill_notional else 0)
     if n_back and np.any(age0[:n_act] - sen0[:n_act] < cfg.min_age):
         raise CoverageError("a contribution history leaves the age grid")
     lag = np.arange(-n_back, 0)  # the years before the census, counted back from it
-    rate = np.array([subj.rate.value(years[0] + k) for k in lag])
-    tb, row = (sen0[:n_act] + lag[:, None] > subj.exemption_years).nonzero()
+    rate = np.array([cfg.contrib_subjective.rate.value(years[0] + k) for k in lag])
+    tb, row = (sen0[:n_act] + lag[:, None] > cfg.exemption_years).nonzero()
     # the balance each cohort holds at the start of each year, from the first
     # credited one: the year before's credits, then that year's opening balance
     # accrued is added; only actives' balances are read, the others may drift
@@ -182,7 +180,7 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
     factor[n_act:n_census, 0] = cfg.pre_existing.ravel()[(cell0 + age0)[n_act:n_census]]
     new = ((ret_year > 0) & (ret_year < n_years)).nonzero()[0]
     ry, rt = ret_year[new], kind[new, ret_year[new]]
-    coef = payout[rt * n_sex * grid.n_ages + cell[new, ry]]
+    coef = payout[rt * n_sex * n_ages + cell[new, ry]]
     factor[new, ry] = np.where(notional[rt], balance[ry, new] * coef, coef * prices[ry])
     flow_block[:, 2] = np.where(paid, np.cumprod(factor, axis=1), 0.0).T
 
@@ -192,7 +190,7 @@ def build_system(cfg: ScenarioConfig) -> CohortSystem:
         for row, ti in np.argwhere(gaps[:, k].T)[:1]:  # the first gap, cohort by cohort
             raise CoverageError(f"{what} has no value for sex {cfg.sexes[sex[row]]!r} "
                                 f"age {ages[row, ti]} in {years[ti]}")
-    counts = np.concatenate([grid.counts[tuple(cells.T)], np.zeros(n - n_census)])
+    counts = np.concatenate([cfg.census[tuple(cells.T)], np.zeros(n - n_census)])
     arrival_rows = np.full((n_years, n_sex), -1, dtype=int)
     arrival_rows[:-1] = np.arange(n_census, n).reshape(n_years - 1, n_sex)
     qbar = np.array([expected_mortality_grid(cfg.mortality, t) for t in years])

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import cashflows
 from .cashflows import accrue_and_credit, contribution_income, to_cents
-from .cohorts import ACTIVE, RETIRED, age_one_year, inject_new_entrants, retire
+from .cohorts import ACTIVE, RETIRED, CohortGrid, age_one_year, inject_new_entrants, retire
 from .config import ScenarioConfig
 from .engine import (admin_path, build_system, entrant_moment_tables, entrant_product,
                      price_index, return_rates, simulate_flows)
@@ -82,16 +82,16 @@ def _initial_totals(cfg: ScenarioConfig) -> np.ndarray:
     the retired layer, notional balances on the active layer. Those are zero
     unless the scenario backfills them, replaying each cell's subjective
     credits one year at a time, from entry, after the exemption."""
-    counts, rule = cfg.census.counts, cfg.contrib_subjective
+    counts, rule, exemption = cfg.census, cfg.contrib_subjective, cfg.exemption_years
     totals = np.zeros_like(counts)
     si, ai, ki = np.argwhere(counts[ACTIVE] > 0).T
-    lags = (range(ki.max(initial=0) - rule.exemption_years - 1, 0, -1)
+    lags = (range(ki.max(initial=0) - exemption - 1, 0, -1)
             if cfg.backfill_notional else ())  # the credited years before the census
     if lags and np.any(ai < ki):  # entered below the grid's first age
         raise CoverageError("a contribution history leaves the age grid")
     bal = np.zeros(len(ki))  # per capita
     for lag in lags:
-        year, paying = cfg.first_year - lag, ki - lag > rule.exemption_years
+        year, paying = cfg.first_year - lag, ki - lag > exemption
         credit = np.zeros(len(ki))
         credit[paying] = (rule.rate.value(year) * rule.profile[si[paying], ai[paying] - lag]
                           * price_index(cfg, year))
@@ -124,9 +124,9 @@ def _new_pensions(cfg: ScenarioConfig, benefit_type: str, grid, year: int,
     """Pension totals created by one benefit type's retirements this census."""
     ben = cfg.benefits[benefit_type]
     if ben.kind == "notional_account":
-        factor, source = ben.conversion[:, :, None], moved_totals
+        factor, source = ben.table[:, :, None], moved_totals
     else:
-        factor, source = ben.profile[:, :, None] * price_index(cfg, year), moved_counts
+        factor, source = ben.table[:, :, None] * price_index(cfg, year), moved_counts
     # a gap is met by every member who retires, an empty account's too
     bad = (moved_counts > 0) & ~np.isfinite(np.broadcast_to(factor, source.shape))
     for si, ai, _ in np.argwhere(bad)[:1]:
@@ -163,7 +163,8 @@ def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
     eps_mort = _replay_input("eps_mort", eps_mort, (n_years,) + mm.q0.shape)
     eps_ret = _replay_input("eps_ret", eps_ret, (n_years,))
 
-    grid = cfg.census
+    grid = CohortGrid(cfg.first_year, cfg.sexes, cfg.min_age, cfg.max_age, cfg.max_seniority,
+                      cfg.census)
     totals = _initial_totals(cfg)
     prices = price_index(cfg, years)
     out = {k: np.empty(n_years) for k in ("subjective", "integrative", "disbursements",
@@ -171,8 +172,8 @@ def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
     x_dev = ec.deviations.x0
     for ti, t in enumerate(years):
         index_t = prices[ti]
-        out["subjective"][ti] = contribution_income(grid, cfg.contrib_subjective, t, index_t)
-        out["integrative"][ti] = contribution_income(grid, cfg.contrib_integrative, t, index_t)
+        for rule in (cfg.contrib_subjective, cfg.contrib_integrative):
+            out[rule.name][ti] = contribution_income(grid, rule, t, index_t, cfg.exemption_years)
         out["disbursements"][ti] = float(totals[RETIRED].sum())
         if eps_ret is None:
             out["rates"][ti] = ec.expected_return.value(t)
@@ -186,7 +187,7 @@ def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
 
         # end of year t: credit the year's contributions to the accounts
         totals[ACTIVE] = accrue_and_credit(totals[ACTIVE], grid, cfg.contrib_subjective,
-                                           t, index_t, cfg.accrual_rate)
+                                           t, index_t, cfg.accrual_rate, cfg.exemption_years)
         grid, totals = age_one_year(grid, mm, None if eps_mort is None else eps_mort[ti],
                                     totals)
         grid = inject_new_entrants(

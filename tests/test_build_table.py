@@ -74,7 +74,7 @@ def ref_opening_balance(cfg, sex, age, seniority):
     for sen in range(seniority):
         year = cfg.first_year - seniority + sen
         credit = 0.0
-        if sen > rule.exemption_years:
+        if sen > cfg.exemption_years:
             credit = (rule.rate.value(year)
                       * ref_value(cfg, rule.profile, sex, age - seniority + sen)
                       * ref_price_index(cfg, year))
@@ -101,7 +101,6 @@ def ref_retirement(cfg, sex, first_year, first_age, first_seniority,
 
 def ref_fill(cfg, co, row, subj, integ, disb, active_mask, retired_mask, ages):
     last_on_grid = min(cfg.last_year, co.first_year + (cfg.max_age - co.first_age))
-    exemption = cfg.contrib_subjective.exemption_years
     infl = cfg.economics.inflation
     pension = 0.0
     if co.initially_retired:
@@ -117,9 +116,9 @@ def ref_fill(cfg, co, row, subj, integ, disb, active_mask, retired_mask, ages):
             if t == co.retirement_year:
                 ben = cfg.benefits[co.benefit_type]
                 if ben.kind == "notional_account":
-                    pension = bal * ref_value(cfg, ben.conversion, co.sex, x)
+                    pension = bal * ref_value(cfg, ben.table, co.sex, x)
                 else:
-                    pension = ref_value(cfg, ben.profile, co.sex, x) * ref_price_index(cfg, t)
+                    pension = ref_value(cfg, ben.table, co.sex, x) * ref_price_index(cfg, t)
             elif t > co.first_year:
                 pension *= 1.0 + infl.value(t)
             retired_mask[row, ti] = True
@@ -127,7 +126,7 @@ def ref_fill(cfg, co, row, subj, integ, disb, active_mask, retired_mask, ages):
             continue
         active_mask[row, ti] = True
         sen = min(co.first_seniority + (t - co.first_year), cfg.max_seniority)
-        if sen > exemption:
+        if sen > cfg.exemption_years:
             idx = ref_price_index(cfg, t)
             subj[row, ti] = (cfg.contrib_subjective.rate.value(t)
                              * ref_value(cfg, cfg.contrib_subjective.profile, co.sex, x) * idx)
@@ -163,13 +162,13 @@ def reference_build(cfg):
     census = cfg.census
     cohorts = []
     for status in (ACTIVE, RETIRED):
-        for si, ai, ki in np.argwhere(census.counts[status] > 0):
+        for si, ai, ki in np.argwhere(census[status] > 0):
             sex = cfg.sexes[si]
             age = cfg.min_age + int(ai)
             co = RefCohort(sex=sex, sex_index=int(si), first_year=cfg.first_year,
                            first_age=age, first_seniority=int(ki),
                            initially_retired=status == RETIRED,
-                           initial_count=float(census.counts[status, si, ai, ki]))
+                           initial_count=float(census[status, si, ai, ki]))
             if status == ACTIVE:
                 co.opening_notional = ref_opening_balance(cfg, sex, age, int(ki))
             cohorts.append(co)
@@ -314,9 +313,9 @@ class TestCoverage:
         # an active aged 33 with seniority 10 entered at 23, below the grid;
         # load_config refuses such a census, so this one is put in by hand
         cfg = load_config(small_scenario)
-        counts = cfg.census.counts.copy()
+        counts = cfg.census.copy()
         counts[ACTIVE, 0, 33 - cfg.min_age, 10] = 1.0
-        cfg = replace(cfg, census=replace(cfg.census, counts=counts))
+        cfg = replace(cfg, census=counts)
         for project in (build_system, stepwise_projection):
             with pytest.raises(CoverageError, match="age grid"):
                 project(cfg)

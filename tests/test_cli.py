@@ -185,6 +185,10 @@ class TestValidate:
          "between 1800 and 2300, got 1000000000000000000000000000000"),
         ("economics.admin_base_year", 1700,
          "economics.admin_base_year: must be between 1800 and 2300, got 1700"),
+        # more euros than int64 cents hold, which `project` could only refuse
+        # naming no field
+        ("economics.initial_assets", 1.0e17,
+         "economics.initial_assets: must be between -9e+16 and 9e+16, got 1e+17"),
     ])
     def test_a_bad_bundled_value_is_one_line_under_its_own_field(
             self, capsys, tmp_path, field, value, message):
@@ -286,6 +290,10 @@ class TestValidate:
          "'male' year 1997"),
         ("population.csv", "2010,female,1000,100", "2010,female,1000,-100", "sigma", "-100",
          "'female' year 2010"),
+        ("mortality.csv", "male,40,0.01,0.0,0.005", "male,40,0.01,0.0,-0.001", "sigma",
+         "-0.001", "'male' age 40"),
+        ("mortality.csv", "female,33,0.01,0.0,0.005", "female,33,-0.01,0.0,0.005", "q0",
+         "-0.01", "'female' age 33"),
     ])
     def test_negative_table_cell_exits_2(self, capsys, tmp_path, command, table, row, bad,
                                          column, value, where):

@@ -49,7 +49,9 @@ class TestSmallScenario:
     def test_loads(self, small_scenario):
         cfg = load_config(small_scenario)
         assert cfg.years == list(range(2006, 2017))
-        assert cfg.census.total() == 200.0
+        # the census is held once, as counts on the scenario's own grid
+        assert cfg.census.shape == (2, 2, 21, 16) and not cfg.census.flags.writeable
+        assert cfg.census.sum() == 200.0
         assert cfg.run.seed == 11
 
     def test_with_run_and_with_flags(self, small_scenario):
@@ -658,14 +660,15 @@ def test_readme_lists_exactly_the_schedules():
 
 def _wrong_values(field: _Field) -> dict:
     """A value of every wrong kind for the field, one past each of its bounds
+    (or the next float past it, where a bound is too large for one to count)
     and, for a float or a schedule, one that is not finite."""
     values = {"a quoted number": "12", "a list": [[1]], "a mapping": {"a": 1}, "null": None}
     if field.kind is not _bool:
         values["a boolean"] = True
     if field.kind in (_int, _float, _schedule) and field.lo > -math.inf:
-        values["below its bounds"] = field.lo - 1
+        values["below its bounds"] = min(field.lo - 1, math.nextafter(field.lo, -math.inf))
     if field.hi < math.inf:
-        values["above its bounds"] = field.hi + 1
+        values["above its bounds"] = max(field.hi + 1, math.nextafter(field.hi, math.inf))
     if field.kind is _float:
         values["not finite"] = math.inf
     elif field.kind is _schedule:
@@ -774,9 +777,9 @@ def test_a_table_several_fields_name_is_parsed_once_and_shared(cfg, monkeypatch)
     loaded = load_config(default_config_path())
     assert parsed.count("conversion.csv") == 1
     assert loaded.source_digest == cfg.source_digest
-    assert loaded.benefits["vecchiaia"].conversion is loaded.benefits["unica_contributiva"].conversion
+    assert loaded.benefits["vecchiaia"].table is loaded.benefits["unica_contributiva"].table
     for table in (loaded.contrib_subjective.profile, loaded.contrib_integrative.profile,
-                  loaded.pre_existing, *(b.conversion for b in loaded.benefits.values())):
+                  loaded.pre_existing, *(b.table for b in loaded.benefits.values())):
         assert table.shape == (2, 77) and not table.flags.writeable
 
 

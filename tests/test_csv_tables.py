@@ -24,7 +24,7 @@ BUNDLED_CSVS = sorted(f for f in os.listdir(BUNDLED_DIR) if f.endswith(".csv"))
 
 def _tables(cfg) -> dict:
     """Every array and series the loaders build, by name."""
-    out = {"census": cfg.census.counts,
+    out = {"census": cfg.census,
            "population.expected": {s: m.mean.overrides for s, m in cfg.population.items()},
            "population.sigma": {s: m.sigma.overrides for s, m in cfg.population.items()},
            "subjective": cfg.contrib_subjective.profile,
@@ -32,8 +32,7 @@ def _tables(cfg) -> dict:
            "pre_existing": cfg.pre_existing,
            **{f"mortality.{k}": getattr(cfg.mortality, k) for k in ("q0", "drift", "sigma")}}
     for name, rule in cfg.benefits.items():
-        out[f"benefits.{name}"] = (rule.conversion if rule.kind == "notional_account"
-                                   else rule.profile)
+        out[f"benefits.{name}"] = rule.table
     return out
 
 
@@ -119,10 +118,10 @@ def test_two_rows_for_one_cell_name_the_file_the_cell_and_both_lines(
 
 
 def test_census_rows_for_one_cell_add_up(tmp_path):
-    once = load_config(write_scenario(str(tmp_path))).census.counts
+    once = load_config(write_scenario(str(tmp_path))).census
     rows = BASE_CSVS["census.csv"] + ["male,35,5,active,30"]
     twice = load_config(write_scenario(str(tmp_path), csv_overrides={"census.csv": rows}))
-    assert twice.census.counts[0, 0, 5, 5] == 2 * once[0, 0, 5, 5] == 60.0
+    assert twice.census[0, 0, 5, 5] == 2 * once[0, 0, 5, 5] == 60.0
 
 
 # two bad rows: the earlier one fails a check that a row meets later than the
@@ -227,7 +226,7 @@ def ref_load(path, table):
             axis = "age" if table == "mortality" else "year"
             key = ref_key(path, line, row, axis, int)
             value = tuple(ref_finite(path, row, col, f"sex {sex!r} {axis} {key}",
-                                     nonnegative=table == "population")
+                                     nonnegative=table == "population" or col != "drift")
                           for col in REQUIRED[table][2:])
             keys = [(sex, key)]
         for k in keys:
@@ -270,7 +269,7 @@ CELLS = {"sex": ("male", "female", "", "dog"), "age": ("30", "31", " 32", "3x", 
          "amount": ("0.5", "12", "inf", "nan", "x", "", "1e400", " 7", "-3"),
          "count": ("1", "2.5", "nan", "-1"), "expected": ("1000", "inf", "-1000"),
          "sigma": ("0.001", "z", "-0.5"),
-         "q0": ("0.01", "0.5", "nan"), "drift": ("0", "-0.01", "x")}
+         "q0": ("0.01", "0.5", "nan", "-0.01"), "drift": ("0", "-0.01", "x")}
 
 
 @st.composite

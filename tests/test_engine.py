@@ -1,18 +1,20 @@
 import os
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, event, given, settings
 
 from conftest import BASE_CSVS, write_scenario
 from paygsim import (cli, default_config_path, load_config, run_deterministic_projection,
                      run_simulation, stepwise_projection)
-from paygsim.cashflows import LEDGER_COLUMNS, identities_hold, round_half_away, to_cents
+from paygsim.cashflows import (LEDGER_COLUMNS, identities_hold, ledger_columns,
+                               round_half_away, to_cents)
 from paygsim.cohorts import ACTIVE, death_probability_grid
-from paygsim.engine import (build_system, entrant_moment_tables, entrant_product,
-                            entrants_matrix, price_index, return_rates, simulate_flows,
-                            survival_rates)
+from paygsim.engine import (admin_path, build_system, entrant_moment_tables,
+                            entrant_product, entrants_matrix, price_index, return_rates,
+                            simulate_flows, survival_rates)
 from paygsim.entrants import DRAWS_PER_CELL
 from paygsim.errors import CoverageError
 from paygsim.montecarlo import draw_shock_blocks
@@ -89,11 +91,30 @@ class TestTwoEnginesAgree:
     def test_generated_scenarios_give_the_same_ledger_to_the_cent(self, tweaks):
         cfg = load_variant(tweaks)
         fast, slow = run_deterministic_projection(cfg), stepwise_projection(cfg)
-        # a known split is left out: an amount of exactly half a cent, summed
-        # in two float orders, may round a cent apart
-        euros = np.array([[r.subjective, r.integrative, r.disbursements] for r in (fast, slow)])
-        tie = np.abs(np.abs(euros[0]) * 100.0 % 1.0 - 0.5) < 1e-6
-        assume(not np.any(tie & (to_cents(euros[0]) != to_cents(euros[1]))))
+        # an amount of exactly half a cent, summed in two float orders, may
+        # round a cent apart; only there the oracle's ledger is rebuilt from
+        # the engine's amount, and every other cell must then agree as it is
+        names = ("subjective", "integrative", "disbursements")
+        flows = [getattr(slow, k).copy() for k in names]
+        for k, oracle in zip(names, flows):
+            engine = getattr(fast, k)
+            apart = to_cents(engine) != to_cents(oracle)
+            if apart.any():
+                event("the engines round a half cent apart")
+            assert np.all(np.abs(np.abs(engine[apart]) * 100.0 % 1.0 - 0.5) < 1e-6), k
+            oracle[apart] = engine[apart]
+        ledger = ledger_columns(int(to_cents(cfg.economics.initial_assets)), *flows,
+                                admin_path(cfg), slow.rates)
+        for name in LEDGER_COLUMNS:
+            assert np.array_equal(ledger[name], fast.ledger[name]), name
+
+    @pytest.mark.parametrize("exemption_years", [0, 3, 12])
+    @pytest.mark.parametrize("scenario", ["bundled", "small"])
+    def test_one_exemption_holds_for_both_streams_in_both_engines(self, scenario,
+                                                                  exemption_years, request):
+        cfg = request.getfixturevalue("cfg" if scenario == "bundled" else "small_cfg")
+        cfg = replace(cfg, exemption_years=exemption_years)
+        fast, slow = run_deterministic_projection(cfg), stepwise_projection(cfg)
         for name in LEDGER_COLUMNS:
             assert np.array_equal(slow.ledger[name], fast.ledger[name]), name
 
