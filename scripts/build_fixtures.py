@@ -371,7 +371,7 @@ def check():
 
     from paygsim import load_config
     from paygsim.cashflows import contribution_income
-    from paygsim.cohorts import RETIRED, CohortGrid
+    from paygsim.cohorts import RETIRED
     from paygsim.engine import entrants_matrix, price_index
     from paygsim.entrants import DRAWS_PER_CELL
     from paygsim.projection import _initial_totals
@@ -383,9 +383,8 @@ def check():
         assert abs(got - want) < 1e-6, (sex, got, want)
 
     index = price_index(cfg, 2006)
-    grid = CohortGrid(cfg.first_year, cfg.sexes, cfg.min_age, cfg.max_age, cfg.max_seniority,
-                      cfg.census)
-    subj, integ = (contribution_income(grid, rule, 2006, index, cfg.exemption_years)
+    subj, integ = (contribution_income(cfg.census, 2006, cfg.sexes, cfg.min_age, rule, index,
+                                       cfg.exemption_years)
                    for rule in (cfg.contrib_subjective, cfg.contrib_integrative))
     disb = float(_initial_totals(cfg)[RETIRED].sum())
     print(f"2006 subjective   {subj:16,.2f}  target {TARGET_SUBJECTIVE:16,.2f}")

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import CoverageError, StateError
 from .schedules import Schedule
 from .stochastic import Ar1Params
-from .cohorts import ACTIVE, CohortGrid
+from .cohorts import ACTIVE
 
 
 def round_half_away(x):
@@ -77,26 +77,26 @@ class ContributionRule:
     profile: np.ndarray
 
 
-def contribution_income(grid: CohortGrid, rule: ContributionRule, year: int,
-                        price_index: float, exemption_years: int) -> float:
-    """Total stream income for the year from the start-of-year census."""
-    counts = grid.counts[ACTIVE, :, :, exemption_years + 1:].sum(axis=2)  # past exemption
-    for si, ai in np.argwhere((counts > 0) & np.isnan(rule.profile))[:1]:
+def contribution_income(counts: np.ndarray, year: int, sexes, min_age: int,
+                        rule: ContributionRule, price_index: float, exemption_years: int) -> float:
+    """Total stream income for the year from the start-of-year census counts."""
+    paying = counts[ACTIVE, :, :, exemption_years + 1:].sum(axis=2)  # past exemption
+    for si, ai in np.argwhere((paying > 0) & np.isnan(rule.profile))[:1]:
         raise CoverageError(
-            f"{rule.name} profile has no value for sex {grid.sexes[si]!r} "
-            f"age {grid.min_age + ai} but the cell is populated"
+            f"{rule.name} profile has no value for sex {sexes[si]!r} "
+            f"age {min_age + ai} but the cell is populated"
         )
-    return float(np.nansum(counts * rule.profile) * rule.rate.value(year) * price_index)
+    return float(np.nansum(paying * rule.profile) * rule.rate.value(year) * price_index)
 
 
-def accrue_and_credit(balances: np.ndarray, grid: CohortGrid, rule: ContributionRule,
-                      year: int, price_index: float, accrual_rate: float,
+def accrue_and_credit(balances: np.ndarray, counts: np.ndarray, year: int,
+                      rule: ContributionRule, price_index: float, accrual_rate: float,
                       exemption_years: int) -> np.ndarray:
     """End-of-year notional balances: one year of accrual plus the year's credits.
-    balances are per-cell totals on a grid's active layer; totals (not per-capita
+    balances are per-cell totals on the counts' active layer; totals (not per-capita
     values) make merges and mortality scaling exact."""
     percap = rule.rate.value(year) * np.nan_to_num(rule.profile) * price_index
-    credit = grid.counts[ACTIVE] * percap[:, :, None]
+    credit = counts[ACTIVE] * percap[:, :, None]
     credit[:, :, :exemption_years + 1] = 0.0
     return balances * (1.0 + accrual_rate) + credit
 
@@ -136,10 +136,15 @@ def ledger_columns(opening_cents: int, subj_eur, integ_eur, disb_eur,
     year's return, quantized like any primitive flow. An amount that int64
     cents cannot hold raises StateError instead of wrapping around.
     """
-    subj = to_cents(subj_eur)
-    integ = to_cents(integ_eur)
-    disb = to_cents(disb_eur)
-    admin = to_cents(admin_eur)
+    cents = []
+    for name, eur in zip((*LEDGER_COLUMNS[1:4], LEDGER_COLUMNS[6]),
+                         (subj_eur, integ_eur, disb_eur, admin_eur)):
+        try:
+            cents.append(to_cents(eur))
+        except StateError as exc:  # name the column and the year of the amount refused
+            t = (~(np.abs(np.asarray(eur, dtype=float) * 100.0) < 2.0 ** 63)).nonzero()[-1][0]
+            raise StateError(f"{name} of year {t + 1} of the horizon: {exc}") from None
+    subj, integ, disb, admin = cents
     rates = np.asarray(rates, dtype=float)
     shape = np.broadcast_shapes(subj.shape, integ.shape, disb.shape, admin.shape, rates.shape)
     subj, integ, disb, admin, rates = (np.broadcast_to(a, shape).copy()

@@ -1,17 +1,18 @@
-"""Member cohorts on a (sex, age, seniority, status) grid and their yearly evolution.
+"""Member counts on a (status, sex, age, seniority) grid and their yearly evolution.
 
-Counts are real-valued: mortality removes the expected (or sampled) fraction
-of each cell rather than simulating individual deaths. A projection year
-applies, in order, mortality with ageing, injection of new entrants at the
-entry age, and retirement of cells that satisfy the age and seniority
-thresholds. Retired cells keep their seniority frozen; cells that reach the
-terminal age are removed after their last mortality step.
-`projection.stepwise_projection` runs that year as `age_one_year`, `inject_new_entrants`, `retire`.
-"""
+Counts are one real-valued array, axis 0 ACTIVE/RETIRED, ages from the
+scenario's min_age; each step takes it with the year and geometry it reads and
+returns a new one. Mortality removes the expected (or sampled) fraction of each
+cell rather than simulating individual deaths. A projection year applies, in
+order, mortality with ageing (`age_one_year`), injection of new entrants at the
+entry age (`inject_new_entrants`), and retirement of the cells that satisfy the
+age and seniority thresholds (`retire`), as `projection.stepwise_projection`
+runs it. Retired cells keep their seniority frozen; cells that reach the
+terminal age are removed after their last mortality step."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,81 +21,6 @@ from .schedules import Schedule
 
 ACTIVE, RETIRED = 0, 1
 STATUS_NAMES = ("active", "retired")
-
-
-@dataclass(frozen=True)
-class CohortGrid:
-    """Member counts by cell at the start of a calendar year.
-
-    counts has shape (2, n_sex, n_age, n_seniority); axis 0 is ACTIVE/RETIRED,
-    ages run min_age..max_age inclusive, seniorities 0..max_seniority.
-    """
-
-    year: int
-    sexes: tuple[str, ...]
-    min_age: int
-    max_age: int
-    max_seniority: int
-    counts: np.ndarray
-
-    def __post_init__(self):
-        want = (2, len(self.sexes), self.n_ages, self.max_seniority + 1)
-        if self.counts.shape != want:
-            raise ValueError(f"counts shape {self.counts.shape}, expected {want}")
-        if np.any(self.counts < 0):
-            raise ValueError("cohort counts must be non-negative")
-
-    @property
-    def n_ages(self) -> int:
-        return self.max_age - self.min_age + 1
-
-    @classmethod
-    def from_records(cls, records, year, sexes, min_age, max_age, max_seniority) -> "CohortGrid":
-        """Build from (sex, age, seniority, status, count) tuples, summing duplicates."""
-        shape = (2, len(sexes), max_age - min_age + 1, max_seniority + 1)
-        grid = cls(year, tuple(sexes), min_age, max_age, max_seniority, np.zeros(shape))
-        sex_idx = {s: i for i, s in enumerate(grid.sexes)}
-        records = list(records)
-        for sex, age, sen, status, count in records:
-            if sex not in sex_idx:
-                raise ValueError(f"unknown sex {sex!r}")
-            if not min_age <= age <= max_age:
-                raise ValueError(f"age {age} outside [{min_age}, {max_age}]")
-            if not 0 <= sen <= max_seniority:
-                raise ValueError(f"seniority {sen} outside [0, {max_seniority}]")
-            if status not in STATUS_NAMES:
-                raise ValueError(f"status must be one of {STATUS_NAMES}, got {status!r}")
-            if count < 0:
-                raise ValueError(f"count must be >= 0, got {count}")
-        if not records:
-            return grid
-        sex, age, sen, status, count = zip(*records)
-        status_idx = {name: i for i, name in enumerate(STATUS_NAMES)}
-        cells = (list(map(status_idx.get, status)), list(map(sex_idx.get, sex)),
-                 np.array(age) - min_age, np.array(sen))
-        np.add.at(grid.counts, cells, np.array(count, dtype=float))  # unbuffered: record order
-        return grid
-
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-    def total_active(self) -> float:
-        return float(self.counts[ACTIVE].sum())
-
-    def total_retired(self) -> float:
-        return float(self.counts[RETIRED].sum())
-
-    def check_seniority_bound(self, entry_age: int):
-        """Every populated cell must satisfy seniority <= age - entry_age."""
-        ages = np.arange(self.min_age, self.max_age + 1)[:, None]
-        sens = np.arange(self.max_seniority + 1)[None, :]
-        bad = (sens > ages - entry_age) & (self.counts.sum(axis=(0, 1)) > 0)
-        if np.any(bad):
-            ai, si = np.argwhere(bad)[0]
-            raise ValueError(
-                f"cell age={self.min_age + ai} seniority={si} violates "
-                f"seniority <= age - entry_age ({entry_age})"
-            )
 
 
 @dataclass(frozen=True)
@@ -147,7 +73,7 @@ def death_probability_grid(mm: MortalityModel, year: int, eps=None) -> np.ndarra
 
 
 def _shift(values: np.ndarray) -> np.ndarray:
-    """Values shaped like a grid's counts, moved one year on as `age_one_year` says."""
+    """Values shaped like census counts, moved one year on as `age_one_year` says."""
     out = np.zeros_like(values)
     out[ACTIVE, :, 1:, 1:] = values[ACTIVE, :, :-1, :-1]
     out[ACTIVE, :, 1:, -1] += values[ACTIVE, :, :-1, -1]
@@ -155,34 +81,33 @@ def _shift(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def age_one_year(grid: CohortGrid, mm: MortalityModel, eps=None, totals=None):
-    """Apply the year's mortality (eps: its (n_sex, n_mort_ages) shock, None for the
-    expected path) to every cell, then age the grid a year. Actives gain a year of
-    seniority, capped at the top one; retirees keep theirs; survivors at the top age
-    leave. totals shaped like the counts (balances, pensions) die and age with their
-    members; when given, they are returned with the grid."""
-    lo = grid.min_age - mm.min_age
-    if lo < 0 or grid.max_age > mm.max_age:
-        raise CoverageError(f"grid ages {grid.min_age}-{grid.max_age} outside the mortality table")
-    surv = 1.0 - death_probability_grid(mm, grid.year, eps)[:, lo:lo + grid.n_ages, None]
-    aged = replace(grid, year=grid.year + 1, counts=_shift(grid.counts * surv))
+def age_one_year(counts: np.ndarray, year: int, min_age: int, mm: MortalityModel,
+                 eps=None, totals=None):
+    """Apply year's mortality (eps: its (n_sex, n_mort_ages) shock, None for the
+    expected path) to every cell of counts, whose ages start at min_age, then age
+    them a year. Actives gain a year of seniority, capped at the top one; retirees
+    keep theirs; survivors at the top age leave. totals shaped like the counts
+    (balances, pensions) die and age with their members; when given, they are
+    returned with the counts."""
+    lo, max_age = min_age - mm.min_age, min_age + counts.shape[2] - 1
+    if lo < 0 or max_age > mm.max_age:
+        raise CoverageError(f"grid ages {min_age}-{max_age} outside the mortality table")
+    surv = 1.0 - death_probability_grid(mm, year, eps)[:, lo:lo + counts.shape[2], None]
+    aged = _shift(counts * surv)
     return aged if totals is None else (aged, _shift(totals * surv))
 
 
-def inject_new_entrants(grid: CohortGrid, entrants_by_sex: dict[str, float],
-                        entry_age: int) -> CohortGrid:
-    """Add the year's new members as active cells at (entry_age, seniority 0)."""
-    if not grid.min_age <= entry_age <= grid.max_age:
+def inject_new_entrants(counts: np.ndarray, min_age: int, entrants,
+                        entry_age: int) -> np.ndarray:
+    """Add the year's new members, one number per sex in the counts' order, as
+    active cells at (entry_age, seniority 0)."""
+    at = entry_age - min_age
+    if not 0 <= at < counts.shape[2]:
         raise ValueError(f"entry age {entry_age} outside grid ages "
-                         f"[{grid.min_age}, {grid.max_age}]")
-    counts = grid.counts.copy()
-    for sex, ne in entrants_by_sex.items():
-        if sex not in grid.sexes:
-            raise ValueError(f"unknown sex {sex!r}")
-        if ne < 0:
-            raise ValueError(f"entrant count must be >= 0, got {ne}")
-        counts[ACTIVE, grid.sexes.index(sex), entry_age - grid.min_age, 0] += ne
-    return replace(grid, counts=counts)
+                         f"[{min_age}, {min_age + counts.shape[2] - 1}]")
+    counts = counts.copy()
+    counts[ACTIVE, :, at, 0] += entrants
+    return counts
 
 
 @dataclass(frozen=True)
@@ -204,20 +129,21 @@ class RetirementRule:
                 raise ValueError(f"no thresholds for benefit type {b!r}")
 
 
-def retirement_assignment(grid: CohortGrid, rule: RetirementRule,
-                          year: int) -> dict[str, np.ndarray]:
-    """Boolean mask of cells each benefit type retires this year.
+def retirement_assignment(counts: np.ndarray, year: int, sexes, min_age: int,
+                          rule: RetirementRule) -> dict[str, np.ndarray]:
+    """Boolean mask of the cells, shaped like one status of counts, that each
+    benefit type retires this year.
 
     A cell eligible under several types goes to the one whose requirements
     were met earliest (largest min(x - min_age - 1, a - min_seniority),
     evaluated at this year's thresholds); ties go to the type listed first.
     """
-    ages = np.arange(grid.min_age, grid.max_age + 1, dtype=float)[:, None]
-    sens = np.arange(grid.max_seniority + 1, dtype=float)[None, :]
-    shape = (len(grid.sexes), grid.n_ages, grid.max_seniority + 1)
+    shape = counts.shape[1:]
+    ages = np.arange(min_age, min_age + shape[1], dtype=float)[:, None]
+    sens = np.arange(shape[2], dtype=float)[None, :]
     leads = np.empty((len(rule.benefit_types),) + shape)
     for bi, b in enumerate(rule.benefit_types):
-        for si, sex in enumerate(grid.sexes):
+        for si, sex in enumerate(sexes):
             age_min, sen_min = rule.thresholds[b][sex]
             leads[bi, si] = np.minimum(ages - age_min.value(year) - 1.0,
                                        sens - sen_min.value(year))
@@ -228,13 +154,13 @@ def retirement_assignment(grid: CohortGrid, rule: RetirementRule,
     return {b: winner == bi for bi, b in enumerate(rule.benefit_types)}
 
 
-def retire(grid: CohortGrid, rule: RetirementRule):
+def retire(counts: np.ndarray, year: int, sexes, min_age: int, rule: RetirementRule):
     """Move the active cells `retirement_assignment` picks this year to the retired
-    layer, seniority kept; return the new grid and each benefit type's mask."""
-    masks = retirement_assignment(grid, rule, grid.year)
-    counts = grid.counts.copy()
+    layer, seniority kept; return the new counts and each benefit type's mask."""
+    masks = retirement_assignment(counts, year, sexes, min_age, rule)
+    counts = counts.copy()
     for mask in masks.values():
         moved = np.where(mask, counts[ACTIVE], 0.0)
         counts[RETIRED] += moved
         counts[ACTIVE] -= moved
-    return replace(grid, counts=counts), masks
+    return counts, masks

@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from .cashflows import BenefitRule, ContributionRule, EconomicAssumptions
-from .cohorts import ACTIVE, CohortGrid, MortalityModel, RetirementRule
+from .cohorts import ACTIVE, STATUS_NAMES, MortalityModel, RetirementRule
 from .entrants import FACTOR_NAMES, EntrantsModelParams, FactorMoments, _draw_lags
 from .errors import ConfigError
 from .schedules import Schedule, _float, _int
@@ -235,6 +235,11 @@ class _Table:
             self._fail(i, f"{name} {cells[i]!r} for {where(i)} {problem}")
         return values
 
+    def refuse(self, bad: np.ndarray, problem: Callable[[int], str]) -> None:
+        """Fail the first row `bad` marks, naming its line and `problem(row)`."""
+        for i in np.flatnonzero(bad)[:1]:
+            self._fail(i, f"line {self.lines[i]}: {problem(i)}")
+
     def sex_index(self, cells: tuple, sexes, every: bool = False) -> list:
         """Each row's index into `sexes`, by its sex cell; if `every`, an empty
         cell is a row for every sex, -1. An unknown sex fails."""
@@ -243,7 +248,7 @@ class _Table:
             return [index[c] for c in cells]
         except KeyError:
             i = next(i for i, c in enumerate(cells) if c not in index)
-            self._fail(i, f"unknown sex {cells[i]!r}")
+            self._fail(i, f"line {self.lines[i]}: unknown sex {cells[i]!r}")
             return []
 
     def refuse_repeats(self, rows, keys, describe: Callable) -> None:
@@ -367,20 +372,34 @@ def load_mortality(path: str, sexes, base_year: int, hasher) -> MortalityModel:
                           max_age=lo + grid.shape[1] - 1, q0=q0, drift=drift, sigma=sigma)
 
 
-def load_census(path: str, year, sexes, min_age, max_age, max_seniority,
-                hasher) -> CohortGrid:
-    """Columns: sex, age, seniority, status, count. Rows for one cell add up."""
+def load_census(path: str, sexes, min_age, max_age, max_seniority, entry_age,
+                hasher) -> np.ndarray:
+    """Columns: sex, age, seniority, status, count. The read-only (status, sex,
+    age, seniority) counts, the rows for one cell added up in row order."""
     table = _read_csv(path, ("sex", "age", "seniority", "status", "count"), hasher)
     sex = table.present("sex")
+    index = table.sex_index(sex, sexes)
     age, seniority = table.ints("age"), table.ints("seniority")
-    count = table.finites("count", lambda i: f"sex {sex[i]!r} age {age[i]} "
-                                             f"seniority {seniority[i]}")
+    status = table.present("status")
+    count = table.finites("count", lambda i: f"sex {sex[i]!r} age {age[i]} seniority "
+                          f"{seniority[i]} on line {table.lines[i]}", nonnegative=True)
+    # NaN off the grid, or where `ints` refused the cell (which that row reports first)
+    a, k = (np.array([c if c is not None and lo <= c <= hi else math.nan for c in cells])
+            for cells, lo, hi in ((age, min_age, max_age), (seniority, 0, max_seniority)))
+    code = np.fromiter((STATUS_NAMES.index(c) if c in STATUS_NAMES else -1 for c in status), int)
+    for bad, problem in (
+            (np.isnan(a), lambda i: f"age {age[i]} outside [{min_age}, {max_age}]"),
+            (np.isnan(k), lambda i: f"seniority {seniority[i]} outside [0, {max_seniority}]"),
+            (code < 0, lambda i: f"status must be one of {STATUS_NAMES}, got {status[i]!r}"),
+            ((count > 0) & (k > a - entry_age), lambda i: f"seniority {seniority[i]} at age "
+             f"{age[i]} violates seniority <= age - entry_age ({entry_age})")):
+        table.refuse(bad, problem)
     table.check()
-    try:
-        return CohortGrid.from_records(zip(sex, age, seniority, table.cells("status"), count),
-                                       year, sexes, min_age, max_age, max_seniority)
-    except ValueError as exc:
-        raise ConfigError([f"{path}: {exc}"]) from exc
+    counts = np.zeros((len(STATUS_NAMES), len(sexes), max_age - min_age + 1, max_seniority + 1))
+    rows = code, np.array(index, dtype=int), a.astype(int) - min_age, k.astype(int)
+    np.add.at(counts, rows, count)  # unbuffered: row order
+    counts.flags.writeable = False
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -682,9 +701,7 @@ def load_config(path: str) -> ScenarioConfig:
             ctx.fail("population.entry_age", f"{entry_age} outside [{min_age}, {max_age}]")
         else:
             census = load("population.census_csv", pop.get("census_csv"), load_census,
-                          first, sexes, min_age, max_age, max_sen)
-        if census is not None:
-            ctx.take("population.census_csv", lambda: census.check_seniority_bound(entry_age))
+                          sexes, min_age, max_age, max_sen, entry_age)
 
     study, training = ent.get("study_years"), ent.get("training_years")
     if None not in (study, training):
@@ -716,7 +733,7 @@ def load_config(path: str) -> ScenarioConfig:
     # a backfilled history credits the subjective rate from the year the most
     # senior census active left the exemption, as `engine.build_system` does
     if ben.get("backfill_notional") and census is not None and exemption is not None:
-        senior = census.counts[ACTIVE].nonzero()[2].max(initial=0)  # counts are >= 0
+        senior = census[ACTIVE].nonzero()[2].max(initial=0)  # counts are >= 0
         spans["credited"] = range(min(first, first - senior + exemption + 1), last + 1)
     # each age table is parsed, and its problems reported, once, under the
     # first field that names it; the digest reads it again for every field
@@ -773,11 +790,10 @@ def load_config(path: str) -> ScenarioConfig:
 
     on_grid = {key: _on_grid(table, min_age, max_age) for key, table in parsed.items()}
     tables = {where.rpartition(".")[0]: on_grid[key] for where, key in named.items()}
-    census.counts.flags.writeable = False
     return ScenarioConfig(
         first_year=first, last_year=last, run=settings,
         sexes=sexes, min_age=min_age, max_age=max_age, max_seniority=max_sen,
-        entry_age=entry_age, census=census.counts, population=population, mortality=mortality,
+        entry_age=entry_age, census=census, population=population, mortality=mortality,
         entrants_params=EntrantsModelParams(ent["factors"], study, training),
         retirement=RetirementRule(ret["benefit_types"], ret["thresholds"]),
         **{f"contrib_{n}": ContributionRule(n, con[n]["rate"], tables[f"contributions.{n}"])

@@ -5,7 +5,7 @@ cohort engine with every shock at zero; a Monte Carlo run with all shock
 families switched off reproduces it exactly, replication by replication.
 
 `stepwise_projection` is a second, independent implementation that evolves
-the full (status, sex, age, seniority) grid one year at a time using the
+the full (status, sex, age, seniority) counts one year at a time using the
 year step of `cohorts` (`age_one_year`, `inject_new_entrants`, `retire`),
 carrying notional balances and pensions in payment as per-cell totals. It
 accepts the same shock arrays, so any replication of the cohort engine can be
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import cashflows
 from .cashflows import accrue_and_credit, contribution_income, to_cents
-from .cohorts import ACTIVE, RETIRED, CohortGrid, age_one_year, inject_new_entrants, retire
+from .cohorts import ACTIVE, RETIRED, age_one_year, inject_new_entrants, retire
 from .config import ScenarioConfig
 from .engine import (admin_path, build_system, entrant_moment_tables, entrant_product,
                      price_index, return_rates, simulate_flows)
@@ -109,17 +109,23 @@ def _initial_totals(cfg: ScenarioConfig) -> np.ndarray:
     return totals
 
 
-def _replay_input(name: str, value, shape: tuple) -> np.ndarray | None:
-    """A replay argument as a float array shaped for the horizon; None stays None."""
+def _replay_input(name: str, value, shape: tuple,
+                  nonnegative: bool = False) -> np.ndarray | None:
+    """A replay argument as a float array shaped for the horizon, its every value
+    finite (and >= 0 if `nonnegative`); None stays None."""
     if value is None:
         return None
     arr = np.asarray(value, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    bad = ~(np.isfinite(arr) & (arr >= 0)) if nonnegative else ~np.isfinite(arr)
+    for at in np.argwhere(bad)[:1]:
+        raise ValueError(f"{name}[{', '.join(map(str, at))}] is {arr[tuple(at)]}, "
+                         f"expected a finite number{' >= 0' if nonnegative else ''}")
     return arr
 
 
-def _new_pensions(cfg: ScenarioConfig, benefit_type: str, grid, year: int,
+def _new_pensions(cfg: ScenarioConfig, benefit_type: str, year: int,
                   moved_counts: np.ndarray, moved_totals: np.ndarray) -> np.ndarray:
     """Pension totals created by one benefit type's retirements this census."""
     ben = cfg.benefits[benefit_type]
@@ -132,21 +138,22 @@ def _new_pensions(cfg: ScenarioConfig, benefit_type: str, grid, year: int,
     for si, ai, _ in np.argwhere(bad)[:1]:
         raise CoverageError(
             f"benefit {benefit_type!r} has no coefficient for sex "
-            f"{grid.sexes[si]!r} age {grid.min_age + ai}")
+            f"{cfg.sexes[si]!r} age {cfg.min_age + ai}")
     return source * np.nan_to_num(factor)  # both moved arrays are zero off the mask
 
 
 def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
                         eps_mort=None, eps_ret=None) -> ProjectionResult:
-    """Year-by-year grid evolution; shocks may be supplied to replay a path.
-    A replay argument shaped otherwise than below, or an entrants_path naming
-    other sexes, is a ValueError raised before year 1.
+    """Year-by-year evolution of the census counts; shocks may be supplied to
+    replay a path. A replay argument that is not as below, or an entrants_path
+    naming other sexes, is a ValueError raised before year 1 that names the
+    argument and the index of a value it refuses.
 
     Args:
         cfg: the scenario.
-        entrants_path: dict sex -> (n_years,) arrivals; expected path if None.
-        eps_mort: (n_years, n_sex, n_mort_ages) mortality shocks, or None.
-        eps_ret: (n_years,) return shocks, or None for the expected rate.
+        entrants_path: dict sex -> (n_years,) finite arrivals >= 0; expected path if None.
+        eps_mort: (n_years, n_sex, n_mort_ages) finite mortality shocks, or None.
+        eps_ret: (n_years,) finite return shocks, or None for the expected rate.
     """
     years = cfg.years
     n_years = len(years)
@@ -158,13 +165,12 @@ def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
         raise ValueError(f"entrants_path has sexes {sorted(entrants_path)}, "
                          f"expected {sorted(cfg.sexes)}")
     else:
-        ne = np.stack([_replay_input(f"entrants_path[{s!r}]", entrants_path[s], (n_years,))
-                       for s in cfg.sexes], axis=1)
+        ne = np.stack([_replay_input(f"entrants_path[{s!r}]", entrants_path[s], (n_years,),
+                                     nonnegative=True) for s in cfg.sexes], axis=1)
     eps_mort = _replay_input("eps_mort", eps_mort, (n_years,) + mm.q0.shape)
     eps_ret = _replay_input("eps_ret", eps_ret, (n_years,))
 
-    grid = CohortGrid(cfg.first_year, cfg.sexes, cfg.min_age, cfg.max_age, cfg.max_seniority,
-                      cfg.census)
+    counts, sexes, min_age = cfg.census, cfg.sexes, cfg.min_age
     totals = _initial_totals(cfg)
     prices = price_index(cfg, years)
     out = {k: np.empty(n_years) for k in ("subjective", "integrative", "disbursements",
@@ -173,34 +179,34 @@ def stepwise_projection(cfg: ScenarioConfig, entrants_path=None,
     for ti, t in enumerate(years):
         index_t = prices[ti]
         for rule in (cfg.contrib_subjective, cfg.contrib_integrative):
-            out[rule.name][ti] = contribution_income(grid, rule, t, index_t, cfg.exemption_years)
+            out[rule.name][ti] = contribution_income(counts, t, sexes, min_age, rule, index_t,
+                                                     cfg.exemption_years)
         out["disbursements"][ti] = float(totals[RETIRED].sum())
         if eps_ret is None:
             out["rates"][ti] = ec.expected_return.value(t)
         else:
             x_dev = ec.deviations.phi * x_dev + ec.deviations.sigma * float(eps_ret[ti])
             out["rates"][ti] = ec.expected_return.value(t) + x_dev
-        out["actives"][ti] = grid.total_active()
-        out["retirees"][ti] = grid.total_retired()
+        out["actives"][ti] = float(counts[ACTIVE].sum())
+        out["retirees"][ti] = float(counts[RETIRED].sum())
         if t == cfg.last_year:
             break
 
         # end of year t: credit the year's contributions to the accounts
-        totals[ACTIVE] = accrue_and_credit(totals[ACTIVE], grid, cfg.contrib_subjective,
-                                           t, index_t, cfg.accrual_rate, cfg.exemption_years)
-        grid, totals = age_one_year(grid, mm, None if eps_mort is None else eps_mort[ti],
-                                    totals)
-        grid = inject_new_entrants(
-            grid, {s: float(ne[ti, si]) for si, s in enumerate(cfg.sexes)}, cfg.entry_age)
+        totals[ACTIVE] = accrue_and_credit(totals[ACTIVE], counts, t, cfg.contrib_subjective,
+                                           index_t, cfg.accrual_rate, cfg.exemption_years)
+        counts, totals = age_one_year(counts, t, min_age, mm,
+                                      None if eps_mort is None else eps_mort[ti], totals)
+        counts = inject_new_entrants(counts, min_age, ne[ti], cfg.entry_age)
 
         # pensions in payment are indexed as the new year opens,
         # before this census's retirements join at their starting level
         totals[RETIRED] *= 1.0 + ec.inflation.value(t + 1)
-        active = grid.counts[ACTIVE]
-        grid, masks = retire(grid, cfg.retirement)
+        active = counts[ACTIVE]
+        counts, masks = retire(counts, t + 1, sexes, min_age, cfg.retirement)
         for b, mask in masks.items():
             moved_bal = np.where(mask, totals[ACTIVE], 0.0)
-            totals[RETIRED] += _new_pensions(cfg, b, grid, t + 1,
+            totals[RETIRED] += _new_pensions(cfg, b, t + 1,
                                              np.where(mask, active, 0.0), moved_bal)
             totals[ACTIVE] -= moved_bal
 

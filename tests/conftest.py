@@ -2,10 +2,12 @@ import copy
 import re
 import os
 
+import numpy as np
 import pytest
 import yaml
 
 from paygsim import default_config_path, load_config
+from paygsim.cohorts import STATUS_NAMES
 
 
 @pytest.fixture(scope="session")
@@ -92,6 +94,16 @@ BASE_CSVS = {
     "conversion.csv": ["sex,age,coefficient"]
     + [f"{s},{a},0.06" for s in ("male", "female") for a in range(35, 51)],
 }
+
+
+def census_counts(records, sexes=("male", "female"), min_age=20, max_age=80,
+                  max_seniority=40) -> np.ndarray:
+    """(status, sex, age, seniority) counts from (sex, age, seniority, status,
+    count) records, as a census table's rows add up."""
+    counts = np.zeros((len(STATUS_NAMES), len(sexes), max_age - min_age + 1, max_seniority + 1))
+    for sex, age, seniority, status, count in records:
+        counts[STATUS_NAMES.index(status), sexes.index(sex), age - min_age, seniority] += count
+    return counts
 
 
 def deep_merge(base: dict, tweaks: dict) -> dict:

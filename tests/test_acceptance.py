@@ -17,7 +17,7 @@ from paygsim import (load_config, montecarlo, run_deterministic_projection,
                      run_simulation)
 from paygsim.cashflows import (LEDGER_LETTERS, cents_to_thousands, ledger_columns,
                                to_cents)
-from paygsim.cohorts import (CohortGrid, MortalityModel, RetirementRule, age_one_year,
+from paygsim.cohorts import (MortalityModel, RetirementRule, age_one_year,
                              death_probability_grid, expected_mortality_grid, retire)
 from paygsim.config import StochasticFlags
 from paygsim.engine import admin_path, entrants_matrix
@@ -183,7 +183,6 @@ def test_criterion_6_mortality_sampler_properties():
             for _ in range(4):
                 min_age, max_age = 20, 20 + n_ages - 1
                 counts = rng.uniform(0.0, 100.0, (2, 1, n_ages, max_sen + 1))
-                grid = CohortGrid(2006, ("x",), min_age, max_age, max_sen, counts)
                 mm = MortalityModel(
                     base_year=2006, sexes=("x",), min_age=min_age, max_age=max_age,
                     q0=rng.uniform(0.0, 1.0, (1, n_ages)),
@@ -193,17 +192,17 @@ def test_criterion_6_mortality_sampler_properties():
 
                 q = death_probability_grid(mm, 2006, eps)
                 assert np.all((0.0 <= q) & (q <= 1.0))
-                aged = age_one_year(grid, mm, eps)
+                aged = age_one_year(counts, 2006, min_age, mm, eps)
                 deaths = float((counts * q[None, :, :, None]).sum())
                 top_survivors = float(
                     (counts[:, :, -1, :] * (1.0 - q)[None, :, -1, None]).sum())
-                assert aged.total() == pytest.approx(
-                    grid.total() - deaths - top_survivors, rel=1e-12, abs=1e-9)
-                assert np.all(aged.counts >= 0.0)
+                assert aged.sum() == pytest.approx(
+                    counts.sum() - deaths - top_survivors, rel=1e-12, abs=1e-9)
+                assert np.all(aged >= 0.0)
 
-                retired, _ = retire(aged, rule)
-                assert retired.total() == pytest.approx(aged.total(), rel=1e-12)
-                assert np.all(retired.counts >= 0.0)
+                retired, _ = retire(aged, 2007, ("x",), min_age, rule)
+                assert retired.sum() == pytest.approx(aged.sum(), rel=1e-12)
+                assert np.all(retired >= 0.0)
 
 
 def test_criterion_7_risk_decomposition(cfg, sensitivity):

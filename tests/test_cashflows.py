@@ -3,13 +3,12 @@ import pytest
 
 from types import SimpleNamespace
 
-from conftest import write_scenario
+from conftest import census_counts, write_scenario
 from paygsim import Schedule, load_config
 from paygsim.cashflows import (LEDGER_COLUMNS, LEDGER_LETTERS, BenefitRule,
                                ContributionRule, EconomicAssumptions, accrue_and_credit,
                                cents_to_thousands, contribution_income, identities_hold,
                                ledger_columns, round_half_away, to_cents)
-from paygsim.cohorts import CohortGrid
 from paygsim.engine import admin_path, price_index, return_rates
 from paygsim.errors import ConfigError, CoverageError, StateError
 from paygsim.stochastic import Ar1Params
@@ -22,9 +21,12 @@ def flat_profile(amount, min_age=20, max_age=80):
     return np.tile(np.where((ages >= min_age) & (ages <= max_age), float(amount), np.nan), (2, 1))
 
 
-def make_grid(records, year=2006, sexes=("male", "female"),
-              min_age=20, max_age=80, max_seniority=40):
-    return CohortGrid.from_records(records, year, sexes, min_age, max_age, max_seniority)
+SEXES = ("male", "female")
+
+
+def make_grid(records, max_seniority=40):
+    """Census counts on SEXES and ages 20-80."""
+    return census_counts(records, SEXES, 20, 80, max_seniority)
 
 
 def econ(**kw):
@@ -99,39 +101,39 @@ class TestContributions:
     def test_headcount_times_rate_times_income(self):
         g = make_grid([("male", 40, 5, "active", 10)])
         rule = ContributionRule("subjective", Schedule(default=0.107), flat_profile(100_000.0))
-        assert contribution_income(g, rule, 2006, 1.0, 3) == pytest.approx(107_000.0)
+        assert contribution_income(g, 2006, SEXES, 20, rule, 1.0, 3) == pytest.approx(107_000.0)
 
     def test_exempt_seniorities_pay_nothing(self):
         rule = ContributionRule("subjective", Schedule(default=0.107), flat_profile(100_000.0))
         for sen in (0, 2, 3):
             g = make_grid([("male", 40, sen, "active", 10)])
-            assert contribution_income(g, rule, 2006, 1.0, 3) == 0.0
+            assert contribution_income(g, 2006, SEXES, 20, rule, 1.0, 3) == 0.0
         g = make_grid([("male", 40, 4, "active", 10)])
-        assert contribution_income(g, rule, 2006, 1.0, 3) > 0.0
+        assert contribution_income(g, 2006, SEXES, 20, rule, 1.0, 3) > 0.0
 
     def test_an_exemption_past_the_top_seniority_exempts_everyone(self):
         rule = ContributionRule("subjective", Schedule(default=0.107), flat_profile(100_000.0))
         g = make_grid([("male", 70, 40, "active", 10)], max_seniority=40)
-        assert contribution_income(g, rule, 2006, 1.0, 40) == 0.0
+        assert contribution_income(g, 2006, SEXES, 20, rule, 1.0, 40) == 0.0
 
     def test_retired_pay_nothing(self):
         g = make_grid([("male", 70, 30, "retired", 50)])
         rule = ContributionRule("subjective", Schedule(default=0.107), flat_profile(100_000.0))
-        assert contribution_income(g, rule, 2006, 1.0, 3) == 0.0
+        assert contribution_income(g, 2006, SEXES, 20, rule, 1.0, 3) == 0.0
 
     def test_price_index_appreciates_the_profile(self):
         g = make_grid([("male", 40, 5, "active", 10)])
         rule = ContributionRule("subjective", Schedule(default=0.10), flat_profile(100_000.0))
-        base = contribution_income(g, rule, 2006, 1.0, 0)
-        assert contribution_income(g, rule, 2006, 1.05, 0) == pytest.approx(1.05 * base)
+        base = contribution_income(g, 2006, SEXES, 20, rule, 1.0, 0)
+        assert contribution_income(g, 2006, SEXES, 20, rule, 1.05, 0) == pytest.approx(1.05 * base)
 
     def test_rate_schedule_by_year(self):
         g = make_grid([("male", 40, 5, "active", 10)])
         rule = ContributionRule(
             "integrative", Schedule(default=0.02, overrides={2006: 0.04}),
             flat_profile(100_000.0))
-        assert contribution_income(g, rule, 2006, 1.0, 0) == pytest.approx(40_000.0)
-        assert contribution_income(g, rule, 2010, 1.0, 0) == pytest.approx(20_000.0)
+        assert contribution_income(g, 2006, SEXES, 20, rule, 1.0, 0) == pytest.approx(40_000.0)
+        assert contribution_income(g, 2010, SEXES, 20, rule, 1.0, 0) == pytest.approx(20_000.0)
 
     def test_negative_exemption_refused(self, tmp_path):
         # the one exemption is checked where the scenario file is read
@@ -145,22 +147,22 @@ class TestContributions:
         narrow = flat_profile(100_000.0, min_age=50, max_age=60)
         rule = ContributionRule("subjective", Schedule(default=0.1), narrow)
         with pytest.raises(CoverageError, match="age 40"):
-            contribution_income(g, rule, 2006, 1.0, 0)
+            contribution_income(g, 2006, SEXES, 20, rule, 1.0, 0)
 
     def test_empty_cells_need_no_profile(self):
         g = make_grid([("male", 55, 5, "active", 10)])
         narrow = flat_profile(100_000.0, min_age=50, max_age=60)
         rule = ContributionRule("subjective", Schedule(default=0.1), narrow)
-        assert contribution_income(g, rule, 2006, 1.0, 0) == pytest.approx(100_000.0)
+        assert contribution_income(g, 2006, SEXES, 20, rule, 1.0, 0) == pytest.approx(100_000.0)
 
 
 class TestNotionalAccounts:
     def test_accrue_then_credit(self):
         g = make_grid([("male", 40, 5, "active", 1)])
         rule = ContributionRule("subjective", Schedule(default=0.10), flat_profile(100_000.0))
-        balances = np.zeros_like(g.counts[0])
+        balances = np.zeros_like(g[0])
         balances[0, 20, 5] = 100.0
-        credited = accrue_and_credit(balances, g, rule, 2006, 1.0, accrual_rate=0.03,
+        credited = accrue_and_credit(balances, g, 2006, rule, 1.0, accrual_rate=0.03,
                                      exemption_years=3)
         assert credited[0, 20, 5] == pytest.approx(103.0 + 10_000.0)
         assert balances[0, 20, 5] == 100.0
@@ -168,9 +170,9 @@ class TestNotionalAccounts:
     def test_exempt_cells_accrue_but_get_no_credit(self):
         g = make_grid([("male", 40, 2, "active", 1)])
         rule = ContributionRule("subjective", Schedule(default=0.10), flat_profile(100_000.0))
-        balances = np.zeros_like(g.counts[0])
+        balances = np.zeros_like(g[0])
         balances[0, 20, 2] = 200.0
-        credited = accrue_and_credit(balances, g, rule, 2006, 1.0, accrual_rate=0.05,
+        credited = accrue_and_credit(balances, g, 2006, rule, 1.0, accrual_rate=0.05,
                                      exemption_years=3)
         assert credited[0, 20, 2] == pytest.approx(210.0)
 

@@ -201,19 +201,30 @@ class TestValidate:
         path = bundled_copy(tmp_path, edit)
         assert run(capsys, "validate", "--config", path) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("command", ["project", "simulate"])
-    def test_admin_costs_that_overflow_exit_3_naming_the_growth(self, capsys, tmp_path,
-                                                                command):
+    # values `validate` accepts whose flows outgrow what the ledger holds
+    @pytest.mark.parametrize("command, field, value, message", [
+        ("project", "admin_growth", 10**30, "economics.admin_growth: the administration "
+                                            "costs of 2017 overflow a float"),
+        ("simulate", "admin_growth", 10**30, "economics.admin_growth: the administration "
+                                             "costs of 2017 overflow a float"),
+        # prices double every year: 2034's subjective contributions are the
+        # first amount int64 cents cannot hold
+        ("project", "inflation", 1.0, "contrib_subjective of year 29 of the horizon: "
+                                      "1.619705324992427e+17 euros do not fit in int64 cents"),
+        ("simulate", "inflation", 1.0, "contrib_subjective of year 29 of the horizon: "
+                                       "1.5964172581443424e+17 euros do not fit in int64 "
+                                       "cents"),
+    ])
+    def test_flows_that_overflow_exit_3_naming_where(self, capsys, tmp_path, command, field,
+                                                      value, message):
         def edit(raw):
-            raw["economics"]["admin_growth"] = 10**30
+            raw["economics"][field] = value
 
         path = bundled_copy(tmp_path, edit)
         assert run(capsys, "validate", "--config", path)[0] == 0
         out = str(tmp_path / "out")
         assert run(capsys, command, "--config", path, "--out", out, *(
-            ["--reps", "2"] if command == "simulate" else [])) == (
-            3, "", "error: economics.admin_growth: the administration costs of 2017 "
-                   "overflow a float\n")
+            ["--reps", "2"] if command == "simulate" else [])) == (3, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("value, message", [
         ("high", "economics.expected_return: expected a number or a mapping, got str"),
@@ -311,6 +322,22 @@ class TestValidate:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert lines[0].endswith(f"{os.path.join(str(tmp_path), table)}: "
                                  f"{column} {value!r} for sex {where} is negative")
+
+    # the bundled census has 134 rows, ending on line 139; its grid is ages
+    # 29-105, seniority 0-45, entry at 29
+    @pytest.mark.parametrize("row, message", [
+        ("male,36,6,active,-1",
+         "count '-1' for sex 'male' age 36 seniority 6 on line 140 is negative"),
+        ("male,36,20,active,3",
+         "line 140: seniority 20 at age 36 violates seniority <= age - entry_age (29)"),
+    ])
+    def test_a_bad_census_row_is_one_line_naming_the_file_and_line(self, capsys, tmp_path,
+                                                                   row, message):
+        path = bundled_copy(tmp_path, lambda raw: None)
+        census = tmp_path / "census_2006.csv"
+        census.write_text(census.read_text(encoding="utf-8") + row + "\n", encoding="utf-8")
+        assert run(capsys, "validate", "--config", path) == (
+            2, "", f"error: population.census_csv: {census}: {message}\n")
 
     @pytest.mark.parametrize("command", ["validate", "project", "entrants"])
     @pytest.mark.parametrize("table, row, column", [

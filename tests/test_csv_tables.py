@@ -117,6 +117,28 @@ def test_two_rows_for_one_cell_name_the_file_the_cell_and_both_lines(
                             f"{cell} was given on line {first}")
 
 
+# one row added to the small scenario's census, on line 10, for each check a
+# census row must pass
+@pytest.mark.parametrize("row, message", [
+    ("dog,30,0,active,1", "line 10: unknown sex 'dog'"),
+    ("male,29,0,active,1", "line 10: age 29 outside [30, 50]"),
+    ("male,30,16,active,1", "line 10: seniority 16 outside [0, 15]"),
+    ("male,30,0,working,1", "line 10: status must be one of ('active', 'retired'), "
+                            "got 'working'"),
+    ("male,30,0,active,-1", "count '-1' for sex 'male' age 30 seniority 0 on line 10 "
+                            "is negative"),
+    ("male,31,2,retired,1", "line 10: seniority 2 at age 31 violates "
+                            "seniority <= age - entry_age (30)"),
+])
+def test_each_census_check_names_the_file(tmp_path, row, message):
+    rows = BASE_CSVS["census.csv"] + [row]
+    path = write_scenario(str(tmp_path), csv_overrides={"census.csv": rows})
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.messages == [
+        f"population.census_csv: {os.path.join(str(tmp_path), 'census.csv')}: {message}"]
+
+
 def test_census_rows_for_one_cell_add_up(tmp_path):
     once = load_config(write_scenario(str(tmp_path))).census
     rows = BASE_CSVS["census.csv"] + ["male,35,5,active,30"]
@@ -131,7 +153,7 @@ def test_census_rows_for_one_cell_add_up(tmp_path):
                         "1996,dog,1000,100"],
      "line 3: year '19x5' is not an integer"),
     ("population.csv", ["year,sex,expected,sigma", "1995,dog,1000,100", "19x5,male,1000,100"],
-     "unknown sex 'dog'"),
+     "line 2: unknown sex 'dog'"),
     ("population.csv", ["year,sex,expected,sigma", "1995,male,1000,nan", "1996,male,inf,100"],
      "sigma 'nan' for sex 'male' year 1995 is not a finite number"),
     ("mortality.csv", ["sex,age,q0,drift,sigma", "male,30,0.01,0.0,x", "male,3x,0.01,0.0,0.005",
@@ -141,18 +163,28 @@ def test_census_rows_for_one_cell_add_up(tmp_path):
                        "male"],
      "drift None for sex 'male' age 30 is not a finite number"),
     ("income.csv", ["sex,age,amount", "lion,30,50000", "male,31,inf", "male,3x,1"],
-     "unknown sex 'lion'"),
+     "line 2: unknown sex 'lion'"),
     ("income.csv", ["age,amount,sex", "30,inf,male", "31,1", "3x,1,male"],
      "amount 'inf' for sex 'male' age 30 is not a finite number"),
     ("census.csv", ["sex,age,seniority,status,count", "male,30,0,active,nan",
                     "male,3x,0,active,1", "male,31,y,active,1"],
-     "count 'nan' for sex 'male' age 30 seniority 0 is not a finite number"),
+     "count 'nan' for sex 'male' age 30 seniority 0 on line 2 is not a finite number"),
     ("census.csv", ["sex,age,seniority,status,count", "male,30,0,working,1",
                     "dog,30,0,active,1", "male,30,99,active,1"],
-     "status must be one of ('active', 'retired'), got 'working'"),
+     "line 2: status must be one of ('active', 'retired'), got 'working'"),
     ("census.csv", ["sex,age,seniority,status,count", "male,30,0,active,1",
                     "male,20,0,active,1", "male,30,99,active,-1"],
-     "age 20 outside [30, 50]"),
+     "line 3: age 20 outside [30, 50]"),
+    # the small scenario's grid is ages 30-50, seniority 0-15, entry at 30
+    ("census.csv", ["sex,age,seniority,status,count", "male,30,0,active,1",
+                    "male,36,6,active,-1", "male,3x,0,active,1"],
+     "count '-1' for sex 'male' age 36 seniority 6 on line 3 is negative"),
+    ("census.csv", ["sex,age,seniority,status,count", "male,36,20,active,3",
+                    "male,36,6,active,-1"],
+     "line 2: seniority 20 outside [0, 15]"),
+    ("census.csv", ["sex,age,seniority,status,count", "male,36,7,active,3",
+                    "male,36,6,active,-1"],
+     "line 2: seniority 7 at age 36 violates seniority <= age - entry_age (30)"),
 ])
 def test_a_broken_table_reports_its_earliest_bad_row(tmp_path, table, rows, message):
     path = write_scenario(str(tmp_path), csv_overrides={table: rows})
@@ -211,18 +243,32 @@ def ref_load(path, table):
                                f"sex {sex!r} age {age}" if sex else f"every sex age {age}",
                                nonnegative=True)
             if sex and sex not in sexes:
-                raise ConfigError([f"{path}: unknown sex {sex!r}"])
+                raise ConfigError([f"{path}: line {line}: unknown sex {sex!r}"])
             keys, axis = [(s, age) for s in ([sex] if sex else sexes)], "age"
-        elif table == "census":
+        elif table == "census":  # on ages 30-40, seniority 0-8, entry at 29
             sex = ref_key(path, line, row, "sex")
+            if sex not in sexes:
+                raise ConfigError([f"{path}: line {line}: unknown sex {sex!r}"])
             age, sen = (ref_key(path, line, row, c, int) for c in ("age", "seniority"))
-            value = ref_finite(path, row, "count", f"sex {sex!r} age {age} seniority {sen}")
-            cells[line] = (sex, age, sen, row["status"], value)
+            status = ref_key(path, line, row, "status")
+            value = ref_finite(path, row, "count",
+                               f"sex {sex!r} age {age} seniority {sen} on line {line}",
+                               nonnegative=True)
+            for bad, message in ((not 30 <= age <= 40, f"age {age} outside [30, 40]"),
+                                 (not 0 <= sen <= 8, f"seniority {sen} outside [0, 8]"),
+                                 (status not in ("active", "retired"), "status must be one of "
+                                  f"('active', 'retired'), got {status!r}"),
+                                 (value > 0 and sen > age - 29, f"seniority {sen} at age {age} "
+                                  "violates seniority <= age - entry_age (29)")):
+                if bad:
+                    raise ConfigError([f"{path}: line {line}: {message}"])
+            key = (status, sex, age, sen)
+            cells[key] = cells.get(key, 0.0) + value
             continue
         else:  # the mortality table or the population series
             sex = ref_key(path, line, row, "sex")
             if sex not in sexes:
-                raise ConfigError([f"{path}: unknown sex {sex!r}"])
+                raise ConfigError([f"{path}: line {line}: unknown sex {sex!r}"])
             axis = "age" if table == "mortality" else "year"
             key = ref_key(path, line, row, axis, int)
             value = tuple(ref_finite(path, row, col, f"sex {sex!r} {axis} {key}",
@@ -237,19 +283,7 @@ def ref_load(path, table):
     if repeat:
         raise ConfigError([repeat])
     if table == "census":
-        counts = {}
-        for sex, age, sen, status, count in cells.values():
-            for bad, message in ((sex not in sexes, f"unknown sex {sex!r}"),
-                                 (not 30 <= age <= 40, f"age {age} outside [30, 40]"),
-                                 (not 0 <= sen <= 8, f"seniority {sen} outside [0, 8]"),
-                                 (status not in ("active", "retired"), "status must be one of "
-                                  f"('active', 'retired'), got {status!r}"),
-                                 (count < 0, f"count must be >= 0, got {count}")):
-                if bad:
-                    raise ConfigError([f"{path}: {message}"])
-            key = (status, sex, age, sen)
-            counts[key] = counts.get(key, 0.0) + count
-        return counts
+        return cells
     if table in ("age", "mortality") and not cells:
         raise ConfigError([f"{path}: no usable rows"])
     ages = range(min(a for _, a in cells), max(a for _, a in cells) + 1) if cells else ()
@@ -304,9 +338,9 @@ def production_load(path, table):
         return {(s, mm.min_age + a): (float(mm.q0[si, a]), float(mm.drift[si, a]),
                                       float(mm.sigma[si, a]))
                 for si, s in enumerate(mm.sexes) for a in range(mm.q0.shape[1])}
-    grid = load_census(path, 2006, ("male", "female"), 30, 40, 8, hashlib.sha256())
-    return {(STATUS_NAMES[st_], grid.sexes[s], 30 + a, k): float(grid.counts[st_, s, a, k])
-            for st_, s, a, k in zip(*grid.counts.nonzero())}
+    counts = load_census(path, ("male", "female"), 30, 40, 8, 29, hashlib.sha256())
+    return {(STATUS_NAMES[st_], ("male", "female")[s], 30 + a, k): float(counts[st_, s, a, k])
+            for st_, s, a, k in zip(*counts.nonzero())}
 
 
 @settings(max_examples=300, deadline=None)

@@ -206,6 +206,31 @@ class TestReplayInputs:
         with pytest.raises(ValueError, match=name):
             stepwise_projection(small_cfg, entrants_path=path, eps_mort=mort, eps_ret=ret)
 
+    # one value in a valid replay that the model cannot read; the oracle used
+    # to run on, or to stop in a later year naming no argument
+    @pytest.mark.parametrize("name, at, value, message", [
+        ("entrants_path", ("male", 3), np.nan,
+         "entrants_path['male'][3] is nan, expected a finite number >= 0"),
+        ("entrants_path", ("female", 0), np.inf,
+         "entrants_path['female'][0] is inf, expected a finite number >= 0"),
+        ("entrants_path", ("male", 5), -1.0,
+         "entrants_path['male'][5] is -1.0, expected a finite number >= 0"),
+        ("eps_mort", (4, 1, 7), np.nan, "eps_mort[4, 1, 7] is nan, expected a finite number"),
+        ("eps_ret", (6,), -np.inf, "eps_ret[6] is -inf, expected a finite number"),
+    ])
+    def test_a_value_that_is_no_finite_number_is_refused_naming_its_index(
+            self, small_cfg, replay, name, at, value, message):
+        path, mort, ret = replay
+        args = {"entrants_path": {s: a.copy() for s, a in path.items()},
+                "eps_mort": mort.copy(), "eps_ret": ret.copy()}
+        if name == "entrants_path":
+            args[name][at[0]][at[1]] = value
+        else:
+            args[name][at] = value
+        with pytest.raises(ValueError) as exc:
+            stepwise_projection(small_cfg, **args)
+        assert str(exc.value) == message
+
     def test_a_valid_replay_returns_its_entrants(self, small_cfg, replay):
         slow = stepwise_projection(small_cfg, *replay)
         for s in small_cfg.sexes:
