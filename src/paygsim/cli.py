@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands:
-  validate   parse and cross-check a scenario file, print its digest
+  validate   parse and cross-check a scenario file, run its zero-shock
+             projection, print its digest
   project    deterministic projection, writes the yearly statement
   simulate   Monte Carlo run, writes fan-chart and moments files
   entrants   arrival model alone: expected path, optionally sampled
@@ -23,7 +24,7 @@ from ._version import __version__
 from .config import (SHOCK_FAMILIES, ScenarioConfig, StochasticFlags,
                      default_config_path, load_config)
 from .engine import entrant_moment_tables, entrant_product
-from .errors import ConfigError, PaygsimError
+from .errors import ConfigError, PaygsimError, StateError
 from .montecarlo import entrant_paths, run_simulation
 from .projection import run_deterministic_projection
 
@@ -94,8 +95,24 @@ def _load(args) -> tuple[str, ScenarioConfig]:
     return path, load_config(path)
 
 
+def _money_path_error(message: str) -> str:
+    """A zero-shock projection's StateError as a validation line under the
+    field it comes from. An amount outgrows int64 cents through a rate
+    compounded over the horizon, which no per-field bound can prevent:
+    investment income through the expected return, every other amount
+    through prices. Administration costs name their growth rate already."""
+    if message.startswith("economics."):
+        return message
+    field = "expected_return" if message.startswith("investment income") else "inflation"
+    return f"economics.{field}: {message}"
+
+
 def _cmd_validate(args) -> list[str]:
     path, cfg = _load(args)
+    try:
+        run_deterministic_projection(cfg)
+    except StateError as exc:
+        raise ConfigError([_money_path_error(str(exc))]) from None
     print(f"ok: {path}")
     print(f"  years {cfg.first_year}-{cfg.last_year}, sexes {', '.join(cfg.sexes)}, "
           f"ages {cfg.min_age}-{cfg.max_age}")

@@ -201,7 +201,26 @@ class TestValidate:
         path = bundled_copy(tmp_path, edit)
         assert run(capsys, "validate", "--config", path) == (2, "", f"error: {message}\n")
 
-    # values `validate` accepts whose flows outgrow what the ledger holds
+    # values within their bounds whose zero-shock flows outgrow what the
+    # ledger holds: `validate` runs that projection and blames the rate
+    # compounded over the horizon
+    @pytest.mark.parametrize("field, value, message", [
+        ("admin_growth", 10**30,
+         "economics.admin_growth: the administration costs of 2017 overflow a float"),
+        ("inflation", 1.0, "economics.inflation: contrib_subjective of year 29 of the "
+                           "horizon: 1.619705324992427e+17 euros do not fit in int64 cents"),
+        ("expected_return", 3.0, "economics.expected_return: investment income of year 13 "
+                                 "of the horizon does not fit in int64 cents"),
+    ])
+    def test_validate_refuses_flows_that_overflow(self, capsys, tmp_path, field, value,
+                                                  message):
+        def edit(raw):
+            raw["economics"][field] = value
+
+        path = bundled_copy(tmp_path, edit)
+        assert run(capsys, "validate", "--config", path) == (2, "", f"error: {message}\n")
+
+    # the same values, which `project` and `simulate` refuse as they meet them
     @pytest.mark.parametrize("command, field, value, message", [
         ("project", "admin_growth", 10**30, "economics.admin_growth: the administration "
                                             "costs of 2017 overflow a float"),
@@ -221,7 +240,6 @@ class TestValidate:
             raw["economics"][field] = value
 
         path = bundled_copy(tmp_path, edit)
-        assert run(capsys, "validate", "--config", path)[0] == 0
         out = str(tmp_path / "out")
         assert run(capsys, command, "--config", path, "--out", out, *(
             ["--reps", "2"] if command == "simulate" else [])) == (3, "", f"error: {message}\n")

@@ -196,20 +196,32 @@ class TestStreamedChunks:
 
 
 class TestSerialPipeline:
-    """A serial run draws each unit on one helper thread, at most one unit
-    ahead of the unit being simulated."""
+    """A serial run's calling thread and one helper thread draw each unit's
+    rows together; the helper starts on a unit while the unit before it is
+    simulated, so at most two units are in flight."""
+
+    @staticmethod
+    def join_helpers():
+        """Wait for every helper thread to return; none may be left running."""
+        for thread in threading.enumerate():
+            if thread.name == "paygsim-draw":
+                thread.join(timeout=30)
+                assert not thread.is_alive()
 
     def test_the_helper_draws_at_most_one_unit_ahead(self, small_cfg, monkeypatch):
         cfg = small_cfg.with_run(n_reps=17)
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)  # six units
-        simulated, draws = [], []  # units simulated when each draw began
-        real_draw, real_flows = montecarlo.draw_shock_blocks, montecarlo.simulate_flows
+        simulated, draws = [], []  # units simulated when each row's draw began
+        real_draw, real_flows = montecarlo._draw_next_row, montecarlo.simulate_flows
+        self.join_helpers()
         before = threading.active_count()
 
-        def draw(cfg, reps):
-            draws.append((reps[0], len(simulated), threading.get_ident()))
-            assert threading.active_count() == before + 1  # this helper alone
-            return real_draw(cfg, reps)
+        def draw(unit, open_key):
+            done, threads = len(simulated), threading.active_count()
+            rep = real_draw(unit, open_key)
+            if rep is not None:
+                draws.append((rep, done, threads, threading.get_ident()))
+            return rep
 
         def flows(*args):
             time.sleep(0.01)  # a helper free to run ahead would draw every unit now
@@ -217,17 +229,70 @@ class TestSerialPipeline:
             simulated.append(threading.get_ident())
             return out
 
-        monkeypatch.setattr(montecarlo, "draw_shock_blocks", draw)
+        monkeypatch.setattr(montecarlo, "_draw_next_row", draw)
         monkeypatch.setattr(montecarlo, "simulate_flows", flows)
         result = run_simulation(cfg)
-        assert threading.active_count() == before  # the helper has exited
-        assert [lo for lo, _, _ in draws] == [0, 3, 6, 9, 12, 15]
-        for unit, (_, done, _) in enumerate(draws):
-            assert unit - 1 <= done <= unit, unit  # unit - 1 may still be simulated
-        helpers = {ident for _, _, ident in draws}
-        assert len(helpers) == 1 and threading.get_ident() not in helpers
-        assert set(simulated) == {threading.get_ident()}
+        self.join_helpers()
+        assert sorted(rep for rep, *_ in draws) == list(range(17))
+        for rep, done, threads, _ in draws:
+            unit = rep // 3
+            assert max(unit - 1, 0) <= done <= unit, rep  # unit - 1 may still be simulated
+            assert threads == before + 1, rep  # one helper
+        helpers = {ident for *_, ident in draws} - {threading.get_ident()}
+        assert len(helpers) <= 1
+        assert set(simulated) == {threading.get_ident()}  # the cohort kernel stays here
+        monkeypatch.undo()
         TestStreamedChunks.assert_same_run(result, run_simulation(cfg))
+
+    def test_each_replication_is_drawn_once(self, small_cfg, monkeypatch):
+        # both threads claim rows at nearly every bytecode; a row claimed
+        # twice or skipped would show in the replications drawn
+        cfg = small_cfg.with_run(n_reps=17)
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)
+        whole = run_simulation(cfg)
+        drawn, real = [], montecarlo._draw_next_row
+
+        def draw(unit, open_key):
+            rep = real(unit, open_key)
+            if rep is not None:
+                drawn.append(rep)
+            return rep
+
+        monkeypatch.setattr(montecarlo, "_draw_next_row", draw)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            result = run_simulation(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        self.join_helpers()
+        assert sorted(drawn) == list(range(17))
+        TestStreamedChunks.assert_same_run(whole, result)
+
+    def test_a_stalled_helper_delays_no_unit(self, small_cfg, monkeypatch):
+        # the helper is held before it claims a row until the run has
+        # returned: the calling thread draws every row and waits for none
+        cfg = small_cfg.with_run(n_reps=17)
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)
+        release, drawn, real = threading.Event(), [], montecarlo._draw_next_row
+        caller = threading.get_ident()
+
+        def draw(unit, open_key):
+            if threading.get_ident() != caller and not release.wait(timeout=10):
+                raise AssertionError("the run waited for a stalled helper")
+            rep = real(unit, open_key)
+            if rep is not None:
+                drawn.append((rep, threading.get_ident()))
+            return rep
+
+        monkeypatch.setattr(montecarlo, "_draw_next_row", draw)
+        try:
+            result = run_simulation(cfg)
+        finally:
+            release.set()
+        self.join_helpers()
+        assert drawn == [(rep, caller) for rep in range(17)]
+        TestStreamedChunks.assert_same_run(result, run_simulation(cfg, workers=2))
 
     def test_a_short_switch_interval_changes_nothing(self, small_cfg, monkeypatch):
         # the threads switch at nearly every bytecode, so a block handed over
@@ -246,34 +311,50 @@ class TestSerialPipeline:
     class Boom(Exception):
         pass
 
-    @pytest.mark.parametrize("where", ["simulate_flows", "draw_shock_blocks"])
+    @pytest.mark.parametrize("where", ["simulate_flows", "caller draw", "helper draw"])
     @pytest.mark.parametrize("failing_unit", [0, 2])
     def test_an_error_in_a_unit_reaches_the_caller(self, small_cfg, monkeypatch,
                                                    where, failing_unit):
-        # simulate_flows runs on the calling thread, draw_shock_blocks on the helper
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)
-        real, calls = getattr(montecarlo, where), []
+        real_draw, real_flows = montecarlo._draw_next_row, montecarlo.simulate_flows
+        caller, simulated = threading.get_ident(), []
+        helper_failed = threading.Event()
 
-        def failing(*args):
-            calls.append(None)
-            if len(calls) > failing_unit:
+        def flows(*args):
+            if where == "simulate_flows" and len(simulated) == failing_unit:
                 raise self.Boom(where)
-            return real(*args)
+            simulated.append(None)
+            return real_flows(*args)
 
-        monkeypatch.setattr(montecarlo, where, failing)
-        before = threading.active_count()
+        def broken_stream(key):
+            helper_failed.set()
+            raise self.Boom(where)
+
+        def draw(unit, open_key):
+            if unit.reps[0] // 3 != failing_unit:
+                return real_draw(unit, open_key)
+            if where == "caller draw" and threading.get_ident() == caller:
+                raise self.Boom(where)
+            if where == "helper draw":
+                if threading.get_ident() != caller:  # fails holding a claimed row
+                    return real_draw(unit, broken_stream)
+                assert helper_failed.wait(timeout=30)  # so that the helper claims a row
+            return real_draw(unit, open_key)
+
+        monkeypatch.setattr(montecarlo, "_draw_next_row", draw)
+        monkeypatch.setattr(montecarlo, "simulate_flows", flows)
         with pytest.raises(self.Boom, match=where):
             run_simulation(small_cfg)
-        assert threading.active_count() == before
-        assert len(calls) == failing_unit + 1  # the run stops at the first failure
+        self.join_helpers()
+        assert len(simulated) == failing_unit  # the run stops at the first failure
 
     def test_a_serial_run_loads_no_process_pool_machinery(self):
         code = ("import sys\n"
                 "from paygsim import load_config, run_simulation\n"
                 "from paygsim.config import default_config_path\n"
                 "run_simulation(load_config(default_config_path()).with_run(n_reps=120))\n"
-                "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')\n"
-                "             if m in sys.modules))\n")
+                "print(sorted(m for m in ('concurrent.futures', 'concurrent.futures.process',\n"
+                "                         'multiprocessing') if m in sys.modules))\n")
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
