@@ -83,16 +83,19 @@ def _parse_stochastic(text: str) -> StochasticFlags:
 
 
 def _parse_probes(text: str) -> tuple[float, ...]:
-    """The probes as floats; `RunSettings` checks their values."""
+    """The probes as floats; the scenario's run section checks their values."""
     try:
         return tuple(float(p) for p in text.split(","))
     except ValueError as exc:
         raise ConfigError([f"--percentiles: {exc}"]) from exc
 
 
-def _load(args) -> tuple[str, ScenarioConfig]:
+def _load(args, **run) -> tuple[str, ScenarioConfig]:
+    """The scenario --config names, with the run settings `run` gives that
+    are not None."""
     path = args.config if args.config is not None else default_config_path()
-    return path, load_config(path)
+    cfg, run = load_config(path), {k: v for k, v in run.items() if v is not None}
+    return path, cfg.with_run(**run) if run else cfg
 
 
 def _money_path_error(message: str) -> str:
@@ -126,18 +129,9 @@ def _cmd_project(args) -> list[str]:
 
 
 def _cmd_simulate(args) -> list[str]:
-    _, cfg = _load(args)
-    override = {}
-    if args.seed is not None:
-        override["seed"] = args.seed
-    if args.reps is not None:
-        override["n_reps"] = args.reps
-    if args.stochastic is not None:
-        override["flags"] = _parse_stochastic(args.stochastic)
-    if args.percentiles is not None:
-        override["probes"] = _parse_probes(args.percentiles)
-    if override:
-        cfg = cfg.with_run(**override)
+    _, cfg = _load(args, seed=args.seed, n_reps=args.reps,
+                   flags=None if args.stochastic is None else _parse_stochastic(args.stochastic),
+                   probes=None if args.percentiles is None else _parse_probes(args.percentiles))
     result = run_simulation(cfg, workers=args.workers)
     if result.n_reps < 2:
         print("note: one replication, skipping moments.csv")
@@ -145,17 +139,15 @@ def _cmd_simulate(args) -> list[str]:
 
 
 def _cmd_entrants(args) -> list[str]:
-    _, cfg = _load(args)
-    if args.seed is not None:
-        cfg = cfg.with_run(seed=args.seed)
     if args.reps < 0:
         raise ConfigError(["--reps: must be >= 0"])
+    # with no replications drawn, the manifest keeps the scenario's count
+    _, cfg = _load(args, seed=args.seed, n_reps=args.reps or None)
     moments = entrant_moment_tables(cfg)  # built once, for both paths
     ne = entrant_product(*moments, 0.0)  # the expected path
     expected = {s: ne[:, si] for si, s in enumerate(cfg.sexes)}
     sampled = None
     if args.reps > 0:
-        cfg = cfg.with_run(n_reps=args.reps)
         paths = entrant_paths(cfg, moments)
         mean = {s: paths[s].mean(axis=0) for s in cfg.sexes}
         std = {s: paths[s].std(axis=0, ddof=1) if args.reps > 1

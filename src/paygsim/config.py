@@ -2,22 +2,26 @@
 
 A scenario is one YAML file plus the CSV tables it references by relative
 path (census, mortality, reference population, age profiles, conversion
-coefficients). `load_config` reads the YAML through one schema, `_SCHEMA`,
-which gives each field's kind, default and bounds and the years a schedule
-is read at; a key it does not declare is an error. Every problem names its
+coefficients). `load_config` reads the file into a YAML tree and resolves
+the tree through one schema, `_SCHEMA`, which gives each field's kind,
+default and bounds and the years a schedule is read at; a key it does not
+declare is an error. `ScenarioConfig.edit` and `with_run` resolve an edited
+tree the same way, with the tables already read. Every problem names its
 field, and all are collected before raising, so a broken file can be fixed
 in one pass. CSV files may start with '#' comments; loaders name columns.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import io
 import math
 import os
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import zip_longest
 
@@ -32,6 +36,7 @@ from .schedules import Schedule, _float, _int
 from .stochastic import Ar1Params
 
 DEFAULT_PROBES = (0.1, 1.0, 5.0, 25.0, 50.0, 75.0, 95.0, 99.0, 99.9)
+MAX_AGE = 150  # of every age a scenario gives, in its population section or its age tables
 
 
 @dataclass(frozen=True)
@@ -65,40 +70,15 @@ SHOCK_FAMILIES = tuple(f.name for f in fields(StochasticFlags))  # in draw and r
 
 @dataclass(frozen=True)
 class RunSettings:
-    """How a run samples and reports. Every way of setting the probes or the
-    moments years, from a scenario file, `--percentiles` or `with_run`, goes
-    through this check."""
+    """How a run samples and reports. `_SCHEMA` checks every field, whether
+    it comes from a scenario file, `--seed`, `--reps`, `--percentiles` or
+    `with_run`; a record built by hand is not checked."""
 
     seed: int
     n_reps: int
     flags: StochasticFlags
     probes: tuple[float, ...]
     moments_years: tuple[int, ...]
-
-    def __post_init__(self):
-        probes = list(self.probes)
-        errors = [message for bad, message in (
-            (self.n_reps < 1, f"run.n_reps: must be >= 1, got {self.n_reps}"),
-            # replication i draws from stream id i, and stream ids are below 2**32
-            (self.n_reps > 2**32, f"run.n_reps: must be <= 2**32, got {self.n_reps}"),
-            (self.seed < 0, f"run.seed: must be >= 0, got {self.seed}"),
-            (not probes or probes != sorted(set(probes))
-             or not all(0.0 < p < 100.0 for p in probes),
-             f"run.percentile_probes: must be one or more increasing probes within (0, 100), "
-             f"got {probes}"),
-            (len(set(self.moments_years)) < len(self.moments_years),
-             f"run.moments_years: must not repeat a year, got {list(self.moments_years)}"),
-        ) if bad]
-        if errors:
-            raise ConfigError(errors)
-
-
-def _check_moments_years(years, first_year: int, last_year: int) -> None:
-    """ConfigError unless every moments year lies in [first_year, last_year]."""
-    errors = [f"run.moments_years: year {y} outside horizon [{first_year}, {last_year}]"
-              for y in years if not first_year <= y <= last_year]
-    if errors:
-        raise ConfigError(errors)
 
 
 @dataclass(frozen=True)
@@ -127,15 +107,36 @@ class ScenarioConfig:
     backfill_notional: bool
     economics: EconomicAssumptions
     source_digest: str = ""
+    _source: _Source | None = field(default=None, repr=False, compare=False)
 
     @property
     def years(self) -> list[int]:
         return list(range(self.first_year, self.last_year + 1))
 
+    def edit(self, changes: dict) -> "ScenarioConfig":
+        """This scenario with its YAML tree edited, resolved as `load_config`
+        resolves a file but with the tables already read, raising the
+        ConfigError `validate` prints for the edited file. Each key of
+        `changes` is a dotted path as errors name a field or mapping
+        (`economics.inflation`, `run.n_reps`), and its YAML value replaces that
+        one whole. The digest is the edited tree's, unless only `run` changes:
+        a manifest records the run settings itself."""
+        if self._source is None:
+            raise ConfigError(["edit: the scenario was not loaded from a file"])
+        return _resolve(self._source, changes)
+
     def with_run(self, **kw) -> "ScenarioConfig":
-        run = replace(self.run, **kw)
-        _check_moments_years(run.moments_years, self.first_year, self.last_year)
-        return replace(self, run=run)
+        """`edit` of the run section, by RunSettings' field names."""
+        names = {"flags": "stochastic", "probes": "percentile_probes"}
+        return self.edit({f"run.{names.get(k, k)}": (
+            {n: getattr(v, n) for n in SHOCK_FAMILIES} if k == "flags"
+            else list(v) if isinstance(v, tuple) else v) for k, v in kw.items()})
+
+
+# what a scenario is resolved from: its YAML tree, the directory its CSV paths
+# are relative to, the bytes its digest starts from, and of each table file
+# it read the bytes, by path, and what each loader made of them
+_Source = namedtuple("_Source", "tree base_dir head files loaded")
 
 
 def default_config_path() -> str:
@@ -269,28 +270,29 @@ def _parse(kind, cell, failed=None):
         return failed
 
 
-def _read_bytes(path: str, hasher) -> bytes:
-    """A file's bytes, hashed."""
+def _read_file(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
         raise ConfigError([f"{path}: {exc}"]) from exc
-    hasher.update(raw)
-    return raw
 
 
-def _read_csv(path: str, required: tuple[str, ...], hasher) -> _Table:
-    """A CSV file as a table, its bytes hashed; it may start with a byte-order
-    mark, and must have the required columns."""
-    return _Table(path, _read_bytes(path, hasher).decode("utf-8-sig").splitlines(), required)
+def _read_csv(path: str, required: tuple[str, ...], read) -> _Table:
+    """A CSV file as a table, its bytes given by `read(path)`; it may start
+    with a byte-order mark, and must have the required columns."""
+    return _Table(path, read(path).decode("utf-8-sig").splitlines(), required)
 
 
 def _age_grid(table: _Table, sex: list, age: list, values: np.ndarray,
               sexes) -> tuple[int, np.ndarray]:
     """The first age with a row, and the rows' finite values as a (sex, age,
     cell) array from it to the last; NaN where a sex has no row. A sex of -1
-    is a row for every sex. Two rows for one sex and age are a ConfigError."""
+    is a row for every sex. An age outside [0, MAX_AGE], which the array
+    would span, and two rows for one sex and age are a ConfigError."""
+    table.refuse(np.array([a is not None and not 0 <= a <= MAX_AGE for a in age], bool),
+                 lambda i: f"age {age[i]} outside [0, {MAX_AGE}]")
+    table.check()
     if not table.n:
         raise ConfigError([f"{table.path}: no usable rows"])
     age, sex = np.array(age), np.array(sex)
@@ -304,12 +306,12 @@ def _age_grid(table: _Table, sex: list, age: list, values: np.ndarray,
     return lo, grid
 
 
-def load_population_series(path: str, sexes, hasher) -> dict[str, FactorMoments]:
+def load_population_series(path: str, sexes, read=_read_file) -> dict[str, FactorMoments]:
     """Columns: year, sex, expected, sigma; a negative cell is refused.
 
     Returns sex -> FactorMoments, the first factor of NE(t): a mean and a
     sigma schedule with no default and one override per year the CSV gives."""
-    table = _read_csv(path, ("year", "sex", "expected", "sigma"), hasher)
+    table = _read_csv(path, ("year", "sex", "expected", "sigma"), read)
     sex = table.present("sex")
     index = table.sex_index(sex, sexes)
     year = table.ints("year")
@@ -324,14 +326,15 @@ def load_population_series(path: str, sexes, hasher) -> dict[str, FactorMoments]
             for s, r in zip(sexes, rows)}
 
 
-def load_age_table(path: str, sexes, value_col: str, hasher) -> tuple[int, np.ndarray]:
+def load_age_table(path: str, sexes, value_col: str,
+                   read=_read_file) -> tuple[int, np.ndarray]:
     """Columns: age, <value_col>, optionally sex (absent rows apply to all sexes).
 
     The first age with a row, and the (sex, age) values from it to the last;
     ages a sex has no row for are NaN, so a cell must be finite when it is
     read. A negative cell is refused.
     """
-    table = _read_csv(path, ("age", value_col), hasher)
+    table = _read_csv(path, ("age", value_col), read)
     age = table.ints("age")
     # a table without a sex column, or an empty sex cell, is for every sex
     sex = table.present("sex") if "sex" in table else ("",) * table.n
@@ -339,7 +342,6 @@ def load_age_table(path: str, sexes, value_col: str, hasher) -> tuple[int, np.nd
         f"sex {sex[i]!r} age {age[i]}" if sex[i] else f"every sex age {age[i]}"),
         nonnegative=True)
     index = table.sex_index(sex, sexes, every=True)
-    table.check()
     return _age_grid(table, index, age, values, sexes)
 
 
@@ -354,15 +356,14 @@ def _on_grid(table: tuple[int, np.ndarray], min_age: int, max_age: int) -> np.nd
     return out
 
 
-def load_mortality(path: str, sexes, base_year: int, hasher) -> MortalityModel:
+def load_mortality(path: str, sexes, base_year: int, read=_read_file) -> MortalityModel:
     """Columns: sex, age, q0, drift, sigma; a negative q0 or sigma is refused."""
-    table = _read_csv(path, ("sex", "age", "q0", "drift", "sigma"), hasher)
+    table = _read_csv(path, ("sex", "age", "q0", "drift", "sigma"), read)
     sex = table.present("sex")
     index = table.sex_index(sex, sexes)
     age = table.ints("age")
     columns = [table.finites(col, lambda i: f"sex {sex[i]!r} age {age[i]}",
                              nonnegative=col != "drift") for col in ("q0", "drift", "sigma")]
-    table.check()
     lo, grid = _age_grid(table, index, age, np.stack(columns, axis=1), sexes)
     if np.isnan(grid).any():
         si, ai, _ = np.argwhere(np.isnan(grid))[0]
@@ -373,10 +374,10 @@ def load_mortality(path: str, sexes, base_year: int, hasher) -> MortalityModel:
 
 
 def load_census(path: str, sexes, min_age, max_age, max_seniority, entry_age,
-                hasher) -> np.ndarray:
+                read=_read_file) -> np.ndarray:
     """Columns: sex, age, seniority, status, count. The read-only (status, sex,
     age, seniority) counts, the rows for one cell added up in row order."""
-    table = _read_csv(path, ("sex", "age", "seniority", "status", "count"), hasher)
+    table = _read_csv(path, ("sex", "age", "seniority", "status", "count"), read)
     sex = table.present("sex")
     index = table.sex_index(sex, sexes)
     age, seniority = table.ints("age"), table.ints("seniority")
@@ -418,13 +419,12 @@ class _Ctx:
     def fail(self, path: str, message: str):
         self.errors.append(f"{path}: {message}")
 
-    def take(self, path: str | None, fn):
-        """Run fn, recording any ValueError/ConfigError under the field path
-        (None for a ConfigError whose messages name their fields)."""
+    def take(self, path: str, fn):
+        """Run fn, recording any ValueError/ConfigError under the field path."""
         try:
             return fn()
         except ConfigError as exc:
-            self.errors.extend(m if path is None else f"{path}: {m}" for m in exc.messages)
+            self.errors.extend(f"{path}: {m}" for m in exc.messages)
         except (ValueError, TypeError, KeyError) as exc:
             self.fail(path, str(exc) or type(exc).__name__)
         return None
@@ -457,6 +457,24 @@ _ints = _kind(lambda x: isinstance(x, list), "a list of integers", lambda x: tup
 _schedule = Schedule.from_config
 
 
+def _refine(kind, holds, must: str):
+    """A field kind: `kind`'s value if it `holds`, else a ValueError saying what it must."""
+    def parse(value):
+        x = kind(value)
+        if not holds(x):
+            raise ValueError(f"must {must}, got {list(x) if isinstance(x, tuple) else x}")
+        return x
+    return parse
+
+
+# replication i draws from stream id i, and stream ids are below 2**32
+_rep_count = _refine(_int, lambda n: n <= 2**32, "be <= 2**32")
+_probes = _refine(_floats, lambda p: p != () and list(p) == sorted(set(p))
+                  and all(0.0 < x < 100.0 for x in p),
+                  "be one or more increasing probes within (0, 100)")
+_distinct_years = _refine(_ints, lambda y: len(set(y)) == len(y), "not repeat a year")
+
+
 def _sexes(value) -> tuple[str, ...]:
     """A name list in which no sex's arrivals series, entrants_<sex>, is
     named like another series."""
@@ -470,9 +488,9 @@ def _sexes(value) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class _Field:
     """A field's kind and default: a YAML value, a function of the values read
-    before it (a KeyError if one failed), or None if required. An `_int` or
-    `_float` is finite, at least `lo` (above it if `strict`) and at most
-    `hi`; so is a schedule at `years` ("<factor>": the years its arrival
+    before it (a KeyError if one failed), or None if required. A number is
+    finite, at least `lo` (above it if `strict`) and at most `hi`; so is a
+    schedule at `years` ("<factor>": the years its arrival
     factor is read at). It exists where sibling `when[0]` is `when[1]`; a
     `column` makes an age table."""
 
@@ -501,17 +519,20 @@ def _first_year(t: dict) -> int:
 # the loader lists and each gap of years a price or cost path compounds over.
 _SCHEMA = {
     "horizon": {k: _Field(_int, lo=1800, hi=2300) for k in ("first_year", "last_year")},
-    "run": {
-        "seed": _Field(_int, 0),
-        "n_reps": _Field(_int, 1000),
+    # `_resolve` also keeps each moments year in the horizon
+    "run": (lambda seed, n_reps, stochastic, percentile_probes, moments_years: RunSettings(
+        seed, n_reps, stochastic, percentile_probes, moments_years), {
+        "seed": _Field(_int, 0, lo=0),
+        "n_reps": _Field(_rep_count, 1000, lo=1),
         "stochastic": (StochasticFlags, {n: _Field(_bool, True) for n in SHOCK_FAMILIES}),
-        "percentile_probes": _Field(_floats, list(DEFAULT_PROBES)),
-        "moments_years": _Field(_ints, lambda t: list(
+        "percentile_probes": _Field(_probes, list(DEFAULT_PROBES)),
+        "moments_years": _Field(_distinct_years, lambda t: list(
             range(t["horizon"]["first_year"], t["horizon"]["last_year"] + 1))),
-    },
+    }),
     "population": {
         "sexes": _Field(_sexes, ["male", "female"]),
-        **{k: _Field(_int, lo=0) for k in ("min_age", "max_age", "max_seniority", "entry_age")},
+        **{k: _Field(_int, lo=0, hi=MAX_AGE)
+           for k in ("min_age", "max_age", "max_seniority", "entry_age")},
         "census_csv": _Field(_file),
     },
     "entrants": {
@@ -612,7 +633,7 @@ def _walk(schema: dict, node: dict, at: str, out: dict, ctx: _Ctx, keys=None) ->
                 elif value is None and spec.default is None:
                     raise ValueError("missing required field")
                 value = spec.kind(value)
-                if spec.kind in (_int, _float) and not spec.admits(value):
+                if isinstance(value, (int, float)) and not spec.admits(value):
                     bound = (f"<= {spec.hi:g}" if spec.lo == -math.inf
                              else f"between {spec.lo:g} and {spec.hi:g}" if math.isfinite(spec.hi)
                              else f"{'>' if spec.strict else '>='} {spec.lo:g}")
@@ -654,21 +675,57 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
 
 
 def load_config(path: str) -> ScenarioConfig:
-    """Parse and validate one scenario file. Raises ConfigError listing every problem."""
-    hasher = hashlib.sha256()
-    raw_bytes = _read_bytes(path, hasher)
+    """Read and resolve one scenario file. Raises ConfigError listing every
+    problem. Its digest covers the file's bytes and then each table's."""
+    raw_bytes = _read_file(path)
     try:
-        raw = yaml.load(raw_bytes, Loader=_Loader)
+        tree = yaml.load(raw_bytes, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError([f"{path}: not valid YAML: {exc}"]) from exc
-    if not isinstance(raw, dict):
+    if not isinstance(tree, dict):
         raise ConfigError([f"{path}: top level must be a mapping"])
-    base_dir = os.path.dirname(os.path.abspath(path))  # CSV paths are relative to it
+    # CSV paths are relative to the file's directory
+    return _resolve(_Source(tree, os.path.dirname(os.path.abspath(path)), raw_bytes, {}, {}), {})
+
+
+def _edited(tree: dict, changes: dict) -> dict:
+    """`tree` with a copy of each value in `changes` at its dotted path. Each
+    mapping along a path is copied before it changes, so neither `tree` nor
+    a mapping that a YAML alias shares with it changes."""
+    tree = dict(tree)
+    for path, value in changes.items():
+        node, (*parents, leaf) = tree, path.split(".")
+        for i, key in enumerate(parents):
+            child = node.get(key)
+            if not isinstance(child, (dict, type(None))):
+                raise ConfigError([f"{'.'.join(parents[:i + 1])}: expected a mapping, "
+                                   f"got {type(child).__name__}"])
+            node[key] = node = dict(child or {})
+        node[leaf] = copy.deepcopy(value)
+    return tree
+
+
+def _resolve(source: _Source, changes: dict) -> ScenarioConfig:
+    """The scenario `source.tree` describes with `changes` edited in, each
+    field read through `_SCHEMA` and checked against the others; a table
+    `source` holds no bytes of is read from disk. The digest covers the
+    source's head if only `run` changes, else the edited tree, then each
+    table as it is read."""
+    tree, base_dir = _edited(source.tree, changes), source.base_dir
+    head = (source.head if all(path.split(".")[0] == "run" for path in changes)
+            else b"edited\n" + repr(tree).encode())
+    hasher, files, loaded = hashlib.sha256(head), {}, {}
+
+    def read(path: str) -> bytes:
+        if path not in files:
+            files[path] = source.files[path] if path in source.files else _read_file(path)
+        hasher.update(files[path])
+        return files[path]
 
     # a check whose inputs failed to parse is skipped: one mistake, one message
     ctx = _Ctx()
-    _walk(_SCHEMA, raw, "", ctx.values, ctx)
-    hz, run, pop, ent, mort, ret, con, ben, eco = (ctx.values.get(s, {}) for s in _SCHEMA)
+    _walk(_SCHEMA, tree, "", ctx.values, ctx)
+    hz, _, pop, ent, mort, ret, con, ben, eco = (ctx.values.get(s, {}) for s in _SCHEMA)
     first, last, sexes = hz.get("first_year"), hz.get("last_year"), pop.get("sexes")
     if None not in (first, last) and last < first:
         ctx.fail("horizon.last_year", f"must be >= first_year ({first}), got {last}")
@@ -678,16 +735,21 @@ def load_config(path: str) -> ScenarioConfig:
     spans = {"horizon": years, "credited": years}  # the years schedules are read at
 
     def load(path: str, name: str | None, loader, *args):
-        """The table the CSV field at `path` names; None if the field or the load failed."""
-        return None if name is None else ctx.take(
-            path, lambda: loader(os.path.join(base_dir, name), *args, hasher))
+        """The table the CSV field at `path` names, read as the source read it
+        if it did; None if the field or the load failed."""
+        if name is None:
+            return None
+        key = (loader, os.path.join(base_dir, name), *args)
+        if key in source.loaded:
+            read(key[1])  # its bytes, hashed
+            loaded[key] = source.loaded[key]
+        else:
+            loaded[key] = ctx.take(path, lambda: loader(key[1], *args, read))
+        return loaded[key]
 
-    settings = None
-    if len(run) == 5:
-        settings = ctx.take(None, lambda: RunSettings(
-            run["seed"], run["n_reps"], run["stochastic"], run["percentile_probes"],
-            run["moments_years"]))
-        ctx.take(None, lambda: _check_moments_years(run["moments_years"], first, last))
+    for y in next((x for where, x, _ in ctx.read if where == "run.moments_years"), ()):
+        if y not in years:
+            ctx.fail("run.moments_years", f"year {y} outside horizon [{first}, {last}]")
 
     min_age, max_age, max_sen, entry_age = (
         pop.get(k) for k in ("min_age", "max_age", "max_seniority", "entry_age"))
@@ -743,7 +805,7 @@ def load_config(path: str) -> ScenarioConfig:
         if key not in parsed:
             parsed[key] = load(where, name, load_age_table, sexes, f.column)
         elif parsed[key] is not None:
-            ctx.take(where, lambda: _read_bytes(os.path.join(base_dir, name), hasher))
+            ctx.take(where, lambda: read(os.path.join(base_dir, name)))
 
     if eco.get("profile_base_year") is not None:
         # `engine.price_index` compounds inflation from the year after the base year
@@ -774,7 +836,7 @@ def load_config(path: str) -> ScenarioConfig:
         found = []
         for name in (mort.get("table_csv"), ent.get("population_csv")):
             try:
-                table = _read_csv(os.path.join(base_dir, name), ("sex",), hashlib.sha256())
+                table = _read_csv(os.path.join(base_dir, name), ("sex",), read)
                 found.append(list(dict.fromkeys(s for s in table.cells("sex") if s)))
             except (ConfigError, TypeError, ValueError):  # no name, or an unreadable table
                 found.append(None)
@@ -791,7 +853,7 @@ def load_config(path: str) -> ScenarioConfig:
     on_grid = {key: _on_grid(table, min_age, max_age) for key, table in parsed.items()}
     tables = {where.rpartition(".")[0]: on_grid[key] for where, key in named.items()}
     return ScenarioConfig(
-        first_year=first, last_year=last, run=settings,
+        first_year=first, last_year=last, run=ctx.values["run"],
         sexes=sexes, min_age=min_age, max_age=max_age, max_seniority=max_sen,
         entry_age=entry_age, census=census, population=population, mortality=mortality,
         entrants_params=EntrantsModelParams(ent["factors"], study, training),
@@ -805,4 +867,4 @@ def load_config(path: str) -> ScenarioConfig:
         # the other economics fields are named as EconomicAssumptions names them
         economics=EconomicAssumptions(deviations=eco["return_deviations"], **{
             k: x for k, x in eco.items() if k != "return_deviations"}),
-        source_digest=hasher.hexdigest())
+        source_digest=hasher.hexdigest(), _source=_Source(tree, base_dir, head, files, loaded))

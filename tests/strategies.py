@@ -3,15 +3,17 @@
 `scenario_tweaks` draws a tweak mapping for `conftest.write_scenario`: two
 benefit types whose thresholds often tie, the exemption, the contribution
 rates, inflation, the profile base year and whether census accounts are
-backfilled. `load_variant` writes one such variant, with the extra tables it
-names and a census with more senior actives, and loads it.
+backfilled. `load_variant` makes one such variant with `ScenarioConfig.edit`
+from `variant_base()`, the small scenario with a census with more senior
+actives, written once per session beside the extra tables variants name.
 """
 
+import functools
 import tempfile
 
 from hypothesis import strategies as st
 
-from conftest import BASE_CSVS, write_scenario
+from conftest import BASE_CSVS, BASE_SCENARIO, write_scenario
 from paygsim import load_config
 
 # the horizon plus the years the census members' backcast histories reach
@@ -73,10 +75,27 @@ SECOND_CONVERSION = ["sex,age,coefficient"] + [
 CENSUS = BASE_CSVS["census.csv"] + ["male,44,12,active,5", "female,33,2,active,7"]
 
 
-def load_variant(tweaks, csv_overrides=None):
-    """The small scenario with `tweaks` applied, written to a temporary
-    directory and loaded; `csv_overrides` replaces any of its tables."""
-    with tempfile.TemporaryDirectory() as tmp:
-        return load_config(write_scenario(tmp, tweaks=tweaks, csv_overrides={
-            "fixed.csv": FIXED_PROFILE, "conversion2.csv": SECOND_CONVERSION,
-            "census.csv": CENSUS, **(csv_overrides or {})}))
+@functools.cache
+def variant_base():
+    """The directory holding the variants' tables, removed when the session
+    ends, and the small scenario loaded from it."""
+    tables = tempfile.TemporaryDirectory()
+    return tables, load_config(write_scenario(tables.name, csv_overrides={
+        "fixed.csv": FIXED_PROFILE, "conversion2.csv": SECOND_CONVERSION, "census.csv": CENSUS}))
+
+
+def edits(tweaks: dict, base: dict = BASE_SCENARIO, at: str = "") -> dict:
+    """The dotted-path edits that make the changes `deep_merge` makes when
+    it applies `tweaks` to `base`."""
+    out = {}
+    for key, value in tweaks.items():
+        if isinstance(value, dict) and isinstance(base.get(key), dict):
+            out.update(edits(value, base[key], f"{at}{key}."))
+        else:
+            out[f"{at}{key}"] = value
+    return out
+
+
+def load_variant(tweaks):
+    """The small scenario with `tweaks` applied, through `edit`."""
+    return variant_base()[1].edit(edits(tweaks))

@@ -163,13 +163,17 @@ class TestValidate:
             assert run(capsys, "validate", "--config", path) == (
                 2, "", f"error: {where}: {message}\n")
 
-    # the bundled grid is ages 29-105, seniority 0-45; a negative geometry
-    # value is blamed on its own field, and the census is then not read
+    # the bundled grid is ages 29-105, seniority 0-45; a geometry value
+    # outside 0-150 is blamed on its own field, and the census is then not
+    # read (an age of a billion would have it allocate a grid that wide)
     @pytest.mark.parametrize("field, value, message", [
-        ("population.max_seniority", -1, "population.max_seniority: must be >= 0, got -1"),
-        ("population.min_age", -1, "population.min_age: must be >= 0, got -1"),
-        ("population.max_age", -1, "population.max_age: must be >= 0, got -1"),
-        ("population.entry_age", -1, "population.entry_age: must be >= 0, got -1"),
+        ("population.max_seniority", -1,
+         "population.max_seniority: must be between 0 and 150, got -1"),
+        ("population.min_age", -1, "population.min_age: must be between 0 and 150, got -1"),
+        ("population.max_age", -1, "population.max_age: must be between 0 and 150, got -1"),
+        ("population.entry_age", -1, "population.entry_age: must be between 0 and 150, got -1"),
+        ("population.max_age", 10**9,
+         "population.max_age: must be between 0 and 150, got 1000000000"),
         ("population.min_age", 110, "population.min_age: must be <= max_age, got 110 > 105"),
         ("population.entry_age", 20, "population.entry_age: 20 outside [29, 105]"),
         ("economics.return_deviations.sigma", -0.03667,

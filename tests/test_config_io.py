@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 import os
 import re
@@ -6,14 +7,17 @@ import re
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
-from conftest import BASE_CSVS, BASE_SCENARIO, write_scenario
+from conftest import BASE_CSVS, BASE_SCENARIO, deep_merge, write_scenario
 from paygsim import (StochasticFlags, config, default_config_path, load_config,
                      run_deterministic_projection, run_simulation, stepwise_projection)
 from paygsim.cli import main
 from paygsim.config import _SCHEMA, _Field, _bool, _float, _int, _schedule
 from paygsim.entrants import FACTOR_NAMES
 from paygsim.errors import ConfigError
+from strategies import load_variant, scenario_tweaks, variant_base
 
 
 class TestDefaultScenario:
@@ -95,6 +99,11 @@ class TestSmallScenario:
         cfg = load_config(small_scenario).with_run(moments_years=(2006, 2016))
         assert cfg.run.moments_years == (2006, 2016)
 
+    def test_with_run_names_the_run_field_it_does_not_know(self, small_scenario):
+        with pytest.raises(ConfigError) as exc:
+            load_config(small_scenario).with_run(reps=3)
+        assert exc.value.messages == ["run.reps: unknown key; did you mean 'n_reps'?"]
+
     def test_workers_must_be_positive(self, small_scenario):
         with pytest.raises(ConfigError, match="workers"):
             run_simulation(load_config(small_scenario), workers=0)
@@ -110,6 +119,113 @@ class TestSmallScenario:
         with pytest.raises(ConfigError, match="unknown shock family .* expected one of "
                                               "entrants, mortality, returns"):
             StochasticFlags.only(*names)
+
+def assert_same_config(a, b, at="cfg"):
+    """Every field of two scenarios is equal, arrays bit for bit; the digest
+    and what each was resolved from apart."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b), at
+        for f in dataclasses.fields(a):
+            if f.name not in ("source_digest", "_source"):
+                assert_same_config(getattr(a, f.name), getattr(b, f.name), f"{at}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), at
+    elif isinstance(a, dict):
+        assert list(a) == list(b), at
+        for k in a:
+            assert_same_config(a[k], b[k], f"{at}[{k!r}]")
+    elif isinstance(a, tuple):
+        assert len(a) == len(b), at
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_config(x, y, f"{at}[{i}]")
+    else:
+        assert a == b, at
+
+
+def _nested(path: str, value) -> dict:
+    """The tweak mapping that sets the dotted `path` to `value`."""
+    for key in reversed(path.split(".")):
+        value = {key: value}
+    return value
+
+
+class TestEdit:
+    """`ScenarioConfig.edit` resolves an edited YAML tree as `load_config`
+    resolves the edited file, with the tables it has already read."""
+
+    @pytest.mark.parametrize("path, value", [
+        ("contributions.exemption_years", -1),
+        ("economics.inflaton", 0.01),
+        ("economics.inflation", {"overrides": {2010: 0.01}}),
+        ("horizon.last_year", 2005),
+        ("population.sexes", ["male"]),
+        ("benefits.types.old_age.conversion_csv", "missing.csv"),
+        ("run.n_reps", 0),
+        ("run.moments_years", [2005, 2010, 2010]),
+    ])
+    def test_a_bad_edit_raises_the_lines_validate_prints(self, tmp_path, capsys, path, value):
+        cfg = load_config(write_scenario(str(tmp_path)))
+        with pytest.raises(ConfigError) as exc:
+            cfg.edit({path: value})
+        edited = write_scenario(str(tmp_path), tweaks=_nested(path, value))
+        assert main(["validate", "--config", edited]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {m}" for m in exc.value.messages]
+
+    def test_a_negative_exemption_is_refused(self, cfg):
+        with pytest.raises(ConfigError) as exc:
+            cfg.edit({"contributions.exemption_years": -1})
+        assert exc.value.messages == ["contributions.exemption_years: must be >= 0, got -1"]
+
+    def test_only_an_edit_of_the_run_keeps_the_digest(self, small_scenario):
+        cfg = load_config(small_scenario)
+        assert cfg.edit({}).source_digest == cfg.source_digest
+        assert cfg.edit({"run.seed": 5, "run.n_reps": 3}).source_digest == cfg.source_digest
+        assert cfg.with_run(seed=5).source_digest == cfg.source_digest
+        # the value the file gives, so the same scenario from another tree
+        same = cfg.edit({"economics.inflation": 0.02})
+        assert_same_config(same, cfg)
+        assert same.source_digest != cfg.source_digest
+        assert same.edit({"economics.inflation": 0.02}).source_digest == same.source_digest
+        mixed = cfg.edit({"run.seed": 5, "economics.inflation": 0.02})
+        assert mixed.source_digest not in (cfg.source_digest, same.source_digest)
+
+    def test_an_edit_reads_no_table_again_and_changes_nothing_it_starts_from(self, tmp_path):
+        cfg = load_config(write_scenario(str(tmp_path)))
+        tree = copy.deepcopy(cfg._source.tree)
+        for name in BASE_CSVS:
+            os.remove(tmp_path / name)
+        edited = cfg.edit({"economics.inflation": 0.03, "economics.return_deviations.phi": 0.1})
+        assert edited.economics.inflation.value(2010) == 0.03
+        assert edited.economics.deviations.phi == 0.1
+        assert_same_config(edited.census, cfg.census)
+        assert edited.mortality is cfg.mortality  # what a loader made is not made again
+        assert cfg._source.tree == tree and cfg.economics.inflation.value(2010) == 0.02
+
+    def test_every_edit_of_a_replaced_copy_starts_from_the_tree(self, small_scenario):
+        cfg = load_config(small_scenario)
+        replaced = dataclasses.replace(cfg, exemption_years=cfg.exemption_years + 4)
+        for edited in (replaced.with_run(seed=5), replaced.edit({"economics.inflation": 0.03})):
+            assert edited.exemption_years == cfg.exemption_years
+
+    def test_an_edit_under_a_value_that_is_no_mapping_names_the_value(self, small_scenario):
+        with pytest.raises(ConfigError) as exc:
+            load_config(small_scenario).edit({"economics.inflation.default": 0.01})
+        assert exc.value.messages == ["economics.inflation: expected a mapping, got float"]
+
+    def test_an_edit_changes_no_mapping_an_alias_shares(self, tmp_path):
+        path = write_scenario(str(tmp_path))
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        old = ("  subjective:\n    rate: 0.1\n    profile_csv: income.csv\n"
+               "  integrative:\n    rate: 0.02\n    profile_csv: turnover.csv\n")
+        assert old in text
+        with open(path, "w", encoding="utf-8") as fh:  # both streams read one mapping
+            fh.write(text.replace(old, "  subjective: &stream\n    rate: 0.1\n"
+                                       "    profile_csv: income.csv\n  integrative: *stream\n"))
+        cfg = load_config(path).edit({"contributions.subjective.rate": 0.05})
+        assert cfg.contrib_subjective.rate.value(2010) == 0.05
+        assert cfg.contrib_integrative.rate.value(2010) == 0.1
+
 
 class TestBrokenScenarios:
     def test_one_message_is_a_list_of_one(self):
@@ -682,11 +798,17 @@ def csv_dir(tmp_path_factory):
     return os.path.dirname(write_scenario(str(tmp_path_factory.mktemp("fuzz"))))
 
 
+@pytest.fixture(scope="module")
+def csv_dir_cfg(csv_dir):
+    return load_config(os.path.join(csv_dir, "scenario.yaml"))
+
+
 @pytest.mark.parametrize("path, field, what, value", [
     (path, field, what, value)
     for path, field in _schema_fields() for what, value in _wrong_values(field).items()],
     ids=lambda p: ".".join(p) if isinstance(p, tuple) else p if isinstance(p, str) else "")
-def test_a_wrong_value_in_any_field_is_one_message(csv_dir, capsys, path, field, what, value):
+def test_a_wrong_value_in_any_field_is_one_message(csv_dir, csv_dir_cfg, capsys, path, field,
+                                                   what, value):
     raw = copy.deepcopy(BASE_SCENARIO)
     node = raw
     for key in path[:-1]:
@@ -701,6 +823,10 @@ def test_a_wrong_value_in_any_field_is_one_message(csv_dir, capsys, path, field,
     assert main(["validate", "--config", scenario]) == 2
     [line] = capsys.readouterr().err.splitlines()
     assert line.startswith(f"error: {'.'.join(path)}: ")
+    # the same value set in Python is the same message
+    with pytest.raises(ConfigError) as exc:
+        csv_dir_cfg.edit({".".join(path[:-1]): node})
+    assert [f"error: {m}" for m in exc.value.messages] == [line]
 
 
 def test_thresholds_for_every_sex_and_for_each_sex_may_be_given_together(tmp_path):
@@ -842,6 +968,44 @@ def test_a_malformed_shape_names_its_field(tmp_path, tweaks, message):
     with pytest.raises(ConfigError) as exc:
         load_config(write_scenario(str(tmp_path), tweaks=tweaks))
     assert exc.value.messages == [message]
+
+
+@st.composite
+def run_tweaks(draw):
+    """Run settings, some of them out of bounds."""
+    return {"run": draw(st.fixed_dictionaries({}, optional={
+        "seed": st.integers(-1, 2**40),
+        "n_reps": st.integers(0, 2**33),
+        "stochastic": st.fixed_dictionaries({}, optional={"returns": st.booleans()}),
+        "percentile_probes": st.lists(st.sampled_from([0.0, 5.0, 50.0, 95.0]), max_size=3),
+        "moments_years": st.lists(st.integers(2004, 2018), max_size=3)}))}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(scenario_tweaks(), run_tweaks(), st.tuples(scenario_tweaks(), run_tweaks()).map(
+    lambda pair: deep_merge(*pair))))
+def test_an_edit_is_the_edited_file_loaded(tweaks):
+    # the variants' tables are all in one directory, so their paths are alike
+    tables, base = variant_base()
+    path = os.path.join(tables.name, "edited.yaml")
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(deep_merge(BASE_SCENARIO, tweaks), fh, sort_keys=False)
+    outcomes = []
+    for load in (lambda: load_variant(tweaks), lambda: load_config(path)):
+        try:
+            outcomes.append(load())
+        except ConfigError as exc:
+            outcomes.append(exc.messages)
+    edited, loaded = outcomes
+    event("refused" if isinstance(loaded, list) else "loaded")
+    assert type(edited) is type(loaded)
+    if isinstance(loaded, list):
+        assert edited == loaded
+    else:
+        assert_same_config(edited, loaded)
+        # an edit of the run alone keeps the scenario's digest, any other
+        # edit has its own
+        assert (edited.source_digest == base.source_digest) == (set(tweaks) <= {"run"})
 
 
 class TestDigestTracksEveryInput:

@@ -2,7 +2,6 @@
 broken table is reported at, and what two rows for one cell mean."""
 
 import csv
-import hashlib
 import math
 import os
 import shutil
@@ -162,6 +161,15 @@ def test_census_rows_for_one_cell_add_up(tmp_path):
     ("mortality.csv", ["sex,age,q0,drift,sigma", "male,30,0.01", "male,31,0.01,0.0,0.005",
                        "male"],
      "drift None for sex 'male' age 30 is not a finite number"),
+    # an age table is an array from its first age to its last, so an age
+    # past 150 is refused before the array is made
+    ("mortality.csv", BASE_CSVS["mortality.csv"] + ["male,1000000,0.01,0.0,0.005"],
+     "line 44: age 1000000 outside [0, 150]"),
+    ("mortality.csv", BASE_CSVS["mortality.csv"] + [f"male,{10**30},0.01,0.0,0.005",
+                                                    "male,-1,0.01,0.0,0.005"],
+     f"line 44: age {10**30} outside [0, 150]"),
+    ("income.csv", BASE_CSVS["income.csv"] + ["male,-1,5", "male,3x,5"],
+     "line 44: age -1 outside [0, 150]"),
     ("income.csv", ["sex,age,amount", "lion,30,50000", "male,31,inf", "male,3x,1"],
      "line 2: unknown sex 'lion'"),
     ("income.csv", ["age,amount,sex", "30,inf,male", "31,1", "3x,1,male"],
@@ -231,6 +239,11 @@ def ref_finite(path, row, col, where, nonnegative=False):
     return value
 
 
+def ref_age_span(path, line, age):
+    if not 0 <= age <= 150:
+        raise ConfigError([f"{path}: line {line}: age {age} outside [0, 150]"])
+
+
 def ref_load(path, table):
     """What loading `table` gives, one row at a time: its cells by key, or
     the first error. A cell given twice is refused once every row reads."""
@@ -244,6 +257,7 @@ def ref_load(path, table):
                                nonnegative=True)
             if sex and sex not in sexes:
                 raise ConfigError([f"{path}: line {line}: unknown sex {sex!r}"])
+            ref_age_span(path, line, age)
             keys, axis = [(s, age) for s in ([sex] if sex else sexes)], "age"
         elif table == "census":  # on ages 30-40, seniority 0-8, entry at 29
             sex = ref_key(path, line, row, "sex")
@@ -274,6 +288,8 @@ def ref_load(path, table):
             value = tuple(ref_finite(path, row, col, f"sex {sex!r} {axis} {key}",
                                      nonnegative=table == "population" or col != "drift")
                           for col in REQUIRED[table][2:])
+            if axis == "age":
+                ref_age_span(path, line, key)
             keys = [(sex, key)]
         for k in keys:
             if k in cells and repeat is None:
@@ -297,7 +313,8 @@ REQUIRED = {"age": ("age", "amount"), "census": ("sex", "age", "seniority", "sta
             "mortality": ("sex", "age", "q0", "drift", "sigma"),
             "population": ("sex", "year", "expected", "sigma")}
 COLUMNS = {"age": ("sex", "age", "amount"), **{t: REQUIRED[t] for t in REQUIRED if t != "age"}}
-CELLS = {"sex": ("male", "female", "", "dog"), "age": ("30", "31", " 32", "3x", "33.0", "45"),
+CELLS = {"sex": ("male", "female", "", "dog"),
+         "age": ("30", "31", " 32", "3x", "33.0", "45", "-1", "151"),
          "year": ("1995", "1996", "19x6"), "seniority": ("0", "2", "9", "y"),
          "status": ("active", "retired", "working"),
          "amount": ("0.5", "12", "inf", "nan", "x", "", "1e400", " 7", "-3"),
@@ -326,19 +343,19 @@ def tables(draw):
 
 def production_load(path, table):
     if table == "age":
-        lo, values = load_age_table(path, ("male", "female"), "amount", hashlib.sha256())
+        lo, values = load_age_table(path, ("male", "female"), "amount")
         return {(("male", "female")[si], lo + a): float(v)
                 for (si, a), v in np.ndenumerate(values) if not np.isnan(v)}
     if table == "population":
-        series = load_population_series(path, ("male", "female"), hashlib.sha256())
+        series = load_population_series(path, ("male", "female"))
         return {(s, y): (v, m.sigma.overrides[y])
                 for s, m in series.items() for y, v in m.mean.overrides.items()}
     if table == "mortality":
-        mm = load_mortality(path, ("male", "female"), 2006, hashlib.sha256())
+        mm = load_mortality(path, ("male", "female"), 2006)
         return {(s, mm.min_age + a): (float(mm.q0[si, a]), float(mm.drift[si, a]),
                                       float(mm.sigma[si, a]))
                 for si, s in enumerate(mm.sexes) for a in range(mm.q0.shape[1])}
-    counts = load_census(path, ("male", "female"), 30, 40, 8, 29, hashlib.sha256())
+    counts = load_census(path, ("male", "female"), 30, 40, 8, 29)
     return {(STATUS_NAMES[st_], ("male", "female")[s], 30 + a, k): float(counts[st_, s, a, k])
             for st_, s, a, k in zip(*counts.nonzero())}
 

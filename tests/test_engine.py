@@ -1,6 +1,5 @@
 import os
 import shutil
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -113,7 +112,7 @@ class TestTwoEnginesAgree:
     def test_one_exemption_holds_for_both_streams_in_both_engines(self, scenario,
                                                                   exemption_years, request):
         cfg = request.getfixturevalue("cfg" if scenario == "bundled" else "small_cfg")
-        cfg = replace(cfg, exemption_years=exemption_years)
+        cfg = cfg.edit({"contributions.exemption_years": exemption_years})
         fast, slow = run_deterministic_projection(cfg), stepwise_projection(cfg)
         for name in LEDGER_COLUMNS:
             assert np.array_equal(slow.ledger[name], fast.ledger[name]), name
@@ -127,9 +126,12 @@ class TestTwoEnginesAgree:
         for name in LEDGER_COLUMNS:
             assert np.array_equal(slow.ledger[name], fast.ledger[name]), name
 
-    def test_a_conversion_gap_met_by_an_empty_account_is_a_coverage_error(self):
-        conversion = [r for r in BASE_CSVS["conversion.csv"] if r != "female,37,0.06"]
-        cfg = load_variant(_empty_accounts(12), {"conversion.csv": conversion})
+    def test_a_conversion_gap_met_by_an_empty_account_is_a_coverage_error(self, tmp_path):
+        conversion = tmp_path / "gap.csv"
+        conversion.write_text("\n".join(r for r in BASE_CSVS["conversion.csv"]
+                                        if r != "female,37,0.06") + "\n", encoding="utf-8")
+        cfg = load_variant(_empty_accounts(12)).edit(
+            {"benefits.types.old_age.conversion_csv": str(conversion)})
         with pytest.raises(CoverageError, match="sex 'female' age 37 in 2013"):
             run_deterministic_projection(cfg)
         with pytest.raises(CoverageError, match="sex 'female' age 37"):

@@ -198,7 +198,32 @@ class TestStreamedChunks:
 class TestSerialPipeline:
     """A serial run's calling thread and one helper thread draw each unit's
     rows together; the helper starts on a unit while the unit before it is
-    simulated, so at most two units are in flight."""
+    simulated, so at most two units are in flight. Each run here is made on
+    its own thread, `RUNNER`, and fails if it has not returned within
+    `BOUND_S`: a row claimed twice or never drawn would leave it waiting."""
+
+    RUNNER, BOUND_S = "test-run", 30
+
+    @classmethod
+    def run(cls, cfg, **kw):
+        """run_simulation(cfg, **kw), on a daemon thread that must return
+        within BOUND_S; its result, or the error it raised."""
+        out = {}
+
+        def target():
+            try:
+                out["result"] = run_simulation(cfg, **kw)
+            except BaseException as exc:  # raised again in the test's thread
+                out["error"] = exc
+
+        thread = threading.Thread(target=target, name=cls.RUNNER, daemon=True)
+        thread.start()
+        thread.join(timeout=cls.BOUND_S)
+        if thread.is_alive():
+            pytest.fail(f"run_simulation has not returned within {cls.BOUND_S} s")
+        if "error" in out:
+            raise out["error"]
+        return out["result"]
 
     @staticmethod
     def join_helpers():
@@ -220,36 +245,37 @@ class TestSerialPipeline:
             done, threads = len(simulated), threading.active_count()
             rep = real_draw(unit, open_key)
             if rep is not None:
-                draws.append((rep, done, threads, threading.get_ident()))
+                thread = threading.current_thread()
+                draws.append((rep, done, threads, thread.ident, thread.name))
             return rep
 
         def flows(*args):
             time.sleep(0.01)  # a helper free to run ahead would draw every unit now
             out = real_flows(*args)
-            simulated.append(threading.get_ident())
+            simulated.append(threading.current_thread().name)
             return out
 
         monkeypatch.setattr(montecarlo, "_draw_next_row", draw)
         monkeypatch.setattr(montecarlo, "simulate_flows", flows)
-        result = run_simulation(cfg)
+        result = self.run(cfg)
         self.join_helpers()
         assert sorted(rep for rep, *_ in draws) == list(range(17))
-        for rep, done, threads, _ in draws:
+        for rep, done, threads, *_ in draws:
             unit = rep // 3
             assert max(unit - 1, 0) <= done <= unit, rep  # unit - 1 may still be simulated
-            assert threads == before + 1, rep  # one helper
-        helpers = {ident for *_, ident in draws} - {threading.get_ident()}
+            assert threads == before + 2, rep  # the run's thread and one helper
+        helpers = {ident for *_, ident, name in draws if name != self.RUNNER}
         assert len(helpers) <= 1
-        assert set(simulated) == {threading.get_ident()}  # the cohort kernel stays here
+        assert set(simulated) == {self.RUNNER}  # the cohort kernel stays on the run's thread
         monkeypatch.undo()
-        TestStreamedChunks.assert_same_run(result, run_simulation(cfg))
+        TestStreamedChunks.assert_same_run(result, self.run(cfg))
 
     def test_each_replication_is_drawn_once(self, small_cfg, monkeypatch):
         # both threads claim rows at nearly every bytecode; a row claimed
         # twice or skipped would show in the replications drawn
         cfg = small_cfg.with_run(n_reps=17)
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)
-        whole = run_simulation(cfg)
+        whole = self.run(cfg)
         drawn, real = [], montecarlo._draw_next_row
 
         def draw(unit, open_key):
@@ -262,7 +288,7 @@ class TestSerialPipeline:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            result = run_simulation(cfg)
+            result = self.run(cfg)
         finally:
             sys.setswitchinterval(interval)
         self.join_helpers()
@@ -275,35 +301,35 @@ class TestSerialPipeline:
         cfg = small_cfg.with_run(n_reps=17)
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)
         release, drawn, real = threading.Event(), [], montecarlo._draw_next_row
-        caller = threading.get_ident()
 
         def draw(unit, open_key):
-            if threading.get_ident() != caller and not release.wait(timeout=10):
+            name = threading.current_thread().name
+            if name != self.RUNNER and not release.wait(timeout=10):
                 raise AssertionError("the run waited for a stalled helper")
             rep = real(unit, open_key)
             if rep is not None:
-                drawn.append((rep, threading.get_ident()))
+                drawn.append((rep, name))
             return rep
 
         monkeypatch.setattr(montecarlo, "_draw_next_row", draw)
         try:
-            result = run_simulation(cfg)
+            result = self.run(cfg)
         finally:
             release.set()
         self.join_helpers()
-        assert drawn == [(rep, caller) for rep in range(17)]
-        TestStreamedChunks.assert_same_run(result, run_simulation(cfg, workers=2))
+        assert drawn == [(rep, self.RUNNER) for rep in range(17)]
+        TestStreamedChunks.assert_same_run(result, self.run(cfg, workers=2))
 
     def test_a_short_switch_interval_changes_nothing(self, small_cfg, monkeypatch):
         # the threads switch at nearly every bytecode, so a block handed over
         # before it was drawn, or reused while simulated, would show
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", small_cfg.run.n_reps)
-        whole = run_simulation(small_cfg)
+        whole = self.run(small_cfg)
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            rechunked = run_simulation(small_cfg)
+            rechunked = self.run(small_cfg)
         finally:
             sys.setswitchinterval(interval)
         TestStreamedChunks.assert_same_run(whole, rechunked)
@@ -317,8 +343,7 @@ class TestSerialPipeline:
                                                    where, failing_unit):
         monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)
         real_draw, real_flows = montecarlo._draw_next_row, montecarlo.simulate_flows
-        caller, simulated = threading.get_ident(), []
-        helper_failed = threading.Event()
+        simulated, helper_failed = [], threading.Event()
 
         def flows(*args):
             if where == "simulate_flows" and len(simulated) == failing_unit:
@@ -333,10 +358,11 @@ class TestSerialPipeline:
         def draw(unit, open_key):
             if unit.reps[0] // 3 != failing_unit:
                 return real_draw(unit, open_key)
-            if where == "caller draw" and threading.get_ident() == caller:
+            caller = threading.current_thread().name == self.RUNNER
+            if where == "caller draw" and caller:
                 raise self.Boom(where)
             if where == "helper draw":
-                if threading.get_ident() != caller:  # fails holding a claimed row
+                if not caller:  # fails holding a claimed row
                     return real_draw(unit, broken_stream)
                 assert helper_failed.wait(timeout=30)  # so that the helper claims a row
             return real_draw(unit, open_key)
@@ -344,7 +370,7 @@ class TestSerialPipeline:
         monkeypatch.setattr(montecarlo, "_draw_next_row", draw)
         monkeypatch.setattr(montecarlo, "simulate_flows", flows)
         with pytest.raises(self.Boom, match=where):
-            run_simulation(small_cfg)
+            self.run(small_cfg)
         self.join_helpers()
         assert len(simulated) == failing_unit  # the run stops at the first failure
 
