@@ -176,6 +176,9 @@ def main(argv=None) -> int:
     except (PaygsimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # a run whose arrays do not fit
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

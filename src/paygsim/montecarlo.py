@@ -10,12 +10,10 @@ then the return shocks. Every block is always drawn, whether or not its
 shock family is switched on, so toggling one family never perturbs the
 draws of another.
 
-A serial run draws on two threads, one replication at a time: a helper
-thread starts on the next chunk's rows while the calling thread simulates
-the current chunk, and the calling thread then draws the rows still
-unclaimed and waits only for the one row the helper may be drawing. Each
-row is drawn from its own replication's stream, by whichever thread claims
-it, so the draws are the same bytes whichever thread draws a row.
+A serial run works on two threads, the calling thread and one helper, each
+drawing and simulating whole chunks as a pool task does; since a chunk's
+draws depend only on its replications, the bytes are the same whichever
+thread runs a chunk.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import os
 import threading
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from queue import SimpleQueue
 
 import numpy as np
 
@@ -34,7 +31,7 @@ from .engine import (CohortSystem, admin_path, build_system, entrant_moment_tabl
                      entrant_product, return_rates, simulate_flows, survival_rates)
 from .entrants import DRAWS_PER_CELL
 from .errors import ConfigError, CoverageError
-from .stochastic import _stream_opener, open_streams, stream_keys
+from .stochastic import open_streams
 
 DEFAULT_CHUNK = 50  # replications drawn, simulated and handed to a worker together
 
@@ -56,94 +53,19 @@ def _empty_blocks(cfg: ScenarioConfig, n: int) -> ShockBlocks:
                        mortality=np.empty(shape + (n_mort,)), returns=np.empty(shape[:2]))
 
 
-def _fill_row(gen: np.random.Generator, blocks: ShockBlocks, row: int) -> None:
-    """Draw one replication's shocks from `gen`, at the start of its
-    stream, into `row` of `blocks` in the documented order."""
-    gen.standard_normal(out=blocks.entrants[row])
-    gen.standard_normal(out=blocks.mortality[row])
-    gen.standard_normal(out=blocks.returns[row])
-
-
-def draw_shock_blocks(cfg: ScenarioConfig, rep_indices) -> ShockBlocks:
-    """Draw every replication's shocks in the documented order."""
+def draw_shock_blocks(cfg: ScenarioConfig, rep_indices,
+                      out: ShockBlocks | None = None) -> ShockBlocks:
+    """Draw every replication's shocks in the documented order: into the
+    leading rows of `out` if given, which the returned blocks then view."""
     reps = np.asarray(list(rep_indices), dtype=int)
-    blocks = _empty_blocks(cfg, len(reps))
+    blocks = (_empty_blocks(cfg, len(reps)) if out is None else
+              ShockBlocks(out.entrants[:len(reps)], out.mortality[:len(reps)],
+                          out.returns[:len(reps)]))
     for i, gen in enumerate(open_streams(cfg.run.seed, reps)):
-        _fill_row(gen, blocks, i)
+        gen.standard_normal(out=blocks.entrants[i])
+        gen.standard_normal(out=blocks.mortality[i])
+        gen.standard_normal(out=blocks.returns[i])
     return blocks
-
-
-class _SharedDraw:
-    """One chunk's shock blocks, which a serial run's calling thread and its
-    helper thread draw together: each claims the next row that no thread
-    has claimed and draws that replication's stream into it."""
-
-    def __init__(self, cfg: ScenarioConfig, lo: int, hi: int):
-        self.reps = range(lo, hi)
-        self.keys = stream_keys(cfg.run.seed, self.reps)
-        self.blocks = _empty_blocks(cfg, hi - lo)
-        self._cond = threading.Condition(threading.Lock())  # guards the three below
-        self._claimed = self._drawn = 0
-        self._error: BaseException | None = None
-
-    def claim(self) -> int | None:
-        """The next row no thread has claimed, or None once every row is claimed."""
-        with self._cond:
-            row = self._claimed
-            if row == len(self.reps):
-                return None
-            self._claimed += 1
-            return row
-
-    def drawn(self) -> None:
-        """Record that a claimed row is drawn."""
-        with self._cond:
-            self._drawn += 1
-            self._cond.notify()
-
-    def fail(self, error: BaseException) -> None:
-        """Keep the helper's error, for `wait` to raise in the calling thread."""
-        with self._cond:
-            self._error = error
-            self._cond.notify()
-
-    def stop(self) -> None:
-        """Leave every row that no thread has claimed undrawn."""
-        with self._cond:
-            self._claimed = len(self.reps)
-
-    def wait(self) -> None:
-        """Once every row is claimed: wait for the one row the helper may
-        still be drawing, and raise the error the helper met, if any."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._drawn == len(self.reps) or self._error is not None)
-            if self._error is not None:
-                raise self._error
-
-
-def _draw_next_row(unit: _SharedDraw, open_key) -> int | None:
-    """Claim the next row of `unit` that no thread has claimed, draw its
-    replication's stream into it through `open_key` (this thread's
-    `_stream_opener`) and return the replication index; None once every
-    row is claimed."""
-    row = unit.claim()
-    if row is None:
-        return None
-    _fill_row(open_key(unit.keys[row]), unit.blocks, row)
-    unit.drawn()
-    return unit.reps[row]
-
-
-def _help_draw(units: SimpleQueue, open_key) -> None:
-    """A serial run's helper thread: draws rows of each unit it is handed
-    until every row is claimed, and returns when handed None."""
-    for unit in iter(units.get, None):
-        try:
-            while _draw_next_row(unit, open_key) is not None:
-                pass
-        except BaseException as exc:  # handed over: `unit.wait()` raises it in the caller
-            unit.fail(exc)
-        del unit  # hold no blocks while waiting for the next unit
 
 
 def entrant_paths(cfg: ScenarioConfig,
@@ -379,18 +301,16 @@ def run_simulation(cfg: ScenarioConfig, workers: int | None = None) -> Simulatio
     replication's stream depends only on (seed, replication index). The
     replications run DEFAULT_CHUNK at a time, one pool task each; the result
     is allocated once and each chunk's rows are copied into place as the
-    chunk finishes, in chunk order. `cfg`, the cohort system and the other
-    run-wide inputs are built once, and pool workers receive them once, when
-    they start. The pool has at most `workers` processes, and no more than
-    there are chunks or CPUs this process may run on.
+    chunk finishes. `cfg`, the cohort system and the other run-wide inputs
+    are built once, and pool workers receive them once, when they start.
+    The pool has at most `workers` processes, and no more than there are
+    chunks or CPUs this process may run on.
 
-    A serial run simulates every chunk on the calling thread. One helper
-    thread draws rows of the next chunk meanwhile; the calling thread then
-    draws the rows still unclaimed, waits for the one row the helper may be
-    drawing, and hands the helper the chunk after. So at most two chunks are
-    in flight, and a helper that is slow to run delays the run by at most
-    the one replication it holds. An error in either thread is raised here,
-    and the helper then claims no more rows and returns.
+    A serial run has two unit threads, the calling thread and one helper:
+    each takes the next chunk, draws it into its own shock blocks,
+    allocated once here, and simulates it, so at most two chunks are in
+    flight. An error in either thread is raised here, once both have
+    returned; neither starts another chunk after it.
     """
     if workers is not None and workers < 1:
         raise ConfigError([f"workers: must be >= 1, got {workers}"])
@@ -422,28 +342,29 @@ def run_simulation(cfg: ScenarioConfig, workers: int | None = None) -> Simulatio
             for span, part in zip(spans, pool.map(_run_pooled_chunk, *zip(*spans))):
                 store(*span, part)
     else:
-        # numpy fills a normal block with the GIL released, so the helper's
-        # draws overlap this thread's simulation. A chunk is allocated and
-        # handed to the helper only once the chunk before it is drawn, so at
-        # most two chunks are in flight.
-        nxt, units = _SharedDraw(cfg, *spans[0]), SimpleQueue()
-        units.put(nxt)
-        open_key = _stream_opener()
-        threading.Thread(target=_help_draw, args=(units, _stream_opener()),
-                         name="paygsim-draw").start()
-        try:
-            for i, span in enumerate(spans):
-                unit = nxt
-                while _draw_next_row(unit, open_key) is not None:
-                    pass
-                unit.wait()
-                nxt = _SharedDraw(cfg, *spans[i + 1]) if i + 1 < len(spans) else None
-                units.put(nxt)  # None: the helper returns while the last chunk is simulated
-                store(*span, _compose(*shared, unit.blocks))
-        finally:
-            if nxt is not None:  # the run failed: the helper claims no more rows and returns
-                nxt.stop()
-                units.put(None)
+        # numpy draws with the GIL released, so one thread's draws overlap
+        # the other's simulation
+        todo, lock, errors = iter(spans), threading.Lock(), []
+
+        def take():  # the next chunk; none once either thread has failed
+            with lock:
+                return None if errors else next(todo, None)
+
+        def take_units(blocks):
+            try:
+                while (span := take()) is not None:
+                    drawn = draw_shock_blocks(cfg, range(*span), out=blocks)
+                    store(*span, _compose(*shared, drawn))
+            except BaseException as exc:  # raised in the caller after `join`
+                errors.append(exc)
+
+        own, other = (_empty_blocks(cfg, min(DEFAULT_CHUNK, n)) for _ in range(2))
+        helper = threading.Thread(target=take_units, args=(other,), name="paygsim-units")
+        helper.start()
+        take_units(own)
+        helper.join()
+        if errors:
+            raise errors[0]
     admin_cents = to_cents(admin)  # the quantization `ledger_columns` applies
     for a in (*ledger.values(), admin_cents, *entrants.values(), actives, retirees):
         a.flags.writeable = False

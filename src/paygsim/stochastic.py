@@ -4,9 +4,9 @@ Every stochastic quantity in the model is an affine transform of a standard
 normal shock: demographic factors are floored at zero, mortality rates are
 clipped to [0, 1], and investment returns follow a stationary AR(1) around a
 deterministic base rate. The engine applies these transforms to whole arrays
-of explicitly passed shocks; only the streams opened at `stream_keys` keys
-touch the underlying generator, so any computation can be replayed
-bit-exactly by replaying the shocks.
+of explicitly passed shocks; only the streams opened by `open_streams` touch
+the underlying generator, so any computation can be replayed bit-exactly by
+replaying the shocks.
 """
 
 from __future__ import annotations
@@ -97,29 +97,18 @@ def stream_keys(seed: int, ids) -> np.ndarray:
 def open_streams(seed: int, ids):
     """Yield a generator at the start of stream (seed, id) for each id in turn.
 
-    The generator yielded for an id is the one yielded before it, reset to
-    the id's key, and is only that id's stream until the next one is taken.
+    One Philox bit generator is reset to each id's key with a zero counter,
+    so the generator yielded for an id is the one yielded before it, and is
+    only that id's stream until the next one is taken.
     """
     keys = stream_keys(seed, ids)
-    open_key = _stream_opener()
-    for key in keys:
-        yield open_key(key)
-
-
-def _stream_opener():
-    """A function that resets one Philox bit generator to a `stream_keys`
-    key with a zero counter and returns its generator, which is then that
-    key's stream until the next call. One thread at a time may use it."""
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)
     state = bits.state  # counter 0 and an empty output buffer
-
-    def open_key(key):
+    for key in keys:
         state["state"]["key"] = key
         bits.state = state
-        return gen
-
-    return open_key
+        yield gen
 
 
 @dataclass(frozen=True)

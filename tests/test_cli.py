@@ -1,6 +1,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -621,3 +623,23 @@ class TestEntrants:
                            "--reps", "-3", "--out", str(tmp_path / "r"))
         assert code == 2
         assert ">= 0" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "entrants"])
+def test_a_run_too_large_for_memory_exits_3_with_one_error_line(command, tmp_path):
+    # 10**8 replications pass the run checks, but each result or path array
+    # takes 30.5 GiB; the child alone runs under a 3 GB address-space limit,
+    # where allocating one fails at once
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-m", "paygsim.cli", command, "--reps", "100000000",
+                          "--out", str(tmp_path / "out")],
+                         env=dict(os.environ, PYTHONPATH=src), preexec_fn=limit,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 3, out.stderr
+    assert out.stderr.startswith("error: out of memory: ")
+    assert len(out.stderr.splitlines()) == 1

@@ -12,7 +12,8 @@ import pytest
 from conftest import write_scenario
 from paygsim import cli, engine, montecarlo
 from paygsim import (StochasticFlags, load_config, distribution_moments,
-                     percentile_bands, run_deterministic_projection, run_simulation)
+                     percentile_bands, run_deterministic_projection, run_simulation,
+                     stepwise_projection)
 from paygsim.cashflows import LEDGER_COLUMNS, identities_hold, ledger_columns, to_cents
 from paygsim.errors import CoverageError
 from paygsim.montecarlo import draw_shock_blocks
@@ -149,6 +150,15 @@ class TestStreamedChunks:
         for k in ("entrants", "mortality", "returns"):
             assert np.array_equal(getattr(tail, k), getattr(whole, k)[7:10]), k
 
+    def test_shock_blocks_drawn_into_a_larger_set_fill_its_leading_rows(self, small_cfg):
+        want = draw_shock_blocks(small_cfg, range(7, 10))
+        out = montecarlo._empty_blocks(small_cfg, 5)
+        got = draw_shock_blocks(small_cfg, range(7, 10), out=out)
+        for k in ("entrants", "mortality", "returns"):
+            assert np.shares_memory(getattr(got, k), getattr(out, k)), k
+            assert np.array_equal(getattr(got, k), getattr(want, k)), k
+            assert np.array_equal(getattr(out, k)[:3], getattr(want, k)), k
+
     @pytest.mark.parametrize("n_reps, workers", [(2000, None), (4000, 2)])
     def test_working_set_stays_bounded(self, cfg, monkeypatch, n_reps, workers):
         # the result holds the held ledger columns, the entrants of each
@@ -196,11 +206,11 @@ class TestStreamedChunks:
 
 
 class TestSerialPipeline:
-    """A serial run's calling thread and one helper thread draw each unit's
-    rows together; the helper starts on a unit while the unit before it is
-    simulated, so at most two units are in flight. Each run here is made on
-    its own thread, `RUNNER`, and fails if it has not returned within
-    `BOUND_S`: a row claimed twice or never drawn would leave it waiting."""
+    """A serial run has two unit threads, the calling thread and one helper:
+    each takes the next unit, draws it into its own shock blocks and
+    simulates it. Each run here is made on its own thread, `RUNNER`, and
+    fails if it has not returned within `BOUND_S`: a thread left waiting
+    would hold it."""
 
     RUNNER, BOUND_S = "test-run", 30
 
@@ -226,153 +236,147 @@ class TestSerialPipeline:
         return out["result"]
 
     @staticmethod
-    def join_helpers():
-        """Wait for every helper thread to return; none may be left running."""
-        for thread in threading.enumerate():
-            if thread.name == "paygsim-draw":
-                thread.join(timeout=30)
-                assert not thread.is_alive()
-
-    def test_the_helper_draws_at_most_one_unit_ahead(self, small_cfg, monkeypatch):
-        cfg = small_cfg.with_run(n_reps=17)
-        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)  # six units
-        simulated, draws = [], []  # units simulated when each row's draw began
-        real_draw, real_flows = montecarlo._draw_next_row, montecarlo.simulate_flows
-        self.join_helpers()
-        before = threading.active_count()
-
-        def draw(unit, open_key):
-            done, threads = len(simulated), threading.active_count()
-            rep = real_draw(unit, open_key)
-            if rep is not None:
-                thread = threading.current_thread()
-                draws.append((rep, done, threads, thread.ident, thread.name))
-            return rep
-
-        def flows(*args):
-            time.sleep(0.01)  # a helper free to run ahead would draw every unit now
-            out = real_flows(*args)
-            simulated.append(threading.current_thread().name)
-            return out
-
-        monkeypatch.setattr(montecarlo, "_draw_next_row", draw)
-        monkeypatch.setattr(montecarlo, "simulate_flows", flows)
-        result = self.run(cfg)
-        self.join_helpers()
-        assert sorted(rep for rep, *_ in draws) == list(range(17))
-        for rep, done, threads, *_ in draws:
-            unit = rep // 3
-            assert max(unit - 1, 0) <= done <= unit, rep  # unit - 1 may still be simulated
-            assert threads == before + 2, rep  # the run's thread and one helper
-        helpers = {ident for *_, ident, name in draws if name != self.RUNNER}
-        assert len(helpers) <= 1
-        assert set(simulated) == {self.RUNNER}  # the cohort kernel stays on the run's thread
-        monkeypatch.undo()
-        TestStreamedChunks.assert_same_run(result, self.run(cfg))
+    def paygsim_threads():
+        return [t for t in threading.enumerate() if t.name.startswith("paygsim")]
 
     def test_each_replication_is_drawn_once(self, small_cfg, monkeypatch):
-        # both threads claim rows at nearly every bytecode; a row claimed
-        # twice or skipped would show in the replications drawn
+        # the threads switch at nearly every bytecode on one CPU, so a unit
+        # taken twice or skipped, or a block set both threads draw into,
+        # would show in the draws or the bytes
         cfg = small_cfg.with_run(n_reps=17)
-        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 17)
         whole = self.run(cfg)
-        drawn, real = [], montecarlo._draw_next_row
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)  # six units
+        pooled = run_simulation(cfg, workers=2)
+        drawn, real = [], montecarlo.draw_shock_blocks
 
-        def draw(unit, open_key):
-            rep = real(unit, open_key)
-            if rep is not None:
-                drawn.append(rep)
-            return rep
+        def draw(cfg, reps, out=None):
+            drawn.extend(reps)
+            return real(cfg, reps, out=out)
 
-        monkeypatch.setattr(montecarlo, "_draw_next_row", draw)
+        monkeypatch.setattr(montecarlo, "draw_shock_blocks", draw)
+        # both threads on one CPU, where the run's threads inherit this one's
+        pinned = hasattr(os, "sched_setaffinity")
+        cpus = os.sched_getaffinity(0) if pinned else None
+        if pinned:
+            os.sched_setaffinity(0, {min(cpus)})
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             result = self.run(cfg)
         finally:
             sys.setswitchinterval(interval)
-        self.join_helpers()
+            if pinned:
+                os.sched_setaffinity(0, cpus)
         assert sorted(drawn) == list(range(17))
         TestStreamedChunks.assert_same_run(whole, result)
+        TestStreamedChunks.assert_same_run(pooled, result)
 
-    def test_a_stalled_helper_delays_no_unit(self, small_cfg, monkeypatch):
-        # the helper is held before it claims a row until the run has
-        # returned: the calling thread draws every row and waits for none
+    def test_a_serial_run_allocates_two_block_sets_on_the_calling_thread(self, small_cfg,
+                                                                         monkeypatch):
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)  # six units
+        made, sets = [], {}
+        real_empty, real_draw = montecarlo._empty_blocks, montecarlo.draw_shock_blocks
+
+        def empty_blocks(cfg, n):
+            made.append((threading.current_thread().name, n, len(self.paygsim_threads())))
+            return real_empty(cfg, n)
+
+        def draw(cfg, reps, out=None):
+            sets.setdefault(threading.current_thread().name, set()).add(id(out))
+            return real_draw(cfg, reps, out=out)
+
+        monkeypatch.setattr(montecarlo, "_empty_blocks", empty_blocks)
+        monkeypatch.setattr(montecarlo, "draw_shock_blocks", draw)
+        self.run(small_cfg.with_run(n_reps=17))
+        assert made == [(self.RUNNER, 3, 0)] * 2  # before the helper starts
+        # each thread draws every unit it takes into one set of its own
+        assert all(len(ids) == 1 for ids in sets.values())
+        assert len(set().union(*sets.values())) == len(sets)
+
+    def test_a_stalled_helper_holds_back_only_its_unit(self, small_cfg, monkeypatch):
+        # the helper is held in its first draw until the calling thread has
+        # drawn every other unit
         cfg = small_cfg.with_run(n_reps=17)
-        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)
-        release, drawn, real = threading.Event(), [], montecarlo._draw_next_row
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)  # six units
+        release, drawn, real = threading.Event(), [], montecarlo.draw_shock_blocks
 
-        def draw(unit, open_key):
-            name = threading.current_thread().name
-            if name != self.RUNNER and not release.wait(timeout=10):
-                raise AssertionError("the run waited for a stalled helper")
-            rep = real(unit, open_key)
-            if rep is not None:
-                drawn.append((rep, name))
-            return rep
+        def draw(cfg, reps, out=None):
+            caller = threading.current_thread().name == self.RUNNER
+            drawn.append((reps[0], caller))
+            if not caller:
+                assert release.wait(timeout=30), "the calling thread left units undrawn"
+            elif sum(c for _, c in drawn) == 5:
+                release.set()
+            return real(cfg, reps, out=out)
 
-        monkeypatch.setattr(montecarlo, "_draw_next_row", draw)
+        monkeypatch.setattr(montecarlo, "draw_shock_blocks", draw)
         try:
             result = self.run(cfg)
         finally:
             release.set()
-        self.join_helpers()
-        assert drawn == [(rep, self.RUNNER) for rep in range(17)]
-        TestStreamedChunks.assert_same_run(result, self.run(cfg, workers=2))
-
-    def test_a_short_switch_interval_changes_nothing(self, small_cfg, monkeypatch):
-        # the threads switch at nearly every bytecode, so a block handed over
-        # before it was drawn, or reused while simulated, would show
-        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", small_cfg.run.n_reps)
-        whole = self.run(small_cfg)
-        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            rechunked = self.run(small_cfg)
-        finally:
-            sys.setswitchinterval(interval)
-        TestStreamedChunks.assert_same_run(whole, rechunked)
+        assert sorted(lo for lo, _ in drawn) == list(range(0, 17, 3))
+        assert sum(not caller for _, caller in drawn) <= 1
+        monkeypatch.undo()
+        TestStreamedChunks.assert_same_run(result, self.run(cfg))
 
     class Boom(Exception):
         pass
 
-    @pytest.mark.parametrize("where", ["simulate_flows", "caller draw", "helper draw"])
-    @pytest.mark.parametrize("failing_unit", [0, 2])
-    def test_an_error_in_a_unit_reaches_the_caller(self, small_cfg, monkeypatch,
-                                                   where, failing_unit):
-        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)
-        real_draw, real_flows = montecarlo._draw_next_row, montecarlo.simulate_flows
-        simulated, helper_failed = [], threading.Event()
+    @pytest.mark.parametrize("stage", ["draw", "compose"])
+    @pytest.mark.parametrize("thread", ["caller", "helper"])
+    @pytest.mark.parametrize("nth", [0, 1])
+    def test_an_error_in_either_thread_reaches_the_caller(self, small_cfg, monkeypatch,
+                                                         stage, thread, nth):
+        # the failing thread fails in its unit nth, once the other thread is
+        # held in its first unit's simulation; the other thread is let go
+        # when the failing one has left its unit loop, so a unit it took
+        # after the error would show in `events`
+        monkeypatch.setattr(montecarlo, "DEFAULT_CHUNK", 3)  # six units
+        real_draw, real_compose = montecarlo.draw_shock_blocks, montecarlo._compose
+        units, events, failer = {}, [], []  # units each thread took; the failing thread
+        held, failed = threading.Event(), threading.Event()
 
-        def flows(*args):
-            if where == "simulate_flows" and len(simulated) == failing_unit:
-                raise self.Boom(where)
-            simulated.append(None)
-            return real_flows(*args)
+        def failing():
+            return (threading.current_thread().name == self.RUNNER) == (thread == "caller")
 
-        def broken_stream(key):
-            helper_failed.set()
-            raise self.Boom(where)
+        def in_unit_loop(ident):
+            frame = sys._current_frames().get(ident)
+            while frame is not None and frame.f_code.co_name != "take_units":
+                frame = frame.f_back
+            return frame is not None
 
-        def draw(unit, open_key):
-            if unit.reps[0] // 3 != failing_unit:
-                return real_draw(unit, open_key)
-            caller = threading.current_thread().name == self.RUNNER
-            if where == "caller draw" and caller:
-                raise self.Boom(where)
-            if where == "helper draw":
-                if not caller:  # fails holding a claimed row
-                    return real_draw(unit, broken_stream)
-                assert helper_failed.wait(timeout=30)  # so that the helper claims a row
-            return real_draw(unit, open_key)
+        def fail_here(at):
+            if at == stage and failing() and units[threading.get_ident()] == nth + 1:
+                assert held.wait(timeout=30)
+                events.append("fail")
+                failer.append(threading.get_ident())
+                failed.set()
+                raise self.Boom(stage)
 
-        monkeypatch.setattr(montecarlo, "_draw_next_row", draw)
-        monkeypatch.setattr(montecarlo, "simulate_flows", flows)
-        with pytest.raises(self.Boom, match=where):
-            self.run(small_cfg)
-        self.join_helpers()
-        assert len(simulated) == failing_unit  # the run stops at the first failure
+        def draw(cfg, reps, out=None):
+            units[threading.get_ident()] = units.get(threading.get_ident(), 0) + 1
+            events.append("start")
+            fail_here("draw")
+            return real_draw(cfg, reps, out=out)
+
+        def compose(*args):
+            fail_here("compose")
+            if not failing() and units[threading.get_ident()] == 1:
+                held.set()
+                assert failed.wait(timeout=30)
+                deadline = time.monotonic() + 30
+                while in_unit_loop(failer[0]):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            return real_compose(*args)
+
+        monkeypatch.setattr(montecarlo, "draw_shock_blocks", draw)
+        monkeypatch.setattr(montecarlo, "_compose", compose)
+        with pytest.raises(self.Boom, match=stage):
+            self.run(small_cfg.with_run(n_reps=17))
+        assert "start" not in events[events.index("fail"):]
+        assert self.paygsim_threads() == []
 
     def test_a_serial_run_loads_no_process_pool_machinery(self):
         code = ("import sys\n"
@@ -597,6 +601,25 @@ class TestFlagCollapse:
         run = run_simulation(small_cfg.with_run(flags=StochasticFlags.only("entrants")))
         spread = np.std(run.series["entrants_total"][:, -1])
         assert spread > 0.0
+
+    def test_mortality_and_entrant_shocks_follow_their_own_flags(self, small_cfg):
+        # mortality alone moves the headcounts and leaves the arrivals at
+        # their expectations; entrants alone is a replay of the arrivals
+        # with no mortality shocks
+        det = run_deterministic_projection(small_cfg)
+        run = run_simulation(small_cfg.with_run(flags=StochasticFlags.only("mortality")))
+        assert np.std(run.series["actives"][:, -1]) > 0.0
+        for s in small_cfg.sexes:
+            for rep in range(run.n_reps):
+                assert np.array_equal(run.series[f"entrants_{s}"][rep], det.entrants[s])
+        run = run_simulation(small_cfg.with_run(flags=StochasticFlags.only("entrants")))
+
+        def replayed(rep):
+            slow = stepwise_projection(small_cfg, entrants_path={
+                s: run.entrants[s][rep] for s in small_cfg.sexes})
+            return all(np.array_equal(run.ledger[k][rep], slow.ledger[k]) for k in LEDGER_COLUMNS)
+
+        assert any(replayed(rep) for rep in range(run.n_reps))
 
 
 class TestFanChart:
