@@ -116,10 +116,6 @@ class BenefitRule:
     kind: str
     table: np.ndarray
 
-    def __post_init__(self):
-        if self.kind not in ("notional_account", "fixed_profile"):
-            raise ValueError(f"unknown benefit kind {self.kind!r}")
-
 
 LEDGER_COLUMNS = ("value_start", "contrib_subjective", "contrib_integrative",
                   "disbursements", "pension_balance", "investment_income",

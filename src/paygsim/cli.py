@@ -70,32 +70,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_stochastic(text: str) -> StochasticFlags:
+def _parse_stochastic(text: str) -> dict[str, bool]:
+    """The families as run.stochastic's YAML value: those named on, the rest off."""
     names = [n.strip() for n in text.split(",") if n.strip()]
-    if names == ["none"]:
-        return StochasticFlags.none()
     if not names:
         raise ConfigError(["--stochastic: empty list (use 'none' to switch everything off)"])
     try:
-        return StochasticFlags.only(*names)
+        return vars(StochasticFlags.only(*([] if names == ["none"] else names)))
     except ConfigError as exc:
         raise ConfigError([f"--stochastic: {m}" for m in exc.messages]) from exc
 
 
-def _parse_probes(text: str) -> tuple[float, ...]:
+def _parse_probes(text: str) -> list[float]:
     """The probes as floats; the scenario's run section checks their values."""
     try:
-        return tuple(float(p) for p in text.split(","))
+        return [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise ConfigError([f"--percentiles: {exc}"]) from exc
 
 
 def _load(args, **run) -> tuple[str, ScenarioConfig]:
-    """The scenario --config names, with the run settings `run` gives that
-    are not None."""
+    """The scenario --config names, resolved once, each YAML value of `run`
+    that is not None standing for the run section's field of its name."""
     path = args.config if args.config is not None else default_config_path()
-    cfg, run = load_config(path), {k: v for k, v in run.items() if v is not None}
-    return path, cfg.with_run(**run) if run else cfg
+    return path, load_config(path, {f"run.{k}": v for k, v in run.items() if v is not None})
 
 
 def _money_path_error(message: str) -> str:
@@ -110,12 +108,18 @@ def _money_path_error(message: str) -> str:
     return f"economics.{field}: {message}"
 
 
-def _cmd_validate(args) -> list[str]:
-    path, cfg = _load(args)
+def _expected_projection(cfg: ScenarioConfig):
+    """The zero-shock projection, which `validate` and `project` refuse alike:
+    a StateError is a ConfigError under the field it comes from."""
     try:
-        run_deterministic_projection(cfg)
+        return run_deterministic_projection(cfg)
     except StateError as exc:
         raise ConfigError([_money_path_error(str(exc))]) from None
+
+
+def _cmd_validate(args) -> list[str]:
+    path, cfg = _load(args)
+    _expected_projection(cfg)
     print(f"ok: {path}")
     print(f"  years {cfg.first_year}-{cfg.last_year}, sexes {', '.join(cfg.sexes)}, "
           f"ages {cfg.min_age}-{cfg.max_age}")
@@ -125,13 +129,14 @@ def _cmd_validate(args) -> list[str]:
 
 def _cmd_project(args) -> list[str]:
     _, cfg = _load(args)
-    return outputs.emit_projection_outputs(args.out, cfg, run_deterministic_projection(cfg))
+    return outputs.emit_projection_outputs(args.out, cfg, _expected_projection(cfg))
 
 
 def _cmd_simulate(args) -> list[str]:
-    _, cfg = _load(args, seed=args.seed, n_reps=args.reps,
-                   flags=None if args.stochastic is None else _parse_stochastic(args.stochastic),
-                   probes=None if args.percentiles is None else _parse_probes(args.percentiles))
+    _, cfg = _load(
+        args, seed=args.seed, n_reps=args.reps,
+        stochastic=None if args.stochastic is None else _parse_stochastic(args.stochastic),
+        percentile_probes=None if args.percentiles is None else _parse_probes(args.percentiles))
     result = run_simulation(cfg, workers=args.workers)
     if result.n_reps < 2:
         print("note: one replication, skipping moments.csv")

@@ -41,18 +41,6 @@ class MortalityModel:
     drift: np.ndarray   # (n_sex, n_age), 1 + drift > 0
     sigma: np.ndarray   # (n_sex, n_age), >= 0
 
-    def __post_init__(self):
-        n = (len(self.sexes), self.max_age - self.min_age + 1)
-        for name, arr in (("q0", self.q0), ("drift", self.drift), ("sigma", self.sigma)):
-            if arr.shape != n:
-                raise ValueError(f"{name} shape {arr.shape}, expected {n}")
-        if np.any(self.q0 < 0) or np.any(self.q0 > 1):
-            raise ValueError("q0 must lie in [0, 1]")
-        if np.any(1.0 + self.drift <= 0):
-            raise ValueError("drift must satisfy 1 + drift > 0")
-        if np.any(self.sigma < 0):
-            raise ValueError("sigma must be >= 0")
-
 
 def expected_mortality_grid(mm: MortalityModel, year: int) -> np.ndarray:
     """Expected probabilities for every (sex, age) cell at once."""
@@ -122,11 +110,6 @@ class RetirementRule:
 
     benefit_types: tuple[str, ...]
     thresholds: dict[str, dict[str, tuple[Schedule, Schedule]]]
-
-    def __post_init__(self):
-        for b in self.benefit_types:
-            if b not in self.thresholds:
-                raise ValueError(f"no thresholds for benefit type {b!r}")
 
 
 def retirement_assignment(counts: np.ndarray, year: int, sexes, min_age: int,

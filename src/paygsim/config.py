@@ -6,9 +6,9 @@ coefficients). `load_config` reads the file into a YAML tree and resolves
 the tree through one schema, `_SCHEMA`, which gives each field's kind,
 default and bounds and the years a schedule is read at; a key it does not
 declare is an error. `ScenarioConfig.edit` and `with_run` resolve an edited
-tree the same way, with the tables already read. Every problem names its
-field, and all are collected before raising, so a broken file can be fixed
-in one pass. CSV files may start with '#' comments; loaders name columns.
+tree the same way, parsing again the table bytes read before. Every problem
+names its field, and all are collected before raising, so a broken file can
+be fixed in one pass. CSV files may start with '#' comments; loaders name columns.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class ScenarioConfig:
 
     def edit(self, changes: dict) -> "ScenarioConfig":
         """This scenario with its YAML tree edited, resolved as `load_config`
-        resolves a file but with the tables already read, raising the
+        resolves a file but from the table bytes it read, raising the
         ConfigError `validate` prints for the edited file. Each key of
         `changes` is a dotted path as errors name a field or mapping
         (`economics.inflation`, `run.n_reps`), and its YAML value replaces that
@@ -129,14 +129,13 @@ class ScenarioConfig:
         """`edit` of the run section, by RunSettings' field names."""
         names = {"flags": "stochastic", "probes": "percentile_probes"}
         return self.edit({f"run.{names.get(k, k)}": (
-            {n: getattr(v, n) for n in SHOCK_FAMILIES} if k == "flags"
-            else list(v) if isinstance(v, tuple) else v) for k, v in kw.items()})
+            vars(v) if k == "flags" else list(v) if isinstance(v, tuple) else v)
+            for k, v in kw.items()})
 
 
 # what a scenario is resolved from: its YAML tree, the directory its CSV paths
-# are relative to, the bytes its digest starts from, and of each table file
-# it read the bytes, by path, and what each loader made of them
-_Source = namedtuple("_Source", "tree base_dir head files loaded")
+# are relative to, the bytes its digest starts from and each table's bytes, by path
+_Source = namedtuple("_Source", "tree base_dir head files")
 
 
 def default_config_path() -> str:
@@ -357,13 +356,16 @@ def _on_grid(table: tuple[int, np.ndarray], min_age: int, max_age: int) -> np.nd
 
 
 def load_mortality(path: str, sexes, base_year: int, read=_read_file) -> MortalityModel:
-    """Columns: sex, age, q0, drift, sigma; a negative q0 or sigma is refused."""
+    """Columns: sex, age, q0, drift, sigma; q0 must lie in [0, 1], drift above -1, sigma >= 0."""
     table = _read_csv(path, ("sex", "age", "q0", "drift", "sigma"), read)
     sex = table.present("sex")
     index = table.sex_index(sex, sexes)
     age = table.ints("age")
     columns = [table.finites(col, lambda i: f"sex {sex[i]!r} age {age[i]}",
                              nonnegative=col != "drift") for col in ("q0", "drift", "sigma")]
+    for bad, col, must in ((columns[0] > 1, "q0", "be at most 1"),
+                           (columns[1] <= -1, "drift", "be above -1")):
+        table.refuse(bad, lambda i: f"{col} {table.cells(col)[i]!r} must {must}")
     lo, grid = _age_grid(table, index, age, np.stack(columns, axis=1), sexes)
     if np.isnan(grid).any():
         si, ai, _ = np.argwhere(np.isnan(grid))[0]
@@ -473,6 +475,7 @@ _probes = _refine(_floats, lambda p: p != () and list(p) == sorted(set(p))
                   and all(0.0 < x < 100.0 for x in p),
                   "be one or more increasing probes within (0, 100)")
 _distinct_years = _refine(_ints, lambda y: len(set(y)) == len(y), "not repeat a year")
+_stationary = _refine(_float, lambda x: -1.0 < x < 1.0, "lie within (-1, 1) for stationarity")
 
 
 def _sexes(value) -> tuple[str, ...]:
@@ -579,8 +582,8 @@ _SCHEMA = {
         "inflation": _Field(_schedule, 0.0, lo=-1.0, hi=1.0, strict=True, years="priced"),
         "expected_return": _Field(_schedule, 0.0, lo=-1.0, strict=True, years="horizon"),
         # deviations of the return rate, so within 100% of it
-        "return_deviations": (Ar1Params, {"phi": _Field(_float, 0.0),
-                                          "sigma": _Field(_float, 0.0, hi=1.0),
+        "return_deviations": (Ar1Params, {"phi": _Field(_stationary, 0.0),
+                                          "sigma": _Field(_float, 0.0, lo=0.0, hi=1.0),
                                           "x0": _Field(_float, 0.0, lo=-1.0, hi=1.0)}),
         "admin_base_year": _Field(_int, _first_year, lo=1800, hi=2300),
         "initial_assets": _Field(_float, lo=-9e16, hi=9e16),  # within what int64 cents hold
@@ -674,9 +677,10 @@ class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
         return super().construct_document(root)
 
 
-def load_config(path: str) -> ScenarioConfig:
-    """Read and resolve one scenario file. Raises ConfigError listing every
-    problem. Its digest covers the file's bytes and then each table's."""
+def load_config(path: str, changes: dict = {}) -> ScenarioConfig:
+    """Read and resolve one scenario file, with `changes` edited in as `edit`
+    edits them. Raises ConfigError listing every problem. Its digest covers
+    the file's bytes (as `edit` says) and then each table's."""
     raw_bytes = _read_file(path)
     try:
         tree = yaml.load(raw_bytes, Loader=_Loader)
@@ -685,7 +689,7 @@ def load_config(path: str) -> ScenarioConfig:
     if not isinstance(tree, dict):
         raise ConfigError([f"{path}: top level must be a mapping"])
     # CSV paths are relative to the file's directory
-    return _resolve(_Source(tree, os.path.dirname(os.path.abspath(path)), raw_bytes, {}, {}), {})
+    return _resolve(_Source(tree, os.path.dirname(os.path.abspath(path)), raw_bytes, {}), changes)
 
 
 def _edited(tree: dict, changes: dict) -> dict:
@@ -714,7 +718,7 @@ def _resolve(source: _Source, changes: dict) -> ScenarioConfig:
     tree, base_dir = _edited(source.tree, changes), source.base_dir
     head = (source.head if all(path.split(".")[0] == "run" for path in changes)
             else b"edited\n" + repr(tree).encode())
-    hasher, files, loaded = hashlib.sha256(head), {}, {}
+    hasher, files = hashlib.sha256(head), {}
 
     def read(path: str) -> bytes:
         if path not in files:
@@ -735,17 +739,9 @@ def _resolve(source: _Source, changes: dict) -> ScenarioConfig:
     spans = {"horizon": years, "credited": years}  # the years schedules are read at
 
     def load(path: str, name: str | None, loader, *args):
-        """The table the CSV field at `path` names, read as the source read it
-        if it did; None if the field or the load failed."""
-        if name is None:
-            return None
-        key = (loader, os.path.join(base_dir, name), *args)
-        if key in source.loaded:
-            read(key[1])  # its bytes, hashed
-            loaded[key] = source.loaded[key]
-        else:
-            loaded[key] = ctx.take(path, lambda: loader(key[1], *args, read))
-        return loaded[key]
+        """The table the CSV field at `path` names; None if the field or the load failed."""
+        return None if name is None else ctx.take(
+            path, lambda: loader(os.path.join(base_dir, name), *args, read))
 
     for y in next((x for where, x, _ in ctx.read if where == "run.moments_years"), ()):
         if y not in years:
@@ -867,4 +863,4 @@ def _resolve(source: _Source, changes: dict) -> ScenarioConfig:
         # the other economics fields are named as EconomicAssumptions names them
         economics=EconomicAssumptions(deviations=eco["return_deviations"], **{
             k: x for k, x in eco.items() if k != "return_deviations"}),
-        source_digest=hasher.hexdigest(), _source=_Source(tree, base_dir, head, files, loaded))
+        source_digest=hasher.hexdigest(), _source=_Source(tree, base_dir, head, files))

@@ -55,14 +55,6 @@ class EntrantsModelParams:
     study_years: int
     training_years: int
 
-    def __post_init__(self):
-        if self.study_years < 0 or self.training_years < 0:
-            raise ValueError("lags must be non-negative")
-        for sex, fs in self.factors.items():
-            missing = set(FACTOR_NAMES) - set(fs)
-            if missing:
-                raise ValueError(f"sex {sex!r} is missing factors {sorted(missing)}")
-
 
 def _draw_lags(study_years: int, training_years: int) -> tuple[int, ...]:
     """How many years before the arrival year t each draw of a cell is read,

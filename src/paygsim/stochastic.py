@@ -119,12 +119,6 @@ class Ar1Params:
     sigma: float
     x0: float = 0.0
 
-    def __post_init__(self):
-        if not abs(self.phi) < 1.0:
-            raise ValueError(f"|phi| must be < 1 for stationarity, got {self.phi}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-
 
 def ar1_path(params: Ar1Params, eps) -> np.ndarray:
     """Deviation path for a whole shock sequence, starting from x0.

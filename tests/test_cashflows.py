@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 from conftest import census_counts, write_scenario
 from paygsim import Schedule, load_config
-from paygsim.cashflows import (LEDGER_COLUMNS, LEDGER_LETTERS, BenefitRule,
+from paygsim.cashflows import (LEDGER_COLUMNS, LEDGER_LETTERS,
                                ContributionRule, EconomicAssumptions, accrue_and_credit,
                                cents_to_thousands, contribution_income, identities_hold,
                                ledger_columns, round_half_away, to_cents)
@@ -175,14 +175,6 @@ class TestNotionalAccounts:
         credited = accrue_and_credit(balances, g, 2006, rule, 1.0, accrual_rate=0.05,
                                      exemption_years=3)
         assert credited[0, 20, 2] == pytest.approx(210.0)
-
-
-class TestBenefits:
-    def test_rule_validation(self):
-        BenefitRule("notional_account", flat_profile(0.05))
-        BenefitRule("fixed_profile", flat_profile(20_000.0))
-        with pytest.raises(ValueError, match="kind"):
-            BenefitRule("lump_sum", flat_profile(0.05))
 
 
 class TestEconomics:

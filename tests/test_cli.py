@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from paygsim import __version__, load_config
+from paygsim import __version__, config, load_config
 from paygsim.cli import build_parser, main
 from paygsim.config import default_config_path
 from paygsim.engine import entrants_matrix
@@ -179,7 +179,7 @@ class TestValidate:
         ("population.min_age", 110, "population.min_age: must be <= max_age, got 110 > 105"),
         ("population.entry_age", 20, "population.entry_age: 20 outside [29, 105]"),
         ("economics.return_deviations.sigma", -0.03667,
-         "economics.return_deviations: sigma must be >= 0, got -0.03667"),
+         "economics.return_deviations.sigma: must be between 0 and 1, got -0.03667"),
         # a year outside 1800-2300 would have the loader list a billion years,
         # or the price index overflow
         ("horizon.first_year", -10**9,
@@ -209,7 +209,9 @@ class TestValidate:
 
     # values within their bounds whose zero-shock flows outgrow what the
     # ledger holds: `validate` runs that projection and blames the rate
-    # compounded over the horizon
+    # compounded over the horizon, and `project`, which runs the same
+    # projection, refuses the file alike and writes nothing
+    @pytest.mark.parametrize("command", ["validate", "project"])
     @pytest.mark.parametrize("field, value, message", [
         ("admin_growth", 10**30,
          "economics.admin_growth: the administration costs of 2017 overflow a float"),
@@ -218,37 +220,37 @@ class TestValidate:
         ("expected_return", 3.0, "economics.expected_return: investment income of year 13 "
                                  "of the horizon does not fit in int64 cents"),
     ])
-    def test_validate_refuses_flows_that_overflow(self, capsys, tmp_path, field, value,
-                                                  message):
+    def test_validate_and_project_refuse_flows_that_overflow(self, capsys, tmp_path, command,
+                                                             field, value, message):
         def edit(raw):
             raw["economics"][field] = value
 
         path = bundled_copy(tmp_path, edit)
-        assert run(capsys, "validate", "--config", path) == (2, "", f"error: {message}\n")
+        out = tmp_path / "out"
+        argv = ["--out", str(out)] if command == "project" else []
+        assert run(capsys, command, "--config", path, *argv) == (2, "", f"error: {message}\n")
+        assert not out.exists()
 
-    # the same values, which `project` and `simulate` refuse as they meet them
-    @pytest.mark.parametrize("command, field, value, message", [
-        ("project", "admin_growth", 10**30, "economics.admin_growth: the administration "
-                                            "costs of 2017 overflow a float"),
-        ("simulate", "admin_growth", 10**30, "economics.admin_growth: the administration "
-                                             "costs of 2017 overflow a float"),
+    # the same values, which `simulate` refuses as it meets them: a sampled
+    # path may overflow where the expected one does not, so it is a runtime
+    # failure
+    @pytest.mark.parametrize("field, value, message", [
+        ("admin_growth", 10**30, "economics.admin_growth: the administration "
+                                 "costs of 2017 overflow a float"),
         # prices double every year: 2034's subjective contributions are the
         # first amount int64 cents cannot hold
-        ("project", "inflation", 1.0, "contrib_subjective of year 29 of the horizon: "
-                                      "1.619705324992427e+17 euros do not fit in int64 cents"),
-        ("simulate", "inflation", 1.0, "contrib_subjective of year 29 of the horizon: "
-                                       "1.5964172581443424e+17 euros do not fit in int64 "
-                                       "cents"),
+        ("inflation", 1.0, "contrib_subjective of year 29 of the horizon: "
+                           "1.5964172581443424e+17 euros do not fit in int64 cents"),
     ])
-    def test_flows_that_overflow_exit_3_naming_where(self, capsys, tmp_path, command, field,
-                                                      value, message):
+    def test_flows_that_overflow_exit_3_naming_where(self, capsys, tmp_path, field, value,
+                                                      message):
         def edit(raw):
             raw["economics"][field] = value
 
         path = bundled_copy(tmp_path, edit)
         out = str(tmp_path / "out")
-        assert run(capsys, command, "--config", path, "--out", out, *(
-            ["--reps", "2"] if command == "simulate" else [])) == (3, "", f"error: {message}\n")
+        assert run(capsys, "simulate", "--config", path, "--out", out, "--reps", "2") == (
+            3, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("value, message", [
         ("high", "economics.expected_return: expected a number or a mapping, got str"),
@@ -623,6 +625,46 @@ class TestEntrants:
                            "--reps", "-3", "--out", str(tmp_path / "r"))
         assert code == 2
         assert ">= 0" in err
+
+
+class TestOneResolve:
+    """A command reads and resolves its scenario once, its run flags edited
+    into the file's run section, and keeps the file's digest."""
+
+    @pytest.fixture()
+    def resolves(self, monkeypatch):
+        """The arguments of each `config._resolve` call, in order."""
+        calls, resolve = [], config._resolve
+        monkeypatch.setattr(config, "_resolve", lambda *a: calls.append(a) or resolve(*a))
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--reps", "3", "--seed", "2", "--percentiles", "5,50,95",
+         "--stochastic", "entrants"],
+        ["entrants", "--reps", "2", "--seed", "2"],
+        ["project"],
+    ], ids=lambda argv: argv[0])
+    def test_a_command_resolves_its_scenario_once(self, capsys, resolves, scenario, tmp_path,
+                                                  argv):
+        out = tmp_path / "run"
+        assert run(capsys, *argv, "--config", scenario, "--out", str(out))[0] == 0
+        assert len(resolves) == 1
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config_sha256"] == load_config(scenario).source_digest
+
+    def test_validate_resolves_its_scenario_once(self, capsys, resolves, scenario):
+        code, out, _ = run(capsys, "validate", "--config", scenario)
+        assert code == 0 and len(resolves) == 1
+        assert f"  sha256 {load_config(scenario).source_digest}\n" in out
+
+    def test_a_bad_field_and_a_bad_run_flag_are_reported_together(self, capsys, tmp_path):
+        from conftest import write_scenario
+        path = write_scenario(str(tmp_path), tweaks={"economics": {"inflation": "high"}})
+        out = tmp_path / "run"
+        assert run(capsys, "simulate", "--config", path, "--reps", "0", "--out", str(out)) == (
+            2, "", "error: run.n_reps: must be >= 1, got 0\n"
+                   "error: economics.inflation: expected a number or a mapping, got str\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "entrants"])

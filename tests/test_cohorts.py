@@ -36,11 +36,6 @@ class TestMortality:
     # the cell of a 40-year-old man on make_mm's (sex, age) axes
     MALE_40 = (0, 20)
 
-    def test_table_shape_checked(self):
-        mm = make_mm(sexes=("male",), min_age=30, max_age=40)
-        with pytest.raises(ValueError, match=r"q0 shape \(1, 10\), expected \(1, 11\)"):
-            MortalityModel(mm.base_year, mm.sexes, 30, 40, np.zeros((1, 10)), mm.drift, mm.sigma)
-
     def test_no_drift_is_flat(self):
         mm = make_mm(q0=0.01)
         assert expected_mortality_grid(mm, 2007)[self.MALE_40] == 0.01
@@ -70,14 +65,6 @@ class TestMortality:
         assert np.all(hi == 1.0)
         mid = death_probability_grid(mm, 2005, eps=np.full((2, n_age), 1.0))
         assert np.allclose(mid, 0.06)
-
-    def test_model_validation(self):
-        with pytest.raises(ValueError, match="q0"):
-            make_mm(q0=1.5)
-        with pytest.raises(ValueError, match="drift"):
-            make_mm(q0=0.5, drift=-1.0)
-        with pytest.raises(ValueError, match="sigma"):
-            make_mm(q0=0.5, sigma=-0.1)
 
 
 class TestClippedMortality:
@@ -262,10 +249,6 @@ class TestRetirement:
         masks = retirement_assignment(g, YEAR, ("male",), MIN_AGE, r)
         assert masks["second"][0, 46, 2]
         assert not masks["first"][0, 46, 2]
-
-    def test_missing_thresholds_rejected(self):
-        with pytest.raises(ValueError, match="thresholds"):
-            RetirementRule(("a", "b"), {"a": {}})
 
 
 def one_year(counts, year, mm, r, entrants, entry_age):

@@ -198,7 +198,6 @@ class TestEdit:
         assert edited.economics.inflation.value(2010) == 0.03
         assert edited.economics.deviations.phi == 0.1
         assert_same_config(edited.census, cfg.census)
-        assert edited.mortality is cfg.mortality  # what a loader made is not made again
         assert cfg._source.tree == tree and cfg.economics.inflation.value(2010) == 0.02
 
     def test_every_edit_of_a_replaced_copy_starts_from_the_tree(self, small_scenario):
@@ -541,6 +540,10 @@ class TestFieldKinds:
         ({"run": {"percentile_probes": 50}},
          "run.percentile_probes: expected a list of numbers, got 50"),
         ({"mortality": {"table_csv": 3}}, "mortality.table_csv: expected a file path, got 3"),
+        # a benefit kind the engine does not know
+        ({"benefits": {"types": {"old_age": {"kind": "lump_sum"}}}},
+         "benefits.types.old_age.kind: expected notional_account or fixed_profile, "
+         "got 'lump_sum'"),
         # a schedule's override years are integers too
         ({"economics": {"inflation": {"default": 0.02, "overrides": {2010.7: 0.05}}}},
          "economics.inflation: expected an integer, got 2010.7"),
@@ -872,7 +875,7 @@ def test_a_bad_pool_age_is_reported_under_its_own_field(tmp_path, field, value, 
     ({"economics": {"return_deviations": {"x0": -1.0e308}}},
      "economics.return_deviations.x0: must be between -1 and 1, got -1e+308"),
     ({"economics": {"return_deviations": {"sigma": 2.0}}},
-     "economics.return_deviations.sigma: must be <= 1, got 2.0"),
+     "economics.return_deviations.sigma: must be between 0 and 1, got 2.0"),
 ])
 def test_a_value_that_breaks_the_arithmetic_is_refused(tmp_path, capsys, tweaks, message):
     assert main(["validate", "--config", write_scenario(str(tmp_path), tweaks=tweaks)]) == 2

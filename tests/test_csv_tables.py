@@ -168,6 +168,17 @@ def test_census_rows_for_one_cell_add_up(tmp_path):
     ("mortality.csv", BASE_CSVS["mortality.csv"] + [f"male,{10**30},0.01,0.0,0.005",
                                                     "male,-1,0.01,0.0,0.005"],
      f"line 44: age {10**30} outside [0, 150]"),
+    # a death probability above 1, and a drift that would zero or flip the
+    # sign of every later probability
+    ("mortality.csv", BASE_CSVS["mortality.csv"] + ["male,51,1.5,0.0,0.005"],
+     "line 44: q0 '1.5' must be at most 1"),
+    ("mortality.csv", BASE_CSVS["mortality.csv"] + ["male,51,0.01,-1.0,0.005"],
+     "line 44: drift '-1.0' must be above -1"),
+    ("mortality.csv", BASE_CSVS["mortality.csv"] + ["male,51,0.01,0.0,-0.1"],
+     "sigma '-0.1' for sex 'male' age 51 is negative"),
+    ("mortality.csv", BASE_CSVS["mortality.csv"] + ["male,51,0.01,-2,0.005",
+                                                    "male,52,1.5,0.0,0.005"],
+     "line 44: drift '-2' must be above -1"),
     ("income.csv", BASE_CSVS["income.csv"] + ["male,-1,5", "male,3x,5"],
      "line 44: age -1 outside [0, 150]"),
     ("income.csv", ["sex,age,amount", "lion,30,50000", "male,31,inf", "male,3x,1"],
@@ -288,6 +299,10 @@ def ref_load(path, table):
             value = tuple(ref_finite(path, row, col, f"sex {sex!r} {axis} {key}",
                                      nonnegative=table == "population" or col != "drift")
                           for col in REQUIRED[table][2:])
+            for bad, col, must in ((value[0] > 1, "q0", "be at most 1"),
+                                   (value[1] <= -1, "drift", "be above -1")):
+                if bad and table == "mortality":
+                    raise ConfigError([f"{path}: line {line}: {col} {row[col]!r} must {must}"])
             if axis == "age":
                 ref_age_span(path, line, key)
             keys = [(sex, key)]
@@ -320,7 +335,7 @@ CELLS = {"sex": ("male", "female", "", "dog"),
          "amount": ("0.5", "12", "inf", "nan", "x", "", "1e400", " 7", "-3"),
          "count": ("1", "2.5", "nan", "-1"), "expected": ("1000", "inf", "-1000"),
          "sigma": ("0.001", "z", "-0.5"),
-         "q0": ("0.01", "0.5", "nan", "-0.01"), "drift": ("0", "-0.01", "x")}
+         "q0": ("0.01", "0.5", "1.5", "nan", "-0.01"), "drift": ("0", "-0.01", "-1", "x")}
 
 
 @st.composite

@@ -146,14 +146,6 @@ class TestExpectationAndVariance:
         v3 = variance_new_entrants(params, big, "male", 2020)
         assert v3 == pytest.approx(9 * v1)
 
-    def test_params_validated(self):
-        factors = make_params().factors
-        with pytest.raises(ValueError, match="lags must be non-negative"):
-            EntrantsModelParams(factors, -1, 4)
-        no_membership = {"male": {n: m for n, m in factors["male"].items() if n != "membership"}}
-        with pytest.raises(ValueError, match=r"sex 'male' is missing factors \['membership'\]"):
-            EntrantsModelParams(no_membership, 5, 4)
-
     def test_unknown_sex(self):
         params = make_params(sexes=("male",))
         series = make_series()

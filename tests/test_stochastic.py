@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paygsim.engine import entrant_product
+from paygsim.errors import ConfigError
 from paygsim.stochastic import Ar1Params, ar1_path, ar1_stationary_std, open_streams, stream_keys
 
 
@@ -157,11 +158,12 @@ class TestAr1:
         got = ar1_stationary_std(Ar1Params(phi=-0.612, sigma=0.03667))
         assert got == pytest.approx(0.046366, abs=5e-6)
 
-    def test_nonstationary_rejected(self):
-        with pytest.raises(ValueError):
-            Ar1Params(phi=1.2, sigma=0.1)
-        with pytest.raises(ValueError):
-            Ar1Params(phi=-1.0, sigma=0.1)
+    @pytest.mark.parametrize("phi", [1.2, 1.0, -1.0])
+    def test_nonstationary_rejected(self, cfg, phi):
+        with pytest.raises(ConfigError) as exc:
+            cfg.edit({"economics.return_deviations.phi": phi})
+        assert exc.value.messages == [
+            f"economics.return_deviations.phi: must lie within (-1, 1) for stationarity, got {phi}"]
 
     def test_path_matches_stepwise(self):
         p = Ar1Params(phi=-0.5, sigma=0.3, x0=0.2)
