@@ -540,15 +540,15 @@ class TestFieldKinds:
         ({"run": {"percentile_probes": 50}},
          "run.percentile_probes: expected a list of numbers, got 50"),
         ({"mortality": {"table_csv": 3}}, "mortality.table_csv: expected a file path, got 3"),
-        # a benefit kind the engine does not know
-        ({"benefits": {"types": {"old_age": {"kind": "lump_sum"}}}},
-         "benefits.types.old_age.kind: expected notional_account or fixed_profile, "
-         "got 'lump_sum'"),
         # a schedule's override years are integers too
         ({"economics": {"inflation": {"default": 0.02, "overrides": {2010.7: 0.05}}}},
          "economics.inflation: expected an integer, got 2010.7"),
         ({"economics": {"inflation": {"default": 0.02, "overrides": {True: 0.09}}}},
          "economics.inflation: expected an integer, got True"),
+        # a benefit kind the engine does not know
+        ({"benefits": {"types": {"old_age": {"kind": "lump_sum"}}}},
+         "benefits.types.old_age.kind: expected notional_account or fixed_profile, "
+         "got 'lump_sum'"),
     ])
     def test_a_wrong_kind_is_one_message_naming_the_field(self, tmp_path, tweaks, message):
         with pytest.raises(ConfigError) as exc:
