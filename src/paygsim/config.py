@@ -7,8 +7,9 @@ the tree through one schema, `_SCHEMA`, which gives each field's kind,
 default and bounds and the years a schedule is read at; a key it does not
 declare is an error. `ScenarioConfig.edit` and `with_run` resolve an edited
 tree the same way, parsing again the table bytes read before. Every problem
-names its field, and all are collected before raising, so a broken file can
-be fixed in one pass. CSV files may start with '#' comments; loaders name columns.
+names its field, and every problem with a table row also names the file and
+the line; all are collected before raising, so a broken file can be fixed in
+one pass. CSV files may start with '#' comments; loaders name columns.
 """
 
 from __future__ import annotations
@@ -149,10 +150,10 @@ def default_config_path() -> str:
 
 class _Table:
     """A CSV file's data rows as columns: the lines that are not '#' comments,
-    read as CSV, the first of them the header, skipping blank lines. A loader
-    reads each column it needs in the order a row is checked, then calls
-    `check`; a column whose cells do not all read records a failure at its
-    first bad cell."""
+    read as CSV, the first of them the header, which names each column once,
+    skipping blank lines. A loader reads each column it needs in the order a
+    row is checked, then calls `check`. Every problem with a row is recorded
+    by `refuse`, which names the file and the row's line."""
 
     def __init__(self, path: str, lines: list[str], required: tuple[str, ...]):
         self.path, self._lines = path, lines
@@ -161,9 +162,12 @@ class _Table:
         missing = [c for c in required if c not in header]
         if missing:
             raise ConfigError([f"{path}: missing columns {missing}, found {header}"])
+        self._index = {name: j for j, name in enumerate(header)}
+        # empty names, as trailing commas leave, name no column
+        for name in (c for j, c in enumerate(header) if c and self._index[c] != j):
+            raise ConfigError([f"{path}: column {name!r} appears twice in the header"])
         rows = list(filter(None, reader))
         self.n = len(rows)
-        self._index = {name: j for j, name in enumerate(header)}  # a repeated name: its last
         self._columns = list(zip_longest(*rows))  # None where a row is short
         self._failures: list[tuple[int, int, str]] = []
 
@@ -187,9 +191,6 @@ class _Table:
         j = self._index[name]
         return self._columns[j] if j < len(self._columns) else (None,) * self.n
 
-    def _fail(self, row: int, message: str) -> None:
-        self._failures.append((row, len(self._failures), message))
-
     def check(self) -> None:
         """Raise the failure a row-by-row reading meets first: that of the
         earliest failing row, and of the first check it fails."""
@@ -197,12 +198,16 @@ class _Table:
             _, _, message = min(self._failures)
             raise ConfigError([f"{self.path}: {message}"])
 
+    def refuse(self, bad, problem: Callable[[int], str]) -> None:
+        """Fail the first row `bad` marks, naming its line and `problem(row)`."""
+        for i in np.flatnonzero(bad)[:1]:
+            self._failures.append((i, len(self._failures), f"line {self.lines[i]}: {problem(i)}"))
+
     def present(self, name: str) -> tuple:
         """A key column's cells; a row too short to have one fails."""
         cells = self.cells(name)
         if None in cells:
-            i = cells.index(None)
-            self._fail(i, f"line {self.lines[i]}: no {name} cell")
+            self.refuse([c is None for c in cells], lambda i: f"no {name} cell")
         return cells
 
     def ints(self, name: str) -> list:
@@ -212,33 +217,22 @@ class _Table:
             return list(map(int, cells))
         except (TypeError, ValueError):
             values = [_parse(int, c) for c in cells]
-            i = values.index(None)
-            self._fail(i, f"line {self.lines[i]}: no {name} cell" if cells[i] is None
-                       else f"line {self.lines[i]}: {name} {cells[i]!r} is not an integer")
+            self.refuse([v is None for v in values], lambda i: f"no {name} cell"
+                        if cells[i] is None else f"{name} {cells[i]!r} is not an integer")
             return values
 
-    def finites(self, name: str, where: Callable[[int], str],
-                nonnegative: bool = False) -> np.ndarray:
+    def finites(self, name: str, nonnegative: bool = False) -> np.ndarray:
         """A value column as floats; a cell that is not a finite number fails,
-        and so does a negative one if `nonnegative`, its message naming the
-        row as `where(row)` does."""
+        and so does a negative one if `nonnegative`."""
         cells = self.cells(name)
         try:
             values = np.array(list(map(float, cells)))
         except (TypeError, ValueError):
             values = np.array([_parse(float, c, math.nan) for c in cells])
         finite = np.isfinite(values)
-        bad = ~finite | (values < 0) if nonnegative else ~finite
-        if bad.any():
-            i = int(bad.argmax())
-            problem = "is negative" if finite[i] else "is not a finite number"
-            self._fail(i, f"{name} {cells[i]!r} for {where(i)} {problem}")
+        self.refuse(~finite | (values < 0) if nonnegative else ~finite, lambda i: (
+            f"{name} {cells[i]!r} is {'negative' if finite[i] else 'not a finite number'}"))
         return values
-
-    def refuse(self, bad: np.ndarray, problem: Callable[[int], str]) -> None:
-        """Fail the first row `bad` marks, naming its line and `problem(row)`."""
-        for i in np.flatnonzero(bad)[:1]:
-            self._fail(i, f"line {self.lines[i]}: {problem(i)}")
 
     def sex_index(self, cells: tuple, sexes, every: bool = False) -> list:
         """Each row's index into `sexes`, by its sex cell; if `every`, an empty
@@ -247,8 +241,7 @@ class _Table:
         try:
             return [index[c] for c in cells]
         except KeyError:
-            i = next(i for i, c in enumerate(cells) if c not in index)
-            self._fail(i, f"line {self.lines[i]}: unknown sex {cells[i]!r}")
+            self.refuse([c not in index for c in cells], lambda i: f"unknown sex {cells[i]!r}")
             return []
 
     def refuse_repeats(self, rows, keys, describe: Callable) -> None:
@@ -314,8 +307,7 @@ def load_population_series(path: str, sexes, read=_read_file) -> dict[str, Facto
     sex = table.present("sex")
     index = table.sex_index(sex, sexes)
     year = table.ints("year")
-    expected, sigma = (table.finites(col, lambda i: f"sex {sex[i]!r} year {year[i]}",
-                                     nonnegative=True) for col in ("expected", "sigma"))
+    expected, sigma = (table.finites(col, nonnegative=True) for col in ("expected", "sigma"))
     table.check()
     table.refuse_repeats(range(table.n), list(zip(sex, year)),
                          lambda k: f"sex {k[0]!r} year {k[1]}")
@@ -337,9 +329,7 @@ def load_age_table(path: str, sexes, value_col: str,
     age = table.ints("age")
     # a table without a sex column, or an empty sex cell, is for every sex
     sex = table.present("sex") if "sex" in table else ("",) * table.n
-    values = table.finites(value_col, lambda i: (
-        f"sex {sex[i]!r} age {age[i]}" if sex[i] else f"every sex age {age[i]}"),
-        nonnegative=True)
+    values = table.finites(value_col, nonnegative=True)
     index = table.sex_index(sex, sexes, every=True)
     return _age_grid(table, index, age, values, sexes)
 
@@ -361,8 +351,7 @@ def load_mortality(path: str, sexes, base_year: int, read=_read_file) -> Mortali
     sex = table.present("sex")
     index = table.sex_index(sex, sexes)
     age = table.ints("age")
-    columns = [table.finites(col, lambda i: f"sex {sex[i]!r} age {age[i]}",
-                             nonnegative=col != "drift") for col in ("q0", "drift", "sigma")]
+    columns = [table.finites(col, nonnegative=col != "drift") for col in ("q0", "drift", "sigma")]
     for bad, col, must in ((columns[0] > 1, "q0", "be at most 1"),
                            (columns[1] <= -1, "drift", "be above -1")):
         table.refuse(bad, lambda i: f"{col} {table.cells(col)[i]!r} must {must}")
@@ -384,8 +373,7 @@ def load_census(path: str, sexes, min_age, max_age, max_seniority, entry_age,
     index = table.sex_index(sex, sexes)
     age, seniority = table.ints("age"), table.ints("seniority")
     status = table.present("status")
-    count = table.finites("count", lambda i: f"sex {sex[i]!r} age {age[i]} seniority "
-                          f"{seniority[i]} on line {table.lines[i]}", nonnegative=True)
+    count = table.finites("count", nonnegative=True)
     # NaN off the grid, or where `ints` refused the cell (which that row reports first)
     a, k = (np.array([c if c is not None and lo <= c <= hi else math.nan for c in cells])
             for cells, lo, hi in ((age, min_age, max_age), (seniority, 0, max_seniority)))

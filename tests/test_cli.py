@@ -279,29 +279,25 @@ class TestValidate:
         assert not (tmp_path / "out").exists()
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "mortality.csv" in lines[0] and column in lines[0]
-        assert "'male' age 33" in lines[0]
+        assert lines[0].endswith(f"{os.path.join(str(tmp_path), 'mortality.csv')}: "
+                                 f"line {table.index(bad) + 1}: {column} {value!r} "
+                                 "is not a finite number")
 
     @pytest.mark.parametrize("command", ["validate", "project", "entrants"])
-    @pytest.mark.parametrize("table, row, bad, column, value, where", [
-        ("income.csv", "male,40,50000", "male,40,inf", "amount", "inf", "'male' age 40"),
-        ("income.csv", "male,40,50000", "male,40,nan", "amount", "nan", "'male' age 40"),
-        ("income.csv", "male,40,50000", "male,40,abc", "amount", "abc", "'male' age 40"),
-        ("income.csv", "male,40,50000", "male,40", "amount", None, "'male' age 40"),
-        ("turnover.csv", "female,33,80000", "female,33,-inf", "amount", "-inf",
-         "'female' age 33"),
-        ("pensions.csv", "male,45,20000", "male,45,nan", "amount", "nan", "'male' age 45"),
-        ("conversion.csv", "female,50,0.06", "female,50,inf", "coefficient", "inf",
-         "'female' age 50"),
-        ("population.csv", "2000,male,1000,100", "2000,male,nan,100", "expected", "nan",
-         "'male' year 2000"),
-        ("population.csv", "2010,female,1000,100", "2010,female,1000,inf", "sigma", "inf",
-         "'female' year 2010"),
-        ("census.csv", "male,35,5,active,30", "male,35,5,active,nan", "count", "nan",
-         "'male' age 35 seniority 5"),
+    @pytest.mark.parametrize("table, row, bad, column, value", [
+        ("income.csv", "male,40,50000", "male,40,inf", "amount", "inf"),
+        ("income.csv", "male,40,50000", "male,40,nan", "amount", "nan"),
+        ("income.csv", "male,40,50000", "male,40,abc", "amount", "abc"),
+        ("income.csv", "male,40,50000", "male,40", "amount", None),
+        ("turnover.csv", "female,33,80000", "female,33,-inf", "amount", "-inf"),
+        ("pensions.csv", "male,45,20000", "male,45,nan", "amount", "nan"),
+        ("conversion.csv", "female,50,0.06", "female,50,inf", "coefficient", "inf"),
+        ("population.csv", "2000,male,1000,100", "2000,male,nan,100", "expected", "nan"),
+        ("population.csv", "2010,female,1000,100", "2010,female,1000,inf", "sigma", "inf"),
+        ("census.csv", "male,35,5,active,30", "male,35,5,active,nan", "count", "nan"),
     ])
     def test_non_finite_table_cell_exits_2(self, capsys, tmp_path, command, table, row,
-                                           bad, column, value, where):
+                                           bad, column, value):
         from conftest import BASE_CSVS, write_scenario
         assert row in BASE_CSVS[table]
         lines = [bad if r == row else r for r in BASE_CSVS[table]]
@@ -312,28 +308,25 @@ class TestValidate:
         assert not (tmp_path / "out").exists()
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert table in lines[0] and f"{column} {value!r}" in lines[0]
-        assert where in lines[0] and "not a finite number" in lines[0]
+        assert lines[0].endswith(f"{os.path.join(str(tmp_path), table)}: "
+                                 f"line {BASE_CSVS[table].index(row) + 1}: "
+                                 f"{column} {value!r} is not a finite number")
 
     @pytest.mark.parametrize("command", ["validate", "project"])
-    @pytest.mark.parametrize("table, row, bad, column, value, where", [
-        ("income.csv", "male,40,50000", "male,40,-50000", "amount", "-50000", "'male' age 40"),
-        ("turnover.csv", "female,33,80000", "female,33,-1e-9", "amount", "-1e-9",
-         "'female' age 33"),
-        ("pensions.csv", "male,45,20000", "male,45,-20000", "amount", "-20000", "'male' age 45"),
-        ("conversion.csv", "male,45,0.06", "male,45,-0.06", "coefficient", "-0.06",
-         "'male' age 45"),
-        ("population.csv", "1997,male,1000,100", "1997,male,-1000,100", "expected", "-1000",
-         "'male' year 1997"),
-        ("population.csv", "2010,female,1000,100", "2010,female,1000,-100", "sigma", "-100",
-         "'female' year 2010"),
+    @pytest.mark.parametrize("table, row, bad, column, value", [
+        ("income.csv", "male,40,50000", "male,40,-50000", "amount", "-50000"),
+        ("turnover.csv", "female,33,80000", "female,33,-1e-9", "amount", "-1e-9"),
+        ("pensions.csv", "male,45,20000", "male,45,-20000", "amount", "-20000"),
+        ("conversion.csv", "male,45,0.06", "male,45,-0.06", "coefficient", "-0.06"),
+        ("population.csv", "1997,male,1000,100", "1997,male,-1000,100", "expected", "-1000"),
+        ("population.csv", "2010,female,1000,100", "2010,female,1000,-100", "sigma", "-100"),
         ("mortality.csv", "male,40,0.01,0.0,0.005", "male,40,0.01,0.0,-0.001", "sigma",
-         "-0.001", "'male' age 40"),
+         "-0.001"),
         ("mortality.csv", "female,33,0.01,0.0,0.005", "female,33,-0.01,0.0,0.005", "q0",
-         "-0.01", "'female' age 33"),
+         "-0.01"),
     ])
     def test_negative_table_cell_exits_2(self, capsys, tmp_path, command, table, row, bad,
-                                         column, value, where):
+                                         column, value):
         # a negative amount, coefficient, population or dispersion would run
         # and give wrong numbers: negative pensions, or arrivals floored to 0
         from conftest import BASE_CSVS, write_scenario
@@ -347,13 +340,13 @@ class TestValidate:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert lines[0].endswith(f"{os.path.join(str(tmp_path), table)}: "
-                                 f"{column} {value!r} for sex {where} is negative")
+                                 f"line {BASE_CSVS[table].index(row) + 1}: "
+                                 f"{column} {value!r} is negative")
 
     # the bundled census has 134 rows, ending on line 139; its grid is ages
     # 29-105, seniority 0-45, entry at 29
     @pytest.mark.parametrize("row, message", [
-        ("male,36,6,active,-1",
-         "count '-1' for sex 'male' age 36 seniority 6 on line 140 is negative"),
+        ("male,36,6,active,-1", "line 140: count '-1' is negative"),
         ("male,36,20,active,3",
          "line 140: seniority 20 at age 36 violates seniority <= age - entry_age (29)"),
     ])

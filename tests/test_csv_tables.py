@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import BASE_CSVS, write_scenario
 from paygsim import default_config_path, load_config
+from paygsim.cli import main
 from paygsim.cohorts import STATUS_NAMES
 from paygsim.config import load_age_table, load_census, load_mortality, load_population_series
 from paygsim.errors import ConfigError
@@ -76,6 +77,62 @@ def test_a_table_with_a_byte_order_mark_loads(bundled_copy):
     assert cfg.source_digest != load_config(default_config_path()).source_digest
 
 
+def test_a_table_with_unnamed_trailing_columns_loads(bundled_copy):
+    path = bundled_copy / "mortality_2006.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(ln if ln.startswith("#") else ln + ",,"
+                              for ln in lines) + "\n", encoding="utf-8")
+    _assert_same_tables(load_config(str(bundled_copy / "default_scenario.yaml")),
+                        load_config(default_config_path()))
+
+
+def test_a_header_that_names_a_column_twice_is_refused(bundled_copy, capsys):
+    # read by name, the second sigma column would otherwise be the one used
+    path = bundled_copy / "mortality_2006.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(ln if ln.startswith("#") else ln + (",sigma" if "sigma" in ln
+                                                                  else ",0.9")
+                              for ln in lines) + "\n", encoding="utf-8")
+    assert main(["validate", "--config", str(bundled_copy / "default_scenario.yaml")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: mortality.table_csv: {path}: column 'sigma' appears twice in the header\n")
+
+
+# each value column of the bundled tables, and the field that names its file
+# first (both benefit types name conversion.csv)
+VALUE_COLUMNS = [
+    ("census_2006.csv", "count", "population.census_csv"),
+    ("reference_population.csv", "expected", "entrants.population_csv"),
+    ("reference_population.csv", "sigma", "entrants.population_csv"),
+    ("mortality_2006.csv", "q0", "mortality.table_csv"),
+    ("mortality_2006.csv", "drift", "mortality.table_csv"),
+    ("mortality_2006.csv", "sigma", "mortality.table_csv"),
+    ("income_2005.csv", "amount", "contributions.subjective.profile_csv"),
+    ("turnover_2005.csv", "amount", "contributions.integrative.profile_csv"),
+    ("pensions_2006.csv", "amount", "benefits.pre_existing_profile_csv"),
+    ("conversion.csv", "coefficient", "benefits.types.vecchiaia.conversion_csv"),
+]
+
+
+@pytest.mark.parametrize("cell", ["nan", "x", "-1"])
+@pytest.mark.parametrize("name, column, field", VALUE_COLUMNS)
+def test_one_bad_cell_of_a_bundled_table_is_one_line_naming_its_file_line(
+        bundled_copy, capsys, name, column, field, cell):
+    path = bundled_copy / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = next(i for i, ln in enumerate(lines) if not ln.startswith("#"))
+    line = header + 4  # the third data row, counting file lines from 1
+    cells = lines[line - 1].split(",")
+    cells[lines[header].split(",").index(column)] = cell
+    lines[line - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    problem = ("is not a finite number" if cell != "-1" else
+               "must be above -1" if column == "drift" else "is negative")
+    assert main(["validate", "--config", str(bundled_copy / "default_scenario.yaml")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {field}: {path}: line {line}: {column} {cell!r} {problem}\n")
+
+
 def test_a_second_row_for_a_mortality_cell_is_refused(bundled_copy):
     path = bundled_copy / "mortality_2006.csv"
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -124,8 +181,7 @@ def test_two_rows_for_one_cell_name_the_file_the_cell_and_both_lines(
     ("male,30,16,active,1", "line 10: seniority 16 outside [0, 15]"),
     ("male,30,0,working,1", "line 10: status must be one of ('active', 'retired'), "
                             "got 'working'"),
-    ("male,30,0,active,-1", "count '-1' for sex 'male' age 30 seniority 0 on line 10 "
-                            "is negative"),
+    ("male,30,0,active,-1", "line 10: count '-1' is negative"),
     ("male,31,2,retired,1", "line 10: seniority 2 at age 31 violates "
                             "seniority <= age - entry_age (30)"),
 ])
@@ -154,13 +210,13 @@ def test_census_rows_for_one_cell_add_up(tmp_path):
     ("population.csv", ["year,sex,expected,sigma", "1995,dog,1000,100", "19x5,male,1000,100"],
      "line 2: unknown sex 'dog'"),
     ("population.csv", ["year,sex,expected,sigma", "1995,male,1000,nan", "1996,male,inf,100"],
-     "sigma 'nan' for sex 'male' year 1995 is not a finite number"),
+     "line 2: sigma 'nan' is not a finite number"),
     ("mortality.csv", ["sex,age,q0,drift,sigma", "male,30,0.01,0.0,x", "male,3x,0.01,0.0,0.005",
                        "cat,31,0.01,0.0,0.005"],
-     "sigma 'x' for sex 'male' age 30 is not a finite number"),
+     "line 2: sigma 'x' is not a finite number"),
     ("mortality.csv", ["sex,age,q0,drift,sigma", "male,30,0.01", "male,31,0.01,0.0,0.005",
                        "male"],
-     "drift None for sex 'male' age 30 is not a finite number"),
+     "line 2: drift None is not a finite number"),
     # an age table is an array from its first age to its last, so an age
     # past 150 is refused before the array is made
     ("mortality.csv", BASE_CSVS["mortality.csv"] + ["male,1000000,0.01,0.0,0.005"],
@@ -175,7 +231,7 @@ def test_census_rows_for_one_cell_add_up(tmp_path):
     ("mortality.csv", BASE_CSVS["mortality.csv"] + ["male,51,0.01,-1.0,0.005"],
      "line 44: drift '-1.0' must be above -1"),
     ("mortality.csv", BASE_CSVS["mortality.csv"] + ["male,51,0.01,0.0,-0.1"],
-     "sigma '-0.1' for sex 'male' age 51 is negative"),
+     "line 44: sigma '-0.1' is negative"),
     ("mortality.csv", BASE_CSVS["mortality.csv"] + ["male,51,0.01,-2,0.005",
                                                     "male,52,1.5,0.0,0.005"],
      "line 44: drift '-2' must be above -1"),
@@ -184,10 +240,10 @@ def test_census_rows_for_one_cell_add_up(tmp_path):
     ("income.csv", ["sex,age,amount", "lion,30,50000", "male,31,inf", "male,3x,1"],
      "line 2: unknown sex 'lion'"),
     ("income.csv", ["age,amount,sex", "30,inf,male", "31,1", "3x,1,male"],
-     "amount 'inf' for sex 'male' age 30 is not a finite number"),
+     "line 2: amount 'inf' is not a finite number"),
     ("census.csv", ["sex,age,seniority,status,count", "male,30,0,active,nan",
                     "male,3x,0,active,1", "male,31,y,active,1"],
-     "count 'nan' for sex 'male' age 30 seniority 0 on line 2 is not a finite number"),
+     "line 2: count 'nan' is not a finite number"),
     ("census.csv", ["sex,age,seniority,status,count", "male,30,0,working,1",
                     "dog,30,0,active,1", "male,30,99,active,1"],
      "line 2: status must be one of ('active', 'retired'), got 'working'"),
@@ -197,7 +253,7 @@ def test_census_rows_for_one_cell_add_up(tmp_path):
     # the small scenario's grid is ages 30-50, seniority 0-15, entry at 30
     ("census.csv", ["sex,age,seniority,status,count", "male,30,0,active,1",
                     "male,36,6,active,-1", "male,3x,0,active,1"],
-     "count '-1' for sex 'male' age 36 seniority 6 on line 3 is negative"),
+     "line 3: count '-1' is negative"),
     ("census.csv", ["sex,age,seniority,status,count", "male,36,20,active,3",
                     "male,36,6,active,-1"],
      "line 2: seniority 20 outside [0, 15]"),
@@ -225,6 +281,9 @@ def ref_rows(path, required):
     missing = [c for c in required if c not in found]
     if missing:
         raise ConfigError([f"{path}: missing columns {missing}, found {found}"])
+    for c in found:
+        if c and found.count(c) > 1:
+            raise ConfigError([f"{path}: column {c!r} appears twice in the header"])
     return [(numbered[reader.line_num - 1][0], row) for row in reader]
 
 
@@ -238,15 +297,15 @@ def ref_key(path, line, row, col, kind=str):
         raise ConfigError([f"{path}: line {line}: {col} {cell!r} is not an integer"]) from None
 
 
-def ref_finite(path, row, col, where, nonnegative=False):
+def ref_finite(path, line, row, col, nonnegative=False):
     try:
         value = float(row[col])
     except (TypeError, ValueError):
         value = math.nan
     if not math.isfinite(value):
-        raise ConfigError([f"{path}: {col} {row[col]!r} for {where} is not a finite number"])
+        raise ConfigError([f"{path}: line {line}: {col} {row[col]!r} is not a finite number"])
     if nonnegative and value < 0:
-        raise ConfigError([f"{path}: {col} {row[col]!r} for {where} is negative"])
+        raise ConfigError([f"{path}: line {line}: {col} {row[col]!r} is negative"])
     return value
 
 
@@ -263,9 +322,7 @@ def ref_load(path, table):
         if table == "age":
             age = ref_key(path, line, row, "age", int)
             sex = ref_key(path, line, row, "sex") if "sex" in row else ""
-            value = ref_finite(path, row, "amount",
-                               f"sex {sex!r} age {age}" if sex else f"every sex age {age}",
-                               nonnegative=True)
+            value = ref_finite(path, line, row, "amount", nonnegative=True)
             if sex and sex not in sexes:
                 raise ConfigError([f"{path}: line {line}: unknown sex {sex!r}"])
             ref_age_span(path, line, age)
@@ -276,9 +333,7 @@ def ref_load(path, table):
                 raise ConfigError([f"{path}: line {line}: unknown sex {sex!r}"])
             age, sen = (ref_key(path, line, row, c, int) for c in ("age", "seniority"))
             status = ref_key(path, line, row, "status")
-            value = ref_finite(path, row, "count",
-                               f"sex {sex!r} age {age} seniority {sen} on line {line}",
-                               nonnegative=True)
+            value = ref_finite(path, line, row, "count", nonnegative=True)
             for bad, message in ((not 30 <= age <= 40, f"age {age} outside [30, 40]"),
                                  (not 0 <= sen <= 8, f"seniority {sen} outside [0, 8]"),
                                  (status not in ("active", "retired"), "status must be one of "
@@ -296,7 +351,7 @@ def ref_load(path, table):
                 raise ConfigError([f"{path}: line {line}: unknown sex {sex!r}"])
             axis = "age" if table == "mortality" else "year"
             key = ref_key(path, line, row, axis, int)
-            value = tuple(ref_finite(path, row, col, f"sex {sex!r} {axis} {key}",
+            value = tuple(ref_finite(path, line, row, col,
                                      nonnegative=table == "population" or col != "drift")
                           for col in REQUIRED[table][2:])
             for bad, col, must in ((value[0] > 1, "q0", "be at most 1"),
@@ -341,12 +396,15 @@ CELLS = {"sex": ("male", "female", "", "dog"),
 @st.composite
 def tables(draw):
     """A table with a few rows of good and bad cells, some short or long,
-    blank or comment lines between them, and its columns in any order."""
+    blank or comment lines between them, and its columns in any order, now
+    and then one of them twice."""
     table = draw(st.sampled_from(sorted(COLUMNS)))
     columns = list(COLUMNS[table])
     if table == "age" and draw(st.booleans()):
         columns.remove("sex")
     columns = draw(st.permutations(columns))
+    if draw(st.integers(0, 9)) == 0:  # a header that names a column twice
+        columns.append(draw(st.sampled_from(columns)))
     lines = [",".join(columns)]
     for _ in range(draw(st.integers(0, 6))):
         row = [draw(st.sampled_from(CELLS[c])) for c in columns]
